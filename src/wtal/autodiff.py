@@ -150,41 +150,42 @@ def _forward(op: str, values: list[np.ndarray], meta: dict):
 
 
 def _conv_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray):
-    """1-d convolution over time, stride 1, zero same-padding.
+    """1-d convolution over time, stride 1, zero same-padding, as one matmul.
 
-    x: (T, d_in); w: (d_out, d_in, k) with k odd; b: (d_out,) -> (T, d_out).
+    x: (T, d_in); w: (k*d_in, d_out) in tap-major layout, k odd; b: (d_out,)
+    -> (T, d_out). Row block i of w, ``w[i*d_in:(i+1)*d_in]``, is the slice
+    for tap i, so out[t] = b + sum_i xp[t + i] @ w_i with xp the input
+    zero-padded by k // 2 rows at each end. That is ``windows @ w + b``,
+    where row t of ``windows`` concatenates xp[t], ..., xp[t + k - 1].
     """
-    if x.ndim != 2 or w.ndim != 3 or b.ndim != 1:
+    if x.ndim != 2 or w.ndim != 2 or b.ndim != 1:
         raise ContractError("temporal_conv rank mismatch")
     t, d_in = x.shape
-    d_out, w_in, k = w.shape
+    rows, d_out = w.shape
     if t == 0:
         raise InputError("temporal_conv on empty sequence")
-    if w_in != d_in or b.shape[0] != d_out:
+    if d_in == 0 or rows % d_in or b.shape[0] != d_out:
         raise ContractError(
             f"temporal_conv shapes x={x.shape} w={w.shape} b={b.shape}")
+    k = rows // d_in
     if k % 2 == 0 or k < 1:
         raise ContractError(f"kernel size {k} must be odd")
     pad = k // 2
     xp = np.zeros((t + 2 * pad, d_in), dtype=x.dtype)
     xp[pad:pad + t] = x
-    # windows[t] = [xp[t], xp[t+1], ..., xp[t+k-1]] flattened
     windows = np.concatenate([xp[i:i + t] for i in range(k)], axis=1)
-    wmat = w.transpose(2, 1, 0).reshape(k * d_in, d_out)
-    out = windows @ wmat + b.astype(x.dtype, copy=False)
-    return out, {"windows": windows, "wmat": wmat, "k": k, "pad": pad}
+    out = windows @ w + b.astype(x.dtype, copy=False)
+    return out, {"windows": windows, "k": k, "pad": pad}
 
 
 def _conv_backward(node: Node, g: np.ndarray, values):
-    x, w, b = values
+    x, w, _ = values
     t, d_in = x.shape
-    d_out, _, k = w.shape
-    pad = node.ctx["pad"]
-    windows, wmat = node.ctx["windows"], node.ctx["wmat"]
+    k, pad = node.ctx["k"], node.ctx["pad"]
+    windows = node.ctx["windows"]
     db = g.sum(axis=0)
-    dwmat = windows.T @ g
-    dw = dwmat.reshape(k, d_in, d_out).transpose(2, 1, 0)
-    dwin = (g @ wmat.T).reshape(t, k, d_in)
+    dw = windows.T @ g
+    dwin = (g @ w.T).reshape(t, k, d_in)
     dxp = np.zeros((t + 2 * pad, d_in), dtype=g.dtype)
     for i in range(k):
         dxp[i:i + t] += dwin[:, i, :]

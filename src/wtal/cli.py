@@ -117,7 +117,7 @@ def cmd_train(args) -> int:
         params = init_params(model_cfg, seed=train_cfg.seed + i, dtype=train_cfg.dtype)
         if args.resume:
             params, state, start_epoch = load_train_state(
-                out_dir / f"model_{stream}_state.npz")
+                out_dir / f"model_{stream}_state.npz", model_cfg, train_cfg)
             print(f"[{stream}] resuming at epoch {start_epoch}", file=sys.stderr)
         result = fit(dataset, params, model_cfg, weights, train_cfg,
                      out_dir=out_dir, ckpt_prefix=f"model_{stream}",

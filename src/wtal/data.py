@@ -132,7 +132,10 @@ def parse_manifest(path) -> Manifest:
     """
     path = Path(path)
     with open(path) as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ManifestError(f"manifest {path} is not valid JSON: {exc}") from exc
     if doc.get("schema_version") != MANIFEST_VERSION:
         raise ManifestError(f"manifest schema_version must be {MANIFEST_VERSION}")
     classes = doc.get("classes")

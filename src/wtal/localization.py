@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, InputError
+from .errors import ConfigError, ContractError, FormatError, InputError
 from .evaluation import tiou
 
 
@@ -220,6 +220,12 @@ def write_detections_json(path, records: list[DetectionRecord]) -> None:
 def read_detections(path, class_names: list[str]) -> list[DetectionRecord]:
     """Read either the CSV or the JSON detections format (by extension)."""
     index = {name: i for i, name in enumerate(class_names)}
+
+    def lookup(label: str) -> int:
+        if label not in index:
+            raise FormatError(f"{path}: unknown class label {label!r}")
+        return index[label]
+
     records: list[DetectionRecord] = []
     path = str(path)
     if path.endswith(".json"):
@@ -228,7 +234,7 @@ def read_detections(path, class_names: list[str]) -> list[DetectionRecord]:
         for video_id, dets in payload["results"].items():
             for d in dets:
                 records.append(DetectionRecord(
-                    video_id=video_id, class_id=index[d["label"]], label=d["label"],
+                    video_id=video_id, class_id=lookup(d["label"]), label=d["label"],
                     score=float(d["score"]), start=float(d["segment"][0]),
                     end=float(d["segment"][1])))
         return records
@@ -236,7 +242,7 @@ def read_detections(path, class_names: list[str]) -> list[DetectionRecord]:
         reader = csv.DictReader(fh)
         for row in reader:
             records.append(DetectionRecord(
-                video_id=row["video_id"], class_id=index[row["label"]],
+                video_id=row["video_id"], class_id=lookup(row["label"]),
                 label=row["label"], score=float(row["score"]),
                 start=float(row["t_start"]), end=float(row["t_end"])))
     return records

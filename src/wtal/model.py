@@ -18,7 +18,7 @@ from . import autodiff as ad
 from .errors import ConfigError, ContractError, FormatError
 
 CHECKPOINT_MAGIC = b"FACN"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2  # version 1 stored conv weights as (d_out, d_in, k)
 
 
 @dataclass
@@ -58,9 +58,9 @@ class ModelConfig:
 
 @dataclass
 class ModelParams:
-    conv1_w: np.ndarray  # (d1, D_in, k)
+    conv1_w: np.ndarray  # (k*D_in, d1), tap-major: row block i is tap i
     conv1_b: np.ndarray  # (d1,)
-    conv2_w: np.ndarray  # (d2, d1, k)
+    conv2_w: np.ndarray  # (k*d1, d2), tap-major
     conv2_b: np.ndarray  # (d2,)
     w_action: np.ndarray  # (score_classes, d2)
     w_fore: np.ndarray  # (d2,)
@@ -75,8 +75,19 @@ class ModelParams:
         return ModelParams(**{k: v.copy() for k, v in self.as_dict().items()})
 
 
+def tap_major(w: np.ndarray) -> np.ndarray:
+    """Relay (d_out, d_in, k) conv weights into the stored (k*d_in, d_out) layout."""
+    d_out, d_in, k = w.shape
+    return np.ascontiguousarray(w.transpose(2, 1, 0).reshape(k * d_in, d_out))
+
+
 def init_params(config: ModelConfig, seed: int, dtype=np.float64) -> ModelParams:
-    """Uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)) init for every tensor."""
+    """Uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)) init for every tensor.
+
+    Conv weights are drawn as (d_out, d_in, k) and then relaid, which keeps
+    the random stream, and so every initial value, equal to what checkpoint
+    version 1 stored.
+    """
     rng = np.random.default_rng(seed)
     d1, d2 = config.embed_dims
     k = config.kernel_size
@@ -86,27 +97,30 @@ def init_params(config: ModelConfig, seed: int, dtype=np.float64) -> ModelParams
         return rng.uniform(-bound, bound, size=shape).astype(dtype)
 
     return ModelParams(
-        conv1_w=uniform((d1, config.feature_dim, k), config.feature_dim * k),
+        conv1_w=tap_major(uniform((d1, config.feature_dim, k), config.feature_dim * k)),
         conv1_b=uniform((d1,), config.feature_dim * k),
-        conv2_w=uniform((d2, d1, k), d1 * k),
+        conv2_w=tap_major(uniform((d2, d1, k), d1 * k)),
         conv2_b=uniform((d2,), d1 * k),
         w_action=uniform((config.score_classes, d2), d2),
         w_fore=uniform((d2,), d2),
     )
 
 
-def validate_params(params: ModelParams, config: ModelConfig) -> None:
+def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
     d1, d2 = config.embed_dims
     k = config.kernel_size
-    expected = {
-        "conv1_w": (d1, config.feature_dim, k),
+    return {
+        "conv1_w": (k * config.feature_dim, d1),
         "conv1_b": (d1,),
-        "conv2_w": (d2, d1, k),
+        "conv2_w": (k * d1, d2),
         "conv2_b": (d2,),
         "w_action": (config.score_classes, d2),
         "w_fore": (d2,),
     }
-    for name, shape in expected.items():
+
+
+def validate_params(params: ModelParams, config: ModelConfig) -> None:
+    for name, shape in param_shapes(config).items():
         actual = getattr(params, name).shape
         if actual != shape:
             raise ContractError(f"parameter {name} has shape {actual}, expected {shape}")
@@ -345,7 +359,7 @@ def load_checkpoint(path) -> tuple[ModelParams, ModelConfig]:
     if r.take(4, "magic") != CHECKPOINT_MAGIC:
         raise FormatError(f"bad checkpoint magic at offset 0 in {path}")
     (version,) = r.unpack("<I", "version")
-    if version != CHECKPOINT_VERSION:
+    if version not in (1, CHECKPOINT_VERSION):
         raise FormatError(f"unsupported checkpoint version {version} at offset 4")
     num_classes, feature_dim, d1, d2, kernel = r.unpack("<5I", "config")
     (delta,) = r.unpack("<d", "delta")
@@ -369,6 +383,11 @@ def load_checkpoint(path) -> tuple[ModelParams, ModelConfig]:
     expected = {f.name for f in fields(ModelParams)}
     if set(tensors) != expected:
         raise FormatError(f"checkpoint tensors {sorted(tensors)} != expected {sorted(expected)}")
+    if version == 1:
+        for name in ("conv1_w", "conv2_w"):
+            if tensors[name].ndim != 3:
+                raise FormatError(f"version 1 tensor {name} must have rank 3")
+            tensors[name] = tap_major(tensors[name])
     params = ModelParams(**tensors)
     validate_params(params, config)
     return params, config

@@ -8,15 +8,15 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
-from .errors import ConfigError, ContractError
+from .errors import ConfigError, ContractError, FormatError
 from .losses import LossWeights, total_loss
-from .model import ModelConfig, ModelParams, run_forward, save_checkpoint
+from .model import ModelConfig, ModelParams, param_shapes, run_forward, save_checkpoint
 
 
 class NonFiniteGradientError(RuntimeError):
     def __init__(self, param_name: str, epoch: int):
         super().__init__(f"non-finite gradient for parameter {param_name!r} "
-                         f"in epoch {epoch}; aborting epoch")
+                         f"in epoch {epoch}; training stopped")
         self.param_name = param_name
 
 
@@ -67,7 +67,11 @@ def init_optimizer(params: ModelParams) -> OptimizerState:
 
 def adam_step(params: ModelParams, grads: dict[str, np.ndarray],
               state: OptimizerState, config: TrainConfig) -> tuple[ModelParams, OptimizerState]:
-    """Bias-corrected Adam update, in place, in a fixed parameter order."""
+    """Bias-corrected Adam update, in place, in a fixed parameter order.
+
+    Parameters and both moments are updated in their own buffers; ``grads``
+    is only read.
+    """
     tensors = params.as_dict()
     if set(grads) != set(tensors):
         raise ContractError(f"gradient keys {sorted(grads)} != parameter keys {sorted(tensors)}")
@@ -76,12 +80,18 @@ def adam_step(params: ModelParams, grads: dict[str, np.ndarray],
     bias1 = 1.0 - b1 ** state.step
     bias2 = 1.0 - b2 ** state.step
     for name in tensors:
-        g = grads[name]
-        state.m[name] = b1 * state.m[name] + (1 - b1) * g
-        state.v[name] = b2 * state.v[name] + (1 - b2) * g * g
-        m_hat = state.m[name] / bias1
-        v_hat = state.v[name] / bias2
-        tensors[name] -= config.learning_rate * m_hat / (np.sqrt(v_hat) + config.adam_eps)
+        g, m, v = grads[name], state.m[name], state.v[name]
+        m *= b1
+        m += (1 - b1) * g
+        v *= b2
+        v += (1 - b2) * g * g
+        update = m / bias1
+        update *= config.learning_rate
+        denom = v / bias2
+        np.sqrt(denom, out=denom)
+        denom += config.adam_eps
+        update /= denom
+        tensors[name] -= update
     return params, state
 
 
@@ -192,16 +202,33 @@ def save_train_state(path, params: ModelParams, state: OptimizerState,
     np.savez(path, step=state.step, next_epoch=next_epoch, **arrays)
 
 
-def load_train_state(path) -> tuple[ModelParams, OptimizerState, int]:
-    data = np.load(path)
-    names = [k[len("param_"):] for k in data.files if k.startswith("param_")]
-    params = ModelParams(**{k: data[f"param_{k}"] for k in names})
+def load_train_state(path, model_config: ModelConfig,
+                     train_config: TrainConfig) -> tuple[ModelParams, OptimizerState, int]:
+    """Read a ``save_train_state`` file, checked against the run's configs.
+
+    Every tensor must be present under its expected name, with the shape the
+    model config implies and the training precision's dtype.
+    """
+    shapes = param_shapes(model_config)
+    dtype = np.dtype(train_config.dtype)
+    with np.load(path) as data:
+        arrays = {key: data[key] for key in data.files}
+    tensors = {f"{prefix}_{name}": shape for name, shape in shapes.items()
+               for prefix in ("param", "m", "v")}
+    expected = set(tensors) | {"step", "next_epoch"}
+    if set(arrays) != expected:
+        raise FormatError(f"{path}: entries {sorted(arrays)} != expected {sorted(expected)}")
+    for key, shape in tensors.items():
+        if arrays[key].shape != shape or arrays[key].dtype != dtype:
+            raise FormatError(f"{path}: {key} is {arrays[key].dtype}{list(arrays[key].shape)}, "
+                              f"expected {dtype}{list(shape)}")
+    params = ModelParams(**{k: arrays[f"param_{k}"] for k in shapes})
     state = OptimizerState(
-        m={k: data[f"m_{k}"] for k in names},
-        v={k: data[f"v_{k}"] for k in names},
-        step=int(data["step"]),
+        m={k: arrays[f"m_{k}"] for k in shapes},
+        v={k: arrays[f"v_{k}"] for k in shapes},
+        step=int(arrays["step"]),
     )
-    return params, state, int(data["next_epoch"])
+    return params, state, int(arrays["next_epoch"])
 
 
 def fit(dataset, params: ModelParams, model_config: ModelConfig,

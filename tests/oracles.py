@@ -1,9 +1,9 @@
 """Independent reference implementations used only as test oracles.
 
 These deliberately re-derive results with different code paths than the
-package: quadratic loops instead of vectorized passes, and rectangle
-integration of the precision-recall curve instead of the running-precision
-sum.
+package: quadratic loops instead of vectorized passes, per-tap loops
+instead of one im2col matmul, and rectangle integration of the
+precision-recall curve instead of the running-precision sum.
 """
 import numpy as np
 
@@ -83,3 +83,21 @@ def map_reference(dets, gts, grid, num_classes):
             aps.append(ap_reference(class_dets, class_gts, threshold))
         per_threshold.append(float(np.mean(aps)) if aps else 0.0)
     return per_threshold, float(np.mean(per_threshold))
+
+
+def conv_reference(x, w, b):
+    """Same-padded temporal conv, one output row and one tap at a time.
+
+    x: (T, d_in); w: (k*d_in, d_out) tap-major; b: (d_out,). Taps that fall
+    outside the sequence read zeros, so they are skipped.
+    """
+    t, d_in = x.shape
+    k = w.shape[0] // d_in
+    pad = k // 2
+    out = np.tile(b, (t, 1))
+    for row in range(t):
+        for tap in range(k):
+            src = row + tap - pad
+            if 0 <= src < t:
+                out[row] += x[src] @ w[tap * d_in:(tap + 1) * d_in]
+    return out

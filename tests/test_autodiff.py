@@ -9,6 +9,7 @@ from wtal.losses import LossWeights, total_loss
 from wtal.model import ModelParams, run_forward
 
 from conftest import tiny_model
+from oracles import conv_reference
 
 
 def cosine(a, b, scale=5.0):
@@ -103,40 +104,83 @@ class TestSoftmaxTemp:
 
 
 class TestTemporalConv:
-    def run(self, x, w, b):
+    # weights are tap-major (k*d_in, d_out): row block i is the slice of tap i
+    def run(self, x, w, b, dtype=float):
         tape = ad.Tape()
-        out = tape.temporal_conv(tape.leaf(np.asarray(x, float)),
-                                 tape.leaf(np.asarray(w, float)),
-                                 tape.leaf(np.asarray(b, float)))
+        out = tape.temporal_conv(tape.leaf(np.asarray(x, dtype)),
+                                 tape.leaf(np.asarray(w, dtype)),
+                                 tape.leaf(np.asarray(b, dtype)))
         return tape.val(out)
 
     def test_identity_kernel(self, rng):
         x = rng.normal(size=(5, 3))
-        w = np.eye(3)[:, :, None]  # k=1 identity
+        w = np.eye(3)  # k=1 identity
         assert np.array_equal(self.run(x, w, np.zeros(3)), x)
 
     def test_summing_kernel_hand_convolution(self):
         # constant rows [1, 2]; k=3 all-ones kernel sums a 3-row window of
         # both channels: interior 3*(1+2)=9, boundaries see one zero row
         x = np.tile([1.0, 2.0], (4, 1))
-        w = np.ones((1, 2, 3))
+        w = np.ones((3 * 2, 1))
         out = self.run(x, w, np.zeros(1))
         assert out == pytest.approx(np.array([[6.0], [9.0], [9.0], [6.0]]))
 
     def test_single_snippet(self, rng):
         x = rng.normal(size=(1, 3))
-        w = rng.normal(size=(2, 3, 3))
+        w = rng.normal(size=(3 * 3, 2))
         out = self.run(x, w, np.zeros(2))
         # only the center tap touches data
-        assert out == pytest.approx(x @ w[:, :, 1].T)
+        assert out == pytest.approx(x @ w[3:6])
 
     def test_empty_sequence(self):
         with pytest.raises(InputError):
-            self.run(np.zeros((0, 3)), np.ones((1, 3, 3)), np.zeros(1))
+            self.run(np.zeros((0, 3)), np.ones((3 * 3, 1)), np.zeros(1))
 
     def test_length_preserved(self, rng):
-        out = self.run(rng.normal(size=(9, 4)), rng.normal(size=(6, 4, 3)), rng.normal(size=6))
+        out = self.run(rng.normal(size=(9, 4)), rng.normal(size=(3 * 4, 6)), rng.normal(size=6))
         assert out.shape == (9, 6)
+
+    def test_rows_not_a_multiple_of_input_width(self, rng):
+        with pytest.raises(ContractError, match="shapes"):
+            self.run(rng.normal(size=(5, 4)), rng.normal(size=(10, 2)), np.zeros(2))
+
+    def test_even_kernel_rejected(self, rng):
+        with pytest.raises(ContractError, match="odd"):
+            self.run(rng.normal(size=(5, 4)), rng.normal(size=(2 * 4, 2)), np.zeros(2))
+
+    def test_old_rank_three_layout_rejected(self, rng):
+        with pytest.raises(ContractError, match="rank"):
+            self.run(rng.normal(size=(5, 4)), rng.normal(size=(2, 4, 3)), np.zeros(2))
+
+    @pytest.mark.parametrize("dtype,tol", [(np.float32, 1e-5), (np.float64, 1e-12)])
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    def test_matches_per_tap_oracle(self, rng, k, dtype, tol):
+        for t in (1, 2, 7):
+            x = rng.normal(size=(t, 4))
+            w = rng.normal(size=(k * 4, 3))
+            b = rng.normal(size=3)
+            out = self.run(x, w, b, dtype)
+            assert out.dtype == dtype
+            expected = conv_reference(x.astype(dtype), w.astype(dtype), b.astype(dtype))
+            assert np.allclose(out, expected, rtol=tol, atol=tol)
+
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    def test_adjoint_matches_finite_differences(self, rng, k):
+        tensors = {"x": rng.normal(size=(4, 3)), "w": rng.normal(size=(k * 3, 2)),
+                   "b": rng.normal(size=2)}
+        probe = rng.normal(size=(4, 2))
+
+        def f(p):
+            tape = ad.Tape()
+            refs = [tape.leaf(p[name], name=name) for name in ("x", "w", "b")]
+            out = tape.temporal_conv(*refs)
+            loss = tape.sum(tape.mul_const(out, probe))
+            return float(tape.val(loss)), ad.backward(tape, loss)
+
+        _, grads = f(tensors)
+        assert grads["w"].flags.c_contiguous
+        result = ad.finite_diff_check(f, tensors, step=1e-5)
+        assert result.max_rel_error < 1e-6
 
 
 class TestBackward:

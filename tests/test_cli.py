@@ -105,6 +105,27 @@ class TestTrain:
         assert code != 0
         assert err
 
+    def test_invalid_json_manifest_exits_cleanly(self, tmp_path, capsys):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text('{"schema_version": 1, "classes": [')
+        code, _, err = run(capsys, "train", "--manifest", str(manifest),
+                           "--out", str(tmp_path / "r"))
+        assert code == 2
+        assert "not valid JSON" in err and "Traceback" not in err
+
+    def test_resume_rejects_old_conv_layout_state(self, trained, dataset_dir, capsys):
+        state = trained / "model_rgb_state.npz"
+        with np.load(state) as data:
+            arrays = {k: data[k] for k in data.files}
+        for prefix in ("param", "m", "v"):
+            w = arrays[f"{prefix}_conv1_w"]
+            arrays[f"{prefix}_conv1_w"] = w.reshape(3, -1, w.shape[1]).transpose(2, 1, 0)
+        np.savez(state, **arrays)
+        code, _, err = run(capsys, "train", "--manifest", str(dataset_dir / "manifest.json"),
+                           "--out", str(trained), "--resume", *FAST_TRAIN)
+        assert code == 1
+        assert "param_conv1_w" in err and "Traceback" not in err
+
     def test_three_epoch_smoke_on_default_dataset_under_a_minute(self, tmp_path, capsys):
         import time
         data = tmp_path / "data"
@@ -194,6 +215,20 @@ class TestEval:
         assert code == 0
         map_line = [l for l in out.splitlines() if l.startswith("mAP")][0]
         assert set(map_line.split()[1:]) == {"0.000"}
+
+    @pytest.mark.parametrize("suffix", [".csv", ".json"])
+    def test_unknown_label_exits_cleanly(self, dataset_dir, tmp_path, capsys, suffix):
+        path = tmp_path / f"dets{suffix}"
+        if suffix == ".csv":
+            path.write_text("video_id,label,t_start,t_end,score\n"
+                            "video_0000,no_such_class,0.0,1.0,0.5\n")
+        else:
+            path.write_text(json.dumps({"results": {"video_0000": [
+                {"label": "no_such_class", "score": 0.5, "segment": [0.0, 1.0]}]}}))
+        code, _, err = run(capsys, "eval", "--detections", str(path),
+                           "--manifest", str(dataset_dir / "manifest.json"))
+        assert code == 1
+        assert "no_such_class" in err and "Traceback" not in err
 
     def test_grid_selection(self, dataset_dir, tmp_path, capsys):
         dets = self.gt_detections(dataset_dir, tmp_path)

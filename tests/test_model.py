@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -320,3 +322,60 @@ class TestCheckpoint:
         path.write_bytes(bytes(raw))
         with pytest.raises((ContractError, FormatError)):
             load_checkpoint(path)
+
+    def test_unknown_version_rejected(self, tmp_path):
+        config, params = tiny_model()
+        path = tmp_path / "model.facn"
+        save_checkpoint(path, params, config)
+        raw = bytearray(path.read_bytes())
+        raw[4:8] = struct.pack("<I", 3)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match="version 3"):
+            load_checkpoint(path)
+
+    def test_version_one_file_loads_with_relaid_conv_weights(self, tmp_path, rng):
+        config, params = tiny_model()
+        params = params.astype(np.float32)
+        v2 = tmp_path / "v2.facn"
+        save_checkpoint(v2, params, config)
+        v1 = tmp_path / "v1.facn"
+        write_v1_checkpoint(v1, params, config)
+        from_v1, config_v1 = load_checkpoint(v1)
+        from_v2, _ = load_checkpoint(v2)
+        assert config_v1 == config
+        for name, tensor in from_v2.as_dict().items():
+            assert np.array_equal(getattr(from_v1, name), tensor)
+            assert getattr(from_v1, name).flags.c_contiguous
+        x = rng.normal(size=(7, 6)).astype(np.float32)
+        a, b = forward_scores(x, from_v1, config), forward_scores(x, from_v2, config)
+        for field in ("s_a", "s_f", "p_video_class", "p_class_fore", "p_mil"):
+            assert np.array_equal(getattr(a, field), getattr(b, field))
+
+    def test_version_one_conv_tensor_of_wrong_rank_rejected(self, tmp_path):
+        config, params = tiny_model()
+        path = tmp_path / "v1.facn"
+        write_v1_checkpoint(path, params, config, relay=False)
+        with pytest.raises(FormatError, match="rank 3"):
+            load_checkpoint(path)
+
+
+def write_v1_checkpoint(path, params, config, relay=True):
+    """The version 1 format, written out by hand: conv weights (d_out, d_in, k)."""
+    k = config.kernel_size
+    with open(path, "wb") as fh:
+        fh.write(b"FACN" + struct.pack("<I", 1))
+        fh.write(struct.pack("<5I", config.num_classes, config.feature_dim,
+                             *config.embed_dims, k))
+        fh.write(struct.pack("<dI", config.delta, len(config.temperatures)))
+        fh.write(struct.pack(f"<{len(config.temperatures)}d", *config.temperatures))
+        fh.write(struct.pack("<Bd", int(config.use_background), config.dropout_rate))
+        tensors = params.as_dict()
+        fh.write(struct.pack("<I", len(tensors)))
+        for name, tensor in tensors.items():
+            if relay and name.startswith("conv") and name.endswith("_w"):
+                rows, d_out = tensor.shape
+                tensor = tensor.reshape(k, rows // k, d_out).transpose(2, 1, 0)
+            fh.write(struct.pack("<H", len(name)) + name.encode())
+            fh.write(struct.pack("<B", tensor.ndim))
+            fh.write(struct.pack(f"<{tensor.ndim}I", *tensor.shape))
+            fh.write(np.ascontiguousarray(tensor, dtype="<f4").tobytes())

@@ -4,12 +4,12 @@ import pytest
 from wtal import autodiff as ad
 from wtal import training as tr
 from wtal.data import SynthConfig, VideoSample, generate_synthetic, load_dataset, parse_manifest
-from wtal.errors import ConfigError
+from wtal.errors import ConfigError, FormatError
 from wtal.losses import LossWeights, total_loss
 from wtal.model import ModelConfig, init_params, run_forward
 from wtal.training import (NonFiniteGradientError, TrainConfig,
                            adam_step, fit, init_optimizer, load_train_state,
-                           train_epoch)
+                           save_train_state, train_epoch)
 
 from conftest import tiny_model
 
@@ -56,6 +56,32 @@ class TestAdamStep:
         delta = params.w_fore[0] - 1.0
         assert delta == pytest.approx(-0.1, abs=1e-8)
         assert state.step == 1
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bit_equal_to_out_of_place_formula(self, rng, dtype):
+        config, params = tiny_model()
+        params = params.astype(dtype)
+        tc = TrainConfig(learning_rate=0.01)
+        state = init_optimizer(params)
+        ref_params = {k: v.copy() for k, v in params.as_dict().items()}
+        ref_m = {k: np.zeros_like(v) for k, v in ref_params.items()}
+        ref_v = {k: np.zeros_like(v) for k, v in ref_params.items()}
+        for step in range(1, 4):
+            grads = {k: rng.normal(size=v.shape).astype(dtype)
+                     for k, v in ref_params.items()}
+            frozen = {k: g.copy() for k, g in grads.items()}
+            adam_step(params, grads, state, tc)
+            for k, g in frozen.items():
+                assert np.array_equal(grads[k], g)
+                ref_m[k] = tc.beta1 * ref_m[k] + (1 - tc.beta1) * g
+                ref_v[k] = tc.beta2 * ref_v[k] + (1 - tc.beta2) * g * g
+                m_hat = ref_m[k] / (1.0 - tc.beta1 ** step)
+                v_hat = ref_v[k] / (1.0 - tc.beta2 ** step)
+                ref_params[k] -= tc.learning_rate * m_hat / (np.sqrt(v_hat) + tc.adam_eps)
+                assert np.array_equal(state.m[k], ref_m[k])
+                assert np.array_equal(state.v[k], ref_v[k])
+                assert np.array_equal(getattr(params, k), ref_params[k])
+                assert getattr(params, k).dtype == dtype
 
     def test_identical_gradients_identical_updates(self):
         params, state = self.make(0.5)
@@ -134,7 +160,7 @@ class TestTrainEpoch:
 
         original = ad.backward
         monkeypatch.setattr(tr.ad, "backward", poisoned)
-        with pytest.raises(NonFiniteGradientError, match="conv2_w"):
+        with pytest.raises(NonFiniteGradientError, match="conv2_w.*training stopped"):
             train_epoch(dataset, params, init_optimizer(params), config,
                         LossWeights(), TrainConfig(precision=64, seed=0), epoch=0)
 
@@ -174,7 +200,8 @@ class TestFit:
         first = fit(dataset, params.copy(), config, LossWeights(),
                     TrainConfig(epochs=1, batch_size=2, precision=64, seed=6),
                     out_dir=tmp_path, ckpt_prefix="part")
-        resumed_params, state, next_epoch = load_train_state(tmp_path / "part_state.npz")
+        resumed_params, state, next_epoch = load_train_state(
+            tmp_path / "part_state.npz", config, tc)
         assert next_epoch == 1
         resumed = fit(dataset, resumed_params, config, LossWeights(), tc,
                       state=state, start_epoch=next_epoch)
@@ -203,3 +230,50 @@ class TestFit:
         tc = TrainConfig(epochs=30, batch_size=1, seed=0)
         result = fit(dataset, params, config, LossWeights(), tc)
         assert result.history[29].loss_total < 0.25 * result.history[0].loss_total
+
+
+class TestLoadTrainState:
+    def saved(self, tmp_path, precision=64):
+        config, params = tiny_model()
+        tc = TrainConfig(precision=precision)
+        params = params.astype(tc.dtype)
+        path = tmp_path / "model_state.npz"
+        save_train_state(path, params, init_optimizer(params), next_epoch=3)
+        return path, config, tc
+
+    def rewrite(self, path, drop=(), **changes):
+        with np.load(path) as data:
+            arrays = {k: data[k] for k in data.files if k not in drop}
+        np.savez(path, **{**arrays, **changes})
+
+    def test_round_trip(self, tmp_path):
+        path, config, tc = self.saved(tmp_path)
+        params, state, next_epoch = load_train_state(path, config, tc)
+        assert next_epoch == 3 and state.step == 0
+        assert params.conv1_w.shape == (3 * 6, 5)
+
+    def test_old_conv_layout_rejected(self, tmp_path):
+        path, config, tc = self.saved(tmp_path)
+        with np.load(path) as data:
+            rows, d_out = data["param_conv1_w"].shape
+            old = data["param_conv1_w"].reshape(3, rows // 3, d_out).transpose(2, 1, 0)
+        self.rewrite(path, param_conv1_w=old)
+        with pytest.raises(FormatError, match="param_conv1_w"):
+            load_train_state(path, config, tc)
+
+    def test_precision_mismatch_rejected(self, tmp_path):
+        path, config, _ = self.saved(tmp_path, precision=64)
+        with pytest.raises(FormatError, match="float32"):
+            load_train_state(path, config, TrainConfig(precision=32))
+
+    def test_missing_moment_rejected(self, tmp_path):
+        path, config, tc = self.saved(tmp_path)
+        self.rewrite(path, drop=("v_w_fore",))
+        with pytest.raises(FormatError, match="v_w_fore"):
+            load_train_state(path, config, tc)
+
+    def test_other_model_shape_rejected(self, tmp_path):
+        path, _, tc = self.saved(tmp_path)
+        config, _ = tiny_model(embed_dims=(7, 4))
+        with pytest.raises(FormatError):
+            load_train_state(path, config, tc)
