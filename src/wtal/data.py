@@ -12,7 +12,9 @@ field-by-field validation rules.
 """
 from __future__ import annotations
 
+import contextlib
 import json
+import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -24,6 +26,26 @@ from .errors import ConfigError, FormatError, InputError, ManifestError
 FEATURE_MAGIC = b"FACF"
 FEATURE_VERSION = 1
 MANIFEST_VERSION = 1
+
+
+@contextlib.contextmanager
+def atomic_write(path, newline: str | None = None):
+    """Open a text file that appears at ``path`` only once it is complete.
+
+    The content goes to a sibling temporary file that replaces ``path`` in
+    one ``os.replace`` when the block ends. If the block raises, the
+    temporary file is removed and any earlier file at ``path`` is untouched.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", newline=newline) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
 
 
 def save_features(path, array: np.ndarray) -> None:
@@ -127,8 +149,9 @@ def parse_manifest(path) -> Manifest:
     Checks, in order: schema version; class list non-empty and unique; for
     each video a unique id, a known split, positive fps/stride, existing
     feature files sharing one stream set, labels drawn from the class list,
-    and ground-truth spans with known labels lying inside the video duration
-    (duration = T * stride / fps, T from the feature header).
+    and ground-truth spans, each an object with a known label and numeric
+    start and end lying inside the video duration (duration = T * stride /
+    fps, T from the feature header).
     """
     path = Path(path)
     with open(path) as fh:
@@ -184,14 +207,19 @@ def parse_manifest(path) -> Manifest:
                            features=features, labels=list(labels),
                            num_snippets=int(num_snippets))
         for gt in record.get("ground_truth", []):
-            if gt["label"] not in classes:
-                raise ManifestError(f"video {vid}: unknown ground-truth class {gt['label']!r}")
-            start, end = float(gt["start"]), float(gt["end"])
+            try:
+                label, start, end = gt["label"], float(gt["start"]), float(gt["end"])
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ManifestError(
+                    f"video {vid}: ground truth {gt!r} needs a label and numeric "
+                    f"start and end ({type(exc).__name__}: {exc})") from exc
+            if label not in classes:
+                raise ManifestError(f"video {vid}: unknown ground-truth class {label!r}")
             if not 0 <= start < end or end > entry.duration + 1e-9:
                 raise ManifestError(
                     f"video {vid}: ground truth [{start}, {end}) outside duration "
                     f"{entry.duration:.3f}")
-            entry.ground_truth.append(GroundTruthSpan(gt["label"], start, end))
+            entry.ground_truth.append(GroundTruthSpan(label, start, end))
         videos.append(entry)
     if not videos:
         raise ManifestError("manifest lists no videos")

@@ -3,9 +3,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import groupby
+from operator import itemgetter
 
 import numpy as np
 
+from .data import atomic_write
 from .errors import ContractError
 
 THUMOS_GRID = tuple(round(0.1 * i, 1) for i in range(1, 8))          # 0.1:0.1:0.7
@@ -19,6 +22,14 @@ def tiou(a: tuple[float, float], b: tuple[float, float]) -> float:
     if union <= 0:
         return 0.0
     return inter / union
+
+
+def tiou_array(a_start, a_end, b_start, b_end) -> np.ndarray:
+    """``tiou`` elementwise over broadcast float64 arrays, with the same
+    operations in the same order, so every entry has the same bits."""
+    inter = np.maximum(0.0, np.minimum(a_end, b_end) - np.maximum(a_start, b_start))
+    union = np.maximum(a_end, b_end) - np.minimum(a_start, b_start)
+    return np.divide(inter, union, out=np.zeros_like(inter), where=union > 0)
 
 
 @dataclass(frozen=True)
@@ -38,37 +49,76 @@ class GroundTruthInstance:
     end: float
 
 
-def _sorted_detections(detections: list[Detection]) -> list[Detection]:
-    # deterministic tie-break on equal scores
-    return sorted(detections,
-                  key=lambda d: (-d.score, d.video_id, d.start, d.end, d.class_id))
+def _rank_order(detections: list[Detection]) -> np.ndarray:
+    """Indices of ``detections`` in the order of the key (-score, video_id,
+    start, end, class_id), equal keys in input order: ``sorted`` with that
+    key gives the same order. A stable numpy sort orders the scores; only
+    runs of equal scores are sorted by the rest of the key in Python. A NaN
+    score ranks last."""
+    score = np.array([d.score for d in detections], dtype=np.float64)
+    order = np.argsort(-score, kind="stable")
+    tied = np.concatenate([[0], np.diff(score[order]) == 0, [0]]).astype(np.int8)
+    edges = np.flatnonzero(np.diff(tied)).tolist()
+    for lo, hi in zip(edges[::2], edges[1::2]):
+        run = order[lo:hi + 1].tolist()
+        run.sort(key=lambda i: (detections[i].video_id, detections[i].start,
+                                detections[i].end, detections[i].class_id))
+        order[lo:hi + 1] = run
+    return order
 
 
 def average_precision(detections: list[Detection],
                       ground_truths: list[GroundTruthInstance],
                       tiou_threshold: float) -> float:
     """Uninterpolated AP: greedy best-overlap matching in score order, each
-    ground truth matched at most once."""
+    ground truth matched at most once.
+
+    Equal bit for bit to the quadratic definition: walk the detections in
+    ``_rank_order``; match each to the unmatched ground truth of its video,
+    in (start, end) order, with the largest ``tiou`` that is positive and at
+    least the threshold, the first one on a tie; and add ``true_pos / rank``
+    at each match. The overlaps of all same-video pairs
+    come from ``tiou_array`` in one pass, and the greedy walk visits only
+    the pairs that pass the threshold, summing in the same order.
+    """
     if not ground_truths:
         return 0.0
-    gt_by_video: dict[str, list] = {}
-    for gt in sorted(ground_truths, key=lambda g: (g.video_id, g.start, g.end)):
-        gt_by_video.setdefault(gt.video_id, []).append([gt, False])
+    gts = sorted(ground_truths, key=lambda g: (g.video_id, g.start, g.end))
+    span: dict[str, list[int]] = {}  # video -> [first, stop) in gts
+    for j, g in enumerate(gts):
+        span.setdefault(g.video_id, [j, j])[1] = j + 1
+    order = _rank_order(detections)
+    # only detections in a video with ground truth can match; keep their ranks
+    in_gt_video = np.array([d.video_id in span for d in detections], dtype=bool)
+    positions = np.flatnonzero(in_gt_video[order])
+    dets = [detections[i] for i in order[positions].tolist()]
+    ranks = (positions + 1).tolist()
+    first = np.array([span[d.video_id][0] for d in dets], dtype=np.int64)
+    counts = np.array([span[d.video_id][1] for d in dets], dtype=np.int64) - first
+    # one (detection, ground truth) pair per ground truth of the detection's
+    # video, detection-major in rank order, ground truths in (start, end) order
+    det_idx = np.repeat(np.arange(len(dets)), counts)
+    gt_idx = np.arange(det_idx.size) + np.repeat(first - (np.cumsum(counts) - counts),
+                                                 counts)
+    overlap = tiou_array(
+        np.array([d.start for d in dets], dtype=np.float64)[det_idx],
+        np.array([d.end for d in dets], dtype=np.float64)[det_idx],
+        np.array([g.start for g in gts], dtype=np.float64)[gt_idx],
+        np.array([g.end for g in gts], dtype=np.float64)[gt_idx])
+    hit = np.flatnonzero((overlap >= tiou_threshold) & (overlap > 0.0))
+    pairs = zip(det_idx[hit].tolist(), gt_idx[hit].tolist(), overlap[hit].tolist())
+    matched = [False] * len(gts)
     true_pos = 0
     ap = 0.0
-    for rank, det in enumerate(_sorted_detections(detections), start=1):
-        best = None
-        best_overlap = 0.0
-        for entry in gt_by_video.get(det.video_id, ()):
-            if entry[1]:
-                continue
-            overlap = tiou((det.start, det.end), (entry[0].start, entry[0].end))
-            if overlap >= tiou_threshold and overlap > best_overlap:
-                best, best_overlap = entry, overlap
-        if best is not None:
-            best[1] = True
+    for i, candidates in groupby(pairs, key=itemgetter(0)):
+        best, best_overlap = -1, 0.0
+        for _, j, ov in candidates:
+            if not matched[j] and ov > best_overlap:
+                best, best_overlap = j, ov
+        if best >= 0:
+            matched[best] = True
             true_pos += 1
-            ap += true_pos / rank
+            ap += true_pos / ranks[i]
     return ap / len(ground_truths)
 
 
@@ -152,5 +202,5 @@ def report_to_dict(report: EvalReport, class_names: list[str] | None = None) -> 
 
 
 def write_report_json(path, report: EvalReport, class_names: list[str] | None = None) -> None:
-    with open(path, "w") as fh:
+    with atomic_write(path) as fh:
         json.dump(report_to_dict(report, class_names), fh, indent=2)

@@ -15,7 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ContractError, FormatError, InputError
-from .evaluation import tiou
+from .data import atomic_write
+from .evaluation import tiou_array
+
+# Cap on the bytes of one pairwise-overlap block in ``nms``.
+NMS_BLOCK_BYTES = 2 << 20
 
 
 @dataclass
@@ -116,13 +120,18 @@ def _runs_above(x: np.ndarray, threshold: float) -> list[tuple[int, int]]:
 
 def outer_inner_score(g: np.ndarray, start: int, end: int, context_ratio: float) -> float:
     """Mean inside [start, end) minus mean over the flanking context windows;
-    an empty context (clipped away at the video bounds) contributes 0."""
-    inner = float(g[start:end].mean())
+    an empty context (clipped away at the video bounds) contributes 0.
+
+    Each mean is ``np.add.reduce`` over the window divided by its length, the
+    reduction ``ndarray.mean`` performs on float64, so the bits are the same.
+    The two context windows are summed as one array for the same reason.
+    """
+    inner = float(np.add.reduce(g[start:end])) / (end - start)
     ctx = math.ceil(context_ratio * (end - start))
     left = g[max(0, start - ctx):start]
     right = g[end:min(len(g), end + ctx)]
     outer = np.concatenate([left, right])
-    return inner - (float(outer.mean()) if outer.size else 0.0)
+    return inner - (float(np.add.reduce(outer)) / outer.size if outer.size else 0.0)
 
 
 def propose(g_c: np.ndarray, thresholds, fps: float, class_conf: float,
@@ -145,17 +154,35 @@ def propose(g_c: np.ndarray, thresholds, fps: float, class_conf: float,
 
 def nms(instances: list[ActionInstance], tiou_threshold: float) -> list[ActionInstance]:
     """Greedy class-wise suppression; keeps the highest-scoring instance and
-    drops anything overlapping it at or above the threshold."""
+    drops anything overlapping it at or above the threshold.
+
+    The result equals the quadratic definition exactly: sort by (-score,
+    start, end), repeatedly keep the first survivor and drop every later one
+    whose ``tiou`` with it is not below the threshold. ``tiou_array`` gives
+    the same IEEE overlaps, computed in row blocks of at most
+    ``NMS_BLOCK_BYTES`` each. The sweep visits only rows that suppress
+    something, and each of those acts only if it is still alive when reached.
+    """
     if len({inst.class_id for inst in instances}) > 1:
         raise ContractError("nms operates on a single class at a time")
     pool = sorted(instances, key=lambda i: (-i.score, i.start, i.end))
-    kept: list[ActionInstance] = []
-    while pool:
-        top = pool.pop(0)
-        kept.append(top)
-        pool = [i for i in pool
-                if tiou((top.start, top.end), (i.start, i.end)) < tiou_threshold]
-    return kept
+    n = len(pool)
+    starts = np.array([i.start for i in pool], dtype=np.float64)
+    ends = np.array([i.end for i in pool], dtype=np.float64)
+    alive = np.ones(n, dtype=bool)
+    rows = max(1, NMS_BLOCK_BYTES // (8 * max(n, 1)))
+    for first in range(0, n, rows):
+        block = first + np.flatnonzero(alive[first:first + rows])
+        if not block.size:
+            continue
+        overlap = tiou_array(starts[block, None], ends[block, None],
+                             starts[first:], ends[first:])
+        suppress = ~(overlap < tiou_threshold)
+        suppress &= np.arange(first, n) > block[:, None]
+        for r in np.flatnonzero(suppress.any(axis=1)).tolist():
+            if alive[block[r]]:
+                alive[first:] &= ~suppress[r]
+    return [inst for inst, keep in zip(pool, alive.tolist()) if keep]
 
 
 def localize_stream(scores: StreamScores, num_classes: int,
@@ -201,7 +228,7 @@ DETECTIONS_HEADER = ["video_id", "label", "t_start", "t_end", "score"]
 
 
 def write_detections_csv(path, records: list[DetectionRecord]) -> None:
-    with open(path, "w", newline="") as fh:
+    with atomic_write(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(DETECTIONS_HEADER)
         for r in records:
@@ -209,12 +236,17 @@ def write_detections_csv(path, records: list[DetectionRecord]) -> None:
 
 
 def write_detections_json(path, records: list[DetectionRecord]) -> None:
+    """Compact ``{"results": {video_id: [...]}}``, encoded one video at a time
+    so that no string of the whole document is built."""
     results: dict[str, list] = {}
     for r in records:
         results.setdefault(r.video_id, []).append(
             {"label": r.label, "score": r.score, "segment": [r.start, r.end]})
-    with open(path, "w") as fh:
-        json.dump({"results": results}, fh, indent=2)
+    with atomic_write(path) as fh:
+        fh.write('{"results": {')
+        for k, (video_id, dets) in enumerate(results.items()):
+            fh.write(f"{', ' if k else ''}{json.dumps(video_id)}: {json.dumps(dets)}")
+        fh.write("}}")
 
 
 def read_detections(path, class_names: list[str]) -> list[DetectionRecord]:

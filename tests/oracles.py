@@ -101,3 +101,35 @@ def conv_reference(x, w, b):
             if 0 <= src < t:
                 out[row] += x[src] @ w[tap * d_in:(tap + 1) * d_in]
     return out
+
+
+def ap_sequential(dets, gts, threshold):
+    """dets: (video, score, start, end); gts: (video, start, end).
+
+    The per-detection greedy loop in the package's order, detections by
+    (-score, video, start, end) and ground truths by (video, start, end),
+    adding true_pos / rank at each match as it goes. Its result is the exact
+    float that the package's AP must return.
+    """
+    if not gts:
+        return 0.0
+    order = sorted(dets, key=lambda d: (-d[1], d[0], d[2], d[3]))
+    pool = sorted(gts)
+    matched = [False] * len(pool)
+    true_pos = 0
+    ap = 0.0
+    for rank, (video, _, start, end) in enumerate(order, start=1):
+        best_j = -1
+        best_ov = 0.0
+        for j, (gv, gs, ge) in enumerate(pool):
+            if gv != video or matched[j]:
+                continue
+            ov = interval_iou((start, end), (gs, ge))
+            if ov >= threshold and ov > best_ov:
+                best_ov = ov
+                best_j = j
+        if best_j >= 0:
+            matched[best_j] = True
+            true_pos += 1
+            ap += true_pos / rank
+    return ap / len(gts)

@@ -113,6 +113,17 @@ class TestTrain:
         assert code == 2
         assert "not valid JSON" in err and "Traceback" not in err
 
+    def test_ground_truth_without_start_exits_cleanly(self, dataset_dir, tmp_path, capsys):
+        path = dataset_dir / "manifest.json"
+        doc = json.loads(path.read_text())
+        video = next(v for v in doc["videos"] if v["ground_truth"])
+        del video["ground_truth"][0]["start"]
+        path.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "train", "--manifest", str(path),
+                           "--out", str(tmp_path / "r"))
+        assert code == 2
+        assert f"video {video['id']}" in err and "Traceback" not in err
+
     def test_resume_rejects_old_conv_layout_state(self, trained, dataset_dir, capsys):
         state = trained / "model_rgb_state.npz"
         with np.load(state) as data:

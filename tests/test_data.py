@@ -192,6 +192,19 @@ class TestManifest:
         with pytest.raises(ManifestError, match="unknown class"):
             parse_manifest(self.write(tmp_path, doc))
 
+    @pytest.mark.parametrize("span", [
+        {"label": "jump", "end": 3.2},
+        {"start": 0.0, "end": 3.2},
+        {"label": "jump", "start": "soon", "end": 3.2},
+        {"label": "jump", "start": None, "end": 3.2},
+        ["jump", 0.0, 3.2],
+        "jump",
+    ])
+    def test_malformed_ground_truth_span(self, tmp_path, span):
+        doc = self.minimal_doc(tmp_path, ground_truth=[span])
+        with pytest.raises(ManifestError, match="video v0: ground truth"):
+            parse_manifest(self.write(tmp_path, doc))
+
     def test_missing_feature_file(self, tmp_path):
         doc = self.minimal_doc(tmp_path, features={"rgb": "nope.facf"})
         with pytest.raises(ManifestError, match="missing feature file"):

@@ -6,9 +6,10 @@ from hypothesis import strategies as st
 from wtal.errors import ContractError
 from wtal.evaluation import (ACTIVITYNET_GRID, THUMOS_GRID, Detection,
                              GroundTruthInstance, average_precision,
-                             format_report, map_report, report_to_dict, tiou)
+                             format_report, map_report, report_to_dict, tiou,
+                             tiou_array)
 
-from oracles import map_reference
+from oracles import ap_sequential, map_reference
 
 
 class TestTiou:
@@ -35,6 +36,14 @@ class TestTiou:
         v = tiou(ia, ib)
         assert v == tiou(ib, ia)
         assert 0.0 <= v <= 1.0
+
+    def test_array_form_bit_equal(self, rng):
+        # half-second grid: shared bounds, nesting, touching and zero-length pairs
+        a = 0.5 * rng.integers(0, 20, size=(400, 2)).cumsum(axis=1)
+        b = 0.5 * rng.integers(0, 20, size=(400, 2)).cumsum(axis=1)
+        b[::7] = a[::7]
+        got = tiou_array(a[:, 0], a[:, 1], b[:, 0], b[:, 1])
+        assert got.tolist() == [tiou(tuple(x), tuple(y)) for x, y in zip(a, b)]
 
 
 def det(video, score, start, end, cls=0):
@@ -79,6 +88,43 @@ class TestAveragePrecision:
         squashed = [det(d.video_id, float(np.tanh(d.score) + 7), d.start, d.end)
                     for d in dets1]
         assert average_precision(squashed, gts1, 0.4) == pytest.approx(base, abs=1e-12)
+
+    def test_tied_overlap_goes_to_first_ground_truth(self):
+        # the first detection overlaps both ground truths by 1/3; taking the
+        # first one in (start, end) order leaves the second detection unmatched
+        gts = [gt("a", 4.0, 8.0), gt("a", 0.0, 4.0)]
+        dets = [det("a", 0.9, 2.0, 6.0), det("a", 0.8, 0.0, 4.0)]
+        assert average_precision(dets, gts, 0.3) == 0.5
+        assert ap_sequential([(d.video_id, d.score, d.start, d.end) for d in dets],
+                             [(g.video_id, g.start, g.end) for g in gts], 0.3) == 0.5
+
+    def test_nan_score_ranks_last(self):
+        dets = [det("a", float("nan"), 20.0, 25.0), det("a", 0.5, 0.0, 5.0)]
+        assert average_precision(dets, [gt("a", 0.0, 5.0)], 0.5) == 1.0
+
+    def test_bit_equal_to_sequential_loop(self, rng):
+        # half-second grid coordinates and four score levels give tied scores
+        # and tied overlaps; many videos, some without ground truth, and
+        # duplicated detections
+        for _ in range(150):
+            videos = [f"v{v:02d}" for v in range(int(rng.integers(1, 40)))]
+            gts = []
+            for vid in videos[::2]:
+                for _ in range(int(rng.integers(0, 5))):
+                    start = 0.5 * int(rng.integers(0, 40))
+                    gts.append((vid, start, start + 0.5 * int(rng.integers(1, 12))))
+            dets = []
+            for vid in videos:
+                for _ in range(int(rng.integers(0, 10))):
+                    start = 0.5 * int(rng.integers(0, 40))
+                    dets.append((vid, float(rng.choice([0.25, 0.5, 0.75, 1.0])),
+                                 start, start + 0.5 * int(rng.integers(1, 12))))
+            dets += [dets[i] for i in rng.integers(0, max(len(dets), 1),
+                                                    size=len(dets) // 3)]
+            for threshold in THUMOS_GRID + ACTIVITYNET_GRID:
+                got = average_precision([det(*d) for d in dets], [gt(*g) for g in gts],
+                                        threshold)
+                assert got == ap_sequential(dets, gts, threshold)
 
     def test_hopeless_prediction_never_raises_ap(self, rng):
         for _ in range(20):

@@ -1,3 +1,6 @@
+import json
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,9 +8,10 @@ from hypothesis import strategies as st
 
 from wtal.errors import ConfigError, ContractError, InputError
 from wtal.evaluation import tiou
-from wtal.localization import (ActionInstance, DetectionRecord, LocalizeConfig,
-                               StreamScores, fuse_scores, localize_video, minmax,
-                               nms, propose, read_detections, upsample,
+from wtal.localization import (NMS_BLOCK_BYTES, ActionInstance, DetectionRecord,
+                               LocalizeConfig, StreamScores, fuse_scores,
+                               localize_video, minmax, nms, outer_inner_score,
+                               propose, read_detections, upsample,
                                write_detections_csv, write_detections_json)
 
 from oracles import nms_reference
@@ -120,6 +124,20 @@ class TestPropose:
             assert 0.0 <= inst.start < inst.end <= 200 / 25.0
 
 
+class TestOuterInnerScore:
+    @pytest.mark.parametrize("start,end", [(0, 40), (960, 1000), (0, 1000), (300, 700),
+                                           (5, 6), (10, 990)])
+    @pytest.mark.parametrize("ratio", [0.0, 0.25, 1.0, 3.0])
+    def test_bit_equal_to_mean_formula(self, rng, start, end, ratio):
+        # long windows use numpy's pairwise summation; (0, 40), (960, 1000)
+        # and (10, 990) clip the context at one or both video bounds
+        g = rng.random(size=1000)
+        ctx = math.ceil(ratio * (end - start))
+        outer = np.concatenate([g[max(0, start - ctx):start], g[end:end + ctx]])
+        expected = float(g[start:end].mean()) - (float(outer.mean()) if outer.size else 0.0)
+        assert outer_inner_score(g, start, end, ratio) == expected
+
+
 def make_instances(triples, class_id=0):
     return [ActionInstance(class_id=class_id, score=q, start=s, end=e)
             for q, s, e in triples]
@@ -163,6 +181,44 @@ class TestNms:
             triples.append((float(rng.random()), start, start + float(rng.uniform(0.1, 15))))
         kept = nms(make_instances(triples), threshold)
         assert [(i.score, i.start, i.end) for i in kept] == nms_reference(triples, threshold)
+
+    def test_matches_reference_across_block_boundaries(self, rng):
+        n = 2500
+        assert NMS_BLOCK_BYTES // (8 * n) < n  # the sweep spans several row blocks
+        starts = rng.uniform(0, 400, size=n)
+        triples = [(float(q), float(s), float(s + d)) for q, s, d in
+                   zip(rng.random(size=n), starts, rng.uniform(0.5, 40, size=n))]
+        for threshold in (0.3, 0.7):
+            kept = nms(make_instances(triples), threshold)
+            assert [(i.score, i.start, i.end) for i in kept] == \
+                nms_reference(triples, threshold)
+
+    def test_all_nested_sawtooth_through_propose(self):
+        # one tooth of a sawtooth: every threshold cuts an interval that ends
+        # at the drop, so the candidates form a single nested chain
+        g = np.concatenate([np.zeros(50), np.linspace(0.0, 1.0, 2000), np.zeros(50)])
+        thresholds = tuple(round(0.001 * i, 3) for i in range(1, 1000))
+        candidates = propose(g, thresholds, fps=25.0, class_conf=0.3,
+                             context_ratio=0.25, class_id=0)
+        assert len(candidates) == len(thresholds)
+        spans = sorted((i.start, i.end) for i in candidates)
+        assert all(a[0] <= b[0] and b[1] <= a[1] for a, b in zip(spans, spans[1:]))
+        triples = [(i.score, i.start, i.end) for i in candidates]
+        for threshold in (0.1, 0.5, 0.9, 1.0):
+            kept = nms(candidates, threshold)
+            assert [(i.score, i.start, i.end) for i in kept] == \
+                nms_reference(triples, threshold)
+
+    def test_duplicate_intervals_and_equal_scores(self, rng):
+        for _ in range(20):
+            base = [(float(s), float(s + d)) for s, d in
+                    zip(rng.integers(0, 20, size=8), rng.integers(1, 6, size=8))]
+            triples = [(float(rng.choice([0.2, 0.5, 0.9])), *base[int(k)])
+                       for k in rng.integers(0, len(base), size=60)]
+            for threshold in (0.25, 0.5, 1.0):
+                kept = nms(make_instances(triples), threshold)
+                assert [(i.score, i.start, i.end) for i in kept] == \
+                    nms_reference(triples, threshold)
 
     def test_output_is_antichain(self, rng):
         triples = [(float(rng.random()), s, s + 5.0) for s in rng.uniform(0, 40, size=20)]
@@ -249,6 +305,31 @@ class TestDetectionsIo:
         write_detections_csv(path, self.records())
         back = read_detections(path, ["jump", "run"])
         assert back == self.records()
+
+    def test_failed_write_keeps_previous_file(self, tmp_path):
+        class Unprintable(float):
+            def __repr__(self):
+                raise RuntimeError("cannot format")
+
+        path = tmp_path / "det.csv"
+        write_detections_csv(path, self.records())
+        before = path.read_bytes()
+        broken = self.records()[1:] + [DetectionRecord("vid_c", 0, "jump",
+                                                       Unprintable(0.1), 0.0, 1.0)]
+        with pytest.raises(RuntimeError):
+            write_detections_csv(path, broken)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["det.csv"]
+
+    def test_json_is_compact_with_the_same_schema(self, tmp_path):
+        path = tmp_path / "det.json"
+        write_detections_json(path, self.records())
+        text = path.read_text()
+        assert "\n" not in text
+        assert json.loads(text) == {"results": {
+            "vid_a": [{"label": "jump", "score": 0.91, "segment": [1.5, 3.25]},
+                      {"label": "run", "score": 0.52, "segment": [7.0, 9.5]}],
+            "vid_b": [{"label": "jump", "score": 0.33, "segment": [0.0, 2.0]}]}}
 
     def test_json_round_trip(self, tmp_path):
         path = tmp_path / "det.json"
