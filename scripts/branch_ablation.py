@@ -6,8 +6,6 @@
 import argparse
 from pathlib import Path
 
-import numpy as np
-
 from wtal.data import (SynthConfig, generate_synthetic, ground_truth_instances,
                        load_dataset, parse_manifest)
 from wtal.evaluation import THUMOS_GRID, Detection, GroundTruthInstance, map_report
@@ -31,10 +29,9 @@ def evaluate(manifest, weights, epochs, background):
     params = init_params(model_cfg, seed=train_cfg.seed, dtype=train_cfg.dtype)
     result = fit(load_dataset(manifest, "train", "rgb"), params, model_cfg,
                  weights, train_cfg)
-    trained = result.params.astype(np.float64)
     dets = []
     for sample in load_dataset(manifest, "test", "rgb"):
-        scores = forward_scores(sample.features.astype(np.float64), trained, model_cfg)
+        scores = forward_scores(sample.features, result.params, model_cfg)
         for inst in localize_video(
                 [StreamScores(scores.s_a, scores.s_f, scores.p_video_class,
                               sample.snippet_stride, sample.fps)],

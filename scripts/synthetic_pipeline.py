@@ -10,8 +10,6 @@ import argparse
 import time
 from pathlib import Path
 
-import numpy as np
-
 from wtal.data import (SynthConfig, generate_synthetic, ground_truth_instances,
                        load_dataset, parse_manifest)
 from wtal.evaluation import (THUMOS_GRID, Detection, GroundTruthInstance,
@@ -50,10 +48,9 @@ def main():
     print(f"trained {args.epochs} epochs in {time.perf_counter() - started:.0f}s, "
           f"final loss {result.history[-1].loss_total:.4f}")
 
-    trained = result.params.astype(np.float64)
     dets = []
     for sample in load_dataset(manifest, "test", "rgb"):
-        scores = forward_scores(sample.features.astype(np.float64), trained, model_cfg)
+        scores = forward_scores(sample.features, result.params, model_cfg)
         for inst in localize_video(
                 [StreamScores(scores.s_a, scores.s_f, scores.p_video_class,
                               sample.snippet_stride, sample.fps)],

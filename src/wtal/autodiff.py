@@ -178,13 +178,15 @@ def _conv_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray):
     return out, {"windows": windows, "k": k, "pad": pad}
 
 
-def _conv_backward(node: Node, g: np.ndarray, values):
+def _conv_backward(node: Node, g: np.ndarray, values, wanted):
     x, w, _ = values
     t, d_in = x.shape
     k, pad = node.ctx["k"], node.ctx["pad"]
     windows = node.ctx["windows"]
     db = g.sum(axis=0)
     dw = windows.T @ g
+    if not wanted[0]:  # e.g. the raw features: a T x k*d_in product nobody reads
+        return [None, dw, db]
     dwin = (g @ w.T).reshape(t, k, d_in)
     dxp = np.zeros((t + 2 * pad, d_in), dtype=g.dtype)
     for i in range(k):
@@ -214,7 +216,7 @@ def _cosine_forward(a: np.ndarray, b: np.ndarray, scale: float):
     return scale * cos, ctx
 
 
-def _cosine_backward(node: Node, g: np.ndarray, values):
+def _cosine_backward(node: Node, g: np.ndarray, values, wanted):
     scale = node.meta["scale"]
     c = node.ctx
     ahat, bhat, cos, u, v = c["ahat"], c["bhat"], c["cos"], c["u"], c["v"]
@@ -244,14 +246,14 @@ def _softmax_forward(a: np.ndarray, tau: float, axis: int):
     return s, {}
 
 
-def _softmax_backward(node: Node, g: np.ndarray, values):
+def _softmax_backward(node: Node, g: np.ndarray, values, wanted):
     s = node.value
     tau, axis = node.meta["tau"], node.meta["axis"]
     gs = g * s
     return [tau * (gs - s * gs.sum(axis=axis, keepdims=True))]
 
 
-def _sum_backward(node: Node, g: np.ndarray, values):
+def _sum_backward(node: Node, g: np.ndarray, values, wanted):
     (a,) = values
     axis = node.meta["axis"]
     if axis is None:
@@ -260,19 +262,19 @@ def _sum_backward(node: Node, g: np.ndarray, values):
 
 
 _BACKWARD = {
-    "add": lambda n, g, v: [g, g],
-    "mul": lambda n, g, v: [g * v[1], g * v[0]],
-    "scale": lambda n, g, v: [g * n.meta["alpha"]],
-    "mul_const": lambda n, g, v: [g * n.meta["const"].astype(g.dtype, copy=False)],
-    "average": lambda n, g, v: [g / len(v) for _ in v],
-    "matmul": lambda n, g, v: [g @ v[1].T, v[0].T @ g],
-    "transpose": lambda n, g, v: [g.T],
-    "reshape": lambda n, g, v: [g.reshape(v[0].shape)],
-    "relu": lambda n, g, v: [g * (v[0] > 0)],
+    "add": lambda n, g, v, _: [g, g],
+    "mul": lambda n, g, v, _: [g * v[1], g * v[0]],
+    "scale": lambda n, g, v, _: [g * n.meta["alpha"]],
+    "mul_const": lambda n, g, v, _: [g * n.meta["const"].astype(g.dtype, copy=False)],
+    "average": lambda n, g, v, _: [g / len(v)] * len(v),
+    "matmul": lambda n, g, v, _: [g @ v[1].T, v[0].T @ g],
+    "transpose": lambda n, g, v, _: [g.T],
+    "reshape": lambda n, g, v, _: [g.reshape(v[0].shape)],
+    "relu": lambda n, g, v, _: [g * (v[0] > 0)],
     "temporal_conv": _conv_backward,
     "cosine_rows": _cosine_backward,
     "softmax": _softmax_backward,
-    "log_clamped": lambda n, g, v: [
+    "log_clamped": lambda n, g, v, _: [
         g / n.ctx["clamped"] * (v[0] > n.meta["floor"])],
     "sum": _sum_backward,
 }
@@ -281,12 +283,20 @@ _BACKWARD = {
 def backward(tape: Tape, loss_ref: int, corrupt_op: str | None = None) -> dict[str, np.ndarray]:
     """Gradients of a scalar node w.r.t. every named leaf.
 
+    Only nodes that depend on a named leaf get an adjoint. Each rule is told
+    which of its inputs want one and may return None for the others, so the
+    adjoint of an unnamed leaf (the raw features) is never computed.
+
     ``corrupt_op`` deliberately mis-scales the adjoint of one op kind; it
     exists so the finite-difference harness can prove its own sensitivity.
     """
     loss = tape.nodes[loss_ref]
     if loss.value.size != 1:
         raise ContractError(f"backward needs a scalar loss, got shape {loss.value.shape}")
+    wants: list[bool] = []
+    for node in tape.nodes[:loss_ref + 1]:
+        wants.append(node.name is not None if node.op == "leaf"
+                     else any(wants[i] for i in node.inputs))
     adjoint: list[np.ndarray | None] = [None] * len(tape.nodes)
     adjoint[loss_ref] = np.ones_like(loss.value)
     grads: dict[str, np.ndarray] = {}
@@ -298,12 +308,16 @@ def backward(tape: Tape, loss_ref: int, corrupt_op: str | None = None) -> dict[s
                 acc = np.zeros_like(node.value) if g is None else g
                 grads[node.name] = grads.get(node.name, 0) + acc
             continue
-        if g is None:
+        if g is None or not wants[idx]:
             continue
-        in_grads = _BACKWARD[node.op](node, g, [tape.nodes[i].value for i in node.inputs])
-        if corrupt_op is not None and node.op == corrupt_op:
-            in_grads = [ig * 1.05 for ig in in_grads]
-        for ref, ig in zip(node.inputs, in_grads):
+        wanted = [wants[i] for i in node.inputs]
+        in_grads = _BACKWARD[node.op](node, g, [tape.nodes[i].value for i in node.inputs],
+                                      wanted)
+        for ref, ig, want in zip(node.inputs, in_grads, wanted):
+            if not want:
+                continue
+            if node.op == corrupt_op:
+                ig = ig * 1.05
             adjoint[ref] = ig if adjoint[ref] is None else adjoint[ref] + ig
     return grads
 

@@ -164,7 +164,7 @@ def cmd_localize(args) -> int:
         for stream in streams:
             sample = datasets[stream][entry.video_id]
             params, model_cfg = models[stream]
-            scores = forward_scores(sample.features.astype("float64"), params, model_cfg)
+            scores = forward_scores(sample.features, params, model_cfg)
             stream_scores.append(StreamScores(
                 s_a=scores.s_a, s_f=scores.s_f,
                 p_video_class=scores.p_video_class,
@@ -185,11 +185,12 @@ def cmd_localize(args) -> int:
 
 
 def _dump_scores(path, scores, class_names) -> None:
+    """One row per snippet: its index, S_f, then S_a per class, as plain floats."""
+    rows = zip(scores.s_f.tolist(), scores.s_a[:, :len(class_names)].tolist())
     with open(path, "w") as fh:
         fh.write("snippet\tfore_score\t" + "\t".join(class_names) + "\n")
-        for t in range(scores.s_f.shape[0]):
-            row = scores.s_a[t, :len(class_names)]
-            fh.write(f"{t}\t{scores.s_f[t]!r}\t" + "\t".join(repr(v) for v in row) + "\n")
+        for t, (fore, row) in enumerate(rows):
+            fh.write("\t".join(map(repr, [t, fore, *row])) + "\n")
 
 
 def cmd_eval(args) -> int:

@@ -29,17 +29,18 @@ MANIFEST_VERSION = 1
 
 
 @contextlib.contextmanager
-def atomic_write(path, newline: str | None = None):
-    """Open a text file that appears at ``path`` only once it is complete.
+def atomic_write(path, newline: str | None = None, binary: bool = False):
+    """Open a file that appears at ``path`` only once it is complete.
 
-    The content goes to a sibling temporary file that replaces ``path`` in
-    one ``os.replace`` when the block ends. If the block raises, the
-    temporary file is removed and any earlier file at ``path`` is untouched.
+    Text mode unless ``binary``. The content goes to a sibling temporary file
+    that replaces ``path`` in one ``os.replace`` when the block ends. If the
+    block raises, the temporary file is removed and any earlier file at
+    ``path`` is untouched.
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with open(tmp, "w", newline=newline) as fh:
+        with open(tmp, "wb" if binary else "w", newline=newline) as fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:

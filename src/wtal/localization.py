@@ -249,8 +249,20 @@ def write_detections_json(path, records: list[DetectionRecord]) -> None:
         fh.write("}}")
 
 
+def _check_finite(path, records: list[DetectionRecord]) -> list[DetectionRecord]:
+    for r in records:
+        if not (math.isfinite(r.score) and math.isfinite(r.start) and math.isfinite(r.end)):
+            raise FormatError(f"{path}: video {r.video_id}: non-finite detection "
+                              f"(score {r.score!r}, segment [{r.start!r}, {r.end!r}])")
+    return records
+
+
 def read_detections(path, class_names: list[str]) -> list[DetectionRecord]:
-    """Read either the CSV or the JSON detections format (by extension)."""
+    """Read either the CSV or the JSON detections format (by extension).
+
+    A score or bound that is NaN or infinite (``nan``/``inf`` in CSV, the
+    ``NaN``/``Infinity`` literals in JSON) raises ``FormatError``.
+    """
     index = {name: i for i, name in enumerate(class_names)}
 
     def lookup(label: str) -> int:
@@ -269,7 +281,7 @@ def read_detections(path, class_names: list[str]) -> list[DetectionRecord]:
                     video_id=video_id, class_id=lookup(d["label"]), label=d["label"],
                     score=float(d["score"]), start=float(d["segment"][0]),
                     end=float(d["segment"][1])))
-        return records
+        return _check_finite(path, records)
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         for row in reader:
@@ -277,4 +289,4 @@ def read_detections(path, class_names: list[str]) -> list[DetectionRecord]:
                 video_id=row["video_id"], class_id=lookup(row["label"]),
                 label=row["label"], score=float(row["score"]),
                 start=float(row["t_start"]), end=float(row["t_end"])))
-    return records
+    return _check_finite(path, records)

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import autodiff as ad
+from .data import atomic_write
 from .errors import ConfigError, ContractError, FormatError
 
 CHECKPOINT_MAGIC = b"FACN"
@@ -279,9 +280,15 @@ def forward_hybrid(tape: ad.Tape, x_raw: int, refs: ParamRefs, config: ModelConf
 
 def run_forward(x_raw: np.ndarray, params: ModelParams, config: ModelConfig,
                 train_mode: bool = False, rng_seed=0) -> tuple[ad.Tape, BranchOutputs]:
+    """Record one forward pass at the precision of ``params``.
+
+    The features are staged in the parameters' dtype (a copy only when the
+    dtypes differ), so float32 weights, as a checkpoint stores them, run in
+    float32 and float64 weights run in float64.
+    """
     validate_params(params, config)
     tape = ad.Tape()
-    x_ref = tape.leaf(np.asarray(x_raw))
+    x_ref = tape.leaf(np.asarray(x_raw, dtype=params.conv1_w.dtype))
     refs = stage_params(tape, params)
     return tape, forward_hybrid(tape, x_ref, refs, config, train_mode, rng_seed)
 
@@ -313,9 +320,12 @@ def forward_scores(x_raw: np.ndarray, params: ModelParams, config: ModelConfig) 
 
 
 def save_checkpoint(path, params: ModelParams, config: ModelConfig) -> None:
-    """Binary checkpoint: magic, version, config block, float32 tensors."""
+    """Binary checkpoint: magic, version, config block, float32 tensors.
+
+    Written atomically: a failed write leaves any earlier file at ``path``.
+    """
     validate_params(params, config)
-    with open(path, "wb") as fh:
+    with atomic_write(path, binary=True) as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<I", CHECKPOINT_VERSION))
         fh.write(struct.pack("<5I", config.num_classes, config.feature_dim,

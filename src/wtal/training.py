@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
+from .data import atomic_write
 from .errors import ConfigError, ContractError, FormatError
 from .losses import LossWeights, total_loss
 from .model import ModelConfig, ModelParams, param_shapes, run_forward, save_checkpoint
@@ -125,7 +126,6 @@ def train_epoch(dataset, params: ModelParams, state: OptimizerState,
     batch, average, and apply a single optimizer step per batch."""
     if not dataset:
         raise ConfigError("training dataset is empty")
-    dtype = train_config.dtype
     order_rng = np.random.default_rng(_video_seed(train_config.seed, epoch, -1))
     order = order_rng.permutation(len(dataset))
     sums = {"class_wise": 0.0, "class_agnostic": 0.0, "mil": 0.0, "total": 0.0}
@@ -144,7 +144,7 @@ def train_epoch(dataset, params: ModelParams, state: OptimizerState,
             seed = _video_seed(train_config.seed, epoch, int(idx))
             rng = np.random.default_rng(seed)
             feats = _maybe_subsample(sample.features, train_config.max_snippets, rng)
-            tape, out = run_forward(feats.astype(dtype), params, model_config,
+            tape, out = run_forward(feats, params, model_config,
                                     train_mode=True, rng_seed=seed.spawn(1)[0])
             loss_ref, parts = total_loss(tape, out, sample.labels, loss_weights,
                                          model_config.use_background)
@@ -184,7 +184,7 @@ HISTORY_HEADER = ["epoch", "loss_class_wise", "loss_class_agnostic", "loss_mil",
 
 
 def write_history(path, history: list[EpochReport]) -> None:
-    with open(path, "w", newline="") as fh:
+    with atomic_write(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(HISTORY_HEADER)
         for rec in history:
@@ -195,11 +195,13 @@ def write_history(path, history: list[EpochReport]) -> None:
 
 def save_train_state(path, params: ModelParams, state: OptimizerState,
                      next_epoch: int) -> None:
-    """Native-precision sidecar so a resumed run replays bit-identically."""
+    """Native-precision sidecar so a resumed run replays bit-identically,
+    written atomically."""
     arrays = {f"param_{k}": v for k, v in params.as_dict().items()}
     arrays.update({f"m_{k}": v for k, v in state.m.items()})
     arrays.update({f"v_{k}": v for k, v in state.v.items()})
-    np.savez(path, step=state.step, next_epoch=next_epoch, **arrays)
+    with atomic_write(path, binary=True) as fh:
+        np.savez(fh, step=state.step, next_epoch=next_epoch, **arrays)
 
 
 def load_train_state(path, model_config: ModelConfig,

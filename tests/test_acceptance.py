@@ -188,11 +188,10 @@ def train_and_localize(manifest, weights: LossWeights, use_background=None):
     dataset = load_dataset(manifest, "train", "rgb")
     params = init_params(config, seed=E2E_TRAIN.seed, dtype=E2E_TRAIN.dtype)
     result = fit(dataset, params, config, weights, E2E_TRAIN)
-    trained = result.params.astype(np.float64)
     dets = []
     lc = LocalizeConfig()
     for sample in load_dataset(manifest, "test", "rgb"):
-        scores = forward_scores(sample.features.astype(np.float64), trained, config)
+        scores = forward_scores(sample.features, result.params, config)
         instances = localize_video(
             [StreamScores(scores.s_a, scores.s_f, scores.p_video_class,
                           sample.snippet_stride, sample.fps)],

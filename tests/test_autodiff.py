@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from wtal import autodiff as ad
 from wtal.errors import ContractError, InputError
 from wtal.losses import LossWeights, total_loss
-from wtal.model import ModelParams, run_forward
+from wtal.model import ModelParams, forward_hybrid, run_forward, stage_params
 
 from conftest import tiny_model
 from oracles import conv_reference
@@ -222,6 +222,30 @@ class TestBackward:
             return ad.backward(tape, loss)["a"]
 
         assert np.array_equal(once(), once())
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_named_input_leaves_parameter_gradients_byte_equal(self, rng, dtype):
+        # backward skips the adjoint of the unnamed raw-feature leaf; naming it
+        # computes that adjoint but must not move a single parameter gradient bit
+        config, params = tiny_model()
+        params = params.astype(dtype)
+        x = rng.normal(size=(7, 6)).astype(dtype)
+        y = np.array([1.0, 0.0, 1.0])
+
+        def grads(x_name):
+            tape = ad.Tape()
+            x_ref = tape.leaf(x, name=x_name)
+            out = forward_hybrid(tape, x_ref, stage_params(tape, params), config,
+                                 train_mode=True, rng_seed=5)
+            loss_ref, _ = total_loss(tape, out, y, LossWeights(), config.use_background)
+            return ad.backward(tape, loss_ref)
+
+        named, unnamed = grads("x"), grads(None)
+        assert set(named) == set(unnamed) | {"x"}
+        assert named["x"].shape == x.shape and np.abs(named["x"]).max() > 0
+        for name, g in unnamed.items():
+            assert g.dtype == named[name].dtype == dtype
+            assert g.tobytes() == named[name].tobytes(), name
 
 
 def full_loss_fn(x, y, config, train_mode=False, seed=0):

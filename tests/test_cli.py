@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from wtal.cli import main
-from wtal.data import load_features, parse_manifest
+from wtal.data import load_dataset, load_features, parse_manifest
+from wtal.localization import LocalizeConfig, StreamScores, localize_video, read_detections
+from wtal.model import forward_scores, load_checkpoint
 
 
 def run(capsys, *argv):
@@ -183,9 +185,40 @@ class TestLocalize:
                          "--score-dump", str(dump))
         assert code == 0
         manifest = parse_manifest(dataset_dir / "manifest.json")
-        for entry in manifest.split("test"):
-            table = (dump / f"{entry.video_id}_rgb.tsv").read_text().splitlines()
-            assert len(table) - 1 == entry.num_snippets
+        params, config = load_checkpoint(trained / "model_rgb.facn")
+        for sample in load_dataset(manifest, "test", "rgb"):
+            table = (dump / f"{sample.video_id}_rgb.tsv").read_text().splitlines()
+            assert len(table) - 1 == sample.features.shape[0]
+            scores = forward_scores(sample.features, params, config)
+            expected = np.column_stack([scores.s_f, scores.s_a[:, :len(manifest.classes)]])
+            cells = np.array([[float(c) for c in line.split("\t")] for line in table[1:]])
+            assert np.array_equal(cells[:, 0], np.arange(len(cells)))
+            assert np.array_equal(cells[:, 1:], expected)
+
+    def test_float32_inference_matches_float64_reference(self, dataset_dir, trained,
+                                                        tmp_path, capsys):
+        det = tmp_path / "det"
+        code, _, err = run(capsys, "localize", "--manifest",
+                           str(dataset_dir / "manifest.json"),
+                           "--model-dir", str(trained), "--out", str(det))
+        assert code == 0, err
+        manifest = parse_manifest(dataset_dir / "manifest.json")
+        params, config = load_checkpoint(trained / "model_rgb.facn")
+        params64 = params.astype(np.float64)
+        reference = {}
+        for sample in load_dataset(manifest, "test", "rgb"):
+            scores = forward_scores(sample.features, params64, config)
+            assert scores.s_a.dtype == np.float64
+            for inst in localize_video(
+                    [StreamScores(scores.s_a, scores.s_f, scores.p_video_class,
+                                  sample.snippet_stride, sample.fps)],
+                    len(manifest.classes), LocalizeConfig()):
+                key = (sample.video_id, manifest.classes[inst.class_id], inst.start, inst.end)
+                reference[key] = inst.score
+        got = {(r.video_id, r.label, r.start, r.end): r.score
+               for r in read_detections(det / "detections.csv", manifest.classes)}
+        assert reference and got.keys() == reference.keys()
+        assert max(abs(got[k] - reference[k]) for k in got) <= 1e-6
 
     def test_rejection_threshold_above_one_empties_output(self, dataset_dir, trained,
                                                           tmp_path, capsys):
@@ -240,6 +273,22 @@ class TestEval:
                            "--manifest", str(dataset_dir / "manifest.json"))
         assert code == 1
         assert "no_such_class" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("suffix", [".csv", ".json"])
+    def test_non_finite_score_exits_cleanly(self, dataset_dir, tmp_path, capsys, suffix):
+        manifest = parse_manifest(dataset_dir / "manifest.json")
+        label = manifest.classes[0]
+        path = tmp_path / f"dets{suffix}"
+        if suffix == ".csv":
+            path.write_text("video_id,label,t_start,t_end,score\n"
+                            f"video_0000,{label},0.0,1.0,nan\n")
+        else:
+            path.write_text('{"results": {"video_0000": [{"label": "%s", "score": NaN, '
+                            '"segment": [0.0, 1.0]}]}}' % label)
+        code, _, err = run(capsys, "eval", "--detections", str(path),
+                           "--manifest", str(dataset_dir / "manifest.json"))
+        assert code == 1
+        assert "video_0000" in err and "non-finite" in err and "Traceback" not in err
 
     def test_grid_selection(self, dataset_dir, tmp_path, capsys):
         dets = self.gt_detections(dataset_dir, tmp_path)

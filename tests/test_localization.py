@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wtal.errors import ConfigError, ContractError, InputError
+from wtal.errors import ConfigError, ContractError, FormatError, InputError
 from wtal.evaluation import tiou
 from wtal.localization import (NMS_BLOCK_BYTES, ActionInstance, DetectionRecord,
                                LocalizeConfig, StreamScores, fuse_scores,
@@ -330,6 +330,29 @@ class TestDetectionsIo:
             "vid_a": [{"label": "jump", "score": 0.91, "segment": [1.5, 3.25]},
                       {"label": "run", "score": 0.52, "segment": [7.0, 9.5]}],
             "vid_b": [{"label": "jump", "score": 0.33, "segment": [0.0, 2.0]}]}}
+
+    @pytest.mark.parametrize("column", ["score", "t_start", "t_end"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN", "Infinity"])
+    def test_non_finite_csv_cell_rejected(self, tmp_path, column, value):
+        cells = {"t_start": "0.5", "t_end": "2.0", "score": "0.3", column: value}
+        path = tmp_path / "det.csv"
+        path.write_text("video_id,label,t_start,t_end,score\n"
+                        "vid_a,run,1.0,3.0,0.9\n"
+                        "vid_b,jump,{t_start},{t_end},{score}\n".format(**cells))
+        with pytest.raises(FormatError, match="det.csv: video vid_b: non-finite"):
+            read_detections(path, ["jump", "run"])
+
+    @pytest.mark.parametrize("key", ["score", "start", "end"])
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_json_value_rejected(self, tmp_path, key, literal):
+        values = {"score": "0.3", "start": "0.5", "end": "2.0", key: literal}
+        path = tmp_path / "det.json"
+        path.write_text(
+            '{"results": {"vid_a": [{"label": "run", "score": 0.9, "segment": [1.0, 3.0]}], '
+            '"vid_b": [{"label": "jump", "score": %(score)s, '
+            '"segment": [%(start)s, %(end)s]}]}}' % values)
+        with pytest.raises(FormatError, match="det.json: video vid_b: non-finite"):
+            read_detections(path, ["jump", "run"])
 
     def test_json_round_trip(self, tmp_path):
         path = tmp_path / "det.json"

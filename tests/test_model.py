@@ -1,11 +1,12 @@
 import struct
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from wtal import autodiff as ad
 from wtal.errors import ConfigError, ContractError, FormatError
-from wtal.model import (class_agnostic_branch,
+from wtal.model import (ScoreSet, class_agnostic_branch,
                         class_wise_branch, forward_scores, init_params,
                         load_checkpoint, mil_head, run_forward, save_checkpoint,
                         stage_params)
@@ -271,6 +272,39 @@ class TestForwardHybrid:
             tiny_config(temperatures=())
 
 
+class TestPrecision:
+    """The forward pass runs at the parameters' precision, whatever the features'."""
+
+    def assert_same_scores(self, a, b, dtype):
+        for f in fields(ScoreSet):
+            va, vb = getattr(a, f.name), getattr(b, f.name)
+            assert va.dtype == vb.dtype == dtype, f.name
+            assert va.tobytes() == vb.tobytes(), f.name
+
+    def test_float32_parameters_score_float64_features_in_float32(self, rng):
+        config, params = tiny_model()
+        params = params.astype(np.float32)
+        x = rng.normal(size=(7, 6))
+        self.assert_same_scores(forward_scores(x, params, config),
+                                forward_scores(x.astype(np.float32), params, config),
+                                np.float32)
+
+    def test_float64_parameters_score_float32_features_in_float64(self, rng):
+        config, params = tiny_model()
+        x = rng.normal(size=(7, 6)).astype(np.float32)
+        self.assert_same_scores(forward_scores(x, params, config),
+                                forward_scores(x.astype(np.float64), params, config),
+                                np.float64)
+
+    def test_features_staged_without_copy_when_dtypes_match(self, rng):
+        config, params = tiny_model()
+        x = rng.normal(size=(4, 6))
+        tape, _ = run_forward(x, params, config)
+        assert tape.nodes[0].value is x
+        tape, _ = run_forward(x, params.astype(np.float32), config)
+        assert tape.nodes[0].value.dtype == np.float32
+
+
 class TestCheckpoint:
     def test_round_trip(self, tmp_path, rng):
         config, params = tiny_model()
@@ -291,6 +325,18 @@ class TestCheckpoint:
         a = forward_scores(x, params.astype(np.float32), config)
         b = forward_scores(x, loaded_params, config)
         assert np.array_equal(a.s_a, b.s_a)
+
+    def test_failed_write_keeps_previous_file(self, tmp_path):
+        config, params = tiny_model()
+        path = tmp_path / "model.facn"
+        save_checkpoint(path, params, config)
+        before = path.read_bytes()
+        broken = params.copy()
+        broken.w_fore = np.array(["not a number"] * 4, dtype=object)  # last tensor
+        with pytest.raises(ValueError):
+            save_checkpoint(path, broken, config)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["model.facn"]
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.facn"

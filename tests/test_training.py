@@ -9,7 +9,7 @@ from wtal.losses import LossWeights, total_loss
 from wtal.model import ModelConfig, init_params, run_forward
 from wtal.training import (NonFiniteGradientError, TrainConfig,
                            adam_step, fit, init_optimizer, load_train_state,
-                           save_train_state, train_epoch)
+                           save_train_state, train_epoch, write_history)
 
 from conftest import tiny_model
 
@@ -189,6 +189,21 @@ class TestFit:
         assert lines[0] == "epoch,loss_class_wise,loss_class_agnostic,loss_mil,loss_total"
         assert len(lines) == 3
 
+    def test_failed_history_write_keeps_previous_file(self, tmp_path):
+        class Unprintable(float):
+            def __repr__(self):
+                raise RuntimeError("cannot format")
+
+        path = tmp_path / "model_history.csv"
+        report = tr.EpochReport(0, 1.0, 0.5, 0.25, 1.75, num_videos=3, skipped=0)
+        write_history(path, [report])
+        before = path.read_bytes()
+        broken = tr.EpochReport(1, 1.0, 0.5, 0.25, Unprintable(1.5), num_videos=3, skipped=0)
+        with pytest.raises(RuntimeError):
+            write_history(path, [broken, report])
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["model_history.csv"]
+
     def test_resume_reproduces_next_epoch_bit_identically(self, rng, tmp_path):
         config, _ = tiny_model()
         dataset = toy_dataset(rng)
@@ -251,6 +266,16 @@ class TestLoadTrainState:
         params, state, next_epoch = load_train_state(path, config, tc)
         assert next_epoch == 3 and state.step == 0
         assert params.conv1_w.shape == (3 * 6, 5)
+
+    def test_failed_write_keeps_previous_file(self, tmp_path):
+        path, config, tc = self.saved(tmp_path)
+        before = path.read_bytes()
+        params, state, _ = load_train_state(path, config, tc)
+        state.v["w_fore"] = np.array([lambda: None], dtype=object)  # cannot be pickled
+        with pytest.raises(Exception, match="pickle"):
+            save_train_state(path, params, state, next_epoch=4)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["model_state.npz"]
 
     def test_old_conv_layout_rejected(self, tmp_path):
         path, config, tc = self.saved(tmp_path)
