@@ -110,65 +110,61 @@ def upsample(g: np.ndarray, stride: int, fps: float) -> tuple[np.ndarray, np.nda
     return up, frames / fps
 
 
-def _runs_above(x: np.ndarray, threshold: float) -> list[tuple[int, int]]:
-    mask = np.concatenate([[0], (x > threshold).astype(np.int8), [0]])
-    diff = np.diff(mask)
-    starts = np.flatnonzero(diff == 1)
-    ends = np.flatnonzero(diff == -1)
-    return list(zip(starts.tolist(), ends.tolist()))
-
-
-def outer_inner_score(g: np.ndarray, start: int, end: int, context_ratio: float) -> float:
-    """Mean inside [start, end) minus mean over the flanking context windows;
-    an empty context (clipped away at the video bounds) contributes 0.
-
-    Each mean is ``np.add.reduce`` over the window divided by its length, the
-    reduction ``ndarray.mean`` performs on float64, so the bits are the same.
-    The two context windows are summed as one array for the same reason.
-    """
-    inner = float(np.add.reduce(g[start:end])) / (end - start)
-    ctx = math.ceil(context_ratio * (end - start))
-    left = g[max(0, start - ctx):start]
-    right = g[end:min(len(g), end + ctx)]
-    outer = np.concatenate([left, right])
-    return inner - (float(np.add.reduce(outer)) / outer.size if outer.size else 0.0)
-
-
 def propose(g_c: np.ndarray, thresholds, fps: float, class_conf: float,
-            context_ratio: float, class_id: int,
-            include_class_conf: bool = True) -> list[ActionInstance]:
-    """Multi-threshold candidate intervals for one class, deduplicated by
-    interval with the best score kept."""
-    best: dict[tuple[int, int], float] = {}
-    for threshold in thresholds:
-        for start, end in _runs_above(g_c, threshold):
-            q = outer_inner_score(g_c, start, end, context_ratio)
-            if include_class_conf:
-                q += class_conf
-            key = (start, end)
-            if key not in best or q > best[key]:
-                best[key] = q
-    return [ActionInstance(class_id=class_id, score=q, start=s / fps, end=e / fps)
-            for (s, e), q in sorted(best.items())]
+            context_ratio: float, include_class_conf: bool = True) -> np.ndarray:
+    """Multi-threshold candidate intervals for one class sequence.
 
-
-def nms(instances: list[ActionInstance], tiou_threshold: float) -> list[ActionInstance]:
-    """Greedy class-wise suppression; keeps the highest-scoring instance and
-    drops anything overlapping it at or above the threshold.
-
-    The result equals the quadratic definition exactly: sort by (-score,
-    start, end), repeatedly keep the first survivor and drop every later one
-    whose ``tiou`` with it is not below the threshold. ``tiou_array`` gives
-    the same IEEE overlaps, computed in row blocks of at most
-    ``NMS_BLOCK_BYTES`` each. The sweep visits only rows that suppress
-    something, and each of those acts only if it is still alive when reached.
+    Returns an ``(n, 3)`` float64 array of ``[start_s, end_s, score]`` rows,
+    one per distinct frame interval ``[start, end)`` that some threshold cuts,
+    ordered by (start, end). The score is the mean inside the interval minus
+    the mean over the two flanking context windows of ``ceil(context_ratio *
+    length)`` frames each, clipped at the video bounds (an empty context
+    counts 0), plus ``class_conf`` if ``include_class_conf``. Every window
+    sum is a difference of one float64 prefix sum, so a score may differ
+    from the directly summed window means in the last bits.
     """
-    if len({inst.class_id for inst in instances}) > 1:
-        raise ContractError("nms operates on a single class at a time")
-    pool = sorted(instances, key=lambda i: (-i.score, i.start, i.end))
+    g = np.asarray(g_c, dtype=np.float64)
+    n = g.shape[0]
+    ts = np.asarray(thresholds, dtype=np.float64)
+    above = np.zeros((ts.size, n + 2), dtype=np.int8)
+    above[:, 1:-1] = g > ts[:, None]
+    edges = np.diff(above, axis=1).ravel()
+    # row-major order pairs the k-th rising edge with the k-th falling one
+    key = np.sort(np.flatnonzero(edges == 1) % (n + 1) * (n + 1)
+                  + np.flatnonzero(edges == -1) % (n + 1))
+    # one row per interval; np.unique would do, but its first call costs
+    # ~1.2 MB of resident memory
+    key = key[np.diff(key, prepend=-1) > 0]
+    start, end = np.divmod(key, n + 1)
+    length = end - start
+    ctx = np.ceil(context_ratio * length).astype(np.int64)
+    lo = np.maximum(start - ctx, 0)
+    hi = np.minimum(end + ctx, n)
+    cum = np.concatenate([[0.0], np.cumsum(g)])
+    score = (cum[end] - cum[start]) / length
+    outer_n = (start - lo) + (hi - end)
+    outer = (cum[start] - cum[lo]) + (cum[hi] - cum[end])
+    score -= np.divide(outer, outer_n, out=np.zeros_like(outer), where=outer_n > 0)
+    if include_class_conf:
+        score += class_conf
+    return np.stack([start / fps, end / fps, score], axis=1)
+
+
+def nms(candidates: np.ndarray, tiou_threshold: float) -> np.ndarray:
+    """Greedy suppression over one class's ``[start, end, score]`` rows;
+    returns the kept rows, highest-ranked first.
+
+    The result equals the quadratic definition exactly: rank the rows by
+    (-score, start, end), keeping the input order of equal keys, repeatedly
+    keep the first survivor and drop every later one whose ``tiou`` with it
+    is not below the threshold. ``tiou_array`` gives the same IEEE overlaps,
+    computed in row blocks of at most ``NMS_BLOCK_BYTES`` each. The sweep
+    visits only rows that suppress something, and each of those acts only if
+    it is still alive when reached.
+    """
+    pool = candidates[np.lexsort((candidates[:, 1], candidates[:, 0], -candidates[:, 2]))]
     n = len(pool)
-    starts = np.array([i.start for i in pool], dtype=np.float64)
-    ends = np.array([i.end for i in pool], dtype=np.float64)
+    starts, ends = pool[:, 0], pool[:, 1]
     alive = np.ones(n, dtype=bool)
     rows = max(1, NMS_BLOCK_BYTES // (8 * max(n, 1)))
     for first in range(0, n, rows):
@@ -182,36 +178,46 @@ def nms(instances: list[ActionInstance], tiou_threshold: float) -> list[ActionIn
         for r in np.flatnonzero(suppress.any(axis=1)).tolist():
             if alive[block[r]]:
                 alive[first:] &= ~suppress[r]
-    return [inst for inst, keep in zip(pool, alive.tolist()) if keep]
+    return pool[alive]
 
 
 def localize_stream(scores: StreamScores, num_classes: int,
-                    config: LocalizeConfig) -> list[ActionInstance]:
-    instances: list[ActionInstance] = []
+                    config: LocalizeConfig) -> dict[int, np.ndarray]:
+    """Candidate rows of ``propose`` for each class the stream does not reject."""
     fused = fuse_scores(scores.s_a, scores.s_f, num_classes, config.fusion_weight)
     frames, _ = upsample(fused, scores.snippet_stride, scores.fps)
+    candidates: dict[int, np.ndarray] = {}
     for c in range(num_classes):
         conf = float(scores.p_video_class[c])
         if conf < config.class_reject_threshold:
             continue
-        instances.extend(propose(frames[:, c], config.proposal_thresholds, scores.fps,
-                                 conf, config.context_ratio, c,
-                                 config.include_class_conf))
-    return instances
+        candidates[c] = propose(frames[:, c], config.proposal_thresholds, scores.fps,
+                                conf, config.context_ratio, config.include_class_conf)
+    return candidates
 
 
 def localize_video(streams: list[StreamScores], num_classes: int,
                    config: LocalizeConfig) -> list[ActionInstance]:
-    """Pool candidates from one or two streams, then class-wise NMS."""
+    """Pool candidates from one or two streams, then class-wise NMS.
+
+    Detections come out by (-score, start, end, class_id).
+    """
     if not 1 <= len(streams) <= 2:
         raise ContractError(f"expected 1 or 2 streams, got {len(streams)}")
-    pooled: list[ActionInstance] = []
-    for scores in streams:
-        pooled.extend(localize_stream(scores, num_classes, config))
-    final: list[ActionInstance] = []
+    per_stream = [localize_stream(scores, num_classes, config) for scores in streams]
+    kept, class_ids = [], []
     for c in range(num_classes):
-        final.extend(nms([i for i in pooled if i.class_id == c], config.nms_tiou))
-    return sorted(final, key=lambda i: (-i.score, i.start, i.end, i.class_id))
+        pooled = [candidates[c] for candidates in per_stream if c in candidates]
+        if pooled:
+            kept.append(nms(np.concatenate(pooled), config.nms_tiou))
+            class_ids.append(np.full(len(kept[-1]), c))
+    if not kept:
+        return []
+    rows = np.concatenate(kept)
+    class_id = np.concatenate(class_ids)
+    order = np.lexsort((class_id, rows[:, 1], rows[:, 0], -rows[:, 2]))
+    return [ActionInstance(class_id=c, score=q, start=s, end=e)
+            for c, (s, e, q) in zip(class_id[order].tolist(), rows[order].tolist())]
 
 
 @dataclass
@@ -249,44 +255,67 @@ def write_detections_json(path, records: list[DetectionRecord]) -> None:
         fh.write("}}")
 
 
-def _check_finite(path, records: list[DetectionRecord]) -> list[DetectionRecord]:
-    for r in records:
-        if not (math.isfinite(r.score) and math.isfinite(r.start) and math.isfinite(r.end)):
-            raise FormatError(f"{path}: video {r.video_id}: non-finite detection "
-                              f"(score {r.score!r}, segment [{r.start!r}, {r.end!r}])")
-    return records
+def _record(where: str, index: dict[str, int], video_id, label, score, start,
+            end) -> DetectionRecord:
+    if not isinstance(label, str) or label not in index:
+        raise FormatError(f"{where}: unknown class label {label!r}")
+    try:
+        record = DetectionRecord(video_id=video_id, class_id=index[label], label=label,
+                                 score=float(score), start=float(start), end=float(end))
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise FormatError(f"{where}: score and segment bounds must be numbers ({exc})") \
+            from None
+    if not (math.isfinite(record.score) and math.isfinite(record.start)
+            and math.isfinite(record.end)):
+        raise FormatError(f"{where}: non-finite detection (score {record.score!r}, "
+                          f"segment [{record.start!r}, {record.end!r}])")
+    return record
 
 
 def read_detections(path, class_names: list[str]) -> list[DetectionRecord]:
     """Read either the CSV or the JSON detections format (by extension).
 
-    A score or bound that is NaN or infinite (``nan``/``inf`` in CSV, the
-    ``NaN``/``Infinity`` literals in JSON) raises ``FormatError``.
+    Anything malformed raises ``FormatError`` naming the file and the video:
+    text that does not parse, a missing CSV column or JSON key, a
+    ``segment`` that is not ``[start, end]``, an unknown label, or a score or
+    bound that is not a number or is NaN or infinite (``nan``/``inf`` in CSV,
+    the ``NaN``/``Infinity`` literals in JSON).
     """
     index = {name: i for i, name in enumerate(class_names)}
-
-    def lookup(label: str) -> int:
-        if label not in index:
-            raise FormatError(f"{path}: unknown class label {label!r}")
-        return index[label]
-
     records: list[DetectionRecord] = []
     path = str(path)
     if path.endswith(".json"):
-        with open(path) as fh:
-            payload = json.load(fh)
-        for video_id, dets in payload["results"].items():
+        try:
+            with open(path) as fh:
+                payload = json.load(fh)
+        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+            raise FormatError(f"{path}: not valid JSON ({exc})") from None
+        results = payload.get("results") if isinstance(payload, dict) else None
+        if not isinstance(results, dict):
+            raise FormatError(f'{path}: expected an object with a "results" object')
+        for video_id, dets in results.items():
+            where = f"{path}: video {video_id}"
+            if not isinstance(dets, list):
+                raise FormatError(f"{where}: detections must be a list")
             for d in dets:
-                records.append(DetectionRecord(
-                    video_id=video_id, class_id=lookup(d["label"]), label=d["label"],
-                    score=float(d["score"]), start=float(d["segment"][0]),
-                    end=float(d["segment"][1])))
-        return _check_finite(path, records)
+                try:
+                    label, score, (start, end) = d["label"], d["score"], d["segment"]
+                except (KeyError, TypeError, ValueError):
+                    raise FormatError(f'{where}: a detection must be {{"label", "score", '
+                                      f'"segment": [start, end]}}') from None
+                records.append(_record(where, index, video_id, label, score, start, end))
+        return records
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
-        for row in reader:
-            records.append(DetectionRecord(
-                video_id=row["video_id"], class_id=lookup(row["label"]),
-                label=row["label"], score=float(row["score"]),
-                start=float(row["t_start"]), end=float(row["t_end"])))
-    return _check_finite(path, records)
+        try:
+            missing = [c for c in DETECTIONS_HEADER if c not in (reader.fieldnames or ())]
+            if missing:
+                raise FormatError(f"{path}: missing column(s) {', '.join(missing)}")
+            for row in reader:
+                records.append(_record(f"{path}: video {row['video_id']}", index,
+                                       row["video_id"], row["label"], row["score"],
+                                       row["t_start"], row["t_end"]))
+        except (csv.Error, UnicodeDecodeError) as exc:
+            raise FormatError(f"{path}: line {reader.line_num}: not valid CSV ({exc})") \
+                from None
+    return records

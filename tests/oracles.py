@@ -5,6 +5,8 @@ package: quadratic loops instead of vectorized passes, per-tap loops
 instead of one im2col matmul, and rectangle integration of the
 precision-recall curve instead of the running-precision sum.
 """
+import math
+
 import numpy as np
 
 
@@ -14,6 +16,35 @@ def interval_iou(a, b):
     inter = hi - lo if hi > lo else 0.0
     union = max(a[1], b[1]) - min(a[0], b[0])
     return inter / union if union > 0 else 0.0
+
+
+def propose_reference(g, thresholds, fps, class_conf, context_ratio,
+                      include_class_conf=True):
+    """Candidates of one class sequence as (start_s, end_s, score) triples.
+
+    One pass per threshold over the runs above it, one window mean per
+    candidate: inner mean minus the mean of the flanking context windows
+    (``ceil(context_ratio * length)`` frames each, clipped at the bounds; an
+    empty context counts 0). Each mean sums its window directly, so it is
+    the float that ``ndarray.mean`` gives. Intervals cut by several
+    thresholds appear once, in (start, end) order.
+    """
+    best = {}
+    for threshold in thresholds:
+        mask = np.concatenate([[0], (g > threshold).astype(np.int8), [0]])
+        diff = np.diff(mask)
+        for start, end in zip(np.flatnonzero(diff == 1).tolist(),
+                              np.flatnonzero(diff == -1).tolist()):
+            inner = float(np.add.reduce(g[start:end])) / (end - start)
+            ctx = math.ceil(context_ratio * (end - start))
+            outer = np.concatenate([g[max(0, start - ctx):start],
+                                    g[end:min(len(g), end + ctx)]])
+            q = inner - (float(np.add.reduce(outer)) / outer.size if outer.size else 0.0)
+            if include_class_conf:
+                q += class_conf
+            if (start, end) not in best or q > best[(start, end)]:
+                best[(start, end)] = q
+    return [(s / fps, e / fps, q) for (s, e), q in sorted(best.items())]
 
 
 def nms_reference(items, threshold):

@@ -16,8 +16,7 @@ from wtal.data import (SynthConfig, generate_synthetic, ground_truth_instances,
                        load_dataset, parse_manifest)
 from wtal.evaluation import (ACTIVITYNET_GRID, THUMOS_GRID, Detection,
                              GroundTruthInstance, map_report, tiou)
-from wtal.localization import (ActionInstance, LocalizeConfig, StreamScores,
-                               localize_video, nms)
+from wtal.localization import LocalizeConfig, StreamScores, localize_video, nms
 from wtal.losses import LossWeights, total_loss
 from wtal.model import (ModelConfig, ModelParams, class_wise_branch, forward_scores,
                         init_params, mil_head, run_forward, stage_params)
@@ -142,9 +141,8 @@ def test_scoring_oracles():
             triples.append((float(np.round(rng.random(), 3)), start,
                             start + float(rng.uniform(0.1, 12))))
         threshold = float(rng.uniform(0.1, 1.0))
-        kept = nms([ActionInstance(0, q, s, e) for q, s, e in triples], threshold)
-        assert [(i.score, i.start, i.end) for i in kept] == \
-            nms_reference(triples, threshold)
+        kept = nms(np.array([(s, e, q) for q, s, e in triples]), threshold)
+        assert [(q, s, e) for s, e, q in kept.tolist()] == nms_reference(triples, threshold)
 
     from test_evaluation import random_micro_dataset
     for _ in range(200):

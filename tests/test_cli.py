@@ -290,6 +290,28 @@ class TestEval:
         assert code == 1
         assert "video_0000" in err and "non-finite" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("name,text,named", [
+        ("score.csv", "video_id,label,t_start,t_end,score\n"
+                      "video_0000,{label},0.0,1.0,abc\n", "video_0000"),
+        ("columns.csv", "video_id,label,t_start\nvideo_0000,{label},0.0\n", "t_end, score"),
+        ("no_segment.json", '{{"results": {{"video_0000": '
+                            '[{{"label": "{label}", "score": 0.5}}]}}}}', "video_0000"),
+        ("short_segment.json", '{{"results": {{"video_0000": [{{"label": "{label}", '
+                               '"score": 0.5, "segment": [0.0]}}]}}}}', "video_0000"),
+        ("truncated.json", '{{"results": {{"video_0000": [{{"label": "{label}", "sco',
+         "not valid JSON"),
+    ], ids=["csv_score", "csv_columns", "json_no_segment", "json_short_segment",
+            "json_truncated"])
+    def test_malformed_detections_exit_cleanly(self, dataset_dir, tmp_path, capsys,
+                                               name, text, named):
+        label = parse_manifest(dataset_dir / "manifest.json").classes[0]
+        path = tmp_path / name
+        path.write_text(text.format(label=label))
+        code, _, err = run(capsys, "eval", "--detections", str(path),
+                           "--manifest", str(dataset_dir / "manifest.json"))
+        assert code == 1
+        assert name in err and named in err and "Traceback" not in err
+
     def test_grid_selection(self, dataset_dir, tmp_path, capsys):
         dets = self.gt_detections(dataset_dir, tmp_path)
         report_path = tmp_path / "report.json"

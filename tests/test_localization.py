@@ -8,13 +8,12 @@ from hypothesis import strategies as st
 
 from wtal.errors import ConfigError, ContractError, FormatError, InputError
 from wtal.evaluation import tiou
-from wtal.localization import (NMS_BLOCK_BYTES, ActionInstance, DetectionRecord,
-                               LocalizeConfig, StreamScores, fuse_scores,
-                               localize_video, minmax, nms, outer_inner_score,
+from wtal.localization import (NMS_BLOCK_BYTES, DetectionRecord, LocalizeConfig,
+                               StreamScores, fuse_scores, localize_video, minmax, nms,
                                propose, read_detections, upsample,
                                write_detections_csv, write_detections_json)
 
-from oracles import nms_reference
+from oracles import nms_reference, propose_reference
 
 
 class TestFuseScores:
@@ -80,48 +79,96 @@ class TestUpsample:
         assert up.shape == (144, 3)
 
 
+def assert_matches_reference(out, ref):
+    """Same intervals in the same order, scores within 1e-12 of the oracle's."""
+    assert out.shape == (len(ref), 3) and out.dtype == np.float64
+    assert [(s, e) for s, e, _ in out.tolist()] == [(s, e) for s, e, _ in ref]
+    assert np.abs(out[:, 2] - [q for _, _, q in ref]).max(initial=0.0) <= 1e-12
+
+
+def sawtooth():
+    # one tooth: every threshold cuts an interval that ends at the drop, so
+    # the candidates form a single nested chain
+    return np.concatenate([np.zeros(50), np.linspace(0.0, 1.0, 2000), np.zeros(50)])
+
+
+SAWTOOTH_THRESHOLDS = tuple(round(0.001 * i, 3) for i in range(1, 1000))
+
+
+def proposal_case(kind, rng):
+    """(sequence, thresholds) for one of the shapes propose is checked on."""
+    grid = tuple(round(0.1 * i, 1) for i in range(1, 10))
+    if kind == "step":
+        g = np.zeros(100)
+        g[20:50] = 1.0
+    elif kind == "two_plateaus":
+        g = np.zeros(120)
+        g[10:30] = 0.8
+        g[70:90] = 0.4
+    elif kind == "constant":
+        g = np.full(50, 0.3)
+    elif kind == "random":
+        g = rng.random(size=400)
+    elif kind == "smooth_random":
+        g = np.interp(np.arange(800), np.arange(0, 800, 16), rng.random(size=50))
+    elif kind == "clipped_both_bounds":
+        g = np.full(30, 0.2)
+        g[3:27] = 0.9
+        g[12:18] = 0.6
+    else:
+        return sawtooth(), SAWTOOTH_THRESHOLDS
+    return g, grid
+
+
 class TestPropose:
     def test_step_function_single_instance(self):
         g = np.zeros(100)
         g[20:50] = 1.0
         out = propose(g, thresholds=(0.2, 0.5, 0.8), fps=25.0, class_conf=0.6,
-                      context_ratio=0.25, class_id=3)
-        assert len(out) == 1
-        inst = out[0]
-        assert inst.class_id == 3
-        assert inst.start == pytest.approx(20 / 25.0)
-        assert inst.end == pytest.approx(50 / 25.0)
-        assert inst.score == pytest.approx(1.0 - 0.0 + 0.6, abs=1e-12)
+                      context_ratio=0.25)
+        assert out.shape == (1, 3)
+        start, end, score = out[0]
+        assert start == pytest.approx(20 / 25.0)
+        assert end == pytest.approx(50 / 25.0)
+        assert score == pytest.approx(1.0 - 0.0 + 0.6, abs=1e-12)
 
     def test_threshold_above_max_gives_nothing(self):
         g = np.full(50, 0.4)
-        assert propose(g, thresholds=(0.9,), fps=25.0, class_conf=0.0,
-                       context_ratio=0.25, class_id=0) == []
+        out = propose(g, thresholds=(0.9,), fps=25.0, class_conf=0.0, context_ratio=0.25)
+        assert len(out) == 0 and out.shape == (0, 3)
 
     def test_two_plateaus_enumeration(self):
         g = np.zeros(120)
         g[10:30] = 0.8
         g[70:90] = 0.4
         out = propose(g, thresholds=(0.3, 0.5, 0.7), fps=1.0, class_conf=0.0,
-                      context_ratio=0.25, class_id=0)
-        intervals = {(i.start, i.end) for i in out}
-        assert intervals == {(10.0, 30.0), (70.0, 90.0)}
-        by_start = {i.start: i.score for i in out}
-        assert by_start[10.0] > by_start[70.0]
+                      context_ratio=0.25)
+        assert [(s, e) for s, e, _ in out.tolist()] == [(10.0, 30.0), (70.0, 90.0)]
+        assert out[0, 2] > out[1, 2]
 
     def test_class_conf_switch(self):
         g = np.zeros(40)
         g[10:20] = 1.0
-        with_conf = propose(g, (0.5,), 25.0, 0.9, 0.25, 0, include_class_conf=True)
-        without = propose(g, (0.5,), 25.0, 0.9, 0.25, 0, include_class_conf=False)
-        assert with_conf[0].score == pytest.approx(without[0].score + 0.9)
+        with_conf = propose(g, (0.5,), 25.0, 0.9, 0.25, include_class_conf=True)
+        without = propose(g, (0.5,), 25.0, 0.9, 0.25, include_class_conf=False)
+        assert with_conf[0, 2] == pytest.approx(without[0, 2] + 0.9)
 
     def test_intervals_inside_video(self, rng):
         g = rng.random(size=200)
         out = propose(g, tuple(np.linspace(0.1, 0.9, 9)), fps=25.0, class_conf=0.5,
-                      context_ratio=0.25, class_id=1)
-        for inst in out:
-            assert 0.0 <= inst.start < inst.end <= 200 / 25.0
+                      context_ratio=0.25)
+        assert ((0.0 <= out[:, 0]) & (out[:, 0] < out[:, 1]) & (out[:, 1] <= 200 / 25.0)).all()
+
+    @pytest.mark.parametrize("kind", ["step", "two_plateaus", "constant", "random",
+                                      "smooth_random", "clipped_both_bounds", "sawtooth"])
+    @pytest.mark.parametrize("ratio", [0.0, 0.25, 3.0])
+    def test_matches_reference(self, rng, kind, ratio):
+        g, thresholds = proposal_case(kind, rng)
+        for include in (True, False):
+            out = propose(g, thresholds, fps=25.0, class_conf=0.37, context_ratio=ratio,
+                          include_class_conf=include)
+            assert_matches_reference(out, propose_reference(
+                g, thresholds, 25.0, 0.37, ratio, include_class_conf=include))
 
 
 class TestOuterInnerScore:
@@ -129,33 +176,43 @@ class TestOuterInnerScore:
                                            (5, 6), (10, 990)])
     @pytest.mark.parametrize("ratio", [0.0, 0.25, 1.0, 3.0])
     def test_bit_equal_to_mean_formula(self, rng, start, end, ratio):
-        # long windows use numpy's pairwise summation; (0, 40), (960, 1000)
-        # and (10, 990) clip the context at one or both video bounds
-        g = rng.random(size=1000)
+        # One threshold cuts exactly [start, end). Values are multiples of
+        # 2**-10, so every window sum is exact whether summed directly or
+        # taken from the prefix sum, and the score must equal the mean
+        # formula bit for bit. (0, 40), (960, 1000) and (10, 990) clip the
+        # context at one or both video bounds.
+        g = rng.integers(0, 512, size=1000) / 1024
+        g[start:end] = (512 + rng.integers(1, 512, size=end - start)) / 1024
         ctx = math.ceil(ratio * (end - start))
         outer = np.concatenate([g[max(0, start - ctx):start], g[end:end + ctx]])
         expected = float(g[start:end].mean()) - (float(outer.mean()) if outer.size else 0.0)
-        assert outer_inner_score(g, start, end, ratio) == expected
+        out = propose(g, (0.5,), fps=1.0, class_conf=0.0, context_ratio=ratio,
+                      include_class_conf=False)
+        assert out.tolist() == [[start, end, expected]]
+        assert out.tolist() == [list(t) for t in propose_reference(g, (0.5,), 1.0, 0.0, ratio,
+                                                                   include_class_conf=False)]
 
 
-def make_instances(triples, class_id=0):
-    return [ActionInstance(class_id=class_id, score=q, start=s, end=e)
-            for q, s, e in triples]
+def make_candidates(triples):
+    """(score, start, end) triples, the oracle's form, as propose's rows."""
+    return np.array([(s, e, q) for q, s, e in triples], dtype=np.float64).reshape(-1, 3)
+
+
+def as_triples(rows):
+    return [(q, s, e) for s, e, q in rows.tolist()]
 
 
 class TestNms:
     def test_single_instance(self):
-        inst = make_instances([(0.5, 1.0, 2.0)])
-        assert nms(inst, 0.5) == inst
+        rows = make_candidates([(0.5, 1.0, 2.0)])
+        assert np.array_equal(nms(rows, 0.5), rows)
+
+    def test_no_candidates(self):
+        assert nms(make_candidates([]), 0.5).shape == (0, 3)
 
     def test_identical_intervals_keep_best(self):
-        kept = nms(make_instances([(0.9, 1.0, 2.0), (0.5, 1.0, 2.0)]), 0.5)
-        assert len(kept) == 1 and kept[0].score == 0.9
-
-    def test_mixed_classes_rejected(self):
-        items = make_instances([(0.9, 1.0, 2.0)], 0) + make_instances([(0.5, 1.0, 2.0)], 1)
-        with pytest.raises(ContractError):
-            nms(items, 0.5)
+        kept = nms(make_candidates([(0.5, 1.0, 2.0), (0.9, 1.0, 2.0)]), 0.5)
+        assert as_triples(kept) == [(0.9, 1.0, 2.0)]
 
     def test_ten_random_against_reference(self, rng):
         for _ in range(25):
@@ -163,9 +220,8 @@ class TestNms:
             for _ in range(10):
                 start = rng.uniform(0, 50)
                 triples.append((float(rng.random()), start, start + rng.uniform(0.5, 20)))
-            kept = nms(make_instances(triples), 0.5)
-            expected = nms_reference(triples, 0.5)
-            assert [(i.score, i.start, i.end) for i in kept] == expected
+            kept = nms(make_candidates(triples), 0.5)
+            assert as_triples(kept) == nms_reference(triples, 0.5)
 
     @given(
         seed=st.integers(0, 10_000),
@@ -179,8 +235,8 @@ class TestNms:
         for _ in range(n):
             start = float(rng.uniform(0, 30))
             triples.append((float(rng.random()), start, start + float(rng.uniform(0.1, 15))))
-        kept = nms(make_instances(triples), threshold)
-        assert [(i.score, i.start, i.end) for i in kept] == nms_reference(triples, threshold)
+        kept = nms(make_candidates(triples), threshold)
+        assert as_triples(kept) == nms_reference(triples, threshold)
 
     def test_matches_reference_across_block_boundaries(self, rng):
         n = 2500
@@ -189,25 +245,19 @@ class TestNms:
         triples = [(float(q), float(s), float(s + d)) for q, s, d in
                    zip(rng.random(size=n), starts, rng.uniform(0.5, 40, size=n))]
         for threshold in (0.3, 0.7):
-            kept = nms(make_instances(triples), threshold)
-            assert [(i.score, i.start, i.end) for i in kept] == \
-                nms_reference(triples, threshold)
+            kept = nms(make_candidates(triples), threshold)
+            assert as_triples(kept) == nms_reference(triples, threshold)
 
     def test_all_nested_sawtooth_through_propose(self):
-        # one tooth of a sawtooth: every threshold cuts an interval that ends
-        # at the drop, so the candidates form a single nested chain
-        g = np.concatenate([np.zeros(50), np.linspace(0.0, 1.0, 2000), np.zeros(50)])
-        thresholds = tuple(round(0.001 * i, 3) for i in range(1, 1000))
-        candidates = propose(g, thresholds, fps=25.0, class_conf=0.3,
-                             context_ratio=0.25, class_id=0)
-        assert len(candidates) == len(thresholds)
-        spans = sorted((i.start, i.end) for i in candidates)
+        candidates = propose(sawtooth(), SAWTOOTH_THRESHOLDS, fps=25.0, class_conf=0.3,
+                             context_ratio=0.25)
+        assert len(candidates) == len(SAWTOOTH_THRESHOLDS)
+        spans = [(s, e) for s, e, _ in candidates.tolist()]
         assert all(a[0] <= b[0] and b[1] <= a[1] for a, b in zip(spans, spans[1:]))
-        triples = [(i.score, i.start, i.end) for i in candidates]
+        triples = as_triples(candidates)
         for threshold in (0.1, 0.5, 0.9, 1.0):
             kept = nms(candidates, threshold)
-            assert [(i.score, i.start, i.end) for i in kept] == \
-                nms_reference(triples, threshold)
+            assert as_triples(kept) == nms_reference(triples, threshold)
 
     def test_duplicate_intervals_and_equal_scores(self, rng):
         for _ in range(20):
@@ -216,21 +266,19 @@ class TestNms:
             triples = [(float(rng.choice([0.2, 0.5, 0.9])), *base[int(k)])
                        for k in rng.integers(0, len(base), size=60)]
             for threshold in (0.25, 0.5, 1.0):
-                kept = nms(make_instances(triples), threshold)
-                assert [(i.score, i.start, i.end) for i in kept] == \
-                    nms_reference(triples, threshold)
+                kept = nms(make_candidates(triples), threshold)
+                assert as_triples(kept) == nms_reference(triples, threshold)
 
     def test_output_is_antichain(self, rng):
         triples = [(float(rng.random()), s, s + 5.0) for s in rng.uniform(0, 40, size=20)]
-        kept = nms(make_instances(triples), 0.4)
-        for i, a in enumerate(kept):
-            for b in kept[i + 1:]:
-                assert tiou((a.start, a.end), (b.start, b.end)) < 0.4
+        kept = as_triples(nms(make_candidates(triples), 0.4))
+        for i, (_, *a) in enumerate(kept):
+            for _, *b in kept[i + 1:]:
+                assert tiou(a, b) < 0.4
 
     def test_sorted_by_score_descending(self, rng):
         triples = [(float(rng.random()), s, s + 3.0) for s in rng.uniform(0, 100, size=15)]
-        kept = nms(make_instances(triples), 0.5)
-        scores = [i.score for i in kept]
+        scores = nms(make_candidates(triples), 0.5)[:, 2].tolist()
         assert scores == sorted(scores, reverse=True)
 
 
@@ -244,6 +292,40 @@ def clean_stream(num_classes=3, t=40, span=(10, 25), cls=1, stride=16, fps=25.0)
     p[cls] = 0.9
     return StreamScores(s_a=s_a, s_f=s_f, p_video_class=p,
                         snippet_stride=stride, fps=fps)
+
+
+def localize_reference(streams, num_classes, config):
+    """localize_video from the oracles: (class_id, score, start, end) tuples."""
+    pooled = {c: [] for c in range(num_classes)}
+    for scores in streams:
+        fused = fuse_scores(scores.s_a, scores.s_f, num_classes, config.fusion_weight)
+        frames, _ = upsample(fused, scores.snippet_stride, scores.fps)
+        for c in range(num_classes):
+            conf = float(scores.p_video_class[c])
+            if conf >= config.class_reject_threshold:
+                pooled[c] += [(q, s, e) for s, e, q in propose_reference(
+                    frames[:, c], config.proposal_thresholds, scores.fps, conf,
+                    config.context_ratio, config.include_class_conf)]
+    final = [(c, q, s, e) for c in range(num_classes)
+             for q, s, e in nms_reference(pooled[c], config.nms_tiou)]
+    return sorted(final, key=lambda d: (-d[1], d[2], d[3], d[0]))
+
+
+def random_stream(rng, num_classes, quantized):
+    """Scores of one stream. Quantized scores take five levels, so their
+    normalized, fused and upsampled frames are multiples of a power of two:
+    window sums are exact and equal intervals get exactly tied scores."""
+    t = int(rng.integers(2, 60))
+    if quantized:
+        s_a = rng.integers(0, 5, size=(t, num_classes + 1)).astype(np.float64)
+        s_f = rng.integers(0, 5, size=t).astype(np.float64)
+        s_a[0], s_a[-1], s_f[0], s_f[-1] = 0.0, 4.0, 0.0, 4.0
+        p = rng.choice([0.05, 0.25, 0.5], size=num_classes + 1)
+    else:
+        s_a = rng.normal(size=(t, num_classes + 1))
+        s_f = rng.normal(size=t)
+        p = rng.random(size=num_classes + 1)
+    return StreamScores(s_a=s_a, s_f=s_f, p_video_class=p, snippet_stride=4, fps=25.0)
 
 
 class TestLocalizeVideo:
@@ -268,6 +350,25 @@ class TestLocalizeVideo:
         stream = clean_stream()
         out = localize_video([stream, stream], 3, LocalizeConfig())
         assert len(out) == 1
+
+    @pytest.mark.parametrize("num_streams", [1, 2])
+    @pytest.mark.parametrize("quantized", [False, True])
+    def test_matches_reference_pipeline(self, rng, num_streams, quantized):
+        tied = 0
+        for trial in range(40):
+            num_classes = int(rng.integers(2, 5))
+            streams = [random_stream(rng, num_classes, quantized) for _ in range(num_streams)]
+            if num_streams == 2 and trial % 4 == 0:
+                streams[1] = streams[0]  # every candidate twice, with equal scores
+            config = LocalizeConfig(context_ratio=float(rng.choice([0.0, 0.25, 3.0])),
+                                    nms_tiou=float(rng.choice([0.3, 0.5, 0.7])))
+            out = localize_video(streams, num_classes, config)
+            ref = localize_reference(streams, num_classes, config)
+            assert [(i.class_id, i.start, i.end) for i in out] == \
+                [(c, s, e) for c, _, s, e in ref]
+            assert all(abs(i.score - q) <= 1e-12 for i, (_, q, _, _) in zip(out, ref))
+            tied += len(ref) - len({q for _, q, _, _ in ref})
+        assert tied > 0 or not quantized
 
     def test_stream_count_contract(self):
         with pytest.raises(ContractError):
@@ -360,3 +461,67 @@ class TestDetectionsIo:
         back = read_detections(path, ["jump", "run"])
         assert sorted((r.video_id, r.start) for r in back) == \
             sorted((r.video_id, r.start) for r in self.records())
+
+
+# Leaves of fuzzed documents: valid labels and numbers next to junk of every
+# JSON type, an integer too large for a float, and strings that float()
+# reads or rejects.
+LEAVES = (st.none() | st.booleans() | st.floats() | st.integers() | st.just(10 ** 400)
+          | st.text(max_size=6) | st.sampled_from(["jump", "run", "nan", "1e3", ""]))
+JSON_VALUES = st.recursive(
+    LEAVES, lambda inner: st.lists(inner, max_size=4) | st.dictionaries(
+        st.sampled_from(["results", "label", "score", "segment"]) | st.text(max_size=4),
+        inner, max_size=4),
+    max_leaves=20)
+DETECTIONS = st.fixed_dictionaries({
+    "label": st.sampled_from(["jump", "run"]), "score": st.floats() | LEAVES,
+    "segment": st.lists(st.floats(), min_size=2, max_size=2),
+}) | st.fixed_dictionaries({}, optional={
+    "label": st.sampled_from(["jump", "run"]) | JSON_VALUES,
+    "score": st.floats() | JSON_VALUES,
+    "segment": st.lists(st.floats(), max_size=3) | JSON_VALUES,
+})
+JSON_DOCUMENTS = JSON_VALUES | st.fixed_dictionaries({"results": st.dictionaries(
+    st.text(max_size=4), st.lists(DETECTIONS, max_size=3) | JSON_VALUES, max_size=3)})
+
+
+@st.composite
+def csv_documents(draw):
+    columns = ["video_id", "label", "t_start", "t_end", "score", "extra"]
+    header = draw(st.permutations(columns[:5]) | st.permutations(columns).flatmap(
+        lambda cols: st.integers(0, len(cols)).map(lambda k: cols[:k])))
+    junk = st.sampled_from(["vid", "jump", "0.5", "nan", "inf", "", "abc"]) \
+        | st.text(max_size=6)
+    number = st.floats().map(repr) | st.integers().map(str)
+    plausible = {"label": st.sampled_from(["jump", "run"]), "t_start": number,
+                 "t_end": number, "score": number}
+    row = st.lists(junk, max_size=7) | st.tuples(*(plausible.get(c, junk) for c in header))
+    rows = draw(st.lists(row, max_size=4))
+    return "\n".join(",".join(cells) for cells in [header, *rows]) + "\n"
+
+
+class TestReadDetectionsFuzz:
+    """Whatever the file holds, read_detections returns finite records or
+    raises FormatError; no other exception escapes to the CLI."""
+
+    def check(self, directory, name, content):
+        path = directory / name
+        path.write_bytes(content if isinstance(content, bytes) else content.encode())
+        try:
+            records = read_detections(path, ["jump", "run"])
+        except FormatError as exc:
+            assert str(exc).startswith(str(path))
+            return
+        for r in records:
+            assert r.label in ("jump", "run") and r.class_id == ("jump", "run").index(r.label)
+            assert all(math.isfinite(v) and type(v) is float for v in (r.score, r.start, r.end))
+
+    @given(content=csv_documents() | st.text() | st.binary())
+    @settings(max_examples=300, deadline=None)
+    def test_csv(self, tmp_path_factory, content):
+        self.check(tmp_path_factory.getbasetemp(), "fuzz.csv", content)
+
+    @given(content=JSON_DOCUMENTS.map(json.dumps) | st.text() | st.binary())
+    @settings(max_examples=300, deadline=None)
+    def test_json(self, tmp_path_factory, content):
+        self.check(tmp_path_factory.getbasetemp(), "fuzz.json", content)

@@ -2,24 +2,61 @@
 
 A function it names that no longer exists is only listed as missing, and its
 per-layer metrics read 0, so a rename in ``src/`` would go unnoticed there.
-This test loads the tracer's table without changing anything under
-``perfbench/`` and checks every entry against the package.
+The same holds for a result whose ``len()`` stops counting what the tracer
+counts with it. These tests load the tracer without changing anything under
+``perfbench/`` and check both against the package.
 """
 import importlib
 import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
+import pytest
+
+from wtal.localization import (LocalizeConfig, StreamScores, fuse_scores, localize_video,
+                               upsample)
+
+from oracles import propose_reference
+
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
 
-def test_every_traced_function_exists(monkeypatch):
+@pytest.fixture
+def tracing(monkeypatch):
     spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
-    tracing = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, tracing)  # dataclasses look it up
-    spec.loader.exec_module(tracing)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # dataclasses look it up
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_function_exists(tracing):
     assert tracing.TRACED
     missing = [f"{module}.{name}" for module, name, _ in tracing.TRACED
                if not callable(getattr(importlib.import_module(f"wtal.{module}"), name,
                                        None))]
     assert missing == []
+
+
+def test_localization_counters_count_candidates_and_kept_detections(tracing, rng):
+    # localization.candidates sums len(propose(...)) and localization.nms_kept
+    # sums len(nms(...)): they must read the distinct candidate intervals
+    # and the detections that survive suppression
+    config = LocalizeConfig()
+    streams = [StreamScores(s_a=rng.normal(size=(40, 4)), s_f=rng.normal(size=40),
+                            p_video_class=np.array([0.6, 0.05, 0.4, 0.2]),
+                            snippet_stride=4, fps=25.0) for _ in range(2)]
+    tracer = tracing.Tracer()
+    with tracing.installed(tracer):
+        detections = localize_video(streams, 3, config)
+    distinct = 0
+    for scores in streams:
+        frames, _ = upsample(fuse_scores(scores.s_a, scores.s_f, 3), 4, 25.0)
+        distinct += sum(len(propose_reference(frames[:, c], config.proposal_thresholds,
+                                              25.0, float(scores.p_video_class[c]),
+                                              config.context_ratio))
+                        for c in (0, 2))
+    assert detections and tracer.missing == []
+    assert tracer.counts["localization.candidates"] == distinct > len(detections)
+    assert tracer.counts["localization.nms_kept"] == len(detections)
