@@ -8,10 +8,10 @@ from pathlib import Path
 
 from wtal.data import (SynthConfig, generate_synthetic, ground_truth_instances,
                        load_dataset, parse_manifest)
-from wtal.evaluation import THUMOS_GRID, Detection, GroundTruthInstance, map_report
-from wtal.localization import LocalizeConfig, StreamScores, localize_video
+from wtal.evaluation import THUMOS_GRID, map_report
+from wtal.localization import LocalizeConfig, localize_split
 from wtal.losses import LossWeights
-from wtal.model import ModelConfig, forward_scores, init_params
+from wtal.model import ModelConfig, init_params
 from wtal.training import TrainConfig, fit
 
 VARIANTS = {
@@ -29,18 +29,9 @@ def evaluate(manifest, weights, epochs, background):
     params = init_params(model_cfg, seed=train_cfg.seed, dtype=train_cfg.dtype)
     result = fit(load_dataset(manifest, "train", "rgb"), params, model_cfg,
                  weights, train_cfg)
-    dets = []
-    for sample in load_dataset(manifest, "test", "rgb"):
-        scores = forward_scores(sample.features, result.params, model_cfg)
-        for inst in localize_video(
-                [StreamScores(scores.s_a, scores.s_f, scores.p_video_class,
-                              sample.snippet_stride, sample.fps)],
-                len(manifest.classes), LocalizeConfig()):
-            dets.append(Detection(sample.video_id, inst.class_id, inst.score,
-                                  inst.start, inst.end))
-    gts = [GroundTruthInstance(v, c, s, e)
-           for v, c, s, e in ground_truth_instances(manifest, "test")]
-    return map_report(dets, gts, THUMOS_GRID, len(manifest.classes)).average_map
+    dets = localize_split(manifest, "test", {"rgb": (result.params, model_cfg)}, LocalizeConfig())
+    return map_report(dets, ground_truth_instances(manifest, "test"), THUMOS_GRID,
+                      len(manifest.classes)).average_map
 
 
 def main():

@@ -12,11 +12,10 @@ from pathlib import Path
 
 from wtal.data import (SynthConfig, generate_synthetic, ground_truth_instances,
                        load_dataset, parse_manifest)
-from wtal.evaluation import (THUMOS_GRID, Detection, GroundTruthInstance,
-                             format_report, map_report)
-from wtal.localization import LocalizeConfig, StreamScores, localize_video
+from wtal.evaluation import THUMOS_GRID, format_report, map_report
+from wtal.localization import LocalizeConfig, localize_split
 from wtal.losses import LossWeights
-from wtal.model import ModelConfig, forward_scores, init_params
+from wtal.model import ModelConfig, init_params
 from wtal.training import TrainConfig, fit
 
 
@@ -48,18 +47,9 @@ def main():
     print(f"trained {args.epochs} epochs in {time.perf_counter() - started:.0f}s, "
           f"final loss {result.history[-1].loss_total:.4f}")
 
-    dets = []
-    for sample in load_dataset(manifest, "test", "rgb"):
-        scores = forward_scores(sample.features, result.params, model_cfg)
-        for inst in localize_video(
-                [StreamScores(scores.s_a, scores.s_f, scores.p_video_class,
-                              sample.snippet_stride, sample.fps)],
-                len(manifest.classes), LocalizeConfig()):
-            dets.append(Detection(sample.video_id, inst.class_id, inst.score,
-                                  inst.start, inst.end))
-    gts = [GroundTruthInstance(v, c, s, e)
-           for v, c, s, e in ground_truth_instances(manifest, "test")]
-    report = map_report(dets, gts, THUMOS_GRID, len(manifest.classes))
+    dets = localize_split(manifest, "test", {"rgb": (result.params, model_cfg)}, LocalizeConfig())
+    report = map_report(dets, ground_truth_instances(manifest, "test"), THUMOS_GRID,
+                        len(manifest.classes))
     print()
     print(format_report(report, manifest.classes))
 

@@ -322,36 +322,12 @@ def backward(tape: Tape, loss_ref: int, corrupt_op: str | None = None) -> dict[s
     return grads
 
 
-def replay(tape: Tape) -> list[np.ndarray]:
-    """Re-run every recorded op from the leaves; used to assert bit-identity."""
-    values: list[np.ndarray] = []
-    for node in tape.nodes:
-        if node.op == "leaf":
-            values.append(node.value)
-        else:
-            value, _ = _forward(node.op, [values[i] for i in node.inputs], node.meta)
-            values.append(value)
-    return values
-
-
-def replay_is_identical(tape: Tape) -> bool:
-    fresh = replay(tape)
-    return all(
-        a.dtype == b.value.dtype and a.tobytes() == b.value.tobytes()
-        for a, b in zip(fresh, tape.nodes)
-    )
-
-
 @dataclass
 class GradCheckResult:
     max_rel_error: float
     worst_param: str | None
     worst_index: tuple | None
     failures: list[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures and np.isfinite(self.max_rel_error)
 
 
 def finite_diff_check(f, params: dict[str, np.ndarray], step: float,

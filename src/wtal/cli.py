@@ -13,8 +13,10 @@ import json
 import os
 import sys
 import time
-from dataclasses import fields
+from functools import partial
 from pathlib import Path
+from types import UnionType
+from typing import Union, get_args, get_origin, get_type_hints
 
 CONFIG_VERSION = 1
 CONFIG_SECTIONS = ("model", "train", "loss", "localize", "synth")
@@ -26,12 +28,14 @@ def _fail(message: str, code: int = 2) -> int:
 
 
 def load_run_config(path: str | None, overrides: list[str]) -> dict:
+    from .data import read_json
     from .errors import ConfigError
 
     cfg: dict[str, dict] = {section: {} for section in CONFIG_SECTIONS}
     if path is not None:
-        with open(path) as fh:
-            doc = json.load(fh)
+        doc = read_json(path, ConfigError)
+        if not isinstance(doc, dict):
+            raise ConfigError(f"{path}: expected a JSON object")
         if doc.pop("config_version", CONFIG_VERSION) != CONFIG_VERSION:
             raise ConfigError(f"config_version must be {CONFIG_VERSION}")
         for section, mapping in doc.items():
@@ -54,19 +58,33 @@ def load_run_config(path: str | None, overrides: list[str]) -> dict:
     return cfg
 
 
+def _has_type(value, hint) -> bool:
+    """Whether a JSON value fits a config field's type hint: an int is a
+    float, a list is a tuple, and a bool is neither an int nor a float."""
+    origin, args = get_origin(hint), get_args(hint)
+    if origin in (Union, UnionType):
+        return any(_has_type(value, arg) for arg in args)
+    if origin is tuple:  # every config tuple holds one element type
+        return isinstance(value, (list, tuple)) and all(_has_type(v, args[0]) for v in value) \
+            and (args[-1] is Ellipsis or len(value) == len(args))
+    return isinstance(value, {float: (int, float)}.get(hint, hint)) \
+        and (hint is bool or not isinstance(value, bool))
+
+
 def _build(cls, mapping: dict, **fixed):
     from .errors import ConfigError
 
-    allowed = {f.name for f in fields(cls)}
-    unknown = set(mapping) - allowed
+    hints = get_type_hints(cls)
+    unknown = set(mapping) - set(hints)
     if unknown:
         raise ConfigError(f"unknown {cls.__name__} keys: {sorted(unknown)}")
-    merged = {**mapping, **fixed}
-    for key in ("embed_dims", "temperatures", "proposal_thresholds", "snippet_range",
-                "instances_range", "instance_len_range", "streams"):
-        if key in merged and isinstance(merged[key], list):
-            merged[key] = tuple(merged[key])
-    return cls(**merged)
+    values = {}
+    for key, value in mapping.items():
+        if not _has_type(value, hints[key]):
+            expected = hints[key].__name__ if isinstance(hints[key], type) else hints[key]
+            raise ConfigError(f"{cls.__name__}.{key} must be {expected}, got {value!r}")
+        values[key] = tuple(value) if isinstance(value, list) else value
+    return cls(**{**values, **fixed})
 
 
 def cmd_synth(args) -> int:
@@ -132,11 +150,10 @@ def cmd_train(args) -> int:
 
 
 def cmd_localize(args) -> int:
-    from .data import load_dataset, parse_manifest
-    from .localization import (DetectionRecord, LocalizeConfig, StreamScores,
-                               localize_video, write_detections_csv,
+    from .data import parse_manifest
+    from .localization import (LocalizeConfig, localize_split, write_detections_csv,
                                write_detections_json)
-    from .model import forward_scores, load_checkpoint
+    from .model import load_checkpoint
 
     cfg = load_run_config(args.config, args.set)
     loc_cfg = _build(LocalizeConfig, cfg["localize"])
@@ -150,44 +167,25 @@ def cmd_localize(args) -> int:
             return _fail(f"checkpoint for {stream} has {model_cfg.num_classes} classes, "
                          f"manifest has {len(manifest.classes)}")
         models[stream] = (params, model_cfg)
-    datasets = {stream: {s.video_id: s for s in load_dataset(manifest, args.split, stream)}
-                for stream in streams}
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    dump_dir = None
+    dump = None
     if args.score_dump:
-        dump_dir = Path(args.score_dump)
-        dump_dir.mkdir(parents=True, exist_ok=True)
-    records: list[DetectionRecord] = []
-    for entry in manifest.split(args.split):
-        stream_scores = []
-        for stream in streams:
-            sample = datasets[stream][entry.video_id]
-            params, model_cfg = models[stream]
-            scores = forward_scores(sample.features, params, model_cfg)
-            stream_scores.append(StreamScores(
-                s_a=scores.s_a, s_f=scores.s_f,
-                p_video_class=scores.p_video_class,
-                snippet_stride=sample.snippet_stride, fps=sample.fps))
-            if dump_dir is not None:
-                _dump_scores(dump_dir / f"{entry.video_id}_{stream}.tsv",
-                             scores, manifest.classes)
-        instances = localize_video(stream_scores, len(manifest.classes), loc_cfg)
-        records.extend(DetectionRecord(
-            video_id=entry.video_id, class_id=inst.class_id,
-            label=manifest.classes[inst.class_id], score=inst.score,
-            start=inst.start, end=inst.end) for inst in instances)
-    write_detections_csv(out_dir / "detections.csv", records)
-    write_detections_json(out_dir / "detections.json", records)
-    print(f"{len(records)} detections for {len(manifest.split(args.split))} videos "
+        Path(args.score_dump).mkdir(parents=True, exist_ok=True)
+        dump = partial(_dump_scores, Path(args.score_dump), manifest.classes)
+    detections = localize_split(manifest, args.split, models, loc_cfg, dump)
+    write_detections_csv(out_dir / "detections.csv", detections, manifest.classes)
+    write_detections_json(out_dir / "detections.json", detections, manifest.classes)
+    print(f"{len(detections)} detections for {len(manifest.split(args.split))} videos "
           f"-> {out_dir / 'detections.csv'}")
     return 0
 
 
-def _dump_scores(path, scores, class_names) -> None:
-    """One row per snippet: its index, S_f, then S_a per class, as plain floats."""
+def _dump_scores(dump_dir, class_names, stream, sample, scores) -> None:
+    """``<video>_<stream>.tsv`` in ``dump_dir``, one row per snippet: its
+    index, S_f, then S_a per class, as plain floats."""
     rows = zip(scores.s_f.tolist(), scores.s_a[:, :len(class_names)].tolist())
-    with open(path, "w") as fh:
+    with open(dump_dir / f"{sample.video_id}_{stream}.tsv", "w") as fh:
         fh.write("snippet\tfore_score\t" + "\t".join(class_names) + "\n")
         for t, (fore, row) in enumerate(rows):
             fh.write("\t".join(map(repr, [t, fore, *row])) + "\n")
@@ -195,21 +193,15 @@ def _dump_scores(path, scores, class_names) -> None:
 
 def cmd_eval(args) -> int:
     from .data import ground_truth_instances, parse_manifest
-    from .evaluation import (ACTIVITYNET_GRID, THUMOS_GRID, Detection,
-                             GroundTruthInstance, format_report, map_report,
+    from .evaluation import (ACTIVITYNET_GRID, THUMOS_GRID, format_report, map_report,
                              write_report_json)
     from .localization import read_detections
 
     manifest = parse_manifest(args.manifest)
     grid = THUMOS_GRID if args.grid == "thumos" else ACTIVITYNET_GRID
-    detections = [
-        Detection(video_id=r.video_id, class_id=r.class_id, score=r.score,
-                  start=r.start, end=r.end)
-        for r in read_detections(args.detections, manifest.classes)
-    ]
-    gts = [GroundTruthInstance(video_id=v, class_id=c, start=s, end=e)
-           for v, c, s, e in ground_truth_instances(manifest, args.split)]
-    report = map_report(detections, gts, grid, len(manifest.classes))
+    detections = read_detections(args.detections, manifest.classes)
+    report = map_report(detections, ground_truth_instances(manifest, args.split), grid,
+                        len(manifest.classes))
     print(format_report(report, manifest.classes))
     if args.out:
         write_report_json(args.out, report, manifest.classes)
@@ -362,7 +354,7 @@ def main(argv=None) -> int:
     except (ConfigError, ManifestError) as exc:
         return _fail(str(exc), code=2)
     except (ContractError, InputError, FormatError, NonFiniteGradientError,
-            FileNotFoundError) as exc:
+            OSError) as exc:  # an OSError names its path
         return _fail(str(exc), code=1)
 
 

@@ -144,6 +144,15 @@ class Manifest:
         return [v for v in self.videos if v.split == tag]
 
 
+def read_json(path, error: type[Exception]):
+    """The JSON document in ``path``; ``error`` naming the file if it is not JSON."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+            raise error(f"{path}: not valid JSON ({exc})") from None
+
+
 def parse_manifest(path) -> Manifest:
     """Parse and fully validate a manifest JSON document.
 
@@ -155,12 +164,8 @@ def parse_manifest(path) -> Manifest:
     fps, T from the feature header).
     """
     path = Path(path)
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ManifestError(f"manifest {path} is not valid JSON: {exc}") from exc
-    if doc.get("schema_version") != MANIFEST_VERSION:
+    doc = read_json(path, ManifestError)
+    if not isinstance(doc, dict) or doc.get("schema_version") != MANIFEST_VERSION:
         raise ManifestError(f"manifest schema_version must be {MANIFEST_VERSION}")
     classes = doc.get("classes")
     if not classes or len(set(classes)) != len(classes):
@@ -252,13 +257,19 @@ def load_dataset(manifest: Manifest, split: str, stream: str) -> list[VideoSampl
     return samples
 
 
-def ground_truth_instances(manifest: Manifest, split: str):
-    """(video_id, class_id, start, end) tuples for one split."""
-    out = []
-    for entry in manifest.split(split):
-        for gt in entry.ground_truth:
-            out.append((entry.video_id, manifest.class_index(gt.label), gt.start, gt.end))
-    return out
+@dataclass(frozen=True)
+class GroundTruthInstance:
+    video_id: str
+    class_id: int
+    start: float
+    end: float
+
+
+def ground_truth_instances(manifest: Manifest, split: str) -> list[GroundTruthInstance]:
+    """The ground-truth spans of one split, labels as class ids."""
+    return [GroundTruthInstance(entry.video_id, manifest.class_index(gt.label), gt.start,
+                                gt.end)
+            for entry in manifest.split(split) for gt in entry.ground_truth]
 
 
 @dataclass

@@ -8,66 +8,67 @@ from operator import itemgetter
 
 import numpy as np
 
-from .data import atomic_write
+from .data import GroundTruthInstance, atomic_write
 from .errors import ContractError
 
 THUMOS_GRID = tuple(round(0.1 * i, 1) for i in range(1, 8))          # 0.1:0.1:0.7
 ACTIVITYNET_GRID = tuple(round(0.5 + 0.05 * i, 2) for i in range(10))  # 0.5:0.05:0.95
 
 
-def tiou(a: tuple[float, float], b: tuple[float, float]) -> float:
-    """Temporal intersection over union; zero-length intervals overlap nothing."""
-    inter = max(0.0, min(a[1], b[1]) - max(a[0], b[0]))
-    union = max(a[1], b[1]) - min(a[0], b[0])
-    if union <= 0:
-        return 0.0
-    return inter / union
-
-
 def tiou_array(a_start, a_end, b_start, b_end) -> np.ndarray:
-    """``tiou`` elementwise over broadcast float64 arrays, with the same
-    operations in the same order, so every entry has the same bits."""
+    """Temporal intersection over union elementwise over broadcast float64
+    arrays; a zero-length interval overlaps nothing."""
     inter = np.maximum(0.0, np.minimum(a_end, b_end) - np.maximum(a_start, b_start))
     union = np.maximum(a_end, b_end) - np.minimum(a_start, b_start)
     return np.divide(inter, union, out=np.zeros_like(inter), where=union > 0)
 
 
 @dataclass(frozen=True)
-class Detection:
-    video_id: str
-    class_id: int
-    score: float
-    start: float
-    end: float
+class Detections:
+    """Scored detections as one column table.
+
+    Row ``i`` claims class ``class_id[i]`` over ``[start[i], end[i])``
+    seconds of video ``video_ids[video[i]]`` with ``score[i]``. Each video
+    id appears once in ``video_ids``; a video may have no rows.
+    """
+    video_ids: tuple[str, ...]
+    video: np.ndarray     # int64 row -> index into video_ids
+    class_id: np.ndarray  # int64
+    start: np.ndarray     # float64 seconds
+    end: np.ndarray       # float64 seconds
+    score: np.ndarray     # float64
+
+    def __len__(self) -> int:
+        return len(self.score)
+
+    def take(self, rows) -> Detections:
+        """The rows selected by ``rows`` (indices or a boolean mask)."""
+        return Detections(self.video_ids, self.video[rows], self.class_id[rows],
+                          self.start[rows], self.end[rows], self.score[rows])
+
+    @staticmethod
+    def concat(tables) -> Detections:
+        """The rows of ``tables`` in order; a video id in several tables is one video."""
+        ids: dict[str, int] = {}
+        parts = [(np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0), np.empty(0),
+                  np.empty(0))]
+        for t in tables:
+            remap = np.array([ids.setdefault(v, len(ids)) for v in t.video_ids], dtype=np.int64)
+            parts.append((remap[t.video], t.class_id, t.start, t.end, t.score))
+        return Detections(tuple(ids), *(np.concatenate(column) for column in zip(*parts)))
 
 
-@dataclass(frozen=True)
-class GroundTruthInstance:
-    video_id: str
-    class_id: int
-    start: float
-    end: float
+def _rank_order(detections: Detections) -> np.ndarray:
+    """Row indices in the order of the key (-score, video id, start, end,
+    class id), equal keys in row order, as ``sorted`` with that key gives.
+    A NaN score ranks last."""
+    ids = detections.video_ids
+    rank = np.argsort(sorted(range(len(ids)), key=ids.__getitem__))  # index -> id rank
+    return np.lexsort((detections.class_id, detections.end, detections.start,
+                       rank[detections.video], -detections.score))
 
 
-def _rank_order(detections: list[Detection]) -> np.ndarray:
-    """Indices of ``detections`` in the order of the key (-score, video_id,
-    start, end, class_id), equal keys in input order: ``sorted`` with that
-    key gives the same order. A stable numpy sort orders the scores; only
-    runs of equal scores are sorted by the rest of the key in Python. A NaN
-    score ranks last."""
-    score = np.array([d.score for d in detections], dtype=np.float64)
-    order = np.argsort(-score, kind="stable")
-    tied = np.concatenate([[0], np.diff(score[order]) == 0, [0]]).astype(np.int8)
-    edges = np.flatnonzero(np.diff(tied)).tolist()
-    for lo, hi in zip(edges[::2], edges[1::2]):
-        run = order[lo:hi + 1].tolist()
-        run.sort(key=lambda i: (detections[i].video_id, detections[i].start,
-                                detections[i].end, detections[i].class_id))
-        order[lo:hi + 1] = run
-    return order
-
-
-def average_precision(detections: list[Detection],
+def average_precision(detections: Detections,
                       ground_truths: list[GroundTruthInstance],
                       tiou_threshold: float) -> float:
     """Uninterpolated AP: greedy best-overlap matching in score order, each
@@ -75,9 +76,9 @@ def average_precision(detections: list[Detection],
 
     Equal bit for bit to the quadratic definition: walk the detections in
     ``_rank_order``; match each to the unmatched ground truth of its video,
-    in (start, end) order, with the largest ``tiou`` that is positive and at
-    least the threshold, the first one on a tie; and add ``true_pos / rank``
-    at each match. The overlaps of all same-video pairs
+    in (start, end) order, with the largest temporal IoU that is positive
+    and at least the threshold, the first one on a tie; and add
+    ``true_pos / rank`` at each match. The overlaps of all same-video pairs
     come from ``tiou_array`` in one pass, and the greedy walk visits only
     the pairs that pass the threshold, summing in the same order.
     """
@@ -87,22 +88,22 @@ def average_precision(detections: list[Detection],
     span: dict[str, list[int]] = {}  # video -> [first, stop) in gts
     for j, g in enumerate(gts):
         span.setdefault(g.video_id, [j, j])[1] = j + 1
+    bounds = np.array([span.get(v, (0, 0)) for v in detections.video_ids],
+                      dtype=np.int64).reshape(-1, 2)
     order = _rank_order(detections)
+    first, stop = bounds[detections.video[order]].T
     # only detections in a video with ground truth can match; keep their ranks
-    in_gt_video = np.array([d.video_id in span for d in detections], dtype=bool)
-    positions = np.flatnonzero(in_gt_video[order])
-    dets = [detections[i] for i in order[positions].tolist()]
+    positions = np.flatnonzero(stop > first)
+    order, first = order[positions], first[positions]
+    counts = stop[positions] - first
     ranks = (positions + 1).tolist()
-    first = np.array([span[d.video_id][0] for d in dets], dtype=np.int64)
-    counts = np.array([span[d.video_id][1] for d in dets], dtype=np.int64) - first
     # one (detection, ground truth) pair per ground truth of the detection's
     # video, detection-major in rank order, ground truths in (start, end) order
-    det_idx = np.repeat(np.arange(len(dets)), counts)
+    det_idx = np.repeat(np.arange(len(order)), counts)
     gt_idx = np.arange(det_idx.size) + np.repeat(first - (np.cumsum(counts) - counts),
                                                  counts)
     overlap = tiou_array(
-        np.array([d.start for d in dets], dtype=np.float64)[det_idx],
-        np.array([d.end for d in dets], dtype=np.float64)[det_idx],
+        detections.start[order][det_idx], detections.end[order][det_idx],
         np.array([g.start for g in gts], dtype=np.float64)[gt_idx],
         np.array([g.end for g in gts], dtype=np.float64)[gt_idx])
     hit = np.flatnonzero((overlap >= tiou_threshold) & (overlap > 0.0))
@@ -132,16 +133,14 @@ class EvalReport:
     classes_with_gt: tuple[int, ...]
 
 
-def map_report(detections: list[Detection], ground_truths: list[GroundTruthInstance],
+def map_report(detections: Detections, ground_truths: list[GroundTruthInstance],
                thresholds, num_classes: int) -> EvalReport:
     """mAP at each threshold, averaged over classes that have ground truth."""
     thresholds = tuple(float(t) for t in thresholds)
     if not thresholds:
         raise ContractError("threshold grid must be non-empty")
-    det_by_class = {c: [] for c in range(num_classes)}
+    det_by_class = {c: detections.take(detections.class_id == c) for c in range(num_classes)}
     gt_by_class = {c: [] for c in range(num_classes)}
-    for d in detections:
-        det_by_class[d.class_id].append(d)
     for g in ground_truths:
         gt_by_class[g.class_id].append(g)
     with_gt = tuple(c for c in range(num_classes) if gt_by_class[c])

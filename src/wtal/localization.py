@@ -9,29 +9,18 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
 from .errors import ConfigError, ContractError, FormatError, InputError
-from .data import atomic_write
-from .evaluation import tiou_array
+from .data import atomic_write, load_dataset, read_json
+from .evaluation import Detections, tiou_array
+from .model import forward_scores
 
 # Cap on the bytes of one pairwise-overlap block in ``nms``.
 NMS_BLOCK_BYTES = 2 << 20
-
-
-@dataclass
-class ActionInstance:
-    class_id: int
-    score: float
-    start: float  # seconds
-    end: float    # seconds
-
-    def __post_init__(self):
-        if not 0 <= self.start < self.end:
-            raise ContractError(f"invalid instance interval [{self.start}, {self.end})")
 
 
 @dataclass
@@ -181,141 +170,191 @@ def nms(candidates: np.ndarray, tiou_threshold: float) -> np.ndarray:
     return pool[alive]
 
 
-def localize_stream(scores: StreamScores, num_classes: int,
-                    config: LocalizeConfig) -> dict[int, np.ndarray]:
-    """Candidate rows of ``propose`` for each class the stream does not reject."""
-    fused = fuse_scores(scores.s_a, scores.s_f, num_classes, config.fusion_weight)
-    frames, _ = upsample(fused, scores.snippet_stride, scores.fps)
-    candidates: dict[int, np.ndarray] = {}
-    for c in range(num_classes):
-        conf = float(scores.p_video_class[c])
-        if conf < config.class_reject_threshold:
-            continue
-        candidates[c] = propose(frames[:, c], config.proposal_thresholds, scores.fps,
-                                conf, config.context_ratio, config.include_class_conf)
-    return candidates
-
-
 def localize_video(streams: list[StreamScores], num_classes: int,
-                   config: LocalizeConfig) -> list[ActionInstance]:
-    """Pool candidates from one or two streams, then class-wise NMS.
+                   config: LocalizeConfig, video_id: str) -> Detections:
+    """Pool the ``propose`` candidates of each class that a stream does not
+    reject, from one or two streams, then class-wise NMS.
 
-    Detections come out by (-score, start, end, class_id).
+    The detections of video ``video_id``, by (-score, start, end, class_id).
     """
     if not 1 <= len(streams) <= 2:
         raise ContractError(f"expected 1 or 2 streams, got {len(streams)}")
-    per_stream = [localize_stream(scores, num_classes, config) for scores in streams]
-    kept, class_ids = [], []
-    for c in range(num_classes):
-        pooled = [candidates[c] for candidates in per_stream if c in candidates]
-        if pooled:
-            kept.append(nms(np.concatenate(pooled), config.nms_tiou))
-            class_ids.append(np.full(len(kept[-1]), c))
-    if not kept:
-        return []
+    pooled: dict[int, list[np.ndarray]] = {}
+    for scores in streams:
+        fused = fuse_scores(scores.s_a, scores.s_f, num_classes, config.fusion_weight)
+        frames, _ = upsample(fused, scores.snippet_stride, scores.fps)
+        for c in range(num_classes):
+            conf = float(scores.p_video_class[c])
+            if conf >= config.class_reject_threshold:
+                pooled.setdefault(c, []).append(propose(
+                    frames[:, c], config.proposal_thresholds, scores.fps, conf,
+                    config.context_ratio, config.include_class_conf))
+    kept, class_ids = [np.empty((0, 3))], [np.empty(0, dtype=np.int64)]
+    for c, candidates in sorted(pooled.items()):
+        kept.append(nms(np.concatenate(candidates), config.nms_tiou))
+        class_ids.append(np.full(len(kept[-1]), c, dtype=np.int64))
     rows = np.concatenate(kept)
     class_id = np.concatenate(class_ids)
     order = np.lexsort((class_id, rows[:, 1], rows[:, 0], -rows[:, 2]))
-    return [ActionInstance(class_id=c, score=q, start=s, end=e)
-            for c, (s, e, q) in zip(class_id[order].tolist(), rows[order].tolist())]
+    start, end, score = rows[order].T
+    bad = np.flatnonzero(~((0 <= start) & (start < end)))
+    if bad.size:
+        raise ContractError(f"invalid instance interval [{start[bad[0]]}, {end[bad[0]]})")
+    return Detections((video_id,), np.zeros(len(order), dtype=np.int64), class_id[order],
+                      start, end, score)
 
 
-@dataclass
-class DetectionRecord:
-    video_id: str
-    class_id: int
-    label: str
-    score: float
-    start: float
-    end: float
+def localize_split(manifest, split: str, models: dict, config: LocalizeConfig,
+                   on_scores=None) -> Detections:
+    """Forward pass and ``localize_video`` for each video of a manifest split,
+    as one table in manifest order. ``models`` maps each stream to its
+    ``(params, model_config)``; ``on_scores(stream, sample, scores)``, if
+    given, sees the scores of each forward pass."""
+    tables = []
+    for videos in zip(*(load_dataset(manifest, split, stream) for stream in models)):
+        stream_scores = []
+        for (stream, (params, model_config)), sample in zip(models.items(), videos):
+            scores = forward_scores(sample.features, params, model_config)
+            if on_scores is not None:
+                on_scores(stream, sample, scores)
+            stream_scores.append(StreamScores(scores.s_a, scores.s_f, scores.p_video_class,
+                                              sample.snippet_stride, sample.fps))
+        tables.append(localize_video(stream_scores, len(manifest.classes), config,
+                                     videos[0].video_id))
+    return Detections.concat(tables)
 
 
 DETECTIONS_HEADER = ["video_id", "label", "t_start", "t_end", "score"]
 
 
-def write_detections_csv(path, records: list[DetectionRecord]) -> None:
+def write_detections_csv(path, detections: Detections, class_names: list[str]) -> None:
+    """One row per detection, in table order, floats as their ``repr``."""
     with atomic_write(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(DETECTIONS_HEADER)
-        for r in records:
-            writer.writerow([r.video_id, r.label, repr(r.start), repr(r.end), repr(r.score)])
+        writer.writerows(zip(map(detections.video_ids.__getitem__, detections.video.tolist()),
+                             map(class_names.__getitem__, detections.class_id.tolist()),
+                             map(repr, detections.start.tolist()),
+                             map(repr, detections.end.tolist()),
+                             map(repr, detections.score.tolist())))
 
 
-def write_detections_json(path, records: list[DetectionRecord]) -> None:
+def write_detections_json(path, detections: Detections, class_names: list[str]) -> None:
     """Compact ``{"results": {video_id: [...]}}``, encoded one video at a time
-    so that no string of the whole document is built."""
-    results: dict[str, list] = {}
-    for r in records:
-        results.setdefault(r.video_id, []).append(
-            {"label": r.label, "score": r.score, "segment": [r.start, r.end]})
+    so that no string of the whole document is built. Videos with detections
+    come in ``video_ids`` order, their detections in row order, and floats
+    as their ``repr``, which is how ``json`` writes a finite float."""
+    rows = np.argsort(detections.video, kind="stable")
+    labels = [json.dumps(name) for name in class_names]
+    items = ['{"label": %s, "score": %r, "segment": [%r, %r]}' % row for row in zip(
+        map(labels.__getitem__, detections.class_id[rows].tolist()),
+        detections.score[rows].tolist(), detections.start[rows].tolist(),
+        detections.end[rows].tolist())]
+    counts = np.bincount(detections.video, minlength=len(detections.video_ids)).tolist()
     with atomic_write(path) as fh:
         fh.write('{"results": {')
-        for k, (video_id, dets) in enumerate(results.items()):
-            fh.write(f"{', ' if k else ''}{json.dumps(video_id)}: {json.dumps(dets)}")
+        lo = 0
+        for video_id, count in zip(detections.video_ids, counts):
+            if count:
+                fh.write(f"{', ' if lo else ''}{json.dumps(video_id)}: "
+                         f"[{', '.join(items[lo:lo + count])}]")
+                lo += count
         fh.write("}}")
 
 
-def _record(where: str, index: dict[str, int], video_id, label, score, start,
-            end) -> DetectionRecord:
-    if not isinstance(label, str) or label not in index:
-        raise FormatError(f"{where}: unknown class label {label!r}")
-    try:
-        record = DetectionRecord(video_id=video_id, class_id=index[label], label=label,
-                                 score=float(score), start=float(start), end=float(end))
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise FormatError(f"{where}: score and segment bounds must be numbers ({exc})") \
-            from None
-    if not (math.isfinite(record.score) and math.isfinite(record.start)
-            and math.isfinite(record.end)):
-        raise FormatError(f"{where}: non-finite detection (score {record.score!r}, "
-                          f"segment [{record.start!r}, {record.end!r}])")
-    return record
-
-
-def read_detections(path, class_names: list[str]) -> list[DetectionRecord]:
-    """Read either the CSV or the JSON detections format (by extension).
-
-    Anything malformed raises ``FormatError`` naming the file and the video:
-    text that does not parse, a missing CSV column or JSON key, a
-    ``segment`` that is not ``[start, end]``, an unknown label, or a score or
-    bound that is not a number or is NaN or infinite (``nan``/``inf`` in CSV,
-    the ``NaN``/``Infinity`` literals in JSON).
-    """
-    index = {name: i for i, name in enumerate(class_names)}
-    records: list[DetectionRecord] = []
-    path = str(path)
-    if path.endswith(".json"):
-        try:
-            with open(path) as fh:
-                payload = json.load(fh)
-        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
-            raise FormatError(f"{path}: not valid JSON ({exc})") from None
-        results = payload.get("results") if isinstance(payload, dict) else None
-        if not isinstance(results, dict):
-            raise FormatError(f'{path}: expected an object with a "results" object')
-        for video_id, dets in results.items():
-            where = f"{path}: video {video_id}"
-            if not isinstance(dets, list):
-                raise FormatError(f"{where}: detections must be a list")
-            for d in dets:
-                try:
-                    label, score, (start, end) = d["label"], d["score"], d["segment"]
-                except (KeyError, TypeError, ValueError):
-                    raise FormatError(f'{where}: a detection must be {{"label", "score", '
-                                      f'"segment": [start, end]}}') from None
-                records.append(_record(where, index, video_id, label, score, start, end))
-        return records
+def _csv_rows(path: str):
+    """The cells of each CSV detection, read as ``csv.DictReader`` reads them:
+    the first line is the header, a repeated name reads its last column, blank
+    lines are skipped, and a short row reads ``None`` for its missing cells."""
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
+        reader = csv.reader(fh)
         try:
-            missing = [c for c in DETECTIONS_HEADER if c not in (reader.fieldnames or ())]
+            header = next(reader, [])
+            column = {name: i for i, name in enumerate(header)}
+            missing = [c for c in DETECTIONS_HEADER if c not in column]
             if missing:
                 raise FormatError(f"{path}: missing column(s) {', '.join(missing)}")
+            cells = itemgetter(*(column[c] for c in ("video_id", "label", "score", "t_start",
+                                                     "t_end")))
+            pad = [None] * len(header)
             for row in reader:
-                records.append(_record(f"{path}: video {row['video_id']}", index,
-                                       row["video_id"], row["label"], row["score"],
-                                       row["t_start"], row["t_end"]))
+                if row:
+                    yield cells(row + pad)
         except (csv.Error, UnicodeDecodeError) as exc:
             raise FormatError(f"{path}: line {reader.line_num}: not valid CSV ({exc})") \
                 from None
-    return records
+
+
+def _json_rows(path: str):
+    """The cells of each JSON detection, videos and detections in file order."""
+    payload = read_json(path, FormatError)
+    results = payload.get("results") if isinstance(payload, dict) else None
+    if not isinstance(results, dict):
+        raise FormatError(f'{path}: expected an object with a "results" object')
+    for video_id, dets in results.items():
+        if not isinstance(dets, list):
+            raise FormatError(f"{path}: video {video_id}: detections must be a list")
+        for d in dets:
+            try:
+                label, score, (start, end) = d["label"], d["score"], d["segment"]
+            except (KeyError, TypeError, ValueError):
+                raise FormatError(f'{path}: video {video_id}: a detection must be '
+                                  f'{{"label", "score", "segment": [start, end]}}') from None
+            yield video_id, label, score, start, end
+
+
+def _check_row(path: str, index: dict[str, int], video_id, label, score, start,
+               end) -> None:
+    """Raise the ``FormatError`` of one bad detection."""
+    if video_id is None:
+        raise FormatError(f"{path}: a detection has no video_id")
+    where = f"{path}: video {video_id}"
+    if not isinstance(label, str) or label not in index:
+        raise FormatError(f"{where}: unknown class label {label!r}")
+    try:
+        score, start, end = float(score), float(start), float(end)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise FormatError(f"{where}: score and segment bounds must be numbers ({exc})") \
+            from None
+    if not np.isfinite((score, start, end)).all():
+        raise FormatError(f"{where}: non-finite detection (score {score!r}, "
+                          f"segment [{start!r}, {end!r}])")
+
+
+def read_detections(path, class_names: list[str]) -> Detections:
+    """Read either the CSV or the JSON detections format (by extension).
+
+    Anything malformed raises ``FormatError`` naming the file and the video:
+    text that does not parse, a missing CSV column or JSON key, a CSV row
+    without a video id, a ``segment`` that is not ``[start, end]``, an
+    unknown label, or a score or bound that is not a number or is NaN or
+    infinite (``nan``/``inf`` in CSV, the ``NaN``/``Infinity`` literals in
+    JSON). Columns are checked whole; the error names the first bad detection
+    in file order, ahead of any later fault in the file's structure.
+    """
+    path = str(path)
+    index = {name: i for i, name in enumerate(class_names)}
+    rows: list[tuple] = []
+    try:
+        rows.extend(_json_rows(path) if path.endswith(".json") else _csv_rows(path))
+        fault = None
+    except FormatError as exc:  # rows holds every detection before it
+        fault = exc
+    videos, labels, *number_cells = zip(*rows) if rows else ((),) * 5
+    class_id = np.array([index.get(label, -1) if isinstance(label, str) else -1
+                         for label in labels], dtype=np.int64)
+    try:
+        numbers = np.array([list(map(float, cells)) for cells in number_cells],
+                           dtype=np.float64)
+    except (TypeError, ValueError, OverflowError):
+        numbers = None
+    if numbers is None or None in videos or (class_id < 0).any() \
+            or not np.isfinite(numbers).all():
+        for row in rows:
+            _check_row(path, index, *row)
+    if fault is not None:
+        raise fault
+    ids: dict[str, int] = {}
+    video = np.array([ids.setdefault(v, len(ids)) for v in videos], dtype=np.int64)
+    score, start, end = numbers
+    return Detections(tuple(ids), video, class_id, start, end, score)

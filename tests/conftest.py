@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from wtal.evaluation import Detections
 from wtal.model import ModelConfig, init_params
 
 
@@ -20,3 +21,24 @@ def tiny_config(**overrides) -> ModelConfig:
 def tiny_model(seed=0, **overrides):
     config = tiny_config(**overrides)
     return config, init_params(config, seed=seed, dtype=np.float64)
+
+
+def detections_table(rows) -> Detections:
+    """A table of (video_id, class_id, score, start, end) rows, videos in
+    order of first appearance."""
+    rows = list(rows)
+    ids = {}
+    video = [ids.setdefault(r[0], len(ids)) for r in rows]
+
+    def column(k, dtype):
+        return np.array([r[k] for r in rows], dtype=dtype)
+
+    return Detections(tuple(ids), np.array(video, dtype=np.int64), column(1, np.int64),
+                      column(3, np.float64), column(4, np.float64), column(2, np.float64))
+
+
+def table_rows(table: Detections) -> list[tuple]:
+    """The (video_id, class_id, score, start, end) rows of a table."""
+    return [(table.video_ids[v], c, q, s, e) for v, c, q, s, e in zip(
+        table.video.tolist(), table.class_id.tolist(), table.score.tolist(),
+        table.start.tolist(), table.end.tolist())]

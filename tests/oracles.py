@@ -3,19 +3,27 @@
 These deliberately re-derive results with different code paths than the
 package: quadratic loops instead of vectorized passes, per-tap loops
 instead of one im2col matmul, and rectangle integration of the
-precision-recall curve instead of the running-precision sum.
+precision-recall curve instead of the running-precision sum, and one
+record at a time instead of one column at a time for the detections files.
 """
+import csv
+import json
 import math
 
 import numpy as np
 
+from wtal.errors import FormatError
 
-def interval_iou(a, b):
-    lo = max(a[0], b[0])
-    hi = min(a[1], b[1])
-    inter = hi - lo if hi > lo else 0.0
+
+def tiou(a, b):
+    """Temporal intersection over union of two (start, end) pairs; a
+    zero-length interval overlaps nothing. ``evaluation.tiou_array`` must
+    give these bits elementwise."""
+    inter = max(0.0, min(a[1], b[1]) - max(a[0], b[0]))
     union = max(a[1], b[1]) - min(a[0], b[0])
-    return inter / union if union > 0 else 0.0
+    if union <= 0:
+        return 0.0
+    return inter / union
 
 
 def propose_reference(g, thresholds, fps, class_conf, context_ratio,
@@ -56,7 +64,7 @@ def nms_reference(items, threshold):
         kept.append(best)
         survivors = []
         for cand in remaining[1:]:
-            if interval_iou((best[1], best[2]), (cand[1], cand[2])) < threshold:
+            if tiou((best[1], best[2]), (cand[1], cand[2])) < threshold:
                 survivors.append(cand)
         remaining = survivors
     return kept
@@ -81,7 +89,7 @@ def ap_reference(dets, gts, threshold):
         for j, (gv, gs, ge) in enumerate(gts):
             if gv != video or matched[j]:
                 continue
-            ov = interval_iou((start, end), (gs, ge))
+            ov = tiou((start, end), (gs, ge))
             if ov >= threshold and ov > best_ov:
                 best_ov = ov
                 best_j = j
@@ -155,7 +163,7 @@ def ap_sequential(dets, gts, threshold):
         for j, (gv, gs, ge) in enumerate(pool):
             if gv != video or matched[j]:
                 continue
-            ov = interval_iou((start, end), (gs, ge))
+            ov = tiou((start, end), (gs, ge))
             if ov >= threshold and ov > best_ov:
                 best_ov = ov
                 best_j = j
@@ -164,3 +172,92 @@ def ap_sequential(dets, gts, threshold):
             true_pos += 1
             ap += true_pos / rank
     return ap / len(gts)
+
+
+DETECTIONS_HEADER = ["video_id", "label", "t_start", "t_end", "score"]
+
+
+def write_detections_csv_reference(path, rows):
+    """rows: (video_id, label, score, start, end). One ``writerow`` per detection."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(DETECTIONS_HEADER)
+        for video_id, label, score, start, end in rows:
+            writer.writerow([video_id, label, repr(start), repr(end), repr(score)])
+
+
+def write_detections_json_reference(path, rows):
+    """rows: (video_id, label, score, start, end). A dict per detection,
+    grouped per video in order of first appearance, ``json.dumps`` per video."""
+    results = {}
+    for video_id, label, score, start, end in rows:
+        results.setdefault(video_id, []).append(
+            {"label": label, "score": score, "segment": [start, end]})
+    with open(path, "w") as fh:
+        fh.write('{"results": {')
+        for k, (video_id, dets) in enumerate(results.items()):
+            fh.write(f"{', ' if k else ''}{json.dumps(video_id)}: {json.dumps(dets)}")
+        fh.write("}}")
+
+
+def _record(where, index, video_id, label, score, start, end):
+    if not isinstance(label, str) or label not in index:
+        raise FormatError(f"{where}: unknown class label {label!r}")
+    try:
+        record = (video_id, index[label], float(score), float(start), float(end))
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise FormatError(f"{where}: score and segment bounds must be numbers ({exc})") \
+            from None
+    if not all(math.isfinite(v) for v in record[2:]):
+        raise FormatError(f"{where}: non-finite detection (score {record[2]!r}, "
+                          f"segment [{record[3]!r}, {record[4]!r}])")
+    return record
+
+
+def read_detections_reference(path, class_names):
+    """(video_id, class_id, score, start, end) per detection in file order.
+
+    One record at a time through ``csv.DictReader`` or the parsed JSON, each
+    checked as it is read, so the ``FormatError`` names the first bad one. A
+    CSV row too short to hold a video id is an error.
+    """
+    index = {name: i for i, name in enumerate(class_names)}
+    records = []
+    path = str(path)
+    if path.endswith(".json"):
+        try:
+            with open(path) as fh:
+                payload = json.load(fh)
+        except ValueError as exc:
+            raise FormatError(f"{path}: not valid JSON ({exc})") from None
+        results = payload.get("results") if isinstance(payload, dict) else None
+        if not isinstance(results, dict):
+            raise FormatError(f'{path}: expected an object with a "results" object')
+        for video_id, dets in results.items():
+            where = f"{path}: video {video_id}"
+            if not isinstance(dets, list):
+                raise FormatError(f"{where}: detections must be a list")
+            for d in dets:
+                try:
+                    label, score, (start, end) = d["label"], d["score"], d["segment"]
+                except (KeyError, TypeError, ValueError):
+                    raise FormatError(f'{where}: a detection must be {{"label", "score", '
+                                      f'"segment": [start, end]}}') from None
+                records.append(_record(where, index, video_id, label, score, start, end))
+        return records
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        try:
+            missing = [c for c in DETECTIONS_HEADER if c not in (reader.fieldnames or ())]
+            if missing:
+                raise FormatError(f"{path}: missing column(s) {', '.join(missing)}")
+            for row in reader:
+                if row["video_id"] is None:
+                    raise FormatError(f"{path}: a detection has no video_id")
+                records.append(_record(f"{path}: video {row['video_id']}", index,
+                                       row["video_id"], row["label"], row["score"],
+                                       row["t_start"], row["t_end"]))
+        except (csv.Error, UnicodeDecodeError) as exc:
+            raise FormatError(f"{path}: line {reader.line_num}: not valid CSV ({exc})") \
+                from None
+    return records

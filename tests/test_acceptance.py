@@ -14,15 +14,15 @@ from wtal import autodiff as ad
 from wtal.cli import main as cli_main
 from wtal.data import (SynthConfig, generate_synthetic, ground_truth_instances,
                        load_dataset, parse_manifest)
-from wtal.evaluation import (ACTIVITYNET_GRID, THUMOS_GRID, Detection,
-                             GroundTruthInstance, map_report, tiou)
-from wtal.localization import LocalizeConfig, StreamScores, localize_video, nms
+from wtal.evaluation import ACTIVITYNET_GRID, THUMOS_GRID, map_report
+from wtal.localization import LocalizeConfig, localize_split, nms
 from wtal.losses import LossWeights, total_loss
-from wtal.model import (ModelConfig, ModelParams, class_wise_branch, forward_scores,
-                        init_params, mil_head, run_forward, stage_params)
+from wtal.model import (ModelConfig, ModelParams, class_wise_branch, init_params, mil_head,
+                        run_forward, stage_params)
 from wtal.training import TrainConfig, fit
 
-from oracles import map_reference, nms_reference
+from conftest import detections_table
+from oracles import map_reference, nms_reference, tiou
 
 
 def verdict(name: str, detail: str) -> None:
@@ -147,7 +147,7 @@ def test_scoring_oracles():
     from test_evaluation import random_micro_dataset
     for _ in range(200):
         gts, dets = random_micro_dataset(rng)
-        report = map_report(dets, gts, THUMOS_GRID, 3)
+        report = map_report(detections_table(dets), gts, THUMOS_GRID, 3)
         ref_per_t, ref_avg = map_reference(
             [(d.video_id, d.class_id, d.score, d.start, d.end) for d in dets],
             [(g.video_id, g.class_id, g.start, g.end) for g in gts],
@@ -186,19 +186,9 @@ def train_and_localize(manifest, weights: LossWeights, use_background=None):
     dataset = load_dataset(manifest, "train", "rgb")
     params = init_params(config, seed=E2E_TRAIN.seed, dtype=E2E_TRAIN.dtype)
     result = fit(dataset, params, config, weights, E2E_TRAIN)
-    dets = []
-    lc = LocalizeConfig()
-    for sample in load_dataset(manifest, "test", "rgb"):
-        scores = forward_scores(sample.features, result.params, config)
-        instances = localize_video(
-            [StreamScores(scores.s_a, scores.s_f, scores.p_video_class,
-                          sample.snippet_stride, sample.fps)],
-            len(manifest.classes), lc)
-        dets.extend(Detection(sample.video_id, i.class_id, i.score, i.start, i.end)
-                    for i in instances)
-    gts = [GroundTruthInstance(v, c, s, e)
-           for v, c, s, e in ground_truth_instances(manifest, "test")]
-    return map_report(dets, gts, THUMOS_GRID, len(manifest.classes))
+    dets = localize_split(manifest, "test", {"rgb": (result.params, config)}, LocalizeConfig())
+    return map_report(dets, ground_truth_instances(manifest, "test"), THUMOS_GRID,
+                      len(manifest.classes))
 
 
 @pytest.fixture(scope="module")
@@ -211,9 +201,8 @@ def e2e_full_run(synthetic_dataset):
 # --- criterion 5: pipeline sanity --------------------------------------------
 
 def test_pipeline_sanity_ground_truth_maps_to_one(synthetic_dataset):
-    gts = [GroundTruthInstance(v, c, s, e)
-           for v, c, s, e in ground_truth_instances(synthetic_dataset, "test")]
-    dets = [Detection(g.video_id, g.class_id, 1.0, g.start, g.end) for g in gts]
+    gts = ground_truth_instances(synthetic_dataset, "test")
+    dets = detections_table((g.video_id, g.class_id, 1.0, g.start, g.end) for g in gts)
     for grid in (THUMOS_GRID, ACTIVITYNET_GRID):
         report = map_report(dets, gts, grid, len(synthetic_dataset.classes))
         assert all(v == 1.0 for v in report.map_at.values())

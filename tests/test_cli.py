@@ -6,8 +6,10 @@ import pytest
 
 from wtal.cli import main
 from wtal.data import load_dataset, load_features, parse_manifest
-from wtal.localization import LocalizeConfig, StreamScores, localize_video, read_detections
+from wtal.localization import LocalizeConfig, localize_split, read_detections
 from wtal.model import forward_scores, load_checkpoint
+
+from conftest import table_rows
 
 
 def run(capsys, *argv):
@@ -63,6 +65,28 @@ class TestSynth:
                            "--set", "nonsense.key=1")
         assert code != 0
 
+    def test_config_directory_exits_cleanly(self, tmp_path, capsys):
+        code, _, err = run(capsys, "synth", "--config", str(tmp_path),
+                           "--out", str(tmp_path / "d"))
+        assert code == 1
+        assert str(tmp_path) in err and "Traceback" not in err
+
+    def test_invalid_json_config_exits_cleanly(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"synth": {"num_train": 2,')
+        code, _, err = run(capsys, "synth", "--config", str(cfg),
+                           "--out", str(tmp_path / "d"))
+        assert code == 2
+        assert "cfg.json: not valid JSON" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("value,key", [('"abc"', "num_train"), ("true", "fps"),
+                                           ("[5]", "snippet_range")])
+    def test_wrongly_typed_value_exits_cleanly(self, tmp_path, capsys, value, key):
+        code, _, err = run(capsys, "synth", "--out", str(tmp_path / "d"),
+                           "--set", f"synth.{key}={value}")
+        assert code == 2
+        assert f"SynthConfig.{key} must be" in err and "Traceback" not in err
+
     def test_config_file_and_override(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({
@@ -115,6 +139,15 @@ class TestTrain:
         assert code == 2
         assert "not valid JSON" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("content", [b"[1, 2]", b"\xff\xfe\x00"], ids=["list", "binary"])
+    def test_manifest_not_a_json_object_exits_cleanly(self, tmp_path, capsys, content):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_bytes(content)
+        code, _, err = run(capsys, "train", "--manifest", str(manifest),
+                           "--out", str(tmp_path / "r"))
+        assert code == 2
+        assert "manifest" in err and "Traceback" not in err
+
     def test_ground_truth_without_start_exits_cleanly(self, dataset_dir, tmp_path, capsys):
         path = dataset_dir / "manifest.json"
         doc = json.loads(path.read_text())
@@ -138,6 +171,12 @@ class TestTrain:
                            "--out", str(trained), "--resume", *FAST_TRAIN)
         assert code == 1
         assert "param_conv1_w" in err and "Traceback" not in err
+
+    def test_wrongly_typed_train_value_exits_cleanly(self, dataset_dir, tmp_path, capsys):
+        code, _, err = run(capsys, "train", "--manifest", str(dataset_dir / "manifest.json"),
+                           "--out", str(tmp_path / "r"), "--set", 'train.epochs="abc"')
+        assert code == 2
+        assert "TrainConfig.epochs must be int, got 'abc'" in err and "Traceback" not in err
 
     def test_three_epoch_smoke_on_default_dataset_under_a_minute(self, tmp_path, capsys):
         import time
@@ -204,19 +243,14 @@ class TestLocalize:
         assert code == 0, err
         manifest = parse_manifest(dataset_dir / "manifest.json")
         params, config = load_checkpoint(trained / "model_rgb.facn")
-        params64 = params.astype(np.float64)
-        reference = {}
-        for sample in load_dataset(manifest, "test", "rgb"):
-            scores = forward_scores(sample.features, params64, config)
-            assert scores.s_a.dtype == np.float64
-            for inst in localize_video(
-                    [StreamScores(scores.s_a, scores.s_f, scores.p_video_class,
-                                  sample.snippet_stride, sample.fps)],
-                    len(manifest.classes), LocalizeConfig()):
-                key = (sample.video_id, manifest.classes[inst.class_id], inst.start, inst.end)
-                reference[key] = inst.score
-        got = {(r.video_id, r.label, r.start, r.end): r.score
-               for r in read_detections(det / "detections.csv", manifest.classes)}
+        dtypes = []
+        table = localize_split(
+            manifest, "test", {"rgb": (params.astype(np.float64), config)}, LocalizeConfig(),
+            lambda stream, sample, scores: dtypes.append(scores.s_a.dtype))
+        assert dtypes and all(dtype == np.float64 for dtype in dtypes)
+        reference = {(v, c, s, e): q for v, c, q, s, e in table_rows(table)}
+        got = {(v, c, s, e): q for v, c, q, s, e in
+               table_rows(read_detections(det / "detections.csv", manifest.classes))}
         assert reference and got.keys() == reference.keys()
         assert max(abs(got[k] - reference[k]) for k in got) <= 1e-6
 
@@ -300,8 +334,10 @@ class TestEval:
                                '"score": 0.5, "segment": [0.0]}}]}}}}', "video_0000"),
         ("truncated.json", '{{"results": {{"video_0000": [{{"label": "{label}", "sco',
          "not valid JSON"),
+        ("short_row.csv", "label,t_start,t_end,score,video_id\n{label},0.0,1.0,0.5\n"
+                          "{label},2.0,3.0,0.5,video_0000\n", "no video_id"),
     ], ids=["csv_score", "csv_columns", "json_no_segment", "json_short_segment",
-            "json_truncated"])
+            "json_truncated", "csv_no_video_id"])
     def test_malformed_detections_exit_cleanly(self, dataset_dir, tmp_path, capsys,
                                                name, text, named):
         label = parse_manifest(dataset_dir / "manifest.json").classes[0]
@@ -311,6 +347,14 @@ class TestEval:
                            "--manifest", str(dataset_dir / "manifest.json"))
         assert code == 1
         assert name in err and named in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("which", ["--detections", "--manifest"])
+    def test_directory_argument_exits_cleanly(self, dataset_dir, tmp_path, capsys, which):
+        paths = {"--detections": str(self.gt_detections(dataset_dir, tmp_path)),
+                 "--manifest": str(dataset_dir / "manifest.json"), which: str(tmp_path)}
+        code, _, err = run(capsys, "eval", *(a for item in paths.items() for a in item))
+        assert code == 1
+        assert str(tmp_path) in err and "Traceback" not in err
 
     def test_grid_selection(self, dataset_dir, tmp_path, capsys):
         dets = self.gt_detections(dataset_dir, tmp_path)

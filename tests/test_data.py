@@ -9,8 +9,9 @@ from wtal.data import (SynthConfig, convert_raw_features, generate_synthetic,
                        ground_truth_instances, load_dataset, load_features,
                        parse_manifest, read_feature_header, save_features)
 from wtal.errors import ConfigError, FormatError, InputError, ManifestError
-from wtal.evaluation import (ACTIVITYNET_GRID, THUMOS_GRID, Detection,
-                             GroundTruthInstance, map_report)
+from wtal.evaluation import ACTIVITYNET_GRID, THUMOS_GRID, map_report
+
+from conftest import detections_table
 
 
 class TestFeatureFiles:
@@ -150,9 +151,8 @@ class TestSyntheticGenerator:
     def test_gt_instances_as_detections_score_one(self, tmp_path):
         config = SynthConfig(num_train=2, num_test=6, snippet_range=(30, 60), seed=9)
         manifest = parse_manifest(generate_synthetic(config, tmp_path))
-        gts = [GroundTruthInstance(v, c, s, e)
-               for v, c, s, e in ground_truth_instances(manifest, "test")]
-        dets = [Detection(g.video_id, g.class_id, 1.0, g.start, g.end) for g in gts]
+        gts = ground_truth_instances(manifest, "test")
+        dets = detections_table((g.video_id, g.class_id, 1.0, g.start, g.end) for g in gts)
         for grid in (THUMOS_GRID, ACTIVITYNET_GRID):
             report = map_report(dets, gts, grid, len(manifest.classes))
             assert report.average_map == 1.0

@@ -1,15 +1,28 @@
+from collections import namedtuple
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from wtal.errors import ContractError
-from wtal.evaluation import (ACTIVITYNET_GRID, THUMOS_GRID, Detection,
-                             GroundTruthInstance, average_precision,
-                             format_report, map_report, report_to_dict, tiou,
-                             tiou_array)
+from wtal.evaluation import (ACTIVITYNET_GRID, THUMOS_GRID, Detections,
+                             GroundTruthInstance, average_precision as table_ap,
+                             format_report, map_report as table_map_report,
+                             report_to_dict, tiou_array)
 
-from oracles import ap_sequential, map_reference
+from conftest import detections_table
+from oracles import ap_sequential, map_reference, tiou
+
+Det = namedtuple("Det", "video_id class_id score start end")
+
+
+def average_precision(dets, gts, threshold):
+    return table_ap(detections_table(dets), gts, threshold)
+
+
+def map_report(dets, gts, grid, num_classes):
+    return table_map_report(detections_table(dets), gts, grid, num_classes)
 
 
 class TestTiou:
@@ -46,8 +59,34 @@ class TestTiou:
         assert got.tolist() == [tiou(tuple(x), tuple(y)) for x, y in zip(a, b)]
 
 
+class TestDetections:
+    def test_concat_merges_video_ids_and_keeps_row_order(self):
+        a = detections_table([("v1", 0, 0.5, 0.0, 1.0), ("v2", 1, 0.7, 2.0, 3.0)])
+        b = detections_table([("v2", 2, 0.9, 4.0, 5.0), ("v3", 0, 0.1, 6.0, 7.0)])
+        both = Detections.concat([a, b])
+        assert len(both) == 4 and both.video_ids == ("v1", "v2", "v3")
+        assert both.video.tolist() == [0, 1, 1, 2]
+        assert both.class_id.tolist() == [0, 1, 2, 0]
+        assert both.start.tolist() == [0.0, 2.0, 4.0, 6.0]
+
+    def test_empty_concat_and_take(self):
+        empty = Detections.concat([])
+        assert len(empty) == 0 and empty.video_ids == ()
+        table = detections_table([("v1", 0, 0.5, 0.0, 1.0), ("v2", 1, 0.7, 2.0, 3.0)])
+        assert table.take(table.class_id == 1).score.tolist() == [0.7]
+        assert len(table.take(table.class_id == 2)) == 0
+
+    def test_ties_rank_by_video_id_not_index(self):
+        # equal scores: "a" ranks first although it is the table's second video
+        dets = [det("b", 0.5, 0.0, 1.0), det("a", 0.5, 0.0, 1.0)]
+        gts = [gt("a", 0.0, 1.0)]
+        assert average_precision(dets, gts, 0.5) == 1.0
+        assert ap_sequential([(d.video_id, d.score, d.start, d.end) for d in dets],
+                             [(g.video_id, g.start, g.end) for g in gts], 0.5) == 1.0
+
+
 def det(video, score, start, end, cls=0):
-    return Detection(video_id=video, class_id=cls, score=score, start=start, end=end)
+    return Det(video_id=video, class_id=cls, score=score, start=start, end=end)
 
 
 def gt(video, start, end, cls=0):

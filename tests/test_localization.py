@@ -7,13 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wtal.errors import ConfigError, ContractError, FormatError, InputError
-from wtal.evaluation import tiou
-from wtal.localization import (NMS_BLOCK_BYTES, DetectionRecord, LocalizeConfig,
-                               StreamScores, fuse_scores, localize_video, minmax, nms,
-                               propose, read_detections, upsample,
-                               write_detections_csv, write_detections_json)
+from wtal.evaluation import Detections
+from wtal.localization import (NMS_BLOCK_BYTES, LocalizeConfig, StreamScores, fuse_scores,
+                               localize_video, minmax, nms, propose, read_detections,
+                               upsample, write_detections_csv, write_detections_json)
 
-from oracles import nms_reference, propose_reference
+from conftest import detections_table, table_rows
+from oracles import (nms_reference, propose_reference, read_detections_reference, tiou,
+                     write_detections_csv_reference, write_detections_json_reference)
 
 
 class TestFuseScores:
@@ -332,23 +333,24 @@ class TestLocalizeVideo:
     def test_all_classes_rejected(self):
         stream = clean_stream()
         config = LocalizeConfig(class_reject_threshold=1.1)
-        assert localize_video([stream], 3, config) == []
+        out = localize_video([stream], 3, config, "v")
+        assert len(out) == 0 and out.video_ids == ("v",)
 
     def test_single_plateau_single_instance(self):
         stream = clean_stream(span=(10, 25), cls=1)
-        out = localize_video([stream], 3, LocalizeConfig())
+        out = localize_video([stream], 3, LocalizeConfig(), "v")
         assert len(out) == 1
-        inst = out[0]
-        assert inst.class_id == 1
+        assert out.video_ids == ("v",) and out.video.tolist() == [0]
+        assert out.class_id.tolist() == [1]
         # plateau spans snippets [10, 25) -> seconds via stride/fps, within
         # one snippet of the ramp introduced by upsampling
         snippet_sec = 16 / 25.0
-        assert inst.start == pytest.approx(10 * snippet_sec, abs=snippet_sec)
-        assert inst.end == pytest.approx(25 * snippet_sec, abs=snippet_sec)
+        assert out.start[0] == pytest.approx(10 * snippet_sec, abs=snippet_sec)
+        assert out.end[0] == pytest.approx(25 * snippet_sec, abs=snippet_sec)
 
     def test_duplicate_streams_suppressed_to_one(self):
         stream = clean_stream()
-        out = localize_video([stream, stream], 3, LocalizeConfig())
+        out = localize_video([stream, stream], 3, LocalizeConfig(), "v")
         assert len(out) == 1
 
     @pytest.mark.parametrize("num_streams", [1, 2])
@@ -362,19 +364,25 @@ class TestLocalizeVideo:
                 streams[1] = streams[0]  # every candidate twice, with equal scores
             config = LocalizeConfig(context_ratio=float(rng.choice([0.0, 0.25, 3.0])),
                                     nms_tiou=float(rng.choice([0.3, 0.5, 0.7])))
-            out = localize_video(streams, num_classes, config)
+            out = table_rows(localize_video(streams, num_classes, config, "v"))
             ref = localize_reference(streams, num_classes, config)
-            assert [(i.class_id, i.start, i.end) for i in out] == \
-                [(c, s, e) for c, _, s, e in ref]
-            assert all(abs(i.score - q) <= 1e-12 for i, (_, q, _, _) in zip(out, ref))
+            assert [(c, s, e) for _, c, _, s, e in out] == [(c, s, e) for c, _, s, e in ref]
+            assert all(abs(o[2] - q) <= 1e-12 for o, (_, q, _, _) in zip(out, ref))
             tied += len(ref) - len({q for _, q, _, _ in ref})
         assert tied > 0 or not quantized
 
     def test_stream_count_contract(self):
         with pytest.raises(ContractError):
-            localize_video([], 3, LocalizeConfig())
+            localize_video([], 3, LocalizeConfig(), "v")
         with pytest.raises(ContractError):
-            localize_video([clean_stream()] * 3, 3, LocalizeConfig())
+            localize_video([clean_stream()] * 3, 3, LocalizeConfig(), "v")
+
+    def test_interval_contract(self, monkeypatch):
+        import wtal.localization as loc
+
+        monkeypatch.setattr(loc, "propose", lambda *a, **k: np.array([[2.0, 1.0, 0.5]]))
+        with pytest.raises(ContractError, match=r"invalid instance interval \[2.0, 1.0\)"):
+            localize_video([clean_stream()], 3, LocalizeConfig(), "v")
 
 
 class TestLocalizeConfig:
@@ -393,38 +401,39 @@ class TestLocalizeConfig:
         assert config.nms_tiou == 0.5
 
 
+CLASSES = ["jump", "run"]
+
+
 class TestDetectionsIo:
-    def records(self):
-        return [
-            DetectionRecord("vid_a", 0, "jump", 0.91, 1.5, 3.25),
-            DetectionRecord("vid_a", 1, "run", 0.52, 7.0, 9.5),
-            DetectionRecord("vid_b", 0, "jump", 0.33, 0.0, 2.0),
-        ]
+    ROWS = [("vid_a", 0, 0.91, 1.5, 3.25), ("vid_a", 1, 0.52, 7.0, 9.5),
+            ("vid_b", 0, 0.33, 0.0, 2.0)]
+
+    def table(self):
+        return detections_table(self.ROWS)
 
     def test_csv_round_trip(self, tmp_path):
         path = tmp_path / "det.csv"
-        write_detections_csv(path, self.records())
-        back = read_detections(path, ["jump", "run"])
-        assert back == self.records()
+        write_detections_csv(path, self.table(), CLASSES)
+        back = read_detections(path, CLASSES)
+        assert table_rows(back) == self.ROWS and back.video_ids == ("vid_a", "vid_b")
 
     def test_failed_write_keeps_previous_file(self, tmp_path):
-        class Unprintable(float):
-            def __repr__(self):
+        class Unprintable:
+            def __str__(self):
                 raise RuntimeError("cannot format")
 
         path = tmp_path / "det.csv"
-        write_detections_csv(path, self.records())
+        write_detections_csv(path, self.table(), CLASSES)
         before = path.read_bytes()
-        broken = self.records()[1:] + [DetectionRecord("vid_c", 0, "jump",
-                                                       Unprintable(0.1), 0.0, 1.0)]
+        broken = detections_table(self.ROWS[1:] + [(Unprintable(), 0, 0.1, 0.0, 1.0)])
         with pytest.raises(RuntimeError):
-            write_detections_csv(path, broken)
+            write_detections_csv(path, broken, CLASSES)
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["det.csv"]
 
     def test_json_is_compact_with_the_same_schema(self, tmp_path):
         path = tmp_path / "det.json"
-        write_detections_json(path, self.records())
+        write_detections_json(path, self.table(), CLASSES)
         text = path.read_text()
         assert "\n" not in text
         assert json.loads(text) == {"results": {
@@ -441,7 +450,7 @@ class TestDetectionsIo:
                         "vid_a,run,1.0,3.0,0.9\n"
                         "vid_b,jump,{t_start},{t_end},{score}\n".format(**cells))
         with pytest.raises(FormatError, match="det.csv: video vid_b: non-finite"):
-            read_detections(path, ["jump", "run"])
+            read_detections(path, CLASSES)
 
     @pytest.mark.parametrize("key", ["score", "start", "end"])
     @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
@@ -453,14 +462,82 @@ class TestDetectionsIo:
             '"vid_b": [{"label": "jump", "score": %(score)s, '
             '"segment": [%(start)s, %(end)s]}]}}' % values)
         with pytest.raises(FormatError, match="det.json: video vid_b: non-finite"):
-            read_detections(path, ["jump", "run"])
+            read_detections(path, CLASSES)
 
     def test_json_round_trip(self, tmp_path):
         path = tmp_path / "det.json"
-        write_detections_json(path, self.records())
-        back = read_detections(path, ["jump", "run"])
-        assert sorted((r.video_id, r.start) for r in back) == \
-            sorted((r.video_id, r.start) for r in self.records())
+        write_detections_json(path, self.table(), CLASSES)
+        assert table_rows(read_detections(path, CLASSES)) == self.ROWS
+
+    def test_first_bad_row_is_named(self, tmp_path):
+        # a bad label after a non-finite score: the score's row comes first
+        path = tmp_path / "det.csv"
+        path.write_text("video_id,label,t_start,t_end,score\n"
+                        "vid_a,run,1.0,3.0,0.9\nvid_b,run,1.0,3.0,inf\n"
+                        "vid_c,walk,1.0,3.0,0.9\n")
+        with pytest.raises(FormatError, match="det.csv: video vid_b: non-finite"):
+            read_detections(path, CLASSES)
+
+    def test_row_without_video_id_rejected(self, tmp_path):
+        # csv.DictReader reads the missing cell as None
+        path = tmp_path / "det.csv"
+        path.write_text("label,t_start,t_end,score,video_id\nrun,1.0,3.0,0.9\n")
+        with pytest.raises(FormatError, match="det.csv: a detection has no video_id"):
+            read_detections(path, CLASSES)
+
+
+# Labels and video ids for the writers: commas, quotes, newlines and
+# non-ASCII text next to arbitrary text without lone surrogates.
+NAMES = st.sampled_from(["a,b", 'say "hi"', "line\nbreak", "naïve", "動作", ""]) \
+    | st.text(st.characters(blacklist_categories=("Cs",)), max_size=5)
+
+
+@st.composite
+def tables(draw):
+    """A table and its class names; some videos have no detections."""
+    class_names = draw(st.lists(NAMES, min_size=1, max_size=3, unique=True))
+    video_ids = draw(st.lists(NAMES, max_size=4, unique=True))
+    number = st.floats(allow_nan=False, allow_infinity=False)
+    rows = draw(st.lists(st.tuples(st.sampled_from(video_ids),
+                                   st.integers(0, len(class_names) - 1),
+                                   number, number, number), max_size=8)) if video_ids else []
+    used = detections_table(rows)
+    # the videos with rows in the order of their first row, as the table
+    # from localize_split or read_detections has them; the others anywhere
+    ids = list(used.video_ids)
+    for v in video_ids:
+        if v not in used.video_ids:
+            ids.insert(draw(st.integers(0, len(ids))), v)
+    remap = np.array([ids.index(v) for v in used.video_ids], dtype=np.int64)
+    table = Detections(tuple(ids), remap[used.video], used.class_id, used.start, used.end,
+                       used.score)
+    return table, class_names
+
+
+class TestWritersMatchReferences:
+    """Both writers give the bytes of the one-record-at-a-time writers."""
+
+    @given(data=tables())
+    @settings(max_examples=200, deadline=None)
+    def test_csv_and_json(self, tmp_path_factory, data):
+        table, class_names = data
+        rows = [(v, class_names[c], q, s, e) for v, c, q, s, e in table_rows(table)]
+        d = tmp_path_factory.getbasetemp()
+        for write, reference, name in (
+                (write_detections_csv, write_detections_csv_reference, "w.csv"),
+                (write_detections_json, write_detections_json_reference, "w.json")):
+            write(d / name, table, class_names)
+            reference(d / f"ref_{name}", rows)
+            assert (d / name).read_bytes() == (d / f"ref_{name}").read_bytes()
+        assert table_rows(read_detections(d / "w.csv", class_names)) == table_rows(table)
+
+    def test_empty_table(self, tmp_path):
+        empty = localize_video([clean_stream()], 3, LocalizeConfig(class_reject_threshold=1.1),
+                               "v")
+        write_detections_csv(tmp_path / "d.csv", empty, CLASSES)
+        write_detections_json(tmp_path / "d.json", empty, CLASSES)
+        assert (tmp_path / "d.csv").read_text() == "video_id,label,t_start,t_end,score\n"
+        assert (tmp_path / "d.json").read_text() == '{"results": {}}'
 
 
 # Leaves of fuzzed documents: valid labels and numbers next to junk of every
@@ -495,26 +572,37 @@ def csv_documents(draw):
     number = st.floats().map(repr) | st.integers().map(str)
     plausible = {"label": st.sampled_from(["jump", "run"]), "t_start": number,
                  "t_end": number, "score": number}
-    row = st.lists(junk, max_size=7) | st.tuples(*(plausible.get(c, junk) for c in header))
+    plausible_row = st.tuples(*(plausible.get(c, junk) for c in header))
+    row = (st.lists(junk, max_size=7) | plausible_row
+           | st.tuples(plausible_row, st.lists(junk, min_size=1, max_size=2))
+           .map(lambda t: (*t[0], *t[1]))  # extra trailing fields
+           | st.tuples(plausible_row, st.integers(0, len(header)))
+           .map(lambda t: t[0][:t[1]])  # a short row; () is a blank line
+           )
     rows = draw(st.lists(row, max_size=4))
-    return "\n".join(",".join(cells) for cells in [header, *rows]) + "\n"
+    blank = "\n" * draw(st.integers(0, 1))  # a blank first line has no columns
+    return blank + "\n".join(",".join(cells) for cells in [header, *rows]) + "\n"
 
 
 class TestReadDetectionsFuzz:
-    """Whatever the file holds, read_detections returns finite records or
-    raises FormatError; no other exception escapes to the CLI."""
+    """Whatever the file holds, read_detections accepts it exactly when the
+    record-at-a-time reference does, with the same columns, or raises the
+    same FormatError; no other exception escapes to the CLI."""
 
     def check(self, directory, name, content):
         path = directory / name
         path.write_bytes(content if isinstance(content, bytes) else content.encode())
         try:
-            records = read_detections(path, ["jump", "run"])
+            expected = read_detections_reference(path, CLASSES)
         except FormatError as exc:
-            assert str(exc).startswith(str(path))
+            with pytest.raises(FormatError) as raised:
+                read_detections(path, CLASSES)
+            assert str(raised.value) == str(exc) and str(exc).startswith(str(path))
             return
-        for r in records:
-            assert r.label in ("jump", "run") and r.class_id == ("jump", "run").index(r.label)
-            assert all(math.isfinite(v) and type(v) is float for v in (r.score, r.start, r.end))
+        table = read_detections(path, CLASSES)
+        assert table_rows(table) == expected
+        for column in (table.score, table.start, table.end):
+            assert column.dtype == np.float64 and np.isfinite(column).all()
 
     @given(content=csv_documents() | st.text() | st.binary())
     @settings(max_examples=300, deadline=None)

@@ -14,9 +14,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from wtal.evaluation import THUMOS_GRID, GroundTruthInstance, map_report
 from wtal.localization import (LocalizeConfig, StreamScores, fuse_scores, localize_video,
                                upsample)
 
+from conftest import detections_table
 from oracles import propose_reference
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
@@ -49,7 +51,7 @@ def test_localization_counters_count_candidates_and_kept_detections(tracing, rng
                             snippet_stride=4, fps=25.0) for _ in range(2)]
     tracer = tracing.Tracer()
     with tracing.installed(tracer):
-        detections = localize_video(streams, 3, config)
+        detections = localize_video(streams, 3, config, "v")
     distinct = 0
     for scores in streams:
         frames, _ = upsample(fuse_scores(scores.s_a, scores.s_f, 3), 4, 25.0)
@@ -60,3 +62,16 @@ def test_localization_counters_count_candidates_and_kept_detections(tracing, rng
     assert detections and tracer.missing == []
     assert tracer.counts["localization.candidates"] == distinct > len(detections)
     assert tracer.counts["localization.nms_kept"] == len(detections)
+
+
+def test_ap_counter_counts_scored_detections(tracing):
+    # evaluation.detections_scored sums len() of average_precision's first
+    # argument: every detection is scored once per class call and threshold
+    table = detections_table([("a", 0, 0.9, 0.0, 5.0), ("a", 1, 0.8, 1.0, 2.0),
+                              ("b", 0, 0.7, 3.0, 4.0)])
+    gts = [GroundTruthInstance("a", 0, 0.0, 5.0), GroundTruthInstance("b", 1, 1.0, 2.0)]
+    tracer = tracing.Tracer()
+    with tracing.installed(tracer):
+        map_report(table, gts, THUMOS_GRID, 2)
+    assert tracer.counts["evaluation.average_precision_calls"] == 2 * len(THUMOS_GRID)
+    assert tracer.counts["evaluation.detections_scored"] == 3 * len(THUMOS_GRID)
