@@ -64,9 +64,6 @@ class Tape:
         # mask entries are 0 or 1/keep_prob, precomputed by the caller
         return self._push("mul_const", (a,), {"const": np.asarray(mask)})
 
-    def average(self, refs: list[int]) -> int:
-        return self._push("average", tuple(refs), {})
-
     def matmul(self, a: int, b: int) -> int:
         return self._push("matmul", (a, b), {})
 
@@ -85,8 +82,11 @@ class Tape:
     def cosine_rows(self, a: int, b: int, scale: float) -> int:
         return self._push("cosine_rows", (a, b), {"scale": float(scale)})
 
-    def softmax(self, a: int, tau: float, axis: int = 0) -> int:
-        return self._push("softmax", (a,), {"tau": float(tau), "axis": int(axis)})
+    def softmax(self, a: int, tau, axis: int = 0) -> int:
+        """Temperature softmax along ``axis``. A sequence of H temperatures
+        stacks one softmax per temperature on a new leading axis: (H, *shape)."""
+        tau = tuple(map(float, tau)) if np.ndim(tau) else float(tau)
+        return self._push("softmax", (a,), {"tau": tau, "axis": int(axis)})
 
     def log_clamped(self, a: int, floor: float = LOG_FLOOR) -> int:
         return self._push("log_clamped", (a,), {"floor": float(floor)})
@@ -114,15 +114,6 @@ def _forward(op: str, values: list[np.ndarray], meta: dict):
         if c.shape != a.shape and c.ndim != 0:
             raise ContractError(f"mul_const shape mismatch {a.shape} vs {c.shape}")
         return a * c.astype(a.dtype, copy=False), {}
-    if op == "average":
-        if not values:
-            raise ContractError("average of zero inputs")
-        out = values[0].copy()
-        for v in values[1:]:
-            if v.shape != out.shape:
-                raise ContractError("average shape mismatch")
-            out += v
-        return out / len(values), {}
     if op == "matmul":
         a, b = values
         if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
@@ -232,25 +223,30 @@ def _cosine_backward(node: Node, g: np.ndarray, values, wanted):
     return [da, db]
 
 
-def _softmax_forward(a: np.ndarray, tau: float, axis: int):
-    if a.size == 0:
+def _softmax_forward(a: np.ndarray, tau, axis: int):
+    # temperatures take the input's dtype, so float32 scores stay float32
+    taus = np.asarray(tau, dtype=a.dtype)
+    if a.size == 0 or taus.size == 0:
         raise ContractError("softmax of empty input")
-    if tau <= 0:
+    if not (taus > 0).all():
         raise ContractError(f"softmax temperature {tau} must be positive")
-    z = tau * a
+    axis = axis % a.ndim + taus.ndim  # in the output, behind the stacked axis
+    taus = taus.reshape(taus.shape + (1,) * a.ndim)
+    z = taus * a
     z = z - z.max(axis=axis, keepdims=True)
     e = np.exp(z)
     # keep entries strictly positive even when exp underflows
     e = np.maximum(e, np.finfo(e.dtype).tiny)
     s = e / e.sum(axis=axis, keepdims=True)
-    return s, {}
+    return s, {"taus": taus, "axis": axis}
 
 
 def _softmax_backward(node: Node, g: np.ndarray, values, wanted):
     s = node.value
-    tau, axis = node.meta["tau"], node.meta["axis"]
+    taus, axis = node.ctx["taus"], node.ctx["axis"]
     gs = g * s
-    return [tau * (gs - s * gs.sum(axis=axis, keepdims=True))]
+    dz = taus * (gs - s * gs.sum(axis=axis, keepdims=True))
+    return [dz.sum(axis=0) if dz.ndim > values[0].ndim else dz]
 
 
 def _sum_backward(node: Node, g: np.ndarray, values, wanted):
@@ -266,7 +262,6 @@ _BACKWARD = {
     "mul": lambda n, g, v, _: [g * v[1], g * v[0]],
     "scale": lambda n, g, v, _: [g * n.meta["alpha"]],
     "mul_const": lambda n, g, v, _: [g * n.meta["const"].astype(g.dtype, copy=False)],
-    "average": lambda n, g, v, _: [g / len(v)] * len(v),
     "matmul": lambda n, g, v, _: [g @ v[1].T, v[0].T @ g],
     "transpose": lambda n, g, v, _: [g.T],
     "reshape": lambda n, g, v, _: [g.reshape(v[0].shape)],

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -83,6 +84,10 @@ def _build(cls, mapping: dict, **fixed):
         if not _has_type(value, hints[key]):
             expected = hints[key].__name__ if isinstance(hints[key], type) else hints[key]
             raise ConfigError(f"{cls.__name__}.{key} must be {expected}, got {value!r}")
+        # a check such as ``x <= 0`` lets NaN through: every comparison with it is False
+        items = value if isinstance(value, list) else [value]
+        if any(isinstance(v, float) and not math.isfinite(v) for v in items):
+            raise ConfigError(f"{cls.__name__}.{key} must be finite, got {value!r}")
         values[key] = tuple(value) if isinstance(value, list) else value
     return cls(**{**values, **fixed})
 
@@ -99,6 +104,20 @@ def cmd_synth(args) -> int:
           f"{len(manifest.classes)} classes, streams {list(manifest.streams)}")
     print(f"manifest: {manifest_path}")
     return 0
+
+
+def _streams(arg: str | None, manifest) -> list[str]:
+    """The ``--streams`` names: each a manifest stream or ``concat``."""
+    from .errors import ManifestError
+
+    if not arg:
+        return list(manifest.streams)
+    names = arg.split(",")
+    for name in names:
+        if name != "concat" and name not in manifest.streams:
+            raise ManifestError(f"stream {name!r} is not in the manifest, which has "
+                                f"{list(manifest.streams)} (or use 'concat')")
+    return names
 
 
 def _model_config_for(manifest, stream, cfg_model):
@@ -124,7 +143,7 @@ def cmd_train(args) -> int:
     manifest = parse_manifest(args.manifest)
     train_cfg = _build(TrainConfig, cfg["train"])
     weights = _build(LossWeights, cfg["loss"])
-    streams = args.streams.split(",") if args.streams else list(manifest.streams)
+    streams = _streams(args.streams, manifest)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     for i, stream in enumerate(streams):
@@ -158,7 +177,7 @@ def cmd_localize(args) -> int:
     cfg = load_run_config(args.config, args.set)
     loc_cfg = _build(LocalizeConfig, cfg["localize"])
     manifest = parse_manifest(args.manifest)
-    streams = args.streams.split(",") if args.streams else list(manifest.streams)
+    streams = _streams(args.streams, manifest)
     model_dir = Path(args.model_dir)
     models = {}
     for stream in streams:
@@ -208,19 +227,21 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def cmd_gradcheck(args) -> int:
+def gradcheck_cases(seed: int, instances: int, corrupt_op: str | None = None):
+    """Random small problems for the finite-difference check of the tape.
+
+    Yields ``(label, params, f)`` per instance: 1-8 snippets, 2-4 classes,
+    3-8 feature dims, embeddings 3-6 wide and three temperatures, with the
+    background slot on odd instances and train-mode dropout on every third.
+    ``f(tensors)`` returns the total loss and its gradients from ``backward``
+    run with ``corrupt_op``.
+    """
     import numpy as np
 
-    from . import autodiff as ad
-    from .losses import LossWeights, total_loss
-    from .model import ModelConfig, ModelParams, init_params, run_forward
+    from .model import ModelConfig, init_params
 
-    rng = np.random.default_rng(args.seed)
-    weights = LossWeights()
-    worst_overall = 0.0
-    worst_where = "-"
-    started = time.perf_counter()
-    for i in range(args.instances):
+    rng = np.random.default_rng(seed)
+    for i in range(instances):
         t = int(rng.integers(1, 9))
         c = int(rng.integers(2, 5))
         d_in = int(rng.integers(3, 9))
@@ -233,18 +254,31 @@ def cmd_gradcheck(args) -> int:
         x = rng.normal(size=(t, d_in))
         y = np.zeros(c)
         y[rng.permutation(c)[:int(rng.integers(1, c + 1))]] = 1.0
-        train_mode = i % 3 == 0
         drop_seed = int(rng.integers(1 << 31))
+        yield f"T={t} C={c}", params, partial(_loss_and_grads, x, y, config, i % 3 == 0,
+                                              drop_seed, corrupt_op)
 
-        def f(tensors):
-            p = ModelParams(**tensors)
-            tape, out = run_forward(x, p, config, train_mode=train_mode,
-                                    rng_seed=drop_seed)
-            loss_ref, _ = total_loss(tape, out, y, weights, config.use_background)
-            grads = ad.backward(tape, loss_ref,
-                                corrupt_op="softmax" if args.inject_bug else None)
-            return float(tape.val(loss_ref)), grads
 
+def _loss_and_grads(x, y, config, train_mode, drop_seed, corrupt_op, tensors):
+    from . import autodiff as ad
+    from .losses import LossWeights, total_loss
+    from .model import ModelParams, run_forward
+
+    tape, out = run_forward(x, ModelParams(**tensors), config, train_mode=train_mode,
+                            rng_seed=drop_seed)
+    loss_ref, _ = total_loss(tape, out, y, LossWeights(), config.use_background)
+    return float(tape.val(loss_ref)), ad.backward(tape, loss_ref, corrupt_op=corrupt_op)
+
+
+def cmd_gradcheck(args) -> int:
+    from . import autodiff as ad
+
+    worst_overall = 0.0
+    worst_where = "-"
+    started = time.perf_counter()
+    cases = gradcheck_cases(args.seed, args.instances,
+                            corrupt_op="softmax" if args.inject_bug else None)
+    for i, (label, params, f) in enumerate(cases):
         result = ad.finite_diff_check(f, params.as_dict(), step=1e-5)
         if result.failures:
             print(f"instance {i}: non-finite evaluations: {result.failures[:3]}",
@@ -252,7 +286,7 @@ def cmd_gradcheck(args) -> int:
             return 1
         where = (f"{result.worst_param}{list(result.worst_index)}"
                  if result.worst_param is not None else "-")
-        print(f"instance {i:2d}: T={t} C={c} max rel err {result.max_rel_error:.3e} "
+        print(f"instance {i:2d}: {label} max rel err {result.max_rel_error:.3e} "
               f"(worst: {where})")
         if result.max_rel_error > worst_overall:
             worst_overall = result.max_rel_error

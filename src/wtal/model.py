@@ -3,14 +3,15 @@
 All scores are scaled cosine similarities against two learned classifiers:
 a per-class matrix (one extra row for background when enabled) and a single
 foreground vector. Each branch pools snippet embeddings with a temperature
-softmax over time; the hybrid head repeats the pooling at several
-temperatures and averages the resulting video-level logits before the final
+softmax over time; the hybrid attention stacks one softmax per configured
+temperature and averages the resulting video-level logits before the final
 softmax.
 """
 from __future__ import annotations
 
+import math
 import struct
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -143,21 +144,16 @@ def stage_params(tape: ad.Tape, params: ModelParams) -> ParamRefs:
 
 @dataclass
 class BranchOutputs:
-    """Tape references for every intermediate the three branches produce."""
+    """Tape references for the branch intermediates; H temperatures, K classes."""
     x_e: int
     s_a: int           # (T, K) class activation scores
     s_f: int           # (T,) foreground activation scores
-    attn_class: list[int] = field(default_factory=list)   # per head, (T, K)
-    feat_class: list[int] = field(default_factory=list)   # per head, (K, D)
-    fore_logits_heads: list[int] = field(default_factory=list)  # per head, (K,)
-    fore_logits: int = -1     # averaged, (K,)
+    attn_class: int = -1      # (H, K, T) class-wise attention, one softmax per tau
+    attn_fore: int = -1       # (H, T) class-agnostic attention
+    fore_logits: int = -1     # (K,) mean over H
     p_class_fore: int = -1    # softmax of the above
-    attn_fore: list[int] = field(default_factory=list)    # per head, (T,)
-    feat_fore: list[int] = field(default_factory=list)    # per head, (1, D)
-    class_logits_heads: list[int] = field(default_factory=list)
     class_logits: int = -1
     p_video_class: int = -1
-    mil_logits_heads: list[int] = field(default_factory=list)
     mil_logits: int = -1
     p_mil: int = -1
 
@@ -187,93 +183,36 @@ def _dropout(tape: ad.Tape, ref: int, config: ModelConfig, train_mode: bool, rng
     return tape.dropout(ref, mask)
 
 
-def class_scores(tape: ad.Tape, x_e: int, refs: ParamRefs, config: ModelConfig) -> int:
-    """S_a: scaled cosine of each snippet against every class vector."""
-    return tape.cosine_rows(x_e, refs.w_action, config.delta)
-
-
-def fore_scores(tape: ad.Tape, x_e: int, refs: ParamRefs, config: ModelConfig) -> int:
-    """S_f: scaled cosine of each snippet against the foreground vector."""
-    d = tape.val(refs.w_fore).shape[0]
-    w_row = tape.reshape(refs.w_fore, (1, d))
-    t = tape.val(x_e).shape[0]
-    return tape.reshape(tape.cosine_rows(x_e, w_row, config.delta), (t,))
-
-
-def class_wise_head(tape: ad.Tape, s_a: int, x_e: int, refs: ParamRefs,
-                    config: ModelConfig, tau: float) -> tuple[int, int, int]:
-    """One temperature head of the class-wise branch.
-
-    Attention over time per class, pooled class features, then each pooled
-    feature is scored against the foreground vector.
-    """
-    attn = tape.softmax(s_a, tau, axis=0)          # (T, K)
-    feat = tape.matmul(tape.transpose(attn), x_e)  # (K, D)
-    d = tape.val(refs.w_fore).shape[0]
-    w_row = tape.reshape(refs.w_fore, (1, d))
-    k = tape.val(feat).shape[0]
-    logits = tape.reshape(tape.cosine_rows(feat, w_row, config.delta), (k,))
-    return attn, feat, logits
-
-
-def class_wise_branch(tape: ad.Tape, x_e: int, refs: ParamRefs, config: ModelConfig,
-                      tau: float) -> tuple[int, int, int, int]:
-    s_a = class_scores(tape, x_e, refs, config)
-    attn, feat, logits = class_wise_head(tape, s_a, x_e, refs, config, tau)
-    return s_a, attn, feat, logits
-
-
-def class_agnostic_head(tape: ad.Tape, s_f: int, x_e: int, refs: ParamRefs,
-                        config: ModelConfig, tau: float) -> tuple[int, int, int]:
-    """One temperature head of the class-agnostic branch."""
-    attn = tape.softmax(s_f, tau, axis=0)          # (T,)
-    t = tape.val(attn).shape[0]
-    feat = tape.matmul(tape.reshape(attn, (1, t)), x_e)  # (1, D)
-    k = tape.val(refs.w_action).shape[0]
-    logits = tape.reshape(tape.cosine_rows(feat, refs.w_action, config.delta), (k,))
-    return attn, feat, logits
-
-
-def class_agnostic_branch(tape: ad.Tape, x_e: int, refs: ParamRefs, config: ModelConfig,
-                          tau: float) -> tuple[int, int, int, int]:
-    s_f = fore_scores(tape, x_e, refs, config)
-    attn, feat, logits = class_agnostic_head(tape, s_f, x_e, refs, config, tau)
-    return s_f, attn, feat, logits
-
-
-def mil_head(tape: ad.Tape, s_a: int, attn_class: int) -> int:
-    """Video-level class logits: attention-weighted sum of snippet scores."""
-    if tape.val(s_a).shape != tape.val(attn_class).shape:
-        raise ContractError("mil_head shape mismatch between scores and attention")
-    return tape.sum(tape.mul(attn_class, s_a), axis=0)
-
-
 def forward_hybrid(tape: ad.Tape, x_raw: int, refs: ParamRefs, config: ModelConfig,
                    train_mode: bool = False, rng_seed=0) -> BranchOutputs:
-    """Full forward pass with one head per configured temperature.
+    """Full forward pass, all H temperatures at once.
 
-    Snippet-level scores are temperature-independent and computed once;
-    per-head video-level logits are averaged before each final softmax.
+    One stacked softmax over time turns S_a and S_f into attention that pools
+    the embedding; video-level logits are the mean over H before each final
+    softmax. MIL logits are linear in the attention, so they take its mean.
     """
     x_e = embed(tape, x_raw, refs, config, train_mode, rng_seed)
-    s_a = class_scores(tape, x_e, refs, config)
-    s_f = fore_scores(tape, x_e, refs, config)
+    h = len(config.temperatures)
+    w_fore = tape.reshape(refs.w_fore, (1, tape.val(refs.w_fore).shape[0]))
+    s_a = tape.cosine_rows(x_e, refs.w_action, config.delta)
+    t, k = tape.val(s_a).shape
+    s_f = tape.reshape(tape.cosine_rows(x_e, w_fore, config.delta), (t,))
+    s_a_t = tape.transpose(s_a)
+
+    def mean_over_heads(ref: int) -> int:
+        return tape.scale(tape.sum(ref, axis=0), 1.0 / h)
+
     out = BranchOutputs(x_e=x_e, s_a=s_a, s_f=s_f)
-    for tau in config.temperatures:
-        attn_a, feat_a, fore_logits = class_wise_head(tape, s_a, x_e, refs, config, tau)
-        out.attn_class.append(attn_a)
-        out.feat_class.append(feat_a)
-        out.fore_logits_heads.append(fore_logits)
-        attn_f, feat_f, class_logits = class_agnostic_head(tape, s_f, x_e, refs, config, tau)
-        out.attn_fore.append(attn_f)
-        out.feat_fore.append(feat_f)
-        out.class_logits_heads.append(class_logits)
-        out.mil_logits_heads.append(mil_head(tape, s_a, attn_a))
-    out.fore_logits = tape.average(out.fore_logits_heads)
+    out.attn_class = tape.softmax(s_a_t, config.temperatures, axis=1)
+    feat_class = tape.matmul(tape.reshape(out.attn_class, (h * k, t)), x_e)
+    fore_heads = tape.cosine_rows(feat_class, w_fore, config.delta)
+    out.fore_logits = mean_over_heads(tape.reshape(fore_heads, (h, k)))
     out.p_class_fore = tape.softmax(out.fore_logits, 1.0, axis=0)
-    out.class_logits = tape.average(out.class_logits_heads)
+    out.attn_fore = tape.softmax(s_f, config.temperatures, axis=0)
+    feat_fore = tape.matmul(out.attn_fore, x_e)
+    out.class_logits = mean_over_heads(tape.cosine_rows(feat_fore, refs.w_action, config.delta))
     out.p_video_class = tape.softmax(out.class_logits, 1.0, axis=0)
-    out.mil_logits = tape.average(out.mil_logits_heads)
+    out.mil_logits = tape.sum(tape.mul(mean_over_heads(out.attn_class), s_a_t), axis=1)
     out.p_mil = tape.softmax(out.mil_logits, 1.0, axis=0)
     return out
 
@@ -360,8 +299,12 @@ class _Reader:
         self.off += n
         return out
 
-    def unpack(self, fmt: str, what: str):
-        return struct.unpack(fmt, self.take(struct.calcsize(fmt), what))
+    def unpack(self, fmt: str, what: str, finite: bool = False):
+        at = self.off
+        values = struct.unpack(fmt, self.take(struct.calcsize(fmt), what))
+        if finite and not all(map(math.isfinite, values)):
+            raise FormatError(f"non-finite {what} {values} at offset {at}")
+        return values
 
 
 def load_checkpoint(path) -> tuple[ModelParams, ModelConfig]:
@@ -372,10 +315,10 @@ def load_checkpoint(path) -> tuple[ModelParams, ModelConfig]:
     if version not in (1, CHECKPOINT_VERSION):
         raise FormatError(f"unsupported checkpoint version {version} at offset 4")
     num_classes, feature_dim, d1, d2, kernel = r.unpack("<5I", "config")
-    (delta,) = r.unpack("<d", "delta")
+    (delta,) = r.unpack("<d", "delta", finite=True)
     (n_temps,) = r.unpack("<I", "temperature count")
-    temps = r.unpack(f"<{n_temps}d", "temperatures")
-    use_bg, dropout = r.unpack("<Bd", "flags")
+    temps = r.unpack(f"<{n_temps}d", "temperatures", finite=True)
+    use_bg, dropout = r.unpack("<Bd", "flags", finite=True)
     config = ModelConfig(num_classes=num_classes, feature_dim=feature_dim,
                          embed_dims=(d1, d2), kernel_size=kernel, delta=delta,
                          temperatures=temps, use_background=bool(use_bg),
@@ -384,10 +327,16 @@ def load_checkpoint(path) -> tuple[ModelParams, ModelConfig]:
     tensors: dict[str, np.ndarray] = {}
     for _ in range(n_tensors):
         (name_len,) = r.unpack("<H", "tensor name length")
-        name = r.take(name_len, "tensor name").decode()
+        at = r.off
+        try:
+            name = r.take(name_len, "tensor name").decode()
+        except UnicodeDecodeError:
+            raise FormatError(f"tensor name at offset {at} is not valid UTF-8") from None
         (rank,) = r.unpack("<B", "tensor rank")
+        if rank > 3:  # numpy caps ndim; no tensor of any version has more than 3
+            raise FormatError(f"tensor {name} has rank {rank} at offset {r.off - 1}")
         dims = r.unpack(f"<{rank}I", "tensor dims")
-        count = int(np.prod(dims)) if dims else 1
+        count = math.prod(dims)  # exact: the byte count checks the dims
         data = np.frombuffer(r.take(4 * count, f"tensor {name}"), dtype="<f4")
         tensors[name] = data.reshape(dims).copy()
     expected = {f.name for f in fields(ModelParams)}

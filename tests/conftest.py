@@ -23,6 +23,19 @@ def tiny_model(seed=0, **overrides):
     return config, init_params(config, seed=seed, dtype=np.float64)
 
 
+def passthrough_model(width=4, **overrides):
+    """A model whose embedding is the identity on non-negative features:
+    kernel size 1, identity conv weights, zero biases. Feeding such features
+    sets the embedding x_e exactly, so tests can probe the branches."""
+    config = tiny_config(feature_dim=width, embed_dims=(width, width), kernel_size=1,
+                         dropout_rate=0.0, **overrides)
+    params = init_params(config, seed=0, dtype=np.float64)
+    params.conv1_w, params.conv2_w = np.eye(width), np.eye(width)
+    params.conv1_b[:] = 0.0
+    params.conv2_b[:] = 0.0
+    return config, params
+
+
 def detections_table(rows) -> Detections:
     """A table of (video_id, class_id, score, start, end) rows, videos in
     order of first appearance."""

@@ -2,7 +2,8 @@
 
 These deliberately re-derive results with different code paths than the
 package: quadratic loops instead of vectorized passes, per-tap loops
-instead of one im2col matmul, and rectangle integration of the
+instead of one im2col matmul, one temperature head at a time instead of
+stacked attention, and rectangle integration of the
 precision-recall curve instead of the running-precision sum, and one
 record at a time instead of one column at a time for the detections files.
 """
@@ -140,6 +141,40 @@ def conv_reference(x, w, b):
             if 0 <= src < t:
                 out[row] += x[src] @ w[tap * d_in:(tap + 1) * d_in]
     return out
+
+
+def hybrid_reference(x_e, w_action, w_fore, delta, temperatures):
+    """The three branches of the hybrid attention, one temperature head at a time.
+
+    x_e: (T, D) embedding; w_action: (K, D); w_fore: (D,). Per head: a
+    softmax over time of every S_a column and of S_f, the attention-pooled
+    features, the class-wise logits (each class's pooled feature against
+    w_fore), the class-agnostic logits (the foreground-pooled feature against
+    every class) and the MIL logits (attention-weighted sums of S_a). Returns
+    S_a (T, K), S_f (T,), the attention as ``model.forward_hybrid`` lays it
+    out, (H, K, T) and (H, T), and the per-head logits stacked as (H, K).
+    """
+    def cosine(a, b):
+        a = a / np.maximum(np.linalg.norm(a, axis=1, keepdims=True), 1e-8)
+        b = b / np.maximum(np.linalg.norm(b, axis=1, keepdims=True), 1e-8)
+        return delta * np.clip(a @ b.T, -1.0, 1.0)
+
+    def softmax(s, tau):
+        e = np.exp(tau * s - (tau * s).max(axis=0))
+        return e / e.sum(axis=0)
+
+    s_a = cosine(x_e, w_action)
+    s_f = cosine(x_e, w_fore[None])[:, 0]
+    heads = {key: [] for key in ("attn_class", "attn_fore", "fore_logits",
+                                 "class_logits", "mil_logits")}
+    for tau in temperatures:
+        attn_a, attn_f = softmax(s_a, tau), softmax(s_f, tau)
+        heads["attn_class"].append(attn_a.T)
+        heads["attn_fore"].append(attn_f)
+        heads["fore_logits"].append(cosine(attn_a.T @ x_e, w_fore[None])[:, 0])
+        heads["class_logits"].append(cosine((attn_f @ x_e)[None], w_action)[0])
+        heads["mil_logits"].append((attn_a * s_a).sum(axis=0))
+    return {"s_a": s_a, "s_f": s_f, **{k: np.array(v) for k, v in heads.items()}}
 
 
 def ap_sequential(dets, gts, threshold):

@@ -11,18 +11,17 @@ import numpy as np
 import pytest
 
 from wtal import autodiff as ad
-from wtal.cli import main as cli_main
+from wtal.cli import gradcheck_cases, main as cli_main
 from wtal.data import (SynthConfig, generate_synthetic, ground_truth_instances,
                        load_dataset, parse_manifest)
 from wtal.evaluation import ACTIVITYNET_GRID, THUMOS_GRID, map_report
 from wtal.localization import LocalizeConfig, localize_split, nms
-from wtal.losses import LossWeights, total_loss
-from wtal.model import (ModelConfig, ModelParams, class_wise_branch, init_params, mil_head,
-                        run_forward, stage_params)
+from wtal.losses import LossWeights
+from wtal.model import ModelConfig, init_params, run_forward
 from wtal.training import TrainConfig, fit
 
 from conftest import detections_table
-from oracles import map_reference, nms_reference, tiou
+from oracles import hybrid_reference, map_reference, nms_reference, tiou
 
 
 def verdict(name: str, detail: str) -> None:
@@ -32,37 +31,13 @@ def verdict(name: str, detail: str) -> None:
 # --- criterion 1: gradient correctness ------------------------------------
 
 def test_gradient_correctness_20_random_instances():
-    rng = np.random.default_rng(202)
-    weights = LossWeights(1.0, 0.1, 0.1)
     started = time.perf_counter()
     worst = 0.0
-    for i in range(20):
-        t = int(rng.integers(1, 9))
-        c = int(rng.integers(2, 5))
-        d_in = int(rng.integers(3, 17))
-        config = ModelConfig(
-            num_classes=c, feature_dim=d_in,
-            embed_dims=(int(rng.integers(3, 7)), int(rng.integers(3, 7))),
-            temperatures=(1.0, 2.0, 5.0), use_background=bool(i % 2),
-            dropout_rate=0.5 if i % 3 == 0 else 0.0)
-        params = init_params(config, seed=int(rng.integers(1 << 31)), dtype=np.float64)
-        x = rng.normal(size=(t, d_in))
-        y = np.zeros(c)
-        y[rng.permutation(c)[: int(rng.integers(1, c + 1))]] = 1.0
-        train_mode = i % 3 == 0
-        drop_seed = int(rng.integers(1 << 31))
-
-        def f(tensors):
-            p = ModelParams(**tensors)
-            tape, out = run_forward(x, p, config, train_mode=train_mode,
-                                    rng_seed=drop_seed)
-            loss_ref, _ = total_loss(tape, out, y, weights, config.use_background)
-            return float(tape.val(loss_ref)), ad.backward(tape, loss_ref)
-
+    for i, (label, params, f) in enumerate(gradcheck_cases(seed=202, instances=20)):
         result = ad.finite_diff_check(f, params.as_dict(), step=1e-5)
         assert not result.failures
         assert result.max_rel_error < 1e-4, (
-            f"instance {i}: {result.max_rel_error} at {result.worst_param}")
+            f"instance {i} ({label}): {result.max_rel_error} at {result.worst_param}")
         worst = max(worst, result.max_rel_error)
     elapsed = time.perf_counter() - started
     assert elapsed < 30.0
@@ -79,20 +54,18 @@ def test_reduction_identities():
     params = init_params(config, seed=1, dtype=np.float64)
     x = rng.normal(size=(6, 6))
     tape, out = run_forward(x, params, config)
-    tape2 = ad.Tape()
-    refs = stage_params(tape2, params)
-    x_e_ref = tape2.leaf(tape.val(out.x_e))
-    s_a, attn, feat, logits = class_wise_branch(tape2, x_e_ref, refs, config, 1.0)
-    assert np.abs(tape.val(out.fore_logits) - tape2.val(logits)).max() <= 1e-12
-    mil = mil_head(tape2, s_a, attn)
-    assert np.abs(tape.val(out.mil_logits) - tape2.val(mil)).max() <= 1e-12
+    ref = hybrid_reference(tape.val(out.x_e), params.w_action, params.w_fore,
+                           config.delta, config.temperatures)
+    assert np.abs(tape.val(out.fore_logits) - ref["fore_logits"][0]).max() <= 1e-12
+    assert np.abs(tape.val(out.mil_logits) - ref["mil_logits"][0]).max() <= 1e-12
 
+    # one snippet: every head pools x_e itself, so each branch scores that snippet
     x1 = rng.normal(size=(1, 6))
     tape1, out1 = run_forward(x1, params, config)
-    x_e = tape1.val(out1.x_e)
-    for feat_ref in out1.feat_class:
-        assert np.abs(tape1.val(feat_ref) - x_e[0]).max() <= 1e-12
-    assert np.abs(tape1.val(out1.mil_logits) - tape1.val(out1.s_a)[0]).max() <= 1e-12
+    s_a, s_f = tape1.val(out1.s_a)[0], tape1.val(out1.s_f)[0]
+    assert np.abs(tape1.val(out1.fore_logits) - s_f).max() <= 1e-12
+    assert np.abs(tape1.val(out1.class_logits) - s_a).max() <= 1e-12
+    assert np.abs(tape1.val(out1.mil_logits) - s_a).max() <= 1e-12
     verdict("reduction-identities", "tau={1.0} head and T=1 identities exact to 1e-12")
 
 
@@ -104,7 +77,7 @@ def test_normalization_and_entropy_over_1000_inputs():
                          temperatures=(1.0, 5.0), dropout_rate=0.25)
     params = init_params(config, seed=0, dtype=np.float64)
 
-    def entropy(p, axis=0):
+    def entropy(p, axis=-1):
         return -(p * np.log(p)).sum(axis=axis)
 
     for i in range(1000):
@@ -112,19 +85,16 @@ def test_normalization_and_entropy_over_1000_inputs():
         x = rng.normal(size=(t, 5)) * float(rng.uniform(0.1, 10))
         tape, out = run_forward(x, params, config, train_mode=bool(i % 4 == 0),
                                 rng_seed=i)
-        for ref in out.attn_class:
-            cols = tape.val(ref).sum(axis=0)
-            assert np.abs(cols - 1.0).max() < 1e-6
-        for ref in out.attn_fore:
-            assert abs(tape.val(ref).sum() - 1.0) < 1e-6
+        attn_class, attn_fore = tape.val(out.attn_class), tape.val(out.attn_fore)
+        assert np.abs(attn_class.sum(axis=-1) - 1.0).max() < 1e-6
+        assert np.abs(attn_fore.sum(axis=-1) - 1.0).max() < 1e-6
         for ref in (out.p_class_fore, out.p_video_class, out.p_mil):
             p = tape.val(ref)
             assert abs(p.sum() - 1.0) < 1e-6 and (p > 0).all()
         # temperatures (1.0, 5.0): entropy must not increase with tau
-        h1 = entropy(tape.val(out.attn_class[0]))
-        h5 = entropy(tape.val(out.attn_class[1]))
+        h1, h5 = entropy(attn_class[0]), entropy(attn_class[1])
         assert (h5 <= h1 + 1e-9).all()
-        assert entropy(tape.val(out.attn_fore[1])) <= entropy(tape.val(out.attn_fore[0])) + 1e-9
+        assert entropy(attn_fore[1]) <= entropy(attn_fore[0]) + 1e-9
     verdict("normalization-suite",
             "1000 inputs: attention/probability sums within 1e-6, entropy ordered")
 

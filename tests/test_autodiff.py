@@ -102,6 +102,38 @@ class TestSoftmaxTemp:
         out = softmax(s, 2.0)
         assert (np.diff(out) >= 0).all()
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_stacked_temperatures_match_one_softmax_each(self, rng, dtype):
+        scores = rng.normal(size=(3, 7)).astype(dtype)
+        taus = (1.0, 2.0, 5.0)
+        tape = ad.Tape()
+        stacked = tape.val(tape.softmax(tape.leaf(scores), taus, axis=1))
+        assert stacked.shape == (3, 3, 7) and stacked.dtype == dtype
+        for head, tau in enumerate(taus):
+            single = tape.val(tape.softmax(tape.leaf(scores), tau, axis=1))
+            assert np.allclose(stacked[head], single, rtol=0, atol=1e-15)
+
+    def test_stacked_non_positive_temperature_rejected(self):
+        tape = ad.Tape()
+        for taus in ((1.0, 0.0), (1.0, float("nan")), ()):
+            with pytest.raises(ContractError):
+                tape.softmax(tape.leaf(np.ones(3)), taus)
+
+    @pytest.mark.parametrize("taus", [(1.0,), (1.0, 2.0, 5.0)])
+    @pytest.mark.parametrize("shape,axis", [((6,), 0), ((4, 6), 1)])
+    def test_stacked_adjoint_matches_finite_differences(self, rng, taus, shape, axis):
+        tensors = {"s": rng.normal(size=shape)}
+        probe = rng.normal(size=(len(taus),) + shape)
+
+        def f(p):
+            tape = ad.Tape()
+            out = tape.softmax(tape.leaf(p["s"], name="s"), taus, axis=axis)
+            loss = tape.sum(tape.mul_const(out, probe))
+            return float(tape.val(loss)), ad.backward(tape, loss)
+
+        result = ad.finite_diff_check(f, tensors, step=1e-6)
+        assert result.max_rel_error < 1e-6
+
 
 class TestTemporalConv:
     # weights are tap-major (k*d_in, d_out): row block i is the slice of tap i

@@ -178,6 +178,25 @@ class TestTrain:
         assert code == 2
         assert "TrainConfig.epochs must be int, got 'abc'" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("override,field", [
+        ("train.learning_rate=NaN", "TrainConfig.learning_rate"),
+        ("model.delta=NaN", "ModelConfig.delta"),
+        ("model.temperatures=[1.0,Infinity]", "ModelConfig.temperatures"),
+        ("loss.mil=-Infinity", "LossWeights.mil")])
+    def test_non_finite_config_float_exits_cleanly(self, dataset_dir, tmp_path, capsys,
+                                                   override, field):
+        code, _, err = run(capsys, "train", "--manifest", str(dataset_dir / "manifest.json"),
+                           "--out", str(tmp_path / "r"), "--set", override)
+        assert code == 2
+        assert f"{field} must be finite" in err and "Traceback" not in err
+        assert not (tmp_path / "r" / "model_rgb.facn").exists()
+
+    def test_unknown_stream_exits_cleanly(self, dataset_dir, tmp_path, capsys):
+        code, _, err = run(capsys, "train", "--manifest", str(dataset_dir / "manifest.json"),
+                           "--out", str(tmp_path / "r"), "--streams", "rgb,flow")
+        assert code == 2
+        assert "stream 'flow'" in err and "['rgb']" in err and "Traceback" not in err
+
     def test_three_epoch_smoke_on_default_dataset_under_a_minute(self, tmp_path, capsys):
         import time
         data = tmp_path / "data"
@@ -253,6 +272,14 @@ class TestLocalize:
                table_rows(read_detections(det / "detections.csv", manifest.classes))}
         assert reference and got.keys() == reference.keys()
         assert max(abs(got[k] - reference[k]) for k in got) <= 1e-6
+
+    def test_unknown_stream_exits_cleanly(self, dataset_dir, trained, tmp_path, capsys):
+        (trained / "model_rgb.facn").rename(trained / "model_flow.facn")
+        code, _, err = run(capsys, "localize", "--manifest", str(dataset_dir / "manifest.json"),
+                           "--model-dir", str(trained), "--out", str(tmp_path / "det"),
+                           "--streams", "flow")
+        assert code == 2
+        assert "stream 'flow'" in err and "['rgb']" in err and "Traceback" not in err
 
     def test_rejection_threshold_above_one_empties_output(self, dataset_dir, trained,
                                                           tmp_path, capsys):

@@ -3,22 +3,17 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wtal import autodiff as ad
-from wtal.errors import ConfigError, ContractError, FormatError
-from wtal.model import (ScoreSet, class_agnostic_branch,
-                        class_wise_branch, forward_scores, init_params,
-                        load_checkpoint, mil_head, run_forward, save_checkpoint,
-                        stage_params)
+from wtal.errors import ConfigError, ContractError, FormatError, InputError, ManifestError
+from wtal.losses import LossWeights, total_loss
+from wtal.model import (ScoreSet, forward_scores, load_checkpoint, run_forward,
+                        save_checkpoint)
 
-from conftest import tiny_config, tiny_model
-
-
-def staged(x, params):
-    tape = ad.Tape()
-    x_ref = tape.leaf(np.asarray(x, float))
-    refs = stage_params(tape, params)
-    return tape, x_ref, refs
+from conftest import passthrough_model, tiny_config, tiny_model
+from oracles import hybrid_reference
 
 
 class TestEmbed:
@@ -66,119 +61,130 @@ class TestEmbed:
         assert np.isfinite(eval_a.s_f).all()
 
 
+def branch_outputs(x_e, params, config):
+    """Every tape output of a pass-through model fed the embedding x_e."""
+    tape, out = run_forward(x_e, params, config)
+    assert np.array_equal(tape.val(out.x_e), x_e)
+    return {f.name: tape.val(getattr(out, f.name)) for f in fields(out)}
+
+
+def reference(x_e, params, config):
+    return hybrid_reference(x_e, params.w_action, params.w_fore, config.delta,
+                            config.temperatures)
+
+
 class TestClassWiseBranch:
     def test_single_snippet_degenerates(self, rng):
-        config, params = tiny_model()
+        config, params = passthrough_model()
         x_e = np.abs(rng.normal(size=(1, 4)))
-        tape = ad.Tape()
-        refs = stage_params(tape, params)
-        x_ref = tape.leaf(x_e)
-        s_a, attn, feat, logits = class_wise_branch(tape, x_ref, refs, config, tau=2.0)
-        assert np.allclose(tape.val(attn), 1.0, atol=1e-12)
-        assert np.allclose(tape.val(feat), np.tile(x_e, (4, 1)), atol=1e-12)
-        assert np.allclose(tape.val(logits), tape.val(logits)[0], atol=1e-12)
+        out = branch_outputs(x_e, params, config)
+        assert np.allclose(out["attn_class"], 1.0, atol=1e-12)
+        # every class pools x_e itself, so each scores S_f of the one snippet
+        assert np.allclose(out["fore_logits"], out["s_f"][0], atol=1e-12)
 
     def test_time_permutation_invariance(self, rng):
-        config, params = tiny_model()
+        config, params = passthrough_model()
         x_e = np.abs(rng.normal(size=(7, 4)))
         perm = rng.permutation(7)
-
-        def pooled(x):
-            tape = ad.Tape()
-            refs = stage_params(tape, params)
-            _, _, feat, logits = class_wise_branch(tape, tape.leaf(x), refs, config, 2.0)
-            return tape.val(feat), tape.val(logits)
-
-        feat_a, logits_a = pooled(x_e)
-        feat_b, logits_b = pooled(x_e[perm])
-        assert np.allclose(feat_a, feat_b, atol=1e-10)
-        assert np.allclose(logits_a, logits_b, atol=1e-10)
+        a = branch_outputs(x_e, params, config)
+        b = branch_outputs(x_e[perm], params, config)
+        for key in ("fore_logits", "class_logits", "mil_logits"):
+            assert np.allclose(a[key], b[key], atol=1e-10), key
+        assert np.allclose(a["attn_class"][:, :, perm], b["attn_class"], atol=1e-12)
 
     def test_aligned_snippet_attracts_attention(self):
         # snippet 0 parallel to class vector 1, snippet 1 orthogonal
-        config = tiny_config(num_classes=2, feature_dim=3, embed_dims=(3, 3),
-                             use_background=False)
-        params = init_params(config, seed=0)
+        config, params = passthrough_model(width=3, num_classes=2, use_background=False)
         params.w_action = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0]])
         x_e = np.array([[2.0, 0.0, 0.0], [0.0, 0.0, 3.0]])
-        tape = ad.Tape()
-        refs = stage_params(tape, params)
-        s_a, attn, _, _ = class_wise_branch(tape, tape.leaf(x_e), refs, config, tau=1.0)
-        attn_v = tape.val(attn)
-        assert attn_v[0, 1] > attn_v[1, 1]
-        # direct softmax evaluation over the scores column
-        col = tape.val(s_a)[:, 1]
-        expected = np.exp(col - col.max())
-        expected /= expected.sum()
-        assert np.allclose(attn_v[:, 1], expected, atol=1e-12)
+        out = branch_outputs(x_e, params, config)
+        col = out["s_a"][:, 1]
+        for head, tau in enumerate(config.temperatures):
+            attn_v = out["attn_class"][head]
+            assert attn_v[1, 0] > attn_v[1, 1]
+            # direct softmax evaluation over the scores column
+            expected = np.exp(tau * (col - col.max()))
+            expected /= expected.sum()
+            assert np.allclose(attn_v[1], expected, atol=1e-12)
 
 
 class TestClassAgnosticBranch:
     def test_single_snippet(self, rng):
-        config, params = tiny_model()
+        config, params = passthrough_model()
         x_e = np.abs(rng.normal(size=(1, 4)))
-        tape = ad.Tape()
-        refs = stage_params(tape, params)
-        _, _, feat, _ = class_agnostic_branch(tape, tape.leaf(x_e), refs, config, 3.0)
-        assert np.allclose(tape.val(feat), x_e, atol=1e-12)
+        out = branch_outputs(x_e, params, config)
+        # the pooled feature is x_e itself, so it scores S_a of the one snippet
+        assert np.allclose(out["attn_fore"], 1.0, atol=1e-12)
+        assert np.allclose(out["class_logits"], out["s_a"][0], atol=1e-12)
 
     def test_identical_snippets_give_uniform_attention(self, rng):
-        config, params = tiny_model()
+        config, params = passthrough_model()
         x_e = np.tile(np.abs(rng.normal(size=4)), (6, 1))
-        tape = ad.Tape()
-        refs = stage_params(tape, params)
-        _, attn, _, _ = class_agnostic_branch(tape, tape.leaf(x_e), refs, config, 2.0)
-        assert np.allclose(tape.val(attn), 1 / 6, atol=1e-12)
+        out = branch_outputs(x_e, params, config)
+        assert out["attn_fore"].shape == (3, 6)
+        assert np.allclose(out["attn_fore"], 1 / 6, atol=1e-12)
 
     def test_high_temperature_concentrates_on_best_match(self, rng):
-        config, params = tiny_model()
+        config, params = passthrough_model(temperatures=(1.0, 50.0))
+        params.w_fore = np.abs(params.w_fore) + 0.1
         x_e = np.abs(rng.normal(size=(8, 4))) + 0.1
-        tape = ad.Tape()
-        refs = stage_params(tape, params)
-        s_f, attn, _, _ = class_agnostic_branch(tape, tape.leaf(x_e), refs, config, tau=50.0)
-        best = int(np.argmax(tape.val(s_f)))
-        assert int(np.argmax(tape.val(attn))) == best
-        assert tape.val(attn)[best] > 0.99
+        x_e[5] = 2.0 * params.w_fore  # parallel: S_f peaks at delta
+        out = branch_outputs(x_e, params, config)
+        best = int(np.argmax(out["s_f"]))
+        assert int(np.argmax(out["attn_fore"][1])) == best
+        assert out["attn_fore"][1, best] > 0.99
+        assert out["attn_fore"][0, best] < out["attn_fore"][1, best]
 
 
 class TestMilBranch:
-    def build(self, s_a, attn):
-        tape = ad.Tape()
-        return tape, mil_head(tape, tape.leaf(np.asarray(s_a, float)),
-                              tape.leaf(np.asarray(attn, float)))
-
-    def test_single_snippet(self):
-        tape, r = self.build([[2.0, -1.0]], [[1.0, 1.0]])
-        assert np.allclose(tape.val(r), [2.0, -1.0], atol=1e-15)
+    def test_single_snippet(self, rng):
+        config, params = passthrough_model()
+        out = branch_outputs(np.abs(rng.normal(size=(1, 4))), params, config)
+        assert np.allclose(out["mil_logits"], out["s_a"][0], atol=1e-15)
 
     def test_constant_scores_any_attention(self, rng):
-        attn = rng.dirichlet(np.ones(5), size=2).T  # columns sum to 1
-        s_a = np.full((5, 2), 3.25)
-        tape, r = self.build(s_a, attn)
-        assert np.allclose(tape.val(r), 3.25, atol=1e-12)
+        # every snippet has cosine 0.6 with class 0 but its own direction and
+        # norm, so S_a[:, 0] is constant while the other columns vary
+        config, params = passthrough_model()
+        params.w_action[0] = [1.0, 0.0, 0.0, 0.0]
+        phi = rng.uniform(0, np.pi / 2, size=5)
+        x_e = np.stack([np.full(5, 0.6), 0.8 * np.cos(phi), 0.8 * np.sin(phi),
+                        np.zeros(5)], axis=1) * rng.uniform(0.5, 4.0, size=(5, 1))
+        out = branch_outputs(x_e, params, config)
+        assert np.allclose(out["s_a"][:, 0], 3.0, atol=1e-12)
+        assert np.ptp(out["s_a"][:, 1:], axis=0).min() > 1e-3
+        assert out["mil_logits"][0] == pytest.approx(3.0, abs=1e-12)
 
     def test_three_snippet_hand_computed(self):
-        s_a = np.array([[1.0], [-2.0], [4.0]])
-        attn = np.array([[0.2], [0.3], [0.5]])
-        tape, r = self.build(s_a, attn)
-        assert tape.val(r)[0] == pytest.approx(1.6, abs=1e-12)
+        # class 0 scores the snippets 5, 5 - ln 3 and 0, so at tau 1 the
+        # attention is (3, 1, 3e^-5) / (4 + 3e^-5)
+        c = 1.0 - np.log(3.0) / 5.0
+        config, params = passthrough_model(width=3, num_classes=1, use_background=False,
+                                           temperatures=(1.0,))
+        params.w_action = np.array([[1.0, 0.0, 0.0]])
+        x_e = np.array([[2.0, 0.0, 0.0], [c, np.sqrt(1 - c * c), 0.0], [0.0, 0.0, 1.0]])
+        out = branch_outputs(x_e, params, config)
+        norm = 4.0 + 3.0 * np.exp(-5.0)
+        assert np.allclose(out["attn_class"][0, 0], [3 / norm, 1 / norm, 3 * np.exp(-5.0) / norm],
+                           atol=1e-12)
+        expected = (15.0 + 5.0 - np.log(3.0)) / norm
+        assert out["mil_logits"][0] == pytest.approx(expected, abs=1e-12)
 
     def test_shape_mismatch(self):
+        # MIL weights S_a^T by the attention with an elementwise product
+        tape = ad.Tape()
         with pytest.raises(ContractError):
-            self.build(np.zeros((3, 2)), np.zeros((3, 3)))
+            tape.mul(tape.leaf(np.zeros((2, 3))), tape.leaf(np.zeros((3, 3))))
 
 
 class TestForwardHybrid:
     def test_single_temperature_matches_single_head(self, rng):
         config, params = tiny_model(temperatures=(1.0,))
-        x = rng.normal(size=(6, 6))
-        tape, out = run_forward(x, params, config)
-        tape2 = ad.Tape()
-        refs = stage_params(tape2, params)
-        x_e = tape2.leaf(tape.val(out.x_e))
-        s_a, attn, feat, logits = class_wise_branch(tape2, x_e, refs, config, 1.0)
-        assert np.array_equal(tape.val(out.s_a), tape2.val(s_a))
-        assert np.allclose(tape.val(out.fore_logits), tape2.val(logits), atol=1e-12)
+        tape, out = run_forward(rng.normal(size=(6, 6)), params, config)
+        ref = reference(tape.val(out.x_e), params, config)
+        assert np.allclose(tape.val(out.s_a), ref["s_a"], atol=1e-12)
+        for key in ("fore_logits", "class_logits", "mil_logits"):
+            assert np.allclose(tape.val(getattr(out, key)), ref[key][0], atol=1e-12), key
 
     def test_duplicate_temperatures_match_single_head(self, rng):
         x = rng.normal(size=(6, 6))
@@ -195,70 +201,51 @@ class TestForwardHybrid:
         x = rng.normal(size=(7, 6))
         tape, out = run_forward(x, params, config)
         # recompute each head independently from the shared embedding
-        x_e = tape.val(out.x_e)
-        fore, cls, mil = [], [], []
-        for tau in config.temperatures:
-            t2 = ad.Tape()
-            refs = stage_params(t2, params)
-            x_ref = t2.leaf(x_e)
-            s_a, attn, _, logit = class_wise_branch(t2, x_ref, refs, config, tau)
-            fore.append(t2.val(logit))
-            _, _, _, ca_logit = class_agnostic_branch(t2, x_ref, refs, config, tau)
-            cls.append(t2.val(ca_logit))
-            mil.append(t2.val(mil_head(t2, s_a, attn)))
-        assert np.allclose(tape.val(out.fore_logits), np.mean(fore, axis=0), atol=1e-12)
-        assert np.allclose(tape.val(out.class_logits), np.mean(cls, axis=0), atol=1e-12)
-        assert np.allclose(tape.val(out.mil_logits), np.mean(mil, axis=0), atol=1e-12)
+        ref = reference(tape.val(out.x_e), params, config)
+        assert np.allclose(tape.val(out.attn_class), ref["attn_class"], atol=1e-12)
+        assert np.allclose(tape.val(out.attn_fore), ref["attn_fore"], atol=1e-12)
+        for key in ("fore_logits", "class_logits", "mil_logits"):
+            assert np.allclose(tape.val(getattr(out, key)), ref[key].mean(axis=0),
+                               atol=1e-12), key
 
     def test_probability_outputs_at_head_level_permutation_invariant(self, rng):
-        config, params = tiny_model()
+        config, params = passthrough_model(temperatures=(2.0,))
         x_e = np.abs(rng.normal(size=(9, 4)))
         perm = rng.permutation(9)
-
-        def heads(x):
-            tape = ad.Tape()
-            refs = stage_params(tape, params)
-            x_ref = tape.leaf(x)
-            s_a, attn, _, fore_logit = class_wise_branch(tape, x_ref, refs, config, 2.0)
-            _, _, _, ca_logit = class_agnostic_branch(tape, x_ref, refs, config, 2.0)
-            mil_logit = mil_head(tape, s_a, attn)
-            return (tape.val(tape.softmax(fore_logit, 1.0)),
-                    tape.val(tape.softmax(ca_logit, 1.0)),
-                    tape.val(tape.softmax(mil_logit, 1.0)))
-
-        for a, b in zip(heads(x_e), heads(x_e[perm])):
-            assert np.allclose(a, b, atol=1e-10)
+        a = branch_outputs(x_e, params, config)
+        b = branch_outputs(x_e[perm], params, config)
+        for key in ("p_class_fore", "p_video_class", "p_mil"):
+            assert np.allclose(a[key], b[key], atol=1e-10), key
 
     def test_snippet_rescaling_leaves_scores_unchanged(self, rng):
-        config, params = tiny_model()
+        config, params = passthrough_model()
         x_e = np.abs(rng.normal(size=(5, 4))) + 0.1
         scaled = x_e.copy()
         scaled[3] *= 7.5
-
-        def snippet_scores(x):
-            tape = ad.Tape()
-            refs = stage_params(tape, params)
-            x_ref = tape.leaf(x)
-            s_a, *_ = class_wise_branch(tape, x_ref, refs, config, 1.0)
-            s_f, *_ = class_agnostic_branch(tape, x_ref, refs, config, 1.0)
-            return tape.val(s_a), tape.val(s_f)
-
-        s_a0, s_f0 = snippet_scores(x_e)
-        s_a1, s_f1 = snippet_scores(scaled)
-        assert np.allclose(s_a0, s_a1, atol=1e-9)
-        assert np.allclose(s_f0, s_f1, atol=1e-9)
+        a = branch_outputs(x_e, params, config)
+        b = branch_outputs(scaled, params, config)
+        assert np.allclose(a["s_a"], b["s_a"], atol=1e-9)
+        assert np.allclose(a["s_f"], b["s_f"], atol=1e-9)
 
     def test_attention_and_probability_normalization(self, rng):
         config, params = tiny_model()
         tape, out = run_forward(rng.normal(size=(8, 6)), params, config,
                                 train_mode=True, rng_seed=3)
-        for ref in out.attn_class:
-            assert np.allclose(tape.val(ref).sum(axis=0), 1.0, atol=1e-6)
-        for ref in out.attn_fore:
-            assert abs(tape.val(ref).sum() - 1.0) < 1e-6
+        assert tape.val(out.attn_class).shape == (3, 4, 8)
+        assert np.allclose(tape.val(out.attn_class).sum(axis=-1), 1.0, atol=1e-6)
+        assert tape.val(out.attn_fore).shape == (3, 8)
+        assert np.allclose(tape.val(out.attn_fore).sum(axis=-1), 1.0, atol=1e-6)
         for ref in (out.p_class_fore, out.p_video_class, out.p_mil):
             p = tape.val(ref)
             assert abs(p.sum() - 1.0) < 1e-6 and (p > 0).all()
+
+    @pytest.mark.parametrize("temperatures", [(1.0,), (1.0, 2.0, 5.0)])
+    def test_train_mode_tape_size_independent_of_head_count(self, rng, temperatures):
+        config, params = tiny_model(temperatures=temperatures)
+        tape, out = run_forward(rng.normal(size=(8, 6)), params, config,
+                                train_mode=True, rng_seed=3)
+        total_loss(tape, out, np.array([1.0, 0.0, 1.0]), LossWeights(), True)
+        assert len(tape.nodes) == 51  # 7 leaves, 30 forward ops, 14 loss ops
 
     def test_background_disabled_drops_shapes(self, rng):
         config, params = tiny_model(use_background=False)
@@ -295,6 +282,19 @@ class TestPrecision:
         self.assert_same_scores(forward_scores(x, params, config),
                                 forward_scores(x.astype(np.float64), params, config),
                                 np.float64)
+
+    def test_float32_train_tape_and_gradients_stay_float32(self, rng):
+        config, params = tiny_model()
+        tape, out = run_forward(rng.normal(size=(7, 6)), params.astype(np.float32), config,
+                                train_mode=True, rng_seed=4)
+        loss_ref, _ = total_loss(tape, out, np.array([1.0, 0.0, 1.0]), LossWeights(), True)
+        grads = ad.backward(tape, loss_ref)
+        promoted = [(i, n.op, n.value.dtype) for i, n in enumerate(tape.nodes)
+                    if n.value.dtype != np.float32]
+        assert promoted == []
+        assert set(grads) == set(params.as_dict())
+        for name, g in grads.items():
+            assert g.dtype == np.float32, name
 
     def test_features_staged_without_copy_when_dtypes_match(self, rng):
         config, params = tiny_model()
@@ -403,6 +403,69 @@ class TestCheckpoint:
         write_v1_checkpoint(path, params, config, relay=False)
         with pytest.raises(FormatError, match="rank 3"):
             load_checkpoint(path)
+
+
+def tensor_offset(raw: bytes, name: str) -> int:
+    """Offset of a tensor's name length field in a checkpoint."""
+    return raw.index(name.encode()) - 2
+
+
+class TestCheckpointErrors:
+    """Malformed checkpoints end in FormatError with the offset, never in an
+    untyped error."""
+
+    @pytest.fixture
+    def saved(self, tmp_path):
+        config, params = tiny_model()
+        path = tmp_path / "model.facn"
+        save_checkpoint(path, params, config)
+        return path, path.read_bytes()
+
+    def test_name_not_utf8(self, saved):
+        path, raw = saved
+        at = tensor_offset(raw, "conv1_b") + 2
+        path.write_bytes(raw[:at] + b"\xff" + raw[at + 1:])
+        with pytest.raises(FormatError, match=f"tensor name at offset {at} is not valid UTF-8"):
+            load_checkpoint(path)
+
+    def test_dims_beyond_the_stored_bytes(self, saved):
+        path, raw = saved
+        dims_at = tensor_offset(raw, "w_fore") + 2 + len("w_fore") + 1
+        path.write_bytes(raw[:dims_at - 1] + struct.pack("<B2I", 2, 2**32 - 1, 2**32 - 1)
+                         + raw[dims_at + 4:])
+        with pytest.raises(FormatError, match="truncated checkpoint: needed .* offset"):
+            load_checkpoint(path)
+
+    def test_rank_above_three(self, saved):
+        path, raw = saved
+        rank_at = tensor_offset(raw, "w_fore") + 2 + len("w_fore")
+        path.write_bytes(raw[:rank_at] + bytes([70]) + raw[rank_at + 1:])
+        with pytest.raises(FormatError, match=f"rank 70 at offset {rank_at}"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("field,offset", [("delta", 28), ("temperatures", 40)])
+    def test_non_finite_config_float(self, saved, value, field, offset):
+        path, raw = saved
+        path.write_bytes(raw[:offset] + struct.pack("<d", value) + raw[offset + 8:])
+        with pytest.raises(FormatError, match=f"non-finite {field} .* at offset {offset}"):
+            load_checkpoint(path)
+
+    @given(cut=st.integers(0, 10_000), edits=st.lists(
+        st.tuples(st.integers(0, 10_000), st.integers(0, 255)), max_size=6))
+    @settings(max_examples=300, deadline=None)
+    def test_fuzz_only_typed_errors_escape(self, tmp_path_factory, cut, edits):
+        config, params = tiny_model()
+        path = tmp_path_factory.getbasetemp() / "fuzz.facn"
+        save_checkpoint(path, params, config)
+        raw = bytearray(path.read_bytes())
+        for index, byte in edits:
+            raw[index % len(raw)] = byte
+        path.write_bytes(bytes(raw[:cut]))
+        try:
+            load_checkpoint(path)
+        except (ConfigError, ContractError, FormatError, InputError, ManifestError):
+            pass
 
 
 def write_v1_checkpoint(path, params, config, relay=True):
