@@ -325,27 +325,15 @@ class GradCheckResult:
     failures: list[str] = field(default_factory=list)
 
 
-def finite_diff_check(f, params: dict[str, np.ndarray], step: float,
-                      grads: dict[str, np.ndarray] | None = None) -> GradCheckResult:
+def finite_diff_check(f, params: dict[str, np.ndarray], step: float) -> GradCheckResult:
     """Compare analytic gradients against central finite differences.
 
-    ``f(params)`` must return ``(scalar loss, {name: grad})`` unless
-    ``grads`` is supplied, in which case it may return the scalar alone.
+    ``f(params)`` must return ``(scalar loss, {name: grad})``.
     Error per coordinate is |analytic - cd| / max(|analytic|, |cd|, 1e-8).
     """
     if step <= 0:
         raise ContractError(f"finite difference step {step} must be positive")
-
-    def loss_of(p):
-        out = f(p)
-        return float(out[0]) if isinstance(out, tuple) else float(out)
-
-    if grads is None:
-        base = f(params)
-        if not isinstance(base, tuple):
-            raise ContractError("f must return (loss, grads) when grads not given")
-        grads = base[1]
-
+    grads = f(params)[1]
     worst = GradCheckResult(0.0, None, None)
     for name in sorted(params):
         p = params[name]
@@ -353,9 +341,9 @@ def finite_diff_check(f, params: dict[str, np.ndarray], step: float,
         for idx in np.ndindex(p.shape):
             orig = p[idx]
             p[idx] = orig + step
-            lp = loss_of(params)
+            lp = float(f(params)[0])
             p[idx] = orig - step
-            lm = loss_of(params)
+            lm = float(f(params)[0])
             p[idx] = orig
             if not (np.isfinite(lp) and np.isfinite(lm) and np.isfinite(g[idx])):
                 worst.failures.append(f"{name}{list(idx)}: non-finite evaluation")

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import contextlib
 import json
+import math
 import os
 import struct
 from dataclasses import dataclass, field
@@ -98,9 +99,10 @@ def convert_raw_features(in_path, t: int, d: int, out_path) -> None:
     save_features(out_path, np.frombuffer(raw, dtype="<f4").reshape(t, d))
 
 
-@dataclass
-class GroundTruthSpan:
-    label: str
+@dataclass(frozen=True)
+class GroundTruthInstance:
+    video_id: str
+    class_id: int
     start: float
     end: float
 
@@ -113,7 +115,7 @@ class VideoEntry:
     snippet_stride: int
     features: dict[str, Path]  # stream name -> feature file path
     labels: list[str]
-    ground_truth: list[GroundTruthSpan] = field(default_factory=list)
+    ground_truth: list[GroundTruthInstance] = field(default_factory=list)
     num_snippets: int = 0
 
     @property
@@ -125,19 +127,15 @@ class VideoEntry:
 class Manifest:
     classes: list[str]
     videos: list[VideoEntry]
-    root: Path
 
     @property
     def streams(self) -> tuple[str, ...]:
         return tuple(sorted(self.videos[0].features)) if self.videos else ()
 
-    def class_index(self, label: str) -> int:
-        return self.classes.index(label)
-
     def label_vector(self, entry: VideoEntry) -> np.ndarray:
         y = np.zeros(len(self.classes), dtype=np.float64)
         for label in entry.labels:
-            y[self.class_index(label)] = 1.0
+            y[self.classes.index(label)] = 1.0
         return y
 
     def split(self, tag: str) -> list[VideoEntry]:
@@ -153,6 +151,23 @@ def read_json(path, error: type[Exception]):
             raise error(f"{path}: not valid JSON ({exc})") from None
 
 
+def _typed(vid: str, record: dict, key: str, kind: type, default):
+    """``record[key]`` (``default`` when absent), which must be a ``kind``."""
+    value = record.get(key, default)
+    if not isinstance(value, kind):
+        raise ManifestError(f"video {vid}: {key} must be a {kind.__name__}, got {value!r}")
+    return value
+
+
+def _number(vid: str, record: dict, key: str, kind: type):
+    """``record[key]`` converted by ``kind`` (``float`` or ``int``)."""
+    try:
+        return kind(record.get(key, 0))
+    except (TypeError, ValueError, OverflowError):
+        raise ManifestError(f"video {vid}: {key} must be a finite number, "
+                            f"got {record.get(key)!r}") from None
+
+
 def parse_manifest(path) -> Manifest:
     """Parse and fully validate a manifest JSON document.
 
@@ -161,34 +176,44 @@ def parse_manifest(path) -> Manifest:
     feature files sharing one stream set, labels drawn from the class list,
     and ground-truth spans, each an object with a known label and numeric
     start and end lying inside the video duration (duration = T * stride /
-    fps, T from the feature header).
+    fps, T from the feature header). A field of the wrong JSON type raises
+    ``ManifestError`` naming the video and the field.
     """
     path = Path(path)
     doc = read_json(path, ManifestError)
     if not isinstance(doc, dict) or doc.get("schema_version") != MANIFEST_VERSION:
         raise ManifestError(f"manifest schema_version must be {MANIFEST_VERSION}")
     classes = doc.get("classes")
-    if not classes or len(set(classes)) != len(classes):
-        raise ManifestError("manifest classes must be a non-empty unique list")
+    if not isinstance(classes, list) or not classes \
+            or not all(isinstance(c, str) for c in classes) or len(set(classes)) != len(classes):
+        raise ManifestError("manifest classes must be a non-empty list of unique strings")
+    records = doc.get("videos", [])
+    if not isinstance(records, list):
+        raise ManifestError(f"manifest videos must be a list, got {records!r}")
     root = path.parent
     videos: list[VideoEntry] = []
     seen_ids: set[str] = set()
     stream_set: tuple[str, ...] | None = None
-    for record in doc.get("videos", []):
-        vid = record.get("id")
+    for index, record in enumerate(records):
+        if not isinstance(record, dict):
+            raise ManifestError(f"video #{index} must be an object, got {record!r}")
+        vid = _typed(f"#{index}", record, "id", str, None)
         if not vid or vid in seen_ids:
             raise ManifestError(f"missing or duplicate video id {vid!r}")
         seen_ids.add(vid)
         split = record.get("split")
         if split not in ("train", "test"):
             raise ManifestError(f"video {vid}: split must be 'train' or 'test'")
-        fps = float(record.get("fps", 0))
-        stride = int(record.get("snippet_stride", 0))
-        if fps <= 0 or stride < 1:
-            raise ManifestError(f"video {vid}: fps and snippet_stride must be positive")
-        features = {name: root / rel for name, rel in record.get("features", {}).items()}
-        if not features:
-            raise ManifestError(f"video {vid}: no feature streams listed")
+        fps = _number(vid, record, "fps", float)
+        stride = _number(vid, record, "snippet_stride", int)
+        if not (0 < fps < math.inf and 1 <= stride < 2 ** 32):
+            raise ManifestError(f"video {vid}: fps must be positive and finite and "
+                                f"snippet_stride in [1, 2**32), got {fps!r} and {stride!r}")
+        features = _typed(vid, record, "features", dict, {})
+        if not features or not all(isinstance(rel, str) for rel in features.values()):
+            raise ManifestError(f"video {vid}: features must map each stream to a file "
+                                f"path, got {features!r}")
+        features = {name: root / rel for name, rel in features.items()}
         streams = tuple(sorted(features))
         if stream_set is None:
             stream_set = streams
@@ -197,7 +222,7 @@ def parse_manifest(path) -> Manifest:
                 f"video {vid}: stream set {streams} differs from {stream_set}")
         num_snippets = None
         for stream, fpath in features.items():
-            if not fpath.exists():
+            if not os.path.isfile(fpath):  # unlike Path.is_file, False for a too-long name
                 raise ManifestError(f"video {vid}: missing feature file {fpath}")
             t, _ = read_feature_header(fpath)
             if num_snippets is None:
@@ -205,17 +230,17 @@ def parse_manifest(path) -> Manifest:
             elif t != num_snippets:
                 raise ManifestError(
                     f"video {vid}: stream {stream} has {t} snippets, expected {num_snippets}")
-        labels = record.get("labels", [])
+        labels = _typed(vid, record, "labels", list, [])
         for label in labels:
             if label not in classes:
                 raise ManifestError(f"video {vid}: unknown class {label!r}")
         entry = VideoEntry(video_id=vid, split=split, fps=fps, snippet_stride=stride,
                            features=features, labels=list(labels),
                            num_snippets=int(num_snippets))
-        for gt in record.get("ground_truth", []):
+        for gt in _typed(vid, record, "ground_truth", list, []):
             try:
                 label, start, end = gt["label"], float(gt["start"]), float(gt["end"])
-            except (KeyError, TypeError, ValueError) as exc:
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise ManifestError(
                     f"video {vid}: ground truth {gt!r} needs a label and numeric "
                     f"start and end ({type(exc).__name__}: {exc})") from exc
@@ -225,11 +250,11 @@ def parse_manifest(path) -> Manifest:
                 raise ManifestError(
                     f"video {vid}: ground truth [{start}, {end}) outside duration "
                     f"{entry.duration:.3f}")
-            entry.ground_truth.append(GroundTruthSpan(label, start, end))
+            entry.ground_truth.append(GroundTruthInstance(vid, classes.index(label), start, end))
         videos.append(entry)
     if not videos:
         raise ManifestError("manifest lists no videos")
-    return Manifest(classes=list(classes), videos=videos, root=root)
+    return Manifest(classes=list(classes), videos=videos)
 
 
 @dataclass
@@ -257,19 +282,9 @@ def load_dataset(manifest: Manifest, split: str, stream: str) -> list[VideoSampl
     return samples
 
 
-@dataclass(frozen=True)
-class GroundTruthInstance:
-    video_id: str
-    class_id: int
-    start: float
-    end: float
-
-
 def ground_truth_instances(manifest: Manifest, split: str) -> list[GroundTruthInstance]:
-    """The ground-truth spans of one split, labels as class ids."""
-    return [GroundTruthInstance(entry.video_id, manifest.class_index(gt.label), gt.start,
-                                gt.end)
-            for entry in manifest.split(split) for gt in entry.ground_truth]
+    """The ground-truth instances of one split, in manifest order."""
+    return [gt for entry in manifest.split(split) for gt in entry.ground_truth]
 
 
 @dataclass
@@ -296,6 +311,10 @@ class SynthConfig:
             raise ConfigError("separation margin must be positive")
         if self.noise < 0:
             raise ConfigError("noise level must be non-negative")
+        if self.fps <= 0:
+            raise ConfigError("fps must be positive")
+        if not 1 <= self.snippet_stride < 2 ** 32:
+            raise ConfigError("snippet_stride must lie in [1, 2**32)")
         if self.snippet_range[0] < 1 or self.snippet_range[0] > self.snippet_range[1]:
             raise ConfigError("bad snippet count range")
         lo, hi = self.instance_len_range

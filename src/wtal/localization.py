@@ -17,7 +17,7 @@ import numpy as np
 from .errors import ConfigError, ContractError, FormatError, InputError
 from .data import atomic_write, load_dataset, read_json
 from .evaluation import Detections, tiou_array
-from .model import forward_scores
+from .model import ScoreSet, forward_scores
 
 # Cap on the bytes of one pairwise-overlap block in ``nms``.
 NMS_BLOCK_BYTES = 2 << 20
@@ -46,16 +46,6 @@ class LocalizeConfig:
             raise ConfigError("context_ratio must be non-negative")
 
 
-@dataclass
-class StreamScores:
-    """Per-stream model outputs plus the timing metadata to map them to seconds."""
-    s_a: np.ndarray   # (T, K) snippet class scores, background column last if present
-    s_f: np.ndarray   # (T,) snippet foreground scores
-    p_video_class: np.ndarray  # (K,) video-level class probabilities
-    snippet_stride: int
-    fps: float
-
-
 def minmax(x: np.ndarray) -> np.ndarray:
     """Map a sequence to [0, 1]; a constant sequence becomes all 0.5."""
     lo, hi = float(x.min()), float(x.max())
@@ -79,24 +69,18 @@ def fuse_scores(s_a: np.ndarray, s_f: np.ndarray, num_classes: int,
     return fused
 
 
-def upsample(g: np.ndarray, stride: int, fps: float) -> tuple[np.ndarray, np.ndarray]:
-    """Linear interpolation from snippet centers to frames.
-
-    Returns (frame_scores of length T*stride, frame times in seconds).
-    """
+def upsample(g: np.ndarray, stride: int) -> np.ndarray:
+    """Linear interpolation of each column of ``g`` from snippet centers to
+    frames: a ``(T*stride, columns)`` array."""
     if g.shape[0] == 0:
         raise InputError("cannot upsample an empty sequence")
-    if stride < 1 or fps <= 0:
-        raise ContractError(f"stride {stride} and fps {fps} must be positive")
+    if stride < 1:
+        raise ContractError(f"stride {stride} must be positive")
     t = g.shape[0]
     frames = np.arange(t * stride, dtype=np.float64)
     centers = np.arange(t, dtype=np.float64) * stride + (stride - 1) / 2.0
-    if g.ndim == 1:
-        up = np.interp(frames, centers, g.astype(np.float64))
-    else:
-        up = np.stack([np.interp(frames, centers, g[:, c].astype(np.float64))
-                       for c in range(g.shape[1])], axis=1)
-    return up, frames / fps
+    return np.stack([np.interp(frames, centers, g[:, c].astype(np.float64))
+                     for c in range(g.shape[1])], axis=1)
 
 
 def propose(g_c: np.ndarray, thresholds, fps: float, class_conf: float,
@@ -170,10 +154,10 @@ def nms(candidates: np.ndarray, tiou_threshold: float) -> np.ndarray:
     return pool[alive]
 
 
-def localize_video(streams: list[StreamScores], num_classes: int,
-                   config: LocalizeConfig, video_id: str) -> Detections:
+def localize_video(streams: list[ScoreSet], snippet_stride: int, fps: float,
+                   num_classes: int, config: LocalizeConfig, video_id: str) -> Detections:
     """Pool the ``propose`` candidates of each class that a stream does not
-    reject, from one or two streams, then class-wise NMS.
+    reject, from one or two streams of one video, then class-wise NMS.
 
     The detections of video ``video_id``, by (-score, start, end, class_id).
     """
@@ -182,12 +166,12 @@ def localize_video(streams: list[StreamScores], num_classes: int,
     pooled: dict[int, list[np.ndarray]] = {}
     for scores in streams:
         fused = fuse_scores(scores.s_a, scores.s_f, num_classes, config.fusion_weight)
-        frames, _ = upsample(fused, scores.snippet_stride, scores.fps)
+        frames = upsample(fused, snippet_stride)
         for c in range(num_classes):
             conf = float(scores.p_video_class[c])
             if conf >= config.class_reject_threshold:
                 pooled.setdefault(c, []).append(propose(
-                    frames[:, c], config.proposal_thresholds, scores.fps, conf,
+                    frames[:, c], config.proposal_thresholds, fps, conf,
                     config.context_ratio, config.include_class_conf))
     kept, class_ids = [np.empty((0, 3))], [np.empty(0, dtype=np.int64)]
     for c, candidates in sorted(pooled.items()):
@@ -214,13 +198,12 @@ def localize_split(manifest, split: str, models: dict, config: LocalizeConfig,
     for videos in zip(*(load_dataset(manifest, split, stream) for stream in models)):
         stream_scores = []
         for (stream, (params, model_config)), sample in zip(models.items(), videos):
-            scores = forward_scores(sample.features, params, model_config)
+            stream_scores.append(forward_scores(sample.features, params, model_config))
             if on_scores is not None:
-                on_scores(stream, sample, scores)
-            stream_scores.append(StreamScores(scores.s_a, scores.s_f, scores.p_video_class,
-                                              sample.snippet_stride, sample.fps))
-        tables.append(localize_video(stream_scores, len(manifest.classes), config,
-                                     videos[0].video_id))
+                on_scores(stream, sample, stream_scores[-1])
+        video = videos[0]
+        tables.append(localize_video(stream_scores, video.snippet_stride, video.fps,
+                                     len(manifest.classes), config, video.video_id))
     return Detections.concat(tables)
 
 

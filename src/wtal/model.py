@@ -73,9 +73,6 @@ class ModelParams:
     def astype(self, dtype) -> "ModelParams":
         return ModelParams(**{k: v.astype(dtype) for k, v in self.as_dict().items()})
 
-    def copy(self) -> "ModelParams":
-        return ModelParams(**{k: v.copy() for k, v in self.as_dict().items()})
-
 
 def tap_major(w: np.ndarray) -> np.ndarray:
     """Relay (d_out, d_in, k) conv weights into the stored (k*d_in, d_out) layout."""
@@ -234,28 +231,15 @@ def run_forward(x_raw: np.ndarray, params: ModelParams, config: ModelConfig,
 
 @dataclass
 class ScoreSet:
-    """Evaluation-mode outputs of one video as plain arrays."""
-    s_a: np.ndarray        # (T, K)
-    s_f: np.ndarray        # (T,)
+    """The evaluation-mode scores of one video that localization reads."""
+    s_a: np.ndarray        # (T, K) snippet class scores, background column last if present
+    s_f: np.ndarray        # (T,) snippet foreground scores
     p_video_class: np.ndarray  # (K,) video-level class probabilities
-    p_class_fore: np.ndarray   # (K,)
-    p_mil: np.ndarray      # (K,)
-    fore_logits: np.ndarray
-    class_logits: np.ndarray
-    mil_logits: np.ndarray
 
 
 def forward_scores(x_raw: np.ndarray, params: ModelParams, config: ModelConfig) -> ScoreSet:
     tape, out = run_forward(x_raw, params, config, train_mode=False)
-    return ScoreSet(
-        s_a=tape.val(out.s_a), s_f=tape.val(out.s_f),
-        p_video_class=tape.val(out.p_video_class),
-        p_class_fore=tape.val(out.p_class_fore),
-        p_mil=tape.val(out.p_mil),
-        fore_logits=tape.val(out.fore_logits),
-        class_logits=tape.val(out.class_logits),
-        mil_logits=tape.val(out.mil_logits),
-    )
+    return ScoreSet(tape.val(out.s_a), tape.val(out.s_f), tape.val(out.p_video_class))
 
 
 def save_checkpoint(path, params: ModelParams, config: ModelConfig) -> None:

@@ -235,19 +235,18 @@ def load_train_state(path, model_config: ModelConfig,
 
 def fit(dataset, params: ModelParams, model_config: ModelConfig,
         loss_weights: LossWeights, train_config: TrainConfig,
-        out_dir=None, ckpt_prefix: str = "model", checkpoint_interval: int = 0,
+        out_dir, ckpt_prefix: str = "model", checkpoint_interval: int = 0,
         state: OptimizerState | None = None, start_epoch: int = 0,
         log=None) -> FitResult:
-    """Run the full schedule; optionally write checkpoints, history, and a
-    resumable training-state file under out_dir."""
+    """Run the full schedule; write the checkpoint, the history and a
+    resumable training-state file into the existing directory out_dir, and a
+    checkpoint and state file every ``checkpoint_interval`` epochs if set."""
     if not dataset:
         raise ConfigError("training dataset is empty")
     params = params.astype(train_config.dtype)
     if state is None:
         state = init_optimizer(params)
-    out_dir = Path(out_dir) if out_dir is not None else None
-    if out_dir is not None:
-        out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = Path(out_dir)
     history: list[EpochReport] = []
     for epoch in range(start_epoch, train_config.epochs):
         report = train_epoch(dataset, params, state, model_config, loss_weights,
@@ -257,13 +256,11 @@ def fit(dataset, params: ModelParams, model_config: ModelConfig,
             log(f"epoch {epoch:3d}  total {report.loss_total:.4f}  "
                 f"cw {report.loss_class_wise:.4f}  ca {report.loss_class_agnostic:.4f}  "
                 f"mil {report.loss_mil:.4f}")
-        if out_dir is not None and checkpoint_interval and (epoch + 1) % checkpoint_interval == 0:
+        if checkpoint_interval and (epoch + 1) % checkpoint_interval == 0:
             save_checkpoint(out_dir / f"{ckpt_prefix}_epoch{epoch + 1:04d}.facn",
                             params, model_config)
             save_train_state(out_dir / f"{ckpt_prefix}_state.npz", params, state, epoch + 1)
-    if out_dir is not None:
-        save_checkpoint(out_dir / f"{ckpt_prefix}.facn", params, model_config)
-        save_train_state(out_dir / f"{ckpt_prefix}_state.npz", params, state,
-                         train_config.epochs)
-        write_history(out_dir / f"{ckpt_prefix}_history.csv", history)
+    save_checkpoint(out_dir / f"{ckpt_prefix}.facn", params, model_config)
+    save_train_state(out_dir / f"{ckpt_prefix}_state.npz", params, state, train_config.epochs)
+    write_history(out_dir / f"{ckpt_prefix}_history.csv", history)
     return FitResult(params=params, state=state, history=history)

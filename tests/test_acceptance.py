@@ -1,9 +1,12 @@
 """Acceptance suite: one test per release criterion, one printed verdict each.
 
 Run with ``pytest tests/test_acceptance.py -s`` to see the verdict lines.
-The end-to-end criteria train real models; the whole module takes a couple
-of minutes on a laptop-class CPU.
+The end-to-end criteria train real models with the CLI stages of
+scripts/synthetic_pipeline.py on configs/synthetic.json; the whole module
+takes a couple of minutes on a laptop-class CPU.
 """
+import json
+import sys
 import time
 from pathlib import Path
 
@@ -12,16 +15,16 @@ import pytest
 
 from wtal import autodiff as ad
 from wtal.cli import gradcheck_cases, main as cli_main
-from wtal.data import (SynthConfig, generate_synthetic, ground_truth_instances,
-                       load_dataset, parse_manifest)
+from wtal.data import SynthConfig, generate_synthetic, ground_truth_instances, parse_manifest
 from wtal.evaluation import ACTIVITYNET_GRID, THUMOS_GRID, map_report
-from wtal.localization import LocalizeConfig, localize_split, nms
-from wtal.losses import LossWeights
+from wtal.localization import nms
 from wtal.model import ModelConfig, init_params, run_forward
-from wtal.training import TrainConfig, fit
 
 from conftest import detections_table
 from oracles import hybrid_reference, map_reference, nms_reference, tiou
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "scripts"))
+from synthetic_pipeline import CONFIG, run as run_pipeline  # noqa: E402
 
 
 def verdict(name: str, detail: str) -> None:
@@ -133,39 +136,27 @@ def test_scoring_oracles():
 
 # --- shared synthetic dataset + trained models -------------------------------
 
-E2E_SYNTH = SynthConfig(seed=7)  # C=5, D=64, 40 train / 20 test, noise 0.1
-E2E_MODEL = dict(num_classes=5, feature_dim=64, embed_dims=(128, 128),
-                 kernel_size=3, delta=5.0, temperatures=(1.0, 2.0, 5.0),
-                 use_background=False, dropout_rate=0.5)
-E2E_TRAIN = TrainConfig(learning_rate=1e-4, epochs=100, batch_size=2, seed=3,
-                        precision=32)
-
-
 @pytest.fixture(scope="module")
 def synthetic_dataset(tmp_path_factory):
     root = tmp_path_factory.mktemp("e2e")
-    manifest = parse_manifest(generate_synthetic(E2E_SYNTH, root))
-    return manifest
+    assert cli_main(["synth", "--config", str(CONFIG), "--out", str(root)]) == 0
+    return parse_manifest(root / "manifest.json")
 
 
-def train_and_localize(manifest, weights: LossWeights, use_background=None):
-    model_kwargs = dict(E2E_MODEL)
-    if use_background is not None:
-        model_kwargs["use_background"] = use_background
-    config = ModelConfig(**model_kwargs)
-    dataset = load_dataset(manifest, "train", "rgb")
-    params = init_params(config, seed=E2E_TRAIN.seed, dtype=E2E_TRAIN.dtype)
-    result = fit(dataset, params, config, weights, E2E_TRAIN)
-    dets = localize_split(manifest, "test", {"rgb": (result.params, config)}, LocalizeConfig())
-    return map_report(dets, ground_truth_instances(manifest, "test"), THUMOS_GRID,
-                      len(manifest.classes))
+def train_and_localize(tmp_path_factory, class_wise, class_agnostic, mil, *overrides):
+    """Average mAP of the desk run (configs/synthetic.json through the CLI
+    stages) trained with these loss weights and further ``--set`` overrides."""
+    weights = [f"loss.class_wise={class_wise}", f"loss.class_agnostic={class_agnostic}",
+               f"loss.mil={mil}"]
+    report = run_pipeline(tmp_path_factory.mktemp("run"), None, weights + list(overrides))
+    return json.loads(report.read_text())["average_map"]
 
 
 @pytest.fixture(scope="module")
-def e2e_full_run(synthetic_dataset):
+def e2e_full_run(tmp_path_factory):
     started = time.perf_counter()
-    report = train_and_localize(synthetic_dataset, LossWeights(1.0, 0.1, 0.1))
-    return report, time.perf_counter() - started
+    average_map = train_and_localize(tmp_path_factory, 1.0, 0.1, 0.1)
+    return average_map, time.perf_counter() - started
 
 
 # --- criterion 5: pipeline sanity --------------------------------------------
@@ -183,46 +174,43 @@ def test_pipeline_sanity_ground_truth_maps_to_one(synthetic_dataset):
 # --- criterion 6: end-to-end desk-scale learning ------------------------------
 
 def test_end_to_end_learning_clears_map_floor(e2e_full_run):
-    report, elapsed = e2e_full_run
+    average_map, elapsed = e2e_full_run
     # first passing run measured 0.923 average mAP; 0.80 is the frozen floor
-    assert report.average_map >= 0.80, f"average mAP {report.average_map:.3f}"
+    assert average_map >= 0.80, f"average mAP {average_map:.3f}"
     assert elapsed < 300.0
     verdict("end-to-end-learning",
-            f"avg mAP {report.average_map:.3f} >= 0.80 in {elapsed:.0f}s")
+            f"avg mAP {average_map:.3f} >= 0.80 in {elapsed:.0f}s")
 
 
 # --- criterion 7: branch ablation direction -----------------------------------
 
-def test_three_branch_model_dominates_single_branches(synthetic_dataset, e2e_full_run):
-    full_report, _ = e2e_full_run
+def test_three_branch_model_dominates_single_branches(tmp_path_factory, e2e_full_run):
+    full_map, _ = e2e_full_run
     singles = {
-        "class-wise": LossWeights(1.0, 0.0, 0.0),
-        "class-agnostic": LossWeights(0.0, 1.0, 0.0),
-        "mil": LossWeights(0.0, 0.0, 1.0),
+        "class-wise": (1.0, 0.0, 0.0),
+        "class-agnostic": (0.0, 1.0, 0.0),
+        "mil": (0.0, 0.0, 1.0),
     }
     results = {}
     for name, weights in singles.items():
-        results[name] = train_and_localize(synthetic_dataset, weights).average_map
-        assert full_report.average_map >= results[name], (
-            f"{name} branch ({results[name]:.3f}) beat the full model "
-            f"({full_report.average_map:.3f})")
+        results[name] = train_and_localize(tmp_path_factory, *weights)
+        assert full_map >= results[name], (
+            f"{name} branch ({results[name]:.3f}) beat the full model ({full_map:.3f})")
     detail = ", ".join(f"{k} {v:.3f}" for k, v in results.items())
-    verdict("branch-ablation-direction",
-            f"full {full_report.average_map:.3f} >= {detail}")
+    verdict("branch-ablation-direction", f"full {full_map:.3f} >= {detail}")
 
 
-def test_class_wise_alone_with_background_degrades(synthetic_dataset, e2e_full_run):
+def test_class_wise_alone_with_background_degrades(tmp_path_factory, e2e_full_run):
     # with the auxiliary branch weights at zero and the background slot
     # enabled, the foreground scores lose their meaning; the run must still
     # complete and is only asserted to localize worse than the full model
-    full_report, _ = e2e_full_run
-    report = train_and_localize(synthetic_dataset, LossWeights(1.0, 0.0, 0.0),
-                                use_background=True)
-    assert np.isfinite(report.average_map)
-    assert report.average_map <= full_report.average_map
+    full_map, _ = e2e_full_run
+    average_map = train_and_localize(tmp_path_factory, 1.0, 0.0, 0.0,
+                                     "model.use_background=true")
+    assert np.isfinite(average_map)
+    assert average_map <= full_map
     verdict("background-ambiguity-degradation",
-            f"class-wise-only with background {report.average_map:.3f} <= "
-            f"full {full_report.average_map:.3f}")
+            f"class-wise-only with background {average_map:.3f} <= full {full_map:.3f}")
 
 
 # --- criterion 8: dataset-scale numbers are out of scope ----------------------

@@ -293,8 +293,8 @@ def full_loss_fn(x, y, config, train_mode=False, seed=0):
 class TestFiniteDiffCheck:
     def test_polynomial(self):
         params = {"x": np.array([3.0])}
-        result = ad.finite_diff_check(lambda p: float(p["x"][0] ** 2), params,
-                                      step=1e-5, grads={"x": np.array([6.0])})
+        result = ad.finite_diff_check(lambda p: (float(p["x"][0] ** 2), {"x": np.array([6.0])}),
+                                      params, step=1e-5)
         assert result.max_rel_error < 1e-8
 
     def test_full_loss_three_snippets(self, rng):
@@ -331,9 +331,9 @@ class TestFiniteDiffCheck:
 
         def f(p):
             # blows up on the positive-side probe
-            return np.inf if p["x"][0] > 0.5 else float(p["x"][0])
+            return np.inf if p["x"][0] > 0.5 else float(p["x"][0]), {"x": np.array([1.0])}
 
-        result = ad.finite_diff_check(f, params, step=1e-5, grads={"x": np.array([1.0])})
+        result = ad.finite_diff_check(f, params, step=1e-5)
         assert result.failures and "x[0]" in result.failures[0]
 
 

@@ -87,6 +87,15 @@ class TestSynth:
         assert code == 2
         assert f"SynthConfig.{key} must be" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("setting", ["synth.fps=0", "synth.fps=-25.0",
+                                         "synth.snippet_stride=0"])
+    def test_bad_timing_rejected_before_writing(self, tmp_path, capsys, setting):
+        out = tmp_path / "d"
+        code, _, err = run(capsys, "synth", "--out", str(out), "--set", setting)
+        assert code == 2
+        assert setting.split(".")[1].split("=")[0] in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_config_file_and_override(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({
@@ -97,6 +106,47 @@ class TestSynth:
                            "--out", str(tmp_path / "d"), "--set", "synth.num_test=2")
         assert code == 0
         assert "4 videos" in out
+
+
+class TestManifestFieldTypes:
+    """A manifest field of the wrong JSON type exits 2 from ``wtal eval``,
+    naming the field and, for a video's field, the video."""
+
+    @pytest.mark.parametrize("key, value, named", [
+        ("classes", 5, "classes"),
+        ("classes", [{}], "classes"),
+        ("videos", [1], "video #0"),
+    ])
+    def test_top_level_field(self, dataset_dir, tmp_path, capsys, key, value, named):
+        path = dataset_dir / "manifest.json"
+        doc = json.loads(path.read_text())
+        doc[key] = value
+        path.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "eval", "--manifest", str(path),
+                           "--detections", str(tmp_path / "absent.csv"))
+        assert code == 2
+        assert named in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("key, value, named", [
+        ("fps", "abc", "fps"),
+        ("features", ["features/x.facf"], "features"),
+        ("features", {"rgb": 5}, "features"),
+        ("labels", 7, "labels"),
+        ("ground_truth", 3, "ground_truth"),
+        ("id", ["a"], "id"),
+        ("snippet_stride", "1e400", "snippet_stride"),
+    ])
+    def test_video_field(self, dataset_dir, tmp_path, capsys, key, value, named):
+        path = dataset_dir / "manifest.json"
+        doc = json.loads(path.read_text())
+        video_id = doc["videos"][0]["id"]
+        doc["videos"][0][key] = value
+        path.write_text(json.dumps(doc).replace('"1e400"', "1e400"))  # a JSON number
+        code, _, err = run(capsys, "eval", "--manifest", str(path),
+                           "--detections", str(tmp_path / "absent.csv"))
+        assert code == 2
+        assert f"{named} must" in err and "Traceback" not in err
+        assert ("video #0" if key == "id" else f"video {video_id}") in err
 
 
 class TestTrain:
@@ -299,7 +349,8 @@ class TestEval:
         rows = ["video_id,label,t_start,t_end,score"]
         for entry in manifest.split("test"):
             for gt in entry.ground_truth:
-                rows.append(f"{entry.video_id},{gt.label},{gt.start},{gt.end},1.0")
+                rows.append(f"{entry.video_id},{manifest.classes[gt.class_id]},{gt.start},"
+                            f"{gt.end},1.0")
         path = tmp_path / "gt_dets.csv"
         path.write_text("\n".join(rows) + "\n")
         return path

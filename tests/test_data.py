@@ -4,6 +4,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wtal.data import (SynthConfig, convert_raw_features, generate_synthetic,
                        ground_truth_instances, load_dataset, load_features,
@@ -102,14 +104,13 @@ class TestSyntheticGenerator:
             stride_sec = entry.snippet_stride / entry.fps
             for span in entry.ground_truth:
                 s = int(round(span.start / stride_sec))
-                cls = manifest.class_index(span.label)
-                protos.setdefault(cls, feats[s])
+                protos.setdefault(span.class_id, feats[s])
         assert protos
         for entry in manifest.split("train"):
             feats = samples[entry.video_id].features
             stride_sec = entry.snippet_stride / entry.fps
             for span in entry.ground_truth:
-                cls = manifest.class_index(span.label)
+                cls = span.class_id
                 s = int(round(span.start / stride_sec))
                 e = int(round(span.end / stride_sec))
                 for t in range(s, e):
@@ -226,3 +227,41 @@ class TestManifest:
         assert not np.array_equal(rgb[0].features, flow[0].features)
         both = load_dataset(manifest, "train", "concat")
         assert both[0].features.shape[1] == rgb[0].features.shape[1] * 2
+
+
+# Every field of TestManifest.minimal_doc, as a path of keys into the document.
+MANIFEST_FIELDS = [
+    ("schema_version",), ("classes",), ("classes", 0), ("videos",), ("videos", 0),
+    *(("videos", 0, key) for key in ("id", "split", "fps", "snippet_stride", "features",
+                                     "labels", "ground_truth")),
+    ("videos", 0, "features", "rgb"), ("videos", 0, "labels", 0),
+    ("videos", 0, "ground_truth", 0),
+    *(("videos", 0, "ground_truth", 0, key) for key in ("label", "start", "end")),
+]
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(min_value=2 ** 64)
+    | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=6)
+
+
+class TestManifestFuzz:
+    """A valid manifest with one field replaced by any JSON value parses or
+    raises a ``wtal.errors`` type; nothing else escapes to the CLI."""
+
+    @given(where=st.sampled_from(MANIFEST_FIELDS), value=JSON_VALUES)
+    @settings(max_examples=400, deadline=None)
+    def test_mutated_field(self, tmp_path_factory, where, value):
+        directory = tmp_path_factory.getbasetemp() / "manifest_fuzz"
+        directory.mkdir(exist_ok=True)
+        doc = TestManifest().minimal_doc(directory)
+        *parents, last = where
+        target = doc
+        for key in parents:
+            target = target[key]
+        target[last] = value
+        path = TestManifest().write(directory, doc)
+        try:
+            parse_manifest(path)
+        except Exception as exc:
+            assert type(exc).__module__ == "wtal.errors", repr(exc)

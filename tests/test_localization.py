@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 
 from wtal.errors import ConfigError, ContractError, FormatError, InputError
 from wtal.evaluation import Detections
-from wtal.localization import (NMS_BLOCK_BYTES, LocalizeConfig, StreamScores, fuse_scores,
-                               localize_video, minmax, nms, propose, read_detections,
-                               upsample, write_detections_csv, write_detections_json)
+from wtal.localization import (NMS_BLOCK_BYTES, LocalizeConfig, fuse_scores, localize_video,
+                               minmax, nms, propose, read_detections, upsample,
+                               write_detections_csv, write_detections_json)
+from wtal.model import ScoreSet
 
 from conftest import detections_table, table_rows
 from oracles import (nms_reference, propose_reference, read_detections_reference, tiou,
@@ -56,27 +57,24 @@ class TestFuseScores:
 class TestUpsample:
     def test_stride_one_is_identity(self, rng):
         g = rng.random(size=(6, 2))
-        up, times = upsample(g, stride=1, fps=25.0)
-        assert np.array_equal(up, g)
-        assert np.allclose(times, np.arange(6) / 25.0)
+        assert np.array_equal(upsample(g, stride=1), g)
 
     def test_two_snippets_ramp(self):
-        up, times = upsample(np.array([0.0, 1.0]), stride=4, fps=25.0)
-        assert up.shape == (8,)
-        assert up[0] == 0.0 and up[-1] == 1.0
-        assert (np.diff(up) >= 0).all()
-        assert times[-1] == pytest.approx(7 / 25.0)
+        up = upsample(np.array([[0.0], [1.0]]), stride=4)
+        assert up.shape == (8, 1)
+        assert up[0, 0] == 0.0 and up[-1, 0] == 1.0
+        assert (np.diff(up[:, 0]) >= 0).all()
 
     def test_constant_input(self):
-        up, _ = upsample(np.full(5, 0.7), stride=3, fps=10.0)
+        up = upsample(np.full((5, 1), 0.7), stride=3)
         assert np.allclose(up, 0.7, atol=1e-15)
 
     def test_empty_input_rejected(self):
         with pytest.raises(InputError):
-            upsample(np.zeros((0,)), stride=4, fps=25.0)
+            upsample(np.zeros((0, 1)), stride=4)
 
     def test_output_length(self, rng):
-        up, _ = upsample(rng.random(size=(9, 3)), stride=16, fps=25.0)
+        up = upsample(rng.random(size=(9, 3)), stride=16)
         assert up.shape == (144, 3)
 
 
@@ -283,29 +281,28 @@ class TestNms:
         assert scores == sorted(scores, reverse=True)
 
 
-def clean_stream(num_classes=3, t=40, span=(10, 25), cls=1, stride=16, fps=25.0):
-    """Scores with one crisp plateau for one class."""
+def clean_stream(num_classes=3, t=40, span=(10, 25), cls=1):
+    """Scores with one crisp plateau for one class; stride 16 at 25 fps."""
     s_a = np.full((t, num_classes + 1), -5.0)
     s_a[span[0]:span[1], cls] = 5.0
     s_f = np.full(t, -5.0)
     s_f[span[0]:span[1]] = 5.0
     p = np.full(num_classes + 1, 0.01)
     p[cls] = 0.9
-    return StreamScores(s_a=s_a, s_f=s_f, p_video_class=p,
-                        snippet_stride=stride, fps=fps)
+    return ScoreSet(s_a=s_a, s_f=s_f, p_video_class=p)
 
 
-def localize_reference(streams, num_classes, config):
+def localize_reference(streams, stride, fps, num_classes, config):
     """localize_video from the oracles: (class_id, score, start, end) tuples."""
     pooled = {c: [] for c in range(num_classes)}
     for scores in streams:
         fused = fuse_scores(scores.s_a, scores.s_f, num_classes, config.fusion_weight)
-        frames, _ = upsample(fused, scores.snippet_stride, scores.fps)
+        frames = upsample(fused, stride)
         for c in range(num_classes):
             conf = float(scores.p_video_class[c])
             if conf >= config.class_reject_threshold:
                 pooled[c] += [(q, s, e) for s, e, q in propose_reference(
-                    frames[:, c], config.proposal_thresholds, scores.fps, conf,
+                    frames[:, c], config.proposal_thresholds, fps, conf,
                     config.context_ratio, config.include_class_conf)]
     final = [(c, q, s, e) for c in range(num_classes)
              for q, s, e in nms_reference(pooled[c], config.nms_tiou)]
@@ -326,19 +323,19 @@ def random_stream(rng, num_classes, quantized):
         s_a = rng.normal(size=(t, num_classes + 1))
         s_f = rng.normal(size=t)
         p = rng.random(size=num_classes + 1)
-    return StreamScores(s_a=s_a, s_f=s_f, p_video_class=p, snippet_stride=4, fps=25.0)
+    return ScoreSet(s_a=s_a, s_f=s_f, p_video_class=p)
 
 
 class TestLocalizeVideo:
     def test_all_classes_rejected(self):
         stream = clean_stream()
         config = LocalizeConfig(class_reject_threshold=1.1)
-        out = localize_video([stream], 3, config, "v")
+        out = localize_video([stream], 16, 25.0, 3, config, "v")
         assert len(out) == 0 and out.video_ids == ("v",)
 
     def test_single_plateau_single_instance(self):
         stream = clean_stream(span=(10, 25), cls=1)
-        out = localize_video([stream], 3, LocalizeConfig(), "v")
+        out = localize_video([stream], 16, 25.0, 3, LocalizeConfig(), "v")
         assert len(out) == 1
         assert out.video_ids == ("v",) and out.video.tolist() == [0]
         assert out.class_id.tolist() == [1]
@@ -350,7 +347,7 @@ class TestLocalizeVideo:
 
     def test_duplicate_streams_suppressed_to_one(self):
         stream = clean_stream()
-        out = localize_video([stream, stream], 3, LocalizeConfig(), "v")
+        out = localize_video([stream, stream], 16, 25.0, 3, LocalizeConfig(), "v")
         assert len(out) == 1
 
     @pytest.mark.parametrize("num_streams", [1, 2])
@@ -364,8 +361,8 @@ class TestLocalizeVideo:
                 streams[1] = streams[0]  # every candidate twice, with equal scores
             config = LocalizeConfig(context_ratio=float(rng.choice([0.0, 0.25, 3.0])),
                                     nms_tiou=float(rng.choice([0.3, 0.5, 0.7])))
-            out = table_rows(localize_video(streams, num_classes, config, "v"))
-            ref = localize_reference(streams, num_classes, config)
+            out = table_rows(localize_video(streams, 4, 25.0, num_classes, config, "v"))
+            ref = localize_reference(streams, 4, 25.0, num_classes, config)
             assert [(c, s, e) for _, c, _, s, e in out] == [(c, s, e) for c, _, s, e in ref]
             assert all(abs(o[2] - q) <= 1e-12 for o, (_, q, _, _) in zip(out, ref))
             tied += len(ref) - len({q for _, q, _, _ in ref})
@@ -373,16 +370,16 @@ class TestLocalizeVideo:
 
     def test_stream_count_contract(self):
         with pytest.raises(ContractError):
-            localize_video([], 3, LocalizeConfig(), "v")
+            localize_video([], 16, 25.0, 3, LocalizeConfig(), "v")
         with pytest.raises(ContractError):
-            localize_video([clean_stream()] * 3, 3, LocalizeConfig(), "v")
+            localize_video([clean_stream()] * 3, 16, 25.0, 3, LocalizeConfig(), "v")
 
     def test_interval_contract(self, monkeypatch):
         import wtal.localization as loc
 
         monkeypatch.setattr(loc, "propose", lambda *a, **k: np.array([[2.0, 1.0, 0.5]]))
         with pytest.raises(ContractError, match=r"invalid instance interval \[2.0, 1.0\)"):
-            localize_video([clean_stream()], 3, LocalizeConfig(), "v")
+            localize_video([clean_stream()], 16, 25.0, 3, LocalizeConfig(), "v")
 
 
 class TestLocalizeConfig:
@@ -532,8 +529,8 @@ class TestWritersMatchReferences:
         assert table_rows(read_detections(d / "w.csv", class_names)) == table_rows(table)
 
     def test_empty_table(self, tmp_path):
-        empty = localize_video([clean_stream()], 3, LocalizeConfig(class_reject_threshold=1.1),
-                               "v")
+        empty = localize_video([clean_stream()], 16, 25.0, 3,
+                               LocalizeConfig(class_reject_threshold=1.1), "v")
         write_detections_csv(tmp_path / "d.csv", empty, CLASSES)
         write_detections_json(tmp_path / "d.json", empty, CLASSES)
         assert (tmp_path / "d.csv").read_text() == "video_id,label,t_start,t_end,score\n"

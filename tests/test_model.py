@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from wtal import autodiff as ad
 from wtal.errors import ConfigError, ContractError, FormatError, InputError, ManifestError
 from wtal.losses import LossWeights, total_loss
-from wtal.model import (ScoreSet, forward_scores, load_checkpoint, run_forward,
+from wtal.model import (BranchOutputs, forward_scores, load_checkpoint, run_forward,
                         save_checkpoint)
 
 from conftest import passthrough_model, tiny_config, tiny_model
@@ -190,11 +190,11 @@ class TestForwardHybrid:
         x = rng.normal(size=(6, 6))
         config_a, params = tiny_model(temperatures=(1.0,))
         config_b = tiny_config(temperatures=(1.0, 1.0))
-        a = forward_scores(x, params, config_a)
-        b = forward_scores(x, params, config_b)
-        assert np.allclose(a.fore_logits, b.fore_logits, atol=1e-12)
-        assert np.allclose(a.p_video_class, b.p_video_class, atol=1e-12)
-        assert np.allclose(a.p_mil, b.p_mil, atol=1e-12)
+        tape_a, a = run_forward(x, params, config_a)
+        tape_b, b = run_forward(x, params, config_b)
+        for key in ("fore_logits", "p_video_class", "p_mil"):
+            assert np.allclose(tape_a.val(getattr(a, key)), tape_b.val(getattr(b, key)),
+                               atol=1e-12), key
 
     def test_three_temperature_hybrid_averages_heads(self, rng):
         config, params = tiny_model(temperatures=(1.0, 2.0, 5.0))
@@ -262,9 +262,10 @@ class TestForwardHybrid:
 class TestPrecision:
     """The forward pass runs at the parameters' precision, whatever the features'."""
 
-    def assert_same_scores(self, a, b, dtype):
-        for f in fields(ScoreSet):
-            va, vb = getattr(a, f.name), getattr(b, f.name)
+    def assert_same_scores(self, x, y, params, config, dtype):
+        (tape_a, a), (tape_b, b) = run_forward(x, params, config), run_forward(y, params, config)
+        for f in fields(BranchOutputs):
+            va, vb = tape_a.val(getattr(a, f.name)), tape_b.val(getattr(b, f.name))
             assert va.dtype == vb.dtype == dtype, f.name
             assert va.tobytes() == vb.tobytes(), f.name
 
@@ -272,16 +273,12 @@ class TestPrecision:
         config, params = tiny_model()
         params = params.astype(np.float32)
         x = rng.normal(size=(7, 6))
-        self.assert_same_scores(forward_scores(x, params, config),
-                                forward_scores(x.astype(np.float32), params, config),
-                                np.float32)
+        self.assert_same_scores(x, x.astype(np.float32), params, config, np.float32)
 
     def test_float64_parameters_score_float32_features_in_float64(self, rng):
         config, params = tiny_model()
         x = rng.normal(size=(7, 6)).astype(np.float32)
-        self.assert_same_scores(forward_scores(x, params, config),
-                                forward_scores(x.astype(np.float64), params, config),
-                                np.float64)
+        self.assert_same_scores(x, x.astype(np.float64), params, config, np.float64)
 
     def test_float32_train_tape_and_gradients_stay_float32(self, rng):
         config, params = tiny_model()
@@ -331,7 +328,7 @@ class TestCheckpoint:
         path = tmp_path / "model.facn"
         save_checkpoint(path, params, config)
         before = path.read_bytes()
-        broken = params.copy()
+        broken = params.astype(np.float64)  # astype copies
         broken.w_fore = np.array(["not a number"] * 4, dtype=object)  # last tensor
         with pytest.raises(ValueError):
             save_checkpoint(path, broken, config)
@@ -393,9 +390,9 @@ class TestCheckpoint:
             assert np.array_equal(getattr(from_v1, name), tensor)
             assert getattr(from_v1, name).flags.c_contiguous
         x = rng.normal(size=(7, 6)).astype(np.float32)
-        a, b = forward_scores(x, from_v1, config), forward_scores(x, from_v2, config)
+        (tape_a, a), (tape_b, b) = run_forward(x, from_v1, config), run_forward(x, from_v2, config)
         for field in ("s_a", "s_f", "p_video_class", "p_class_fore", "p_mil"):
-            assert np.array_equal(getattr(a, field), getattr(b, field))
+            assert np.array_equal(tape_a.val(getattr(a, field)), tape_b.val(getattr(b, field)))
 
     def test_version_one_conv_tensor_of_wrong_rank_rejected(self, tmp_path):
         config, params = tiny_model()

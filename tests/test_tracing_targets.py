@@ -15,8 +15,8 @@ import numpy as np
 import pytest
 
 from wtal.evaluation import THUMOS_GRID, GroundTruthInstance, map_report
-from wtal.localization import (LocalizeConfig, StreamScores, fuse_scores, localize_video,
-                               upsample)
+from wtal.localization import LocalizeConfig, fuse_scores, localize_video, upsample
+from wtal.model import ScoreSet
 
 from conftest import detections_table
 from oracles import propose_reference
@@ -46,15 +46,14 @@ def test_localization_counters_count_candidates_and_kept_detections(tracing, rng
     # sums len(nms(...)): they must read the distinct candidate intervals
     # and the detections that survive suppression
     config = LocalizeConfig()
-    streams = [StreamScores(s_a=rng.normal(size=(40, 4)), s_f=rng.normal(size=40),
-                            p_video_class=np.array([0.6, 0.05, 0.4, 0.2]),
-                            snippet_stride=4, fps=25.0) for _ in range(2)]
+    streams = [ScoreSet(s_a=rng.normal(size=(40, 4)), s_f=rng.normal(size=40),
+                        p_video_class=np.array([0.6, 0.05, 0.4, 0.2])) for _ in range(2)]
     tracer = tracing.Tracer()
     with tracing.installed(tracer):
-        detections = localize_video(streams, 3, config, "v")
+        detections = localize_video(streams, 4, 25.0, 3, config, "v")
     distinct = 0
     for scores in streams:
-        frames, _ = upsample(fuse_scores(scores.s_a, scores.s_f, 3), 4, 25.0)
+        frames = upsample(fuse_scores(scores.s_a, scores.s_f, 3), 4)
         distinct += sum(len(propose_reference(frames[:, c], config.proposal_thresholds,
                                               25.0, float(scores.p_video_class[c]),
                                               config.context_ratio))

@@ -116,7 +116,7 @@ class TestTrainEpoch:
         dataset = toy_dataset(rng, n=3)
         tc = TrainConfig(batch_size=3, precision=64, seed=5)
         params_a = init_params(config, seed=2, dtype=np.float64)
-        params_b = params_a.copy()
+        params_b = params_a.astype(np.float64)  # astype copies
         state_a = init_optimizer(params_a)
         train_epoch(dataset, params_a, state_a, config, LossWeights(), tc, epoch=0)
 
@@ -136,7 +136,7 @@ class TestTrainEpoch:
         for name, tensor in params_a.as_dict().items():
             assert np.allclose(tensor, getattr(params_b, name), atol=1e-12)
 
-    def test_seeded_runs_reproduce_loss_trajectory(self, rng):
+    def test_seeded_runs_reproduce_loss_trajectory(self, rng, tmp_path):
         config, _ = tiny_model()
         dataset = toy_dataset(rng)
 
@@ -144,7 +144,7 @@ class TestTrainEpoch:
             params = init_params(config, seed=4, dtype=np.float64)
             tc = TrainConfig(epochs=3, batch_size=2, precision=64, seed=9)
             return [r.loss_total for r in
-                    fit(dataset, params, config, LossWeights(), tc).history]
+                    fit(dataset, params, config, LossWeights(), tc, tmp_path).history]
 
         assert run() == run()
 
@@ -210,25 +210,25 @@ class TestFit:
         tc = TrainConfig(epochs=2, batch_size=2, precision=64, seed=6)
 
         params = init_params(config, seed=3, dtype=np.float64)
-        full = fit(dataset, params.copy(), config, LossWeights(), tc)
+        full = fit(dataset, params, config, LossWeights(), tc, tmp_path)  # astype copies
 
-        first = fit(dataset, params.copy(), config, LossWeights(),
+        first = fit(dataset, params, config, LossWeights(),
                     TrainConfig(epochs=1, batch_size=2, precision=64, seed=6),
                     out_dir=tmp_path, ckpt_prefix="part")
         resumed_params, state, next_epoch = load_train_state(
             tmp_path / "part_state.npz", config, tc)
         assert next_epoch == 1
-        resumed = fit(dataset, resumed_params, config, LossWeights(), tc,
+        resumed = fit(dataset, resumed_params, config, LossWeights(), tc, tmp_path,
                       state=state, start_epoch=next_epoch)
         assert resumed.history[0].loss_total == full.history[1].loss_total
         for name, tensor in full.params.as_dict().items():
             assert np.array_equal(tensor, getattr(resumed.params, name))
 
-    def test_max_snippet_subsampling(self, rng):
+    def test_max_snippet_subsampling(self, rng, tmp_path):
         config, params = tiny_model()
         dataset = toy_dataset(rng, n=2, t_range=(20, 30))
         tc = TrainConfig(epochs=1, batch_size=1, precision=64, seed=2, max_snippets=5)
-        result = fit(dataset, params, config, LossWeights(), tc)
+        result = fit(dataset, params, config, LossWeights(), tc, tmp_path)
         assert result.history[0].num_videos == 2
 
     def test_separable_synthetic_loss_drops_below_quarter(self, tmp_path):
@@ -243,7 +243,7 @@ class TestFit:
                              use_background=False, dropout_rate=0.0)
         params = init_params(config, seed=0, dtype=np.float32)
         tc = TrainConfig(epochs=30, batch_size=1, seed=0)
-        result = fit(dataset, params, config, LossWeights(), tc)
+        result = fit(dataset, params, config, LossWeights(), tc, tmp_path)
         assert result.history[29].loss_total < 0.25 * result.history[0].loss_total
 
 
