@@ -30,7 +30,11 @@ class Node:
 
 
 class Tape:
-    """Ordered record of one forward pass. Single-owner, single-threaded."""
+    """Ordered record of one forward pass. Single-owner, single-threaded.
+
+    Each op method checks its operands, computes its value and records one
+    node through ``_push``; the op's adjoint is its entry in ``_BACKWARD``.
+    """
 
     def __init__(self) -> None:
         self.nodes: list[Node] = []
@@ -38,135 +42,142 @@ class Tape:
     def val(self, ref: int) -> np.ndarray:
         return self.nodes[ref].value
 
-    def _push(self, op: str, inputs: tuple[int, ...], meta: dict) -> int:
-        values = [self.nodes[i].value for i in inputs]
-        value, ctx = _forward(op, values, meta)
-        self.nodes.append(Node(op, inputs, value, meta, ctx))
+    def _push(self, op: str, inputs: tuple[int, ...], value: np.ndarray,
+              meta: dict | None = None, ctx: dict | None = None) -> int:
+        self.nodes.append(Node(op, inputs, value, meta or {}, ctx or {}))
         return len(self.nodes) - 1
+
+    def _same_shape(self, op: str, a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
+        x, y = self.val(a), self.val(b)
+        if x.shape != y.shape:
+            raise ContractError(f"{op} shape mismatch {x.shape} vs {y.shape}")
+        return x, y
 
     def leaf(self, value, name: str | None = None) -> int:
         self.nodes.append(Node("leaf", (), np.asarray(value), {}, {}, name))
         return len(self.nodes) - 1
 
     def add(self, a: int, b: int) -> int:
-        return self._push("add", (a, b), {})
+        x, y = self._same_shape("add", a, b)
+        return self._push("add", (a, b), x + y)
 
     def mul(self, a: int, b: int) -> int:
-        return self._push("mul", (a, b), {})
+        x, y = self._same_shape("mul", a, b)
+        return self._push("mul", (a, b), x * y)
 
     def scale(self, a: int, alpha: float) -> int:
-        return self._push("scale", (a,), {"alpha": float(alpha)})
+        alpha = float(alpha)
+        return self._push("scale", (a,), self.val(a) * alpha, {"alpha": alpha})
 
     def mul_const(self, a: int, const) -> int:
-        return self._push("mul_const", (a,), {"const": np.asarray(const)})
+        x, c = self.val(a), np.asarray(const)
+        if c.shape != x.shape and c.ndim != 0:
+            raise ContractError(f"mul_const shape mismatch {x.shape} vs {c.shape}")
+        return self._push("mul_const", (a,), x * c.astype(x.dtype, copy=False), {"const": c})
 
-    def dropout(self, a: int, mask: np.ndarray) -> int:
-        # mask entries are 0 or 1/keep_prob, precomputed by the caller
-        return self._push("mul_const", (a,), {"const": np.asarray(mask)})
+    # one mul_const node by a mask of 0 and 1/keep_prob entries, drawn by the caller
+    dropout = mul_const
 
     def matmul(self, a: int, b: int) -> int:
-        return self._push("matmul", (a, b), {})
+        x, y = self.val(a), self.val(b)
+        if x.ndim != 2 or y.ndim != 2 or x.shape[1] != y.shape[0]:
+            raise ContractError(f"matmul shapes {x.shape} x {y.shape}")
+        return self._push("matmul", (a, b), x @ y)
 
     def transpose(self, a: int) -> int:
-        return self._push("transpose", (a,), {})
+        return self._push("transpose", (a,), self.val(a).T.copy())
 
     def reshape(self, a: int, shape: tuple[int, ...]) -> int:
-        return self._push("reshape", (a,), {"shape": tuple(shape)})
+        shape = tuple(shape)
+        return self._push("reshape", (a,), self.val(a).reshape(shape).copy(), {"shape": shape})
 
     def relu(self, a: int) -> int:
-        return self._push("relu", (a,), {})
+        return self._push("relu", (a,), np.maximum(self.val(a), 0))
 
     def temporal_conv(self, x: int, w: int, b: int) -> int:
-        return self._push("temporal_conv", (x, w, b), {})
+        """1-d convolution over time, stride 1, zero same-padding, as one matmul.
+
+        x: (T, d_in); w: (k*d_in, d_out) in tap-major layout, k odd; b: (d_out,)
+        -> (T, d_out). Row block i of w, ``w[i*d_in:(i+1)*d_in]``, is the slice
+        for tap i, so out[t] = b + sum_i xp[t + i] @ w_i with xp the input
+        zero-padded by k // 2 rows at each end. That is ``windows @ w + b``,
+        where row t of ``windows`` concatenates xp[t], ..., xp[t + k - 1].
+        """
+        xv, wv, bv = self.val(x), self.val(w), self.val(b)
+        if xv.ndim != 2 or wv.ndim != 2 or bv.ndim != 1:
+            raise ContractError("temporal_conv rank mismatch")
+        t, d_in = xv.shape
+        rows, d_out = wv.shape
+        if t == 0:
+            raise InputError("temporal_conv on empty sequence")
+        if d_in == 0 or rows % d_in or bv.shape[0] != d_out:
+            raise ContractError(
+                f"temporal_conv shapes x={xv.shape} w={wv.shape} b={bv.shape}")
+        k = rows // d_in
+        if k % 2 == 0 or k < 1:
+            raise ContractError(f"kernel size {k} must be odd")
+        pad = k // 2
+        xp = np.zeros((t + 2 * pad, d_in), dtype=xv.dtype)
+        xp[pad:pad + t] = xv
+        windows = np.concatenate([xp[i:i + t] for i in range(k)], axis=1)
+        out = windows @ wv + bv.astype(xv.dtype, copy=False)
+        return self._push("temporal_conv", (x, w, b), out, {},
+                          {"windows": windows, "k": k, "pad": pad})
 
     def cosine_rows(self, a: int, b: int, scale: float) -> int:
-        return self._push("cosine_rows", (a, b), {"scale": float(scale)})
+        """out[i, j] = scale * cos(a_i, b_j), norms clamped at NORM_EPS."""
+        scale = float(scale)
+        av, bv = self.val(a), self.val(b)
+        if av.ndim != 2 or bv.ndim != 2 or av.shape[1] != bv.shape[1]:
+            raise ContractError(f"cosine_rows shapes {av.shape} vs {bv.shape}")
+        if av.shape[1] < 1:
+            raise ContractError("cosine_rows needs at least one column")
+        if scale <= 0:
+            raise ContractError(f"cosine scale {scale} must be positive")
+        if not (np.isfinite(av).all() and np.isfinite(bv).all()):
+            raise InputError("cosine_rows received non-finite input")
+        na = np.linalg.norm(av, axis=1)
+        nb = np.linalg.norm(bv, axis=1)
+        u = np.maximum(na, NORM_EPS)
+        v = np.maximum(nb, NORM_EPS)
+        ahat = av / u[:, None]
+        bhat = bv / v[:, None]
+        cos = np.clip(ahat @ bhat.T, -1.0, 1.0)
+        ctx = {"ahat": ahat, "bhat": bhat, "cos": cos, "u": u, "v": v,
+               "a_clamped": na < NORM_EPS, "b_clamped": nb < NORM_EPS}
+        return self._push("cosine_rows", (a, b), scale * cos, {"scale": scale}, ctx)
 
     def softmax(self, a: int, tau, axis: int = 0) -> int:
         """Temperature softmax along ``axis``. A sequence of H temperatures
         stacks one softmax per temperature on a new leading axis: (H, *shape)."""
         tau = tuple(map(float, tau)) if np.ndim(tau) else float(tau)
-        return self._push("softmax", (a,), {"tau": tau, "axis": int(axis)})
+        axis = int(axis)
+        x = self.val(a)
+        # temperatures take the input's dtype, so float32 scores stay float32
+        taus = np.asarray(tau, dtype=x.dtype)
+        if x.size == 0 or taus.size == 0:
+            raise ContractError("softmax of empty input")
+        if not (taus > 0).all():
+            raise ContractError(f"softmax temperature {tau} must be positive")
+        out_axis = axis % x.ndim + taus.ndim  # behind the stacked axis
+        taus = taus.reshape(taus.shape + (1,) * x.ndim)
+        z = taus * x
+        z = z - z.max(axis=out_axis, keepdims=True)
+        e = np.exp(z)
+        # keep entries strictly positive even when exp underflows
+        e = np.maximum(e, np.finfo(e.dtype).tiny)
+        s = e / e.sum(axis=out_axis, keepdims=True)
+        return self._push("softmax", (a,), s, {"tau": tau, "axis": axis},
+                          {"taus": taus, "axis": out_axis})
 
     def log_clamped(self, a: int, floor: float = LOG_FLOOR) -> int:
-        return self._push("log_clamped", (a,), {"floor": float(floor)})
+        floor = float(floor)
+        clamped = np.maximum(self.val(a), floor)
+        return self._push("log_clamped", (a,), np.log(clamped), {"floor": floor},
+                          {"clamped": clamped})
 
     def sum(self, a: int, axis: int | None = None) -> int:
-        return self._push("sum", (a,), {"axis": axis})
-
-
-def _forward(op: str, values: list[np.ndarray], meta: dict):
-    """Compute one primitive. Returns (value, ctx-for-backward)."""
-    if op == "add":
-        a, b = values
-        if a.shape != b.shape:
-            raise ContractError(f"add shape mismatch {a.shape} vs {b.shape}")
-        return a + b, {}
-    if op == "mul":
-        a, b = values
-        if a.shape != b.shape:
-            raise ContractError(f"mul shape mismatch {a.shape} vs {b.shape}")
-        return a * b, {}
-    if op == "scale":
-        return values[0] * meta["alpha"], {}
-    if op == "mul_const":
-        a, c = values[0], meta["const"]
-        if c.shape != a.shape and c.ndim != 0:
-            raise ContractError(f"mul_const shape mismatch {a.shape} vs {c.shape}")
-        return a * c.astype(a.dtype, copy=False), {}
-    if op == "matmul":
-        a, b = values
-        if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
-            raise ContractError(f"matmul shapes {a.shape} x {b.shape}")
-        return a @ b, {}
-    if op == "transpose":
-        return values[0].T.copy(), {}
-    if op == "reshape":
-        return values[0].reshape(meta["shape"]).copy(), {}
-    if op == "relu":
-        return np.maximum(values[0], 0), {}
-    if op == "temporal_conv":
-        return _conv_forward(*values)
-    if op == "cosine_rows":
-        return _cosine_forward(values[0], values[1], meta["scale"])
-    if op == "softmax":
-        return _softmax_forward(values[0], meta["tau"], meta["axis"])
-    if op == "log_clamped":
-        a, floor = values[0], meta["floor"]
-        clamped = np.maximum(a, floor)
-        return np.log(clamped), {"clamped": clamped}
-    if op == "sum":
-        return np.asarray(values[0].sum(axis=meta["axis"])), {}
-    raise ContractError(f"unknown op {op!r}")
-
-
-def _conv_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray):
-    """1-d convolution over time, stride 1, zero same-padding, as one matmul.
-
-    x: (T, d_in); w: (k*d_in, d_out) in tap-major layout, k odd; b: (d_out,)
-    -> (T, d_out). Row block i of w, ``w[i*d_in:(i+1)*d_in]``, is the slice
-    for tap i, so out[t] = b + sum_i xp[t + i] @ w_i with xp the input
-    zero-padded by k // 2 rows at each end. That is ``windows @ w + b``,
-    where row t of ``windows`` concatenates xp[t], ..., xp[t + k - 1].
-    """
-    if x.ndim != 2 or w.ndim != 2 or b.ndim != 1:
-        raise ContractError("temporal_conv rank mismatch")
-    t, d_in = x.shape
-    rows, d_out = w.shape
-    if t == 0:
-        raise InputError("temporal_conv on empty sequence")
-    if d_in == 0 or rows % d_in or b.shape[0] != d_out:
-        raise ContractError(
-            f"temporal_conv shapes x={x.shape} w={w.shape} b={b.shape}")
-    k = rows // d_in
-    if k % 2 == 0 or k < 1:
-        raise ContractError(f"kernel size {k} must be odd")
-    pad = k // 2
-    xp = np.zeros((t + 2 * pad, d_in), dtype=x.dtype)
-    xp[pad:pad + t] = x
-    windows = np.concatenate([xp[i:i + t] for i in range(k)], axis=1)
-    out = windows @ w + b.astype(x.dtype, copy=False)
-    return out, {"windows": windows, "k": k, "pad": pad}
+        return self._push("sum", (a,), np.asarray(self.val(a).sum(axis=axis)), {"axis": axis})
 
 
 def _conv_backward(node: Node, g: np.ndarray, values, wanted):
@@ -185,28 +196,6 @@ def _conv_backward(node: Node, g: np.ndarray, values, wanted):
     return [dxp[pad:pad + t], dw, db]
 
 
-def _cosine_forward(a: np.ndarray, b: np.ndarray, scale: float):
-    """out[i, j] = scale * cos(a_i, b_j), norms clamped at NORM_EPS."""
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
-        raise ContractError(f"cosine_rows shapes {a.shape} vs {b.shape}")
-    if a.shape[1] < 1:
-        raise ContractError("cosine_rows needs at least one column")
-    if scale <= 0:
-        raise ContractError(f"cosine scale {scale} must be positive")
-    if not (np.isfinite(a).all() and np.isfinite(b).all()):
-        raise InputError("cosine_rows received non-finite input")
-    na = np.linalg.norm(a, axis=1)
-    nb = np.linalg.norm(b, axis=1)
-    u = np.maximum(na, NORM_EPS)
-    v = np.maximum(nb, NORM_EPS)
-    ahat = a / u[:, None]
-    bhat = b / v[:, None]
-    cos = np.clip(ahat @ bhat.T, -1.0, 1.0)
-    ctx = {"ahat": ahat, "bhat": bhat, "cos": cos, "u": u, "v": v,
-           "a_clamped": na < NORM_EPS, "b_clamped": nb < NORM_EPS}
-    return scale * cos, ctx
-
-
 def _cosine_backward(node: Node, g: np.ndarray, values, wanted):
     scale = node.meta["scale"]
     c = node.ctx
@@ -221,24 +210,6 @@ def _cosine_backward(node: Node, g: np.ndarray, values, wanted):
     col_s = np.where(c["b_clamped"], 0.0, col_s)
     db = scale * ((g.T @ ahat) - col_s[:, None] * bhat) / v[:, None]
     return [da, db]
-
-
-def _softmax_forward(a: np.ndarray, tau, axis: int):
-    # temperatures take the input's dtype, so float32 scores stay float32
-    taus = np.asarray(tau, dtype=a.dtype)
-    if a.size == 0 or taus.size == 0:
-        raise ContractError("softmax of empty input")
-    if not (taus > 0).all():
-        raise ContractError(f"softmax temperature {tau} must be positive")
-    axis = axis % a.ndim + taus.ndim  # in the output, behind the stacked axis
-    taus = taus.reshape(taus.shape + (1,) * a.ndim)
-    z = taus * a
-    z = z - z.max(axis=axis, keepdims=True)
-    e = np.exp(z)
-    # keep entries strictly positive even when exp underflows
-    e = np.maximum(e, np.finfo(e.dtype).tiny)
-    s = e / e.sum(axis=axis, keepdims=True)
-    return s, {"taus": taus, "axis": axis}
 
 
 def _softmax_backward(node: Node, g: np.ndarray, values, wanted):

@@ -10,14 +10,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import time
 from functools import partial
 from pathlib import Path
-from types import UnionType
-from typing import Union, get_args, get_origin, get_type_hints
+from typing import get_type_hints
 
 CONFIG_VERSION = 1
 CONFIG_SECTIONS = ("model", "train", "loss", "localize", "synth")
@@ -54,25 +52,13 @@ def load_run_config(path: str | None, overrides: list[str]) -> dict:
             raise ConfigError(f"unknown config section {section!r}")
         try:
             cfg[section][name] = json.loads(value)
-        except json.JSONDecodeError:
+        except ValueError:  # not JSON, or an int beyond the digit limit: kept as text
             cfg[section][name] = value
     return cfg
 
 
-def _has_type(value, hint) -> bool:
-    """Whether a JSON value fits a config field's type hint: an int is a
-    float, a list is a tuple, and a bool is neither an int nor a float."""
-    origin, args = get_origin(hint), get_args(hint)
-    if origin in (Union, UnionType):
-        return any(_has_type(value, arg) for arg in args)
-    if origin is tuple:  # every config tuple holds one element type
-        return isinstance(value, (list, tuple)) and all(_has_type(v, args[0]) for v in value) \
-            and (args[-1] is Ellipsis or len(value) == len(args))
-    return isinstance(value, {float: (int, float)}.get(hint, hint)) \
-        and (hint is bool or not isinstance(value, bool))
-
-
 def _build(cls, mapping: dict, **fixed):
+    from .data import has_json_type
     from .errors import ConfigError
 
     hints = get_type_hints(cls)
@@ -81,12 +67,14 @@ def _build(cls, mapping: dict, **fixed):
         raise ConfigError(f"unknown {cls.__name__} keys: {sorted(unknown)}")
     values = {}
     for key, value in mapping.items():
-        if not _has_type(value, hints[key]):
+        if not has_json_type(value, hints[key]):
             expected = hints[key].__name__ if isinstance(hints[key], type) else hints[key]
             raise ConfigError(f"{cls.__name__}.{key} must be {expected}, got {value!r}")
-        # a check such as ``x <= 0`` lets NaN through: every comparison with it is False
+        # a check such as ``x <= 0`` lets NaN through: every comparison with it is
+        # False; an int beyond the float range overflows where it is converted
         items = value if isinstance(value, list) else [value]
-        if any(isinstance(v, float) and not math.isfinite(v) for v in items):
+        if any(isinstance(v, (int, float)) and not abs(v) <= sys.float_info.max
+               for v in items):
             raise ConfigError(f"{cls.__name__}.{key} must be finite, got {value!r}")
         values[key] = tuple(value) if isinstance(value, list) else value
     return cls(**{**values, **fixed})
@@ -164,7 +152,7 @@ def cmd_train(args) -> int:
         final = result.history[-1] if result.history else None
         if final is not None:
             print(f"[{stream}] {len(result.history)} epochs, "
-                  f"final loss {final.loss_total:.4f} -> {out_dir / f'model_{stream}.facn'}")
+                  f"final loss {final.losses['total']:.4f} -> {out_dir / f'model_{stream}.facn'}")
     return 0
 
 

@@ -14,11 +14,13 @@ from __future__ import annotations
 
 import contextlib
 import json
-import math
 import os
 import struct
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
+from types import UnionType
+from typing import Union, get_args, get_origin
 
 import numpy as np
 
@@ -151,21 +153,26 @@ def read_json(path, error: type[Exception]):
             raise error(f"{path}: not valid JSON ({exc})") from None
 
 
+def has_json_type(value, hint) -> bool:
+    """Whether a JSON value fits a type hint: an int is a float, a list is a
+    tuple, and a bool is neither an int nor a float."""
+    origin, args = get_origin(hint), get_args(hint)
+    if origin in (Union, UnionType):
+        return any(has_json_type(value, arg) for arg in args)
+    if origin is tuple:  # every config tuple holds one element type
+        return isinstance(value, (list, tuple)) and all(has_json_type(v, args[0]) for v in value) \
+            and (args[-1] is Ellipsis or len(value) == len(args))
+    return isinstance(value, {float: (int, float)}.get(hint, hint)) \
+        and (hint is bool or not isinstance(value, bool))
+
+
 def _typed(vid: str, record: dict, key: str, kind: type, default):
-    """``record[key]`` (``default`` when absent), which must be a ``kind``."""
+    """``record[key]`` (``default`` when absent), which must have JSON type ``kind``."""
     value = record.get(key, default)
-    if not isinstance(value, kind):
-        raise ManifestError(f"video {vid}: {key} must be a {kind.__name__}, got {value!r}")
+    if not has_json_type(value, kind):
+        name = {float: "number", int: "integer"}.get(kind, kind.__name__)
+        raise ManifestError(f"video {vid}: {key} must be a {name}, got {value!r}")
     return value
-
-
-def _number(vid: str, record: dict, key: str, kind: type):
-    """``record[key]`` converted by ``kind`` (``float`` or ``int``)."""
-    try:
-        return kind(record.get(key, 0))
-    except (TypeError, ValueError, OverflowError):
-        raise ManifestError(f"video {vid}: {key} must be a finite number, "
-                            f"got {record.get(key)!r}") from None
 
 
 def parse_manifest(path) -> Manifest:
@@ -204,9 +211,9 @@ def parse_manifest(path) -> Manifest:
         split = record.get("split")
         if split not in ("train", "test"):
             raise ManifestError(f"video {vid}: split must be 'train' or 'test'")
-        fps = _number(vid, record, "fps", float)
-        stride = _number(vid, record, "snippet_stride", int)
-        if not (0 < fps < math.inf and 1 <= stride < 2 ** 32):
+        fps = _typed(vid, record, "fps", float, None)
+        stride = _typed(vid, record, "snippet_stride", int, None)
+        if not (0 < fps <= sys.float_info.max and 1 <= stride < 2 ** 32):
             raise ManifestError(f"video {vid}: fps must be positive and finite and "
                                 f"snippet_stride in [1, 2**32), got {fps!r} and {stride!r}")
         features = _typed(vid, record, "features", dict, {})
@@ -234,7 +241,7 @@ def parse_manifest(path) -> Manifest:
         for label in labels:
             if label not in classes:
                 raise ManifestError(f"video {vid}: unknown class {label!r}")
-        entry = VideoEntry(video_id=vid, split=split, fps=fps, snippet_stride=stride,
+        entry = VideoEntry(video_id=vid, split=split, fps=float(fps), snippet_stride=stride,
                            features=features, labels=list(labels),
                            num_snippets=int(num_snippets))
         for gt in _typed(vid, record, "ground_truth", list, []):
@@ -307,6 +314,8 @@ class SynthConfig:
         self.streams = tuple(self.streams)
         if self.num_classes < 1 or self.num_train < 1 or self.num_test < 0:
             raise ConfigError("synthetic dataset sizes must be positive")
+        if not 1 <= self.feature_dim < 2 ** 32:  # the feature header stores u32
+            raise ConfigError("feature_dim must lie in [1, 2**32)")
         if self.separation_margin <= 0:
             raise ConfigError("separation margin must be positive")
         if self.noise < 0:
@@ -315,11 +324,14 @@ class SynthConfig:
             raise ConfigError("fps must be positive")
         if not 1 <= self.snippet_stride < 2 ** 32:
             raise ConfigError("snippet_stride must lie in [1, 2**32)")
-        if self.snippet_range[0] < 1 or self.snippet_range[0] > self.snippet_range[1]:
-            raise ConfigError("bad snippet count range")
+        if not 1 <= self.snippet_range[0] <= self.snippet_range[1] < 2 ** 32:
+            raise ConfigError("snippet_range must be [low, high] with 1 <= low <= high < 2**32")
+        if not 1 <= self.instances_range[0] <= self.instances_range[1] <= self.snippet_range[0]:
+            raise ConfigError("instances_range must be [low, high] with 1 <= low <= high "
+                              "<= the shortest video's snippet count")
         lo, hi = self.instance_len_range
         if lo < 1 or lo > hi or lo > self.snippet_range[0]:
-            raise ConfigError("instance length range must fit the shortest video")
+            raise ConfigError("instance_len_range must fit the shortest video")
         if not self.streams:
             raise ConfigError("at least one stream required")
         if self.seed < 0:

@@ -1,7 +1,8 @@
 """Video-level classification losses over the three branch outputs."""
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -12,12 +13,13 @@ from .model import BranchOutputs
 
 @dataclass
 class LossWeights:
+    """One weight per branch loss; the field names are the branch names."""
     class_wise: float = 1.0
     class_agnostic: float = 0.1
     mil: float = 0.1
 
     def __post_init__(self):
-        if min(self.class_wise, self.class_agnostic, self.mil) < 0:
+        if min(asdict(self).values()) < 0:
             raise ConfigError("loss weights must be non-negative")
 
 
@@ -53,7 +55,8 @@ def nce_loss(tape: ad.Tape, p_ref: int, target: np.ndarray) -> int:
 
 def total_loss(tape: ad.Tape, outputs: BranchOutputs, y: np.ndarray,
                weights: LossWeights, use_background: bool) -> tuple[int, dict[str, int]]:
-    """Weighted sum of the three branch losses; returns (total, per-branch refs)."""
+    """Weighted sum of the three branch losses; returns (total, per-branch refs),
+    the refs keyed by the ``LossWeights`` field names."""
     target_fg = normalized_target(y, 0, use_background)
     target_mil = normalized_target(y, 1, use_background)
     parts = {
@@ -61,11 +64,7 @@ def total_loss(tape: ad.Tape, outputs: BranchOutputs, y: np.ndarray,
         "class_agnostic": nce_loss(tape, outputs.p_video_class, target_fg),
         "mil": nce_loss(tape, outputs.p_mil, target_mil),
     }
-    total = tape.add(
-        tape.add(
-            tape.scale(parts["class_wise"], weights.class_wise),
-            tape.scale(parts["class_agnostic"], weights.class_agnostic),
-        ),
-        tape.scale(parts["mil"], weights.mil),
-    )
+    # (class_wise + class_agnostic) + mil, each term recorded just before its add
+    total = reduce(tape.add, (tape.scale(ref, getattr(weights, name))
+                              for name, ref in parts.items()))
     return total, parts

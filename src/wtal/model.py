@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass, fields
+from typing import Generic, TypeVar
 
 import numpy as np
 
@@ -21,6 +22,8 @@ from .errors import ConfigError, ContractError, FormatError
 
 CHECKPOINT_MAGIC = b"FACN"
 CHECKPOINT_VERSION = 2  # version 1 stored conv weights as (d_out, d_in, k)
+
+P = TypeVar("P")  # a parameter: an array, or its reference on a tape
 
 
 @dataclass
@@ -59,15 +62,15 @@ class ModelConfig:
 
 
 @dataclass
-class ModelParams:
-    conv1_w: np.ndarray  # (k*D_in, d1), tap-major: row block i is tap i
-    conv1_b: np.ndarray  # (d1,)
-    conv2_w: np.ndarray  # (k*d1, d2), tap-major
-    conv2_b: np.ndarray  # (d2,)
-    w_action: np.ndarray  # (score_classes, d2)
-    w_fore: np.ndarray  # (d2,)
+class ModelParams(Generic[P]):
+    conv1_w: P  # (k*D_in, d1), tap-major: row block i is tap i
+    conv1_b: P  # (d1,)
+    conv2_w: P  # (k*d1, d2), tap-major
+    conv2_b: P  # (d2,)
+    w_action: P  # (score_classes, d2)
+    w_fore: P  # (d2,)
 
-    def as_dict(self) -> dict[str, np.ndarray]:
+    def as_dict(self) -> dict[str, P]:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def astype(self, dtype) -> "ModelParams":
@@ -105,38 +108,26 @@ def init_params(config: ModelConfig, seed: int, dtype=np.float64) -> ModelParams
     )
 
 
-def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
+def check_params(tensors: dict, config: ModelConfig, error, dtype=None,
+                 prefixes: tuple[str, ...] = ("",)) -> None:
+    """Raise ``error(message)`` unless ``tensors`` holds, under each prefix,
+    exactly the parameters of ``config``, each with its shape and, when
+    ``dtype`` is given, that dtype."""
     d1, d2 = config.embed_dims
     k = config.kernel_size
-    return {
-        "conv1_w": (k * config.feature_dim, d1),
-        "conv1_b": (d1,),
-        "conv2_w": (k * d1, d2),
-        "conv2_b": (d2,),
-        "w_action": (config.score_classes, d2),
-        "w_fore": (d2,),
-    }
-
-
-def validate_params(params: ModelParams, config: ModelConfig) -> None:
-    for name, shape in param_shapes(config).items():
-        actual = getattr(params, name).shape
-        if actual != shape:
-            raise ContractError(f"parameter {name} has shape {actual}, expected {shape}")
-
-
-@dataclass
-class ParamRefs:
-    conv1_w: int
-    conv1_b: int
-    conv2_w: int
-    conv2_b: int
-    w_action: int
-    w_fore: int
-
-
-def stage_params(tape: ad.Tape, params: ModelParams) -> ParamRefs:
-    return ParamRefs(**{k: tape.leaf(v, name=k) for k, v in params.as_dict().items()})
+    shapes = ModelParams(conv1_w=(k * config.feature_dim, d1), conv1_b=(d1,),
+                         conv2_w=(k * d1, d2), conv2_b=(d2,),
+                         w_action=(config.score_classes, d2), w_fore=(d2,))
+    expected = {prefix + name: shape for prefix in prefixes
+                for name, shape in shapes.as_dict().items()}
+    if set(tensors) != set(expected):
+        raise error(f"tensors {sorted(tensors)} != expected {sorted(expected)}")
+    for key, shape in expected.items():
+        actual = tensors[key]
+        want = actual.dtype if dtype is None else np.dtype(dtype)
+        if actual.shape != shape or actual.dtype != want:
+            raise error(f"{key} is {actual.dtype}{list(actual.shape)}, "
+                        f"expected {want}{list(shape)}")
 
 
 @dataclass
@@ -155,7 +146,7 @@ class BranchOutputs:
     p_mil: int = -1
 
 
-def embed(tape: ad.Tape, x_raw: int, refs: ParamRefs, config: ModelConfig,
+def embed(tape: ad.Tape, x_raw: int, refs: ModelParams[int], config: ModelConfig,
           train_mode: bool = False, rng_seed=0) -> int:
     """Two temporal conv layers; dropout sits before each ReLU in train mode."""
     x = tape.val(x_raw)
@@ -180,7 +171,7 @@ def _dropout(tape: ad.Tape, ref: int, config: ModelConfig, train_mode: bool, rng
     return tape.dropout(ref, mask)
 
 
-def forward_hybrid(tape: ad.Tape, x_raw: int, refs: ParamRefs, config: ModelConfig,
+def forward_hybrid(tape: ad.Tape, x_raw: int, refs: ModelParams[int], config: ModelConfig,
                    train_mode: bool = False, rng_seed=0) -> BranchOutputs:
     """Full forward pass, all H temperatures at once.
 
@@ -222,10 +213,10 @@ def run_forward(x_raw: np.ndarray, params: ModelParams, config: ModelConfig,
     dtypes differ), so float32 weights, as a checkpoint stores them, run in
     float32 and float64 weights run in float64.
     """
-    validate_params(params, config)
+    check_params(params.as_dict(), config, ContractError)
     tape = ad.Tape()
     x_ref = tape.leaf(np.asarray(x_raw, dtype=params.conv1_w.dtype))
-    refs = stage_params(tape, params)
+    refs = ModelParams(**{k: tape.leaf(v, name=k) for k, v in params.as_dict().items()})
     return tape, forward_hybrid(tape, x_ref, refs, config, train_mode, rng_seed)
 
 
@@ -247,7 +238,7 @@ def save_checkpoint(path, params: ModelParams, config: ModelConfig) -> None:
 
     Written atomically: a failed write leaves any earlier file at ``path``.
     """
-    validate_params(params, config)
+    check_params(params.as_dict(), config, ContractError)
     with atomic_write(path, binary=True) as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<I", CHECKPOINT_VERSION))
@@ -323,14 +314,10 @@ def load_checkpoint(path) -> tuple[ModelParams, ModelConfig]:
         count = math.prod(dims)  # exact: the byte count checks the dims
         data = np.frombuffer(r.take(4 * count, f"tensor {name}"), dtype="<f4")
         tensors[name] = data.reshape(dims).copy()
-    expected = {f.name for f in fields(ModelParams)}
-    if set(tensors) != expected:
-        raise FormatError(f"checkpoint tensors {sorted(tensors)} != expected {sorted(expected)}")
-    if version == 1:
-        for name in ("conv1_w", "conv2_w"):
+    for name in ("conv1_w", "conv2_w"):
+        if version == 1 and name in tensors:  # a missing one fails the check below
             if tensors[name].ndim != 3:
                 raise FormatError(f"version 1 tensor {name} must have rank 3")
             tensors[name] = tap_major(tensors[name])
-    params = ModelParams(**tensors)
-    validate_params(params, config)
-    return params, config
+    check_params(tensors, config, lambda message: FormatError(f"{path}: checkpoint {message}"))
+    return ModelParams(**tensors), config

@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +11,9 @@ from . import autodiff as ad
 from .data import atomic_write
 from .errors import ConfigError, ContractError, FormatError
 from .losses import LossWeights, total_loss
-from .model import ModelConfig, ModelParams, param_shapes, run_forward, save_checkpoint
+from .model import ModelConfig, ModelParams, check_params, run_forward, save_checkpoint
+
+LOSS_KEYS = (*(f.name for f in fields(LossWeights)), "total")  # EpochReport.losses, in order
 
 
 class NonFiniteGradientError(RuntimeError):
@@ -99,10 +101,7 @@ def adam_step(params: ModelParams, grads: dict[str, np.ndarray],
 @dataclass
 class EpochReport:
     epoch: int
-    loss_class_wise: float
-    loss_class_agnostic: float
-    loss_mil: float
-    loss_total: float
+    losses: dict[str, float]  # LOSS_KEYS -> mean over the epoch's videos
     num_videos: int
     skipped: int
 
@@ -128,7 +127,7 @@ def train_epoch(dataset, params: ModelParams, state: OptimizerState,
         raise ConfigError("training dataset is empty")
     order_rng = np.random.default_rng(_video_seed(train_config.seed, epoch, -1))
     order = order_rng.permutation(len(dataset))
-    sums = {"class_wise": 0.0, "class_agnostic": 0.0, "mil": 0.0, "total": 0.0}
+    sums = dict.fromkeys(LOSS_KEYS, 0.0)
     processed = 0
     skipped = 0
     bs = train_config.batch_size
@@ -153,8 +152,7 @@ def train_epoch(dataset, params: ModelParams, state: OptimizerState,
                 if not np.isfinite(g).all():
                     raise NonFiniteGradientError(name, epoch)
                 acc[name] = acc.get(name, 0) + g
-            sums["total"] += float(tape.val(loss_ref))
-            for key, ref in parts.items():
+            for key, ref in {**parts, "total": loss_ref}.items():
                 sums[key] += float(tape.val(ref))
             in_batch += 1
             processed += 1
@@ -162,15 +160,8 @@ def train_epoch(dataset, params: ModelParams, state: OptimizerState,
             mean_grads = {k: v / in_batch for k, v in acc.items()}
             adam_step(params, mean_grads, state, train_config)
     n = max(processed, 1)
-    return EpochReport(
-        epoch=epoch,
-        loss_class_wise=sums["class_wise"] / n,
-        loss_class_agnostic=sums["class_agnostic"] / n,
-        loss_mil=sums["mil"] / n,
-        loss_total=sums["total"] / n,
-        num_videos=processed,
-        skipped=skipped,
-    )
+    return EpochReport(epoch, {key: total / n for key, total in sums.items()},
+                       num_videos=processed, skipped=skipped)
 
 
 @dataclass
@@ -180,17 +171,12 @@ class FitResult:
     history: list[EpochReport] = field(default_factory=list)
 
 
-HISTORY_HEADER = ["epoch", "loss_class_wise", "loss_class_agnostic", "loss_mil", "loss_total"]
-
-
 def write_history(path, history: list[EpochReport]) -> None:
     with atomic_write(path, newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(HISTORY_HEADER)
+        writer.writerow(["epoch", *(f"loss_{key}" for key in LOSS_KEYS)])
         for rec in history:
-            writer.writerow([rec.epoch, repr(rec.loss_class_wise),
-                             repr(rec.loss_class_agnostic), repr(rec.loss_mil),
-                             repr(rec.loss_total)])
+            writer.writerow([rec.epoch, *map(repr, rec.losses.values())])
 
 
 def save_train_state(path, params: ModelParams, state: OptimizerState,
@@ -209,28 +195,22 @@ def load_train_state(path, model_config: ModelConfig,
     """Read a ``save_train_state`` file, checked against the run's configs.
 
     Every tensor must be present under its expected name, with the shape the
-    model config implies and the training precision's dtype.
+    model config implies and the training precision's dtype, and the two
+    counters must be integer scalars.
     """
-    shapes = param_shapes(model_config)
-    dtype = np.dtype(train_config.dtype)
     with np.load(path) as data:
         arrays = {key: data[key] for key in data.files}
-    tensors = {f"{prefix}_{name}": shape for name, shape in shapes.items()
-               for prefix in ("param", "m", "v")}
-    expected = set(tensors) | {"step", "next_epoch"}
-    if set(arrays) != expected:
-        raise FormatError(f"{path}: entries {sorted(arrays)} != expected {sorted(expected)}")
-    for key, shape in tensors.items():
-        if arrays[key].shape != shape or arrays[key].dtype != dtype:
-            raise FormatError(f"{path}: {key} is {arrays[key].dtype}{list(arrays[key].shape)}, "
-                              f"expected {dtype}{list(shape)}")
-    params = ModelParams(**{k: arrays[f"param_{k}"] for k in shapes})
-    state = OptimizerState(
-        m={k: arrays[f"m_{k}"] for k in shapes},
-        v={k: arrays[f"v_{k}"] for k in shapes},
-        step=int(arrays["step"]),
-    )
-    return params, state, int(arrays["next_epoch"])
+    counters = [arrays.pop(key, None) for key in ("step", "next_epoch")]
+    check_params(arrays, model_config, lambda message: FormatError(f"{path}: {message}"),
+                 train_config.dtype, prefixes=("param_", "m_", "v_"))
+    if any(c is None or c.shape != () or c.dtype.kind not in "iu" for c in counters):
+        raise FormatError(f"{path}: step and next_epoch must be integer scalars")
+
+    def part(prefix: str) -> dict[str, np.ndarray]:
+        return {f.name: arrays[prefix + f.name] for f in fields(ModelParams)}
+
+    state = OptimizerState(m=part("m_"), v=part("v_"), step=int(counters[0]))
+    return ModelParams(**part("param_")), state, int(counters[1])
 
 
 def fit(dataset, params: ModelParams, model_config: ModelConfig,
@@ -253,9 +233,8 @@ def fit(dataset, params: ModelParams, model_config: ModelConfig,
                              train_config, epoch)
         history.append(report)
         if log is not None:
-            log(f"epoch {epoch:3d}  total {report.loss_total:.4f}  "
-                f"cw {report.loss_class_wise:.4f}  ca {report.loss_class_agnostic:.4f}  "
-                f"mil {report.loss_mil:.4f}")
+            log(f"epoch {epoch:3d}  " + "  ".join(f"{key} {value:.4f}"
+                                                  for key, value in report.losses.items()))
         if checkpoint_interval and (epoch + 1) % checkpoint_interval == 0:
             save_checkpoint(out_dir / f"{ckpt_prefix}_epoch{epoch + 1:04d}.facn",
                             params, model_config)

@@ -1,8 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from wtal.evaluation import Detections
 from wtal.model import ModelConfig, init_params
+
+
+# any JSON value, non-finite floats and integers beyond the float range included
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(min_value=2 ** 64)
+    | st.integers(min_value=2 ** 1024) | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=6)
 
 
 @pytest.fixture

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from wtal import autodiff as ad
 from wtal.errors import ContractError, InputError
 from wtal.losses import LossWeights, total_loss
-from wtal.model import ModelParams, forward_hybrid, run_forward, stage_params
+from wtal.model import ModelParams, forward_hybrid, run_forward
 
 from conftest import tiny_model
 from oracles import conv_reference
@@ -267,8 +267,8 @@ class TestBackward:
         def grads(x_name):
             tape = ad.Tape()
             x_ref = tape.leaf(x, name=x_name)
-            out = forward_hybrid(tape, x_ref, stage_params(tape, params), config,
-                                 train_mode=True, rng_seed=5)
+            refs = ModelParams(**{k: tape.leaf(v, name=k) for k, v in params.as_dict().items()})
+            out = forward_hybrid(tape, x_ref, refs, config, train_mode=True, rng_seed=5)
             loss_ref, _ = total_loss(tape, out, y, LossWeights(), config.use_background)
             return ad.backward(tape, loss_ref)
 

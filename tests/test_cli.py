@@ -1,15 +1,20 @@
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from wtal.cli import main
-from wtal.data import load_dataset, load_features, parse_manifest
+from wtal.cli import _build, load_run_config, main
+from wtal.data import SynthConfig, load_dataset, load_features, parse_manifest
 from wtal.localization import LocalizeConfig, localize_split, read_detections
-from wtal.model import forward_scores, load_checkpoint
+from wtal.losses import LossWeights
+from wtal.model import ModelConfig, forward_scores, load_checkpoint
+from wtal.training import TrainConfig
 
-from conftest import table_rows
+from conftest import JSON_VALUES, table_rows
 
 
 def run(capsys, *argv):
@@ -80,15 +85,18 @@ class TestSynth:
         assert "cfg.json: not valid JSON" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("value,key", [('"abc"', "num_train"), ("true", "fps"),
-                                           ("[5]", "snippet_range")])
+                                           ("[5]", "snippet_range"),
+                                           pytest.param("1" * 5000, "seed", id="5000-digits")])
     def test_wrongly_typed_value_exits_cleanly(self, tmp_path, capsys, value, key):
         code, _, err = run(capsys, "synth", "--out", str(tmp_path / "d"),
                            "--set", f"synth.{key}={value}")
         assert code == 2
         assert f"SynthConfig.{key} must be" in err and "Traceback" not in err
 
-    @pytest.mark.parametrize("setting", ["synth.fps=0", "synth.fps=-25.0",
-                                         "synth.snippet_stride=0"])
+    @pytest.mark.parametrize("setting", [
+        "synth.fps=0", "synth.fps=-25.0", "synth.snippet_stride=0",
+        "synth.feature_dim=-1", "synth.feature_dim=0", "synth.instances_range=[0,0]",
+        "synth.snippet_range=[60,100000000000000000000]"])
     def test_bad_timing_rejected_before_writing(self, tmp_path, capsys, setting):
         out = tmp_path / "d"
         code, _, err = run(capsys, "synth", "--out", str(out), "--set", setting)
@@ -135,6 +143,11 @@ class TestManifestFieldTypes:
         ("ground_truth", 3, "ground_truth"),
         ("id", ["a"], "id"),
         ("snippet_stride", "1e400", "snippet_stride"),
+        ("fps", True, "fps"),
+        ("fps", "25", "fps"),
+        ("fps", 10 ** 400, "fps"),
+        ("snippet_stride", 2.7, "snippet_stride"),
+        ("snippet_stride", True, "snippet_stride"),
     ])
     def test_video_field(self, dataset_dir, tmp_path, capsys, key, value, named):
         path = dataset_dir / "manifest.json"
@@ -147,6 +160,34 @@ class TestManifestFieldTypes:
         assert code == 2
         assert f"{named} must" in err and "Traceback" not in err
         assert ("video #0" if key == "id" else f"video {video_id}") in err
+
+
+CONFIG_CLASSES = {"model": ModelConfig, "train": TrainConfig, "loss": LossWeights,
+                  "localize": LocalizeConfig, "synth": SynthConfig}
+
+
+class TestConfigFuzz:
+    """Any JSON value for any config key, from a config file or a ``--set``
+    override, builds its section's config or raises a ``wtal.errors`` type.
+    No stage runs, so no drawn size generates data."""
+
+    @given(where=st.sampled_from([(section, f.name) for section, cls in CONFIG_CLASSES.items()
+                                  for f in fields(cls)]),
+           value=JSON_VALUES, as_override=st.booleans())
+    @settings(max_examples=400, deadline=None)
+    def test_any_value(self, tmp_path_factory, where, value, as_override):
+        section, key = where
+        path = tmp_path_factory.getbasetemp() / "fuzz_config.json"
+        path.write_text(json.dumps({"config_version": 1, section: {key: value}}))
+        fixed = {"num_classes": 3, "feature_dim": 8} if section == "model" else {}
+        try:
+            if as_override:
+                cfg = load_run_config(None, [f"{section}.{key}={json.dumps(value)}"])
+            else:
+                cfg = load_run_config(str(path), [])
+            _build(CONFIG_CLASSES[section], cfg[section], **fixed)
+        except Exception as exc:
+            assert type(exc).__module__ == "wtal.errors", repr(exc)
 
 
 class TestTrain:
@@ -232,7 +273,9 @@ class TestTrain:
         ("train.learning_rate=NaN", "TrainConfig.learning_rate"),
         ("model.delta=NaN", "ModelConfig.delta"),
         ("model.temperatures=[1.0,Infinity]", "ModelConfig.temperatures"),
-        ("loss.mil=-Infinity", "LossWeights.mil")])
+        ("loss.mil=-Infinity", "LossWeights.mil"),
+        pytest.param(f"model.temperatures=[1.0,{10 ** 400}]", "ModelConfig.temperatures",
+                     id="int-beyond-float-range")])
     def test_non_finite_config_float_exits_cleanly(self, dataset_dir, tmp_path, capsys,
                                                    override, field):
         code, _, err = run(capsys, "train", "--manifest", str(dataset_dir / "manifest.json"),

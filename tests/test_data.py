@@ -13,7 +13,7 @@ from wtal.data import (SynthConfig, convert_raw_features, generate_synthetic,
 from wtal.errors import ConfigError, FormatError, InputError, ManifestError
 from wtal.evaluation import ACTIVITYNET_GRID, THUMOS_GRID, map_report
 
-from conftest import detections_table
+from conftest import JSON_VALUES, detections_table
 
 
 class TestFeatureFiles:
@@ -88,6 +88,26 @@ def tree_digest(root: Path) -> str:
             h.update(str(path.relative_to(root)).encode())
             h.update(path.read_bytes())
     return h.hexdigest()
+
+
+class TestFeatureFileFuzz:
+    """A truncated or byte-mutated feature file loads or raises a
+    ``wtal.errors`` type; nothing else escapes to the CLI."""
+
+    @given(cut=st.integers(0, 200), edits=st.lists(
+        st.tuples(st.integers(0, 200), st.integers(0, 255)), max_size=6))
+    @settings(max_examples=300, deadline=None)
+    def test_mutated_file(self, tmp_path_factory, cut, edits):
+        path = tmp_path_factory.getbasetemp() / "fuzz.facf"
+        save_features(path, np.arange(24, dtype=np.float32).reshape(6, 4))
+        raw = bytearray(path.read_bytes())
+        for index, byte in edits:
+            raw[index % len(raw)] = byte
+        path.write_bytes(bytes(raw[:cut]))
+        try:
+            load_features(path)
+        except Exception as exc:
+            assert type(exc).__module__ == "wtal.errors", repr(exc)
 
 
 class TestSyntheticGenerator:
@@ -238,13 +258,6 @@ MANIFEST_FIELDS = [
     ("videos", 0, "ground_truth", 0),
     *(("videos", 0, "ground_truth", 0, key) for key in ("label", "start", "end")),
 ]
-JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.integers(min_value=2 ** 64)
-    | st.floats() | st.text(),
-    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner, max_size=3),
-    max_leaves=6)
-
-
 class TestManifestFuzz:
     """A valid manifest with one field replaced by any JSON value parses or
     raises a ``wtal.errors`` type; nothing else escapes to the CLI."""

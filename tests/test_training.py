@@ -143,7 +143,7 @@ class TestTrainEpoch:
         def run():
             params = init_params(config, seed=4, dtype=np.float64)
             tc = TrainConfig(epochs=3, batch_size=2, precision=64, seed=9)
-            return [r.loss_total for r in
+            return [r.losses["total"] for r in
                     fit(dataset, params, config, LossWeights(), tc, tmp_path).history]
 
         assert run() == run()
@@ -195,10 +195,12 @@ class TestFit:
                 raise RuntimeError("cannot format")
 
         path = tmp_path / "model_history.csv"
-        report = tr.EpochReport(0, 1.0, 0.5, 0.25, 1.75, num_videos=3, skipped=0)
+        losses = dict(zip(tr.LOSS_KEYS, (1.0, 0.5, 0.25, 1.75)))
+        report = tr.EpochReport(0, losses, num_videos=3, skipped=0)
         write_history(path, [report])
         before = path.read_bytes()
-        broken = tr.EpochReport(1, 1.0, 0.5, 0.25, Unprintable(1.5), num_videos=3, skipped=0)
+        broken = tr.EpochReport(1, {**losses, "total": Unprintable(1.5)}, num_videos=3,
+                                skipped=0)
         with pytest.raises(RuntimeError):
             write_history(path, [broken, report])
         assert path.read_bytes() == before
@@ -220,7 +222,7 @@ class TestFit:
         assert next_epoch == 1
         resumed = fit(dataset, resumed_params, config, LossWeights(), tc, tmp_path,
                       state=state, start_epoch=next_epoch)
-        assert resumed.history[0].loss_total == full.history[1].loss_total
+        assert resumed.history[0].losses == full.history[1].losses
         for name, tensor in full.params.as_dict().items():
             assert np.array_equal(tensor, getattr(resumed.params, name))
 
@@ -244,7 +246,7 @@ class TestFit:
         params = init_params(config, seed=0, dtype=np.float32)
         tc = TrainConfig(epochs=30, batch_size=1, seed=0)
         result = fit(dataset, params, config, LossWeights(), tc, tmp_path)
-        assert result.history[29].loss_total < 0.25 * result.history[0].loss_total
+        assert result.history[29].losses["total"] < 0.25 * result.history[0].losses["total"]
 
 
 class TestLoadTrainState:
@@ -295,6 +297,15 @@ class TestLoadTrainState:
         path, config, tc = self.saved(tmp_path)
         self.rewrite(path, drop=("v_w_fore",))
         with pytest.raises(FormatError, match="v_w_fore"):
+            load_train_state(path, config, tc)
+
+    @pytest.mark.parametrize("changes", [{"step": np.array("x")},
+                                         {"next_epoch": np.array([1, 2])}],
+                             ids=["text-step", "vector-next-epoch"])
+    def test_counter_not_an_integer_scalar_rejected(self, tmp_path, changes):
+        path, config, tc = self.saved(tmp_path)
+        self.rewrite(path, **changes)
+        with pytest.raises(FormatError, match="step and next_epoch"):
             load_train_state(path, config, tc)
 
     def test_other_model_shape_rejected(self, tmp_path):
