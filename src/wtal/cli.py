@@ -94,65 +94,36 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def _streams(arg: str | None, manifest) -> list[str]:
-    """The ``--streams`` names: each a manifest stream or ``concat``."""
-    from .errors import ManifestError
-
-    if not arg:
-        return list(manifest.streams)
-    names = arg.split(",")
-    for name in names:
-        if name != "concat" and name not in manifest.streams:
-            raise ManifestError(f"stream {name!r} is not in the manifest, which has "
-                                f"{list(manifest.streams)} (or use 'concat')")
-    return names
-
-
-def _model_config_for(manifest, stream, cfg_model):
-    from .data import read_feature_header
-    from .model import ModelConfig
-
-    entry = manifest.videos[0]
-    if stream == "concat":
-        dim = sum(read_feature_header(entry.features[s])[1] for s in manifest.streams)
-    else:
-        dim = read_feature_header(entry.features[stream])[1]
-    return _build(ModelConfig, cfg_model,
-                  num_classes=len(manifest.classes), feature_dim=dim)
-
-
 def cmd_train(args) -> int:
-    from .data import load_dataset, parse_manifest
+    from .data import load_dataset, parse_manifest, read_feature_header
     from .losses import LossWeights
-    from .model import init_params
+    from .model import ModelConfig, init_params
     from .training import TrainConfig, fit, load_train_state
 
     cfg = load_run_config(args.config, args.set)
     manifest = parse_manifest(args.manifest)
     train_cfg = _build(TrainConfig, cfg["train"])
     weights = _build(LossWeights, cfg["loss"])
-    streams = _streams(args.streams, manifest)
+    # one model over every stream, their features side by side
+    dim = sum(read_feature_header(manifest.videos[0].features[s])[1] for s in manifest.streams)
+    model_cfg = _build(ModelConfig, cfg["model"], num_classes=len(manifest.classes),
+                       feature_dim=dim)
+    dataset = load_dataset(manifest, "train")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for i, stream in enumerate(streams):
-        dataset = load_dataset(manifest, "train", stream)
-        model_cfg = _model_config_for(manifest, stream, cfg["model"])
-        state = None
-        start_epoch = 0
-        params = init_params(model_cfg, seed=train_cfg.seed + i, dtype=train_cfg.dtype)
-        if args.resume:
-            params, state, start_epoch = load_train_state(
-                out_dir / f"model_{stream}_state.npz", model_cfg, train_cfg)
-            print(f"[{stream}] resuming at epoch {start_epoch}", file=sys.stderr)
-        result = fit(dataset, params, model_cfg, weights, train_cfg,
-                     out_dir=out_dir, ckpt_prefix=f"model_{stream}",
-                     checkpoint_interval=args.checkpoint_interval,
-                     state=state, start_epoch=start_epoch,
-                     log=(lambda s: print(s, file=sys.stderr)) if args.verbose else None)
-        final = result.history[-1] if result.history else None
-        if final is not None:
-            print(f"[{stream}] {len(result.history)} epochs, "
-                  f"final loss {final.losses['total']:.4f} -> {out_dir / f'model_{stream}.facn'}")
+    state, start_epoch = None, 0
+    params = init_params(model_cfg, seed=train_cfg.seed, dtype=train_cfg.dtype)
+    if args.resume:
+        params, state, start_epoch = load_train_state(out_dir / "model_state.npz",
+                                                      model_cfg, train_cfg)
+        print(f"resuming at epoch {start_epoch}", file=sys.stderr)
+    result = fit(dataset, params, model_cfg, weights, train_cfg, out_dir=out_dir,
+                 checkpoint_interval=args.checkpoint_interval,
+                 state=state, start_epoch=start_epoch,
+                 log=(lambda s: print(s, file=sys.stderr)) if args.verbose else None)
+    if result.history:
+        print(f"{len(result.history)} epochs, final loss "
+              f"{result.history[-1].losses['total']:.4f} -> {out_dir / 'model.facn'}")
     return 0
 
 
@@ -165,22 +136,17 @@ def cmd_localize(args) -> int:
     cfg = load_run_config(args.config, args.set)
     loc_cfg = _build(LocalizeConfig, cfg["localize"])
     manifest = parse_manifest(args.manifest)
-    streams = _streams(args.streams, manifest)
-    model_dir = Path(args.model_dir)
-    models = {}
-    for stream in streams:
-        params, model_cfg = load_checkpoint(model_dir / f"model_{stream}.facn")
-        if model_cfg.num_classes != len(manifest.classes):
-            return _fail(f"checkpoint for {stream} has {model_cfg.num_classes} classes, "
-                         f"manifest has {len(manifest.classes)}")
-        models[stream] = (params, model_cfg)
+    params, model_cfg = load_checkpoint(Path(args.model_dir) / "model.facn")
+    if model_cfg.num_classes != len(manifest.classes):
+        return _fail(f"checkpoint has {model_cfg.num_classes} classes, "
+                     f"manifest has {len(manifest.classes)}")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     dump = None
     if args.score_dump:
         Path(args.score_dump).mkdir(parents=True, exist_ok=True)
         dump = partial(_dump_scores, Path(args.score_dump), manifest.classes)
-    detections = localize_split(manifest, args.split, models, loc_cfg, dump)
+    detections = localize_split(manifest, args.split, params, model_cfg, loc_cfg, dump)
     write_detections_csv(out_dir / "detections.csv", detections, manifest.classes)
     write_detections_json(out_dir / "detections.json", detections, manifest.classes)
     print(f"{len(detections)} detections for {len(manifest.split(args.split))} videos "
@@ -188,11 +154,11 @@ def cmd_localize(args) -> int:
     return 0
 
 
-def _dump_scores(dump_dir, class_names, stream, sample, scores) -> None:
-    """``<video>_<stream>.tsv`` in ``dump_dir``, one row per snippet: its
-    index, S_f, then S_a per class, as plain floats."""
+def _dump_scores(dump_dir, class_names, sample, scores) -> None:
+    """``<video>.tsv`` in ``dump_dir``, one row per snippet: its index, S_f,
+    then S_a per class, as plain floats."""
     rows = zip(scores.s_f.tolist(), scores.s_a[:, :len(class_names)].tolist())
-    with open(dump_dir / f"{sample.video_id}_{stream}.tsv", "w") as fh:
+    with open(dump_dir / f"{sample.video_id}.tsv", "w") as fh:
         fh.write("snippet\tfore_score\t" + "\t".join(class_names) + "\n")
         for t, (fore, row) in enumerate(rows):
             fh.write("\t".join(map(repr, [t, fore, *row])) + "\n")
@@ -314,12 +280,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output dataset directory")
     p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("train", help="train one model per feature stream")
+    p = sub.add_parser("train", help="train one model on every feature stream")
     common(p)
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True, help="checkpoint output directory")
-    p.add_argument("--streams", default=None,
-                   help="comma-separated stream names, or 'concat' (default: manifest streams)")
     p.add_argument("--checkpoint-interval", type=int, default=0)
     p.add_argument("--resume", action="store_true",
                    help="resume from the training-state file in --out")
@@ -332,7 +296,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model-dir", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--split", default="test", choices=("train", "test"))
-    p.add_argument("--streams", default=None)
     p.add_argument("--score-dump", default=None, metavar="DIR",
                    help="write per-video snippet score tables for plotting")
     p.set_defaults(func=cmd_localize)

@@ -29,6 +29,7 @@ from .errors import ConfigError, FormatError, InputError, ManifestError
 FEATURE_MAGIC = b"FACF"
 FEATURE_VERSION = 1
 MANIFEST_VERSION = 1
+MAX_VIDEO_FRAMES = 2 ** 20  # snippets * stride; localize holds each frame per class
 
 
 @contextlib.contextmanager
@@ -180,7 +181,8 @@ def parse_manifest(path) -> Manifest:
 
     Checks, in order: schema version; class list non-empty and unique; for
     each video a unique id, a known split, positive fps/stride, existing
-    feature files sharing one stream set, labels drawn from the class list,
+    feature files sharing one stream set, at most ``MAX_VIDEO_FRAMES``
+    frames (snippets times stride), labels drawn from the class list,
     and ground-truth spans, each an object with a known label and numeric
     start and end lying inside the video duration (duration = T * stride /
     fps, T from the feature header). A field of the wrong JSON type raises
@@ -237,6 +239,10 @@ def parse_manifest(path) -> Manifest:
             elif t != num_snippets:
                 raise ManifestError(
                     f"video {vid}: stream {stream} has {t} snippets, expected {num_snippets}")
+        if num_snippets * stride > MAX_VIDEO_FRAMES:
+            raise ManifestError(f"video {vid}: {num_snippets} snippets at snippet_stride "
+                                f"{stride} make {num_snippets * stride} frames, more than "
+                                f"the {MAX_VIDEO_FRAMES} allowed")
         labels = _typed(vid, record, "labels", list, [])
         for label in labels:
             if label not in classes:
@@ -274,19 +280,15 @@ class VideoSample:
     snippet_stride: int
 
 
-def load_dataset(manifest: Manifest, split: str, stream: str) -> list[VideoSample]:
-    samples = []
-    for entry in manifest.split(split):
-        if stream == "concat":
-            feats = np.concatenate(
-                [load_features(entry.features[s]) for s in manifest.streams], axis=1)
-        else:
-            feats = load_features(entry.features[stream])
-        samples.append(VideoSample(
-            video_id=entry.video_id, features=feats,
-            labels=manifest.label_vector(entry), fps=entry.fps,
-            snippet_stride=entry.snippet_stride))
-    return samples
+def load_dataset(manifest: Manifest, split: str) -> list[VideoSample]:
+    """The videos of one split, each with the features of every stream side
+    by side, in ``manifest.streams`` order."""
+    return [VideoSample(video_id=entry.video_id,
+                        features=np.concatenate([load_features(entry.features[s])
+                                                 for s in manifest.streams], axis=1),
+                        labels=manifest.label_vector(entry), fps=entry.fps,
+                        snippet_stride=entry.snippet_stride)
+            for entry in manifest.split(split)]
 
 
 def ground_truth_instances(manifest: Manifest, split: str) -> list[GroundTruthInstance]:
@@ -326,6 +328,9 @@ class SynthConfig:
             raise ConfigError("snippet_stride must lie in [1, 2**32)")
         if not 1 <= self.snippet_range[0] <= self.snippet_range[1] < 2 ** 32:
             raise ConfigError("snippet_range must be [low, high] with 1 <= low <= high < 2**32")
+        if self.snippet_range[1] * self.snippet_stride > MAX_VIDEO_FRAMES:
+            raise ConfigError(f"snippet_range[1] * snippet_stride must be at most "
+                              f"{MAX_VIDEO_FRAMES} frames")
         if not 1 <= self.instances_range[0] <= self.instances_range[1] <= self.snippet_range[0]:
             raise ConfigError("instances_range must be [low, high] with 1 <= low <= high "
                               "<= the shortest video's snippet count")

@@ -1,9 +1,9 @@
 """Score sequences to scored temporal action instances.
 
-Pipeline per stream: reject unconfident classes, fuse foreground and class
+Pipeline per video: reject unconfident classes, fuse foreground and class
 score sequences into [0, 1], upsample to frame rate, sweep a threshold grid
 to cut candidate intervals, score each by outer-inner contrast plus the
-video-level class probability, then class-wise greedy NMS across streams.
+video-level class probability, then class-wise greedy NMS.
 """
 from __future__ import annotations
 
@@ -31,7 +31,6 @@ class LocalizeConfig:
     fusion_weight: float = 0.5     # weight of the foreground sequence
     context_ratio: float = 0.25    # flanking context length per side, as a
                                    # fraction of the candidate length
-    include_class_conf: bool = True
 
     def __post_init__(self):
         self.proposal_thresholds = tuple(float(t) for t in self.proposal_thresholds)
@@ -84,7 +83,7 @@ def upsample(g: np.ndarray, stride: int) -> np.ndarray:
 
 
 def propose(g_c: np.ndarray, thresholds, fps: float, class_conf: float,
-            context_ratio: float, include_class_conf: bool = True) -> np.ndarray:
+            context_ratio: float) -> np.ndarray:
     """Multi-threshold candidate intervals for one class sequence.
 
     Returns an ``(n, 3)`` float64 array of ``[start_s, end_s, score]`` rows,
@@ -92,9 +91,9 @@ def propose(g_c: np.ndarray, thresholds, fps: float, class_conf: float,
     ordered by (start, end). The score is the mean inside the interval minus
     the mean over the two flanking context windows of ``ceil(context_ratio *
     length)`` frames each, clipped at the video bounds (an empty context
-    counts 0), plus ``class_conf`` if ``include_class_conf``. Every window
-    sum is a difference of one float64 prefix sum, so a score may differ
-    from the directly summed window means in the last bits.
+    counts 0), plus ``class_conf``. Every window sum is a difference of one
+    float64 prefix sum, so a score may differ from the directly summed window
+    means in the last bits.
     """
     g = np.asarray(g_c, dtype=np.float64)
     n = g.shape[0]
@@ -118,8 +117,7 @@ def propose(g_c: np.ndarray, thresholds, fps: float, class_conf: float,
     outer_n = (start - lo) + (hi - end)
     outer = (cum[start] - cum[lo]) + (cum[hi] - cum[end])
     score -= np.divide(outer, outer_n, out=np.zeros_like(outer), where=outer_n > 0)
-    if include_class_conf:
-        score += class_conf
+    score += class_conf
     return np.stack([start / fps, end / fps, score], axis=1)
 
 
@@ -154,29 +152,22 @@ def nms(candidates: np.ndarray, tiou_threshold: float) -> np.ndarray:
     return pool[alive]
 
 
-def localize_video(streams: list[ScoreSet], snippet_stride: int, fps: float,
+def localize_video(scores: ScoreSet, snippet_stride: int, fps: float,
                    num_classes: int, config: LocalizeConfig, video_id: str) -> Detections:
-    """Pool the ``propose`` candidates of each class that a stream does not
-    reject, from one or two streams of one video, then class-wise NMS.
+    """Class-wise NMS over the ``propose`` candidates of each class that the
+    video's scores do not reject.
 
     The detections of video ``video_id``, by (-score, start, end, class_id).
     """
-    if not 1 <= len(streams) <= 2:
-        raise ContractError(f"expected 1 or 2 streams, got {len(streams)}")
-    pooled: dict[int, list[np.ndarray]] = {}
-    for scores in streams:
-        fused = fuse_scores(scores.s_a, scores.s_f, num_classes, config.fusion_weight)
-        frames = upsample(fused, snippet_stride)
-        for c in range(num_classes):
-            conf = float(scores.p_video_class[c])
-            if conf >= config.class_reject_threshold:
-                pooled.setdefault(c, []).append(propose(
-                    frames[:, c], config.proposal_thresholds, fps, conf,
-                    config.context_ratio, config.include_class_conf))
+    fused = fuse_scores(scores.s_a, scores.s_f, num_classes, config.fusion_weight)
+    frames = upsample(fused, snippet_stride)
     kept, class_ids = [np.empty((0, 3))], [np.empty(0, dtype=np.int64)]
-    for c, candidates in sorted(pooled.items()):
-        kept.append(nms(np.concatenate(candidates), config.nms_tiou))
-        class_ids.append(np.full(len(kept[-1]), c, dtype=np.int64))
+    for c in range(num_classes):
+        conf = float(scores.p_video_class[c])
+        if conf >= config.class_reject_threshold:
+            kept.append(nms(propose(frames[:, c], config.proposal_thresholds, fps, conf,
+                                    config.context_ratio), config.nms_tiou))
+            class_ids.append(np.full(len(kept[-1]), c, dtype=np.int64))
     rows = np.concatenate(kept)
     class_id = np.concatenate(class_ids)
     order = np.lexsort((class_id, rows[:, 1], rows[:, 0], -rows[:, 2]))
@@ -188,21 +179,17 @@ def localize_video(streams: list[ScoreSet], snippet_stride: int, fps: float,
                       start, end, score)
 
 
-def localize_split(manifest, split: str, models: dict, config: LocalizeConfig,
+def localize_split(manifest, split: str, params, model_config, config: LocalizeConfig,
                    on_scores=None) -> Detections:
     """Forward pass and ``localize_video`` for each video of a manifest split,
-    as one table in manifest order. ``models`` maps each stream to its
-    ``(params, model_config)``; ``on_scores(stream, sample, scores)``, if
-    given, sees the scores of each forward pass."""
+    as one table in manifest order; ``on_scores(sample, scores)``, if given,
+    sees the scores of each forward pass."""
     tables = []
-    for videos in zip(*(load_dataset(manifest, split, stream) for stream in models)):
-        stream_scores = []
-        for (stream, (params, model_config)), sample in zip(models.items(), videos):
-            stream_scores.append(forward_scores(sample.features, params, model_config))
-            if on_scores is not None:
-                on_scores(stream, sample, stream_scores[-1])
-        video = videos[0]
-        tables.append(localize_video(stream_scores, video.snippet_stride, video.fps,
+    for video in load_dataset(manifest, split):
+        scores = forward_scores(video.features, params, model_config)
+        if on_scores is not None:
+            on_scores(video, scores)
+        tables.append(localize_video(scores, video.snippet_stride, video.fps,
                                      len(manifest.classes), config, video.video_id))
     return Detections.concat(tables)
 

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import csv
+import zipfile
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -196,10 +197,18 @@ def load_train_state(path, model_config: ModelConfig,
 
     Every tensor must be present under its expected name, with the shape the
     model config implies and the training precision's dtype, and the two
-    counters must be integer scalars.
+    counters must be integer scalars. A file that is not an ``.npz`` archive
+    of plain arrays raises ``FormatError``; a missing one, ``OSError``.
     """
-    with np.load(path) as data:
-        arrays = {key: data[key] for key in data.files}
+    with open(path, "rb") as fh:
+        try:
+            with np.load(fh) as data:
+                arrays = {key: data[key] for key in data.files}
+        # what the zip and npy readers raise on other bytes (TypeError: a bare .npy)
+        except (zipfile.BadZipFile, EOFError, OSError, RuntimeError, TypeError,
+                ValueError) as exc:
+            raise FormatError(f"{path}: not a training-state archive "
+                              f"({type(exc).__name__}: {exc})") from None
     counters = [arrays.pop(key, None) for key in ("step", "next_epoch")]
     check_params(arrays, model_config, lambda message: FormatError(f"{path}: {message}"),
                  train_config.dtype, prefixes=("param_", "m_", "v_"))
@@ -215,12 +224,13 @@ def load_train_state(path, model_config: ModelConfig,
 
 def fit(dataset, params: ModelParams, model_config: ModelConfig,
         loss_weights: LossWeights, train_config: TrainConfig,
-        out_dir, ckpt_prefix: str = "model", checkpoint_interval: int = 0,
+        out_dir, checkpoint_interval: int = 0,
         state: OptimizerState | None = None, start_epoch: int = 0,
         log=None) -> FitResult:
-    """Run the full schedule; write the checkpoint, the history and a
-    resumable training-state file into the existing directory out_dir, and a
-    checkpoint and state file every ``checkpoint_interval`` epochs if set."""
+    """Run the full schedule; write the checkpoint ``model.facn``, the history
+    ``model_history.csv`` and the resumable training state ``model_state.npz``
+    into the existing directory out_dir, and ``model_epochNNNN.facn`` and the
+    state every ``checkpoint_interval`` epochs if set."""
     if not dataset:
         raise ConfigError("training dataset is empty")
     params = params.astype(train_config.dtype)
@@ -236,10 +246,10 @@ def fit(dataset, params: ModelParams, model_config: ModelConfig,
             log(f"epoch {epoch:3d}  " + "  ".join(f"{key} {value:.4f}"
                                                   for key, value in report.losses.items()))
         if checkpoint_interval and (epoch + 1) % checkpoint_interval == 0:
-            save_checkpoint(out_dir / f"{ckpt_prefix}_epoch{epoch + 1:04d}.facn",
+            save_checkpoint(out_dir / f"model_epoch{epoch + 1:04d}.facn",
                             params, model_config)
-            save_train_state(out_dir / f"{ckpt_prefix}_state.npz", params, state, epoch + 1)
-    save_checkpoint(out_dir / f"{ckpt_prefix}.facn", params, model_config)
-    save_train_state(out_dir / f"{ckpt_prefix}_state.npz", params, state, train_config.epochs)
-    write_history(out_dir / f"{ckpt_prefix}_history.csv", history)
+            save_train_state(out_dir / "model_state.npz", params, state, epoch + 1)
+    save_checkpoint(out_dir / "model.facn", params, model_config)
+    save_train_state(out_dir / "model_state.npz", params, state, train_config.epochs)
+    write_history(out_dir / "model_history.csv", history)
     return FitResult(params=params, state=state, history=history)

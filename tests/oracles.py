@@ -27,8 +27,7 @@ def tiou(a, b):
     return inter / union
 
 
-def propose_reference(g, thresholds, fps, class_conf, context_ratio,
-                      include_class_conf=True):
+def propose_reference(g, thresholds, fps, class_conf, context_ratio):
     """Candidates of one class sequence as (start_s, end_s, score) triples.
 
     One pass per threshold over the runs above it, one window mean per
@@ -48,9 +47,8 @@ def propose_reference(g, thresholds, fps, class_conf, context_ratio,
             ctx = math.ceil(context_ratio * (end - start))
             outer = np.concatenate([g[max(0, start - ctx):start],
                                     g[end:min(len(g), end + ctx)]])
-            q = inner - (float(np.add.reduce(outer)) / outer.size if outer.size else 0.0)
-            if include_class_conf:
-                q += class_conf
+            q = inner - (float(np.add.reduce(outer)) / outer.size if outer.size else 0.0) \
+                + class_conf
             if (start, end) not in best or q > best[(start, end)]:
                 best[(start, end)] = q
     return [(s / fps, e / fps, q) for (s, e), q in sorted(best.items())]

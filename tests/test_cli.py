@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+import textwrap
 from dataclasses import fields
 from pathlib import Path
 
@@ -96,7 +100,7 @@ class TestSynth:
     @pytest.mark.parametrize("setting", [
         "synth.fps=0", "synth.fps=-25.0", "synth.snippet_stride=0",
         "synth.feature_dim=-1", "synth.feature_dim=0", "synth.instances_range=[0,0]",
-        "synth.snippet_range=[60,100000000000000000000]"])
+        "synth.snippet_range=[60,100000000000000000000]", "synth.snippet_stride=65536"])
     def test_bad_timing_rejected_before_writing(self, tmp_path, capsys, setting):
         out = tmp_path / "d"
         code, _, err = run(capsys, "synth", "--out", str(out), "--set", setting)
@@ -161,6 +165,18 @@ class TestManifestFieldTypes:
         assert f"{named} must" in err and "Traceback" not in err
         assert ("video #0" if key == "id" else f"video {video_id}") in err
 
+    def test_frame_count_above_cap(self, dataset_dir, tmp_path, capsys):
+        path = dataset_dir / "manifest.json"
+        doc = json.loads(path.read_text())
+        video_id = doc["videos"][0]["id"]
+        doc["videos"][0]["snippet_stride"] = 2 ** 31
+        path.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "eval", "--manifest", str(path),
+                           "--detections", str(tmp_path / "absent.csv"))
+        assert code == 2
+        assert f"video {video_id}: " in err and "frames, more than the 1048576 allowed" in err
+        assert "Traceback" not in err
+
 
 CONFIG_CLASSES = {"model": ModelConfig, "train": TrainConfig, "loss": LossWeights,
                   "localize": LocalizeConfig, "synth": SynthConfig}
@@ -197,10 +213,26 @@ class TestTrain:
                               str(dataset_dir / "manifest.json"),
                               "--out", str(out), *FAST_TRAIN)
         assert code == 0
-        assert (out / "model_rgb.facn").exists()
-        assert (out / "model_rgb_history.csv").exists()
-        assert (out / "model_rgb_state.npz").exists()
+        assert sorted(p.name for p in out.iterdir()) == [
+            "model.facn", "model_history.csv", "model_state.npz"]
         assert "final loss" in stdout
+
+    def test_checkpoint_interval_and_verbose(self, dataset_dir, tmp_path, capsys):
+        manifest = str(dataset_dir / "manifest.json")
+        out, one = tmp_path / "run", tmp_path / "one"
+        code, _, err = run(capsys, "train", "--manifest", manifest, "--out", str(out),
+                           *FAST_TRAIN, "--checkpoint-interval", "1", "--verbose")
+        assert code == 0, err
+        assert sorted(p.name for p in out.glob("model_epoch*.facn")) == [
+            "model_epoch0001.facn", "model_epoch0002.facn", "model_epoch0003.facn"]
+        assert (out / "model_epoch0003.facn").read_bytes() == (out / "model.facn").read_bytes()
+        assert [line.split()[:2] for line in err.splitlines() if line.startswith("epoch")] == [
+            ["epoch", "0"], ["epoch", "1"], ["epoch", "2"]]
+        code, _, err = run(capsys, "train", "--manifest", manifest, "--out", str(one),
+                           *FAST_TRAIN, "--set", "train.epochs=1")
+        assert code == 0, err
+        assert (out / "model_epoch0001.facn").read_bytes() == (one / "model.facn").read_bytes()
+        assert not any(line.startswith("epoch") for line in err.splitlines())
 
     def test_reference_hyperparameters_accepted(self, dataset_dir, tmp_path, capsys):
         code, _, err = run(capsys, "train", "--manifest",
@@ -251,7 +283,7 @@ class TestTrain:
         assert f"video {video['id']}" in err and "Traceback" not in err
 
     def test_resume_rejects_old_conv_layout_state(self, trained, dataset_dir, capsys):
-        state = trained / "model_rgb_state.npz"
+        state = trained / "model_state.npz"
         with np.load(state) as data:
             arrays = {k: data[k] for k in data.files}
         for prefix in ("param", "m", "v"):
@@ -262,6 +294,17 @@ class TestTrain:
                            "--out", str(trained), "--resume", *FAST_TRAIN)
         assert code == 1
         assert "param_conv1_w" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("corrupt", ["truncated", "garbage"])
+    def test_resume_from_corrupt_state_exits_cleanly(self, trained, dataset_dir, capsys,
+                                                     corrupt):
+        state = trained / "model_state.npz"
+        raw = state.read_bytes()
+        state.write_bytes(raw[:len(raw) // 2] if corrupt == "truncated" else b"garbage")
+        code, _, err = run(capsys, "train", "--manifest", str(dataset_dir / "manifest.json"),
+                           "--out", str(trained), "--resume", *FAST_TRAIN)
+        assert code == 1
+        assert f"{state}: not a training-state archive" in err and "Traceback" not in err
 
     def test_wrongly_typed_train_value_exits_cleanly(self, dataset_dir, tmp_path, capsys):
         code, _, err = run(capsys, "train", "--manifest", str(dataset_dir / "manifest.json"),
@@ -282,13 +325,7 @@ class TestTrain:
                            "--out", str(tmp_path / "r"), "--set", override)
         assert code == 2
         assert f"{field} must be finite" in err and "Traceback" not in err
-        assert not (tmp_path / "r" / "model_rgb.facn").exists()
-
-    def test_unknown_stream_exits_cleanly(self, dataset_dir, tmp_path, capsys):
-        code, _, err = run(capsys, "train", "--manifest", str(dataset_dir / "manifest.json"),
-                           "--out", str(tmp_path / "r"), "--streams", "rgb,flow")
-        assert code == 2
-        assert "stream 'flow'" in err and "['rgb']" in err and "Traceback" not in err
+        assert not (tmp_path / "r" / "model.facn").exists()
 
     def test_three_epoch_smoke_on_default_dataset_under_a_minute(self, tmp_path, capsys):
         import time
@@ -336,9 +373,12 @@ class TestLocalize:
                          "--score-dump", str(dump))
         assert code == 0
         manifest = parse_manifest(dataset_dir / "manifest.json")
-        params, config = load_checkpoint(trained / "model_rgb.facn")
-        for sample in load_dataset(manifest, "test", "rgb"):
-            table = (dump / f"{sample.video_id}_rgb.tsv").read_text().splitlines()
+        params, config = load_checkpoint(trained / "model.facn")
+        samples = load_dataset(manifest, "test")
+        assert sorted(p.name for p in dump.iterdir()) == sorted(
+            f"{sample.video_id}.tsv" for sample in samples)
+        for sample in samples:
+            table = (dump / f"{sample.video_id}.tsv").read_text().splitlines()
             assert len(table) - 1 == sample.features.shape[0]
             scores = forward_scores(sample.features, params, config)
             expected = np.column_stack([scores.s_f, scores.s_a[:, :len(manifest.classes)]])
@@ -354,11 +394,11 @@ class TestLocalize:
                            "--model-dir", str(trained), "--out", str(det))
         assert code == 0, err
         manifest = parse_manifest(dataset_dir / "manifest.json")
-        params, config = load_checkpoint(trained / "model_rgb.facn")
+        params, config = load_checkpoint(trained / "model.facn")
         dtypes = []
-        table = localize_split(
-            manifest, "test", {"rgb": (params.astype(np.float64), config)}, LocalizeConfig(),
-            lambda stream, sample, scores: dtypes.append(scores.s_a.dtype))
+        table = localize_split(manifest, "test", params.astype(np.float64), config,
+                               LocalizeConfig(),
+                               lambda sample, scores: dtypes.append(scores.s_a.dtype))
         assert dtypes and all(dtype == np.float64 for dtype in dtypes)
         reference = {(v, c, s, e): q for v, c, q, s, e in table_rows(table)}
         got = {(v, c, s, e): q for v, c, q, s, e in
@@ -366,13 +406,17 @@ class TestLocalize:
         assert reference and got.keys() == reference.keys()
         assert max(abs(got[k] - reference[k]) for k in got) <= 1e-6
 
-    def test_unknown_stream_exits_cleanly(self, dataset_dir, trained, tmp_path, capsys):
-        (trained / "model_rgb.facn").rename(trained / "model_flow.facn")
-        code, _, err = run(capsys, "localize", "--manifest", str(dataset_dir / "manifest.json"),
-                           "--model-dir", str(trained), "--out", str(tmp_path / "det"),
-                           "--streams", "flow")
-        assert code == 2
-        assert "stream 'flow'" in err and "['rgb']" in err and "Traceback" not in err
+    def test_train_split(self, dataset_dir, trained, tmp_path, capsys):
+        manifest = parse_manifest(dataset_dir / "manifest.json")
+        train_ids = {entry.video_id for entry in manifest.split("train")}
+        det = tmp_path / "det"
+        code, stdout, err = run(capsys, "localize", "--manifest",
+                                str(dataset_dir / "manifest.json"), "--model-dir", str(trained),
+                                "--out", str(det), "--split", "train")
+        assert code == 0, err
+        assert f"for {len(train_ids)} videos" in stdout
+        table = read_detections(det / "detections.csv", manifest.classes)
+        assert len(table) and set(table.video_ids) <= train_ids
 
     def test_rejection_threshold_above_one_empties_output(self, dataset_dir, trained,
                                                           tmp_path, capsys):
@@ -387,10 +431,10 @@ class TestLocalize:
 
 
 class TestEval:
-    def gt_detections(self, dataset_dir, tmp_path):
+    def gt_detections(self, dataset_dir, tmp_path, split="test"):
         manifest = parse_manifest(dataset_dir / "manifest.json")
         rows = ["video_id,label,t_start,t_end,score"]
-        for entry in manifest.split("test"):
+        for entry in manifest.split(split):
             for gt in entry.ground_truth:
                 rows.append(f"{entry.video_id},{manifest.classes[gt.class_id]},{gt.start},"
                             f"{gt.end},1.0")
@@ -405,6 +449,15 @@ class TestEval:
         assert code == 0
         map_line = [l for l in out.splitlines() if l.startswith("mAP")][0]
         assert set(map_line.split()[1:]) == {"1.000"}
+
+    def test_train_split(self, dataset_dir, tmp_path, capsys):
+        dets = self.gt_detections(dataset_dir, tmp_path, split="train")
+        for split, expected in (("train", "1.000"), ("test", "0.000")):
+            code, out, _ = run(capsys, "eval", "--detections", str(dets), "--split", split,
+                               "--manifest", str(dataset_dir / "manifest.json"))
+            assert code == 0
+            map_line = [l for l in out.splitlines() if l.startswith("mAP")][0]
+            assert set(map_line.split()[1:]) == {expected}
 
     def test_empty_detections_score_zero(self, dataset_dir, tmp_path, capsys):
         path = tmp_path / "empty.csv"
@@ -500,6 +553,58 @@ class TestGradcheck:
         code, _, err = run(capsys, "gradcheck", "--instances", "2", "--inject-bug")
         assert code != 0
         assert "failed tolerance" in err
+
+    def test_tiny_tolerance_fails_the_clean_engine(self, capsys):
+        code, _, err = run(capsys, "gradcheck", "--instances", "2", "--tolerance", "1e-300")
+        assert code == 1
+        assert "failed tolerance 1e-300" in err
+
+
+def test_threads_set_before_numpy_loads(tmp_path):
+    # BLAS reads its thread count once, when numpy loads: importing the CLI
+    # must not load numpy, and --threads must be in the environment by then
+    probe = textwrap.dedent("""\
+        import os, sys
+
+        class Probe:  # prints the thread variables when numpy is first imported
+            def find_spec(self, name, path=None, target=None):
+                if name == "numpy":
+                    print("numpy", *map(os.environ.get, ("OMP_NUM_THREADS",
+                                                         "OPENBLAS_NUM_THREADS",
+                                                         "MKL_NUM_THREADS")))
+
+        sys.meta_path.insert(0, Probe())
+        from wtal.cli import main
+        print("imported", "numpy" in sys.modules)
+        sys.exit(main(["--threads", "1", "gradcheck", "--instances", "1"]))
+        """)
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                            env=env, cwd=tmp_path, timeout=120)
+    assert result.returncode == 0, result.stderr
+    lines = result.stdout.splitlines()
+    assert lines[:2] == ["imported False", "numpy 1 1 1"]
+
+
+def test_three_stream_manifest_runs_end_to_end(tmp_path, capsys):
+    data, out, det = tmp_path / "data", tmp_path / "run", tmp_path / "det"
+    manifest = str(data / "manifest.json")
+    stages = [
+        ["synth", "--out", str(data), *SMALL_SYNTH,
+         "--set", 'synth.streams=["rgb","flow","audio"]'],
+        ["train", "--manifest", manifest, "--out", str(out), *FAST_TRAIN],
+        ["localize", "--manifest", manifest, "--model-dir", str(out), "--out", str(det)],
+        ["eval", "--manifest", manifest, "--detections", str(det / "detections.csv")],
+    ]
+    for argv in stages:
+        code, _, err = run(capsys, *argv)
+        assert code == 0, (argv[0], err)
+    assert parse_manifest(manifest).streams == ("audio", "flow", "rgb")
+    assert sorted(p.name for p in out.glob("*.facn")) == ["model.facn"]
+    _, config = load_checkpoint(out / "model.facn")
+    assert config.feature_dim == 3 * SynthConfig().feature_dim
 
 
 class TestConvert:

@@ -117,7 +117,7 @@ class TestSyntheticGenerator:
                              instance_len_range=(4, 10))
         manifest = parse_manifest(generate_synthetic(config, tmp_path))
         # recover prototypes from labeled spans and check nearest-prototype
-        samples = {s.video_id: s for s in load_dataset(manifest, "train", "rgb")}
+        samples = {s.video_id: s for s in load_dataset(manifest, "train")}
         protos = {}
         for entry in manifest.split("train"):
             feats = samples[entry.video_id].features
@@ -237,16 +237,29 @@ class TestManifest:
             parse_manifest(self.write(tmp_path, doc))
 
     def test_two_stream_manifest_enables_dual_mode(self, tmp_path):
+        # every stream's features, side by side in manifest.streams order
         config = SynthConfig(num_train=2, num_test=1, snippet_range=(20, 30),
                              seed=2, streams=("rgb", "flow"))
         manifest = parse_manifest(generate_synthetic(config, tmp_path))
         assert manifest.streams == ("flow", "rgb")
-        rgb = load_dataset(manifest, "train", "rgb")
-        flow = load_dataset(manifest, "train", "flow")
-        assert rgb[0].features.shape == flow[0].features.shape
-        assert not np.array_equal(rgb[0].features, flow[0].features)
-        both = load_dataset(manifest, "train", "concat")
-        assert both[0].features.shape[1] == rgb[0].features.shape[1] * 2
+        samples = load_dataset(manifest, "train")
+        assert [s.video_id for s in samples] == [v.video_id for v in manifest.split("train")]
+        for sample, entry in zip(samples, manifest.split("train")):
+            flow, rgb = (load_features(entry.features[s]) for s in ("flow", "rgb"))
+            assert not np.array_equal(flow, rgb)
+            assert np.array_equal(sample.features, np.hstack([flow, rgb]))
+
+    @pytest.mark.parametrize("stride", [2 ** 20 // 10 + 1, 2 ** 31])
+    def test_frame_count_above_cap(self, tmp_path, stride):
+        # 10 snippets: 2**20 // 10 + 1 is the smallest stride past the cap
+        doc = self.minimal_doc(tmp_path, snippet_stride=stride, ground_truth=[])
+        with pytest.raises(ManifestError, match=f"video v0: 10 snippets at snippet_stride "
+                                                f"{stride} make {10 * stride} frames"):
+            parse_manifest(self.write(tmp_path, doc))
+
+    def test_frame_count_at_cap(self, tmp_path):
+        doc = self.minimal_doc(tmp_path, snippet_stride=2 ** 20 // 10, ground_truth=[])
+        assert parse_manifest(self.write(tmp_path, doc)).videos[0].snippet_stride == 2 ** 20 // 10
 
 
 # Every field of TestManifest.minimal_doc, as a path of keys into the document.

@@ -148,8 +148,8 @@ class TestPropose:
     def test_class_conf_switch(self):
         g = np.zeros(40)
         g[10:20] = 1.0
-        with_conf = propose(g, (0.5,), 25.0, 0.9, 0.25, include_class_conf=True)
-        without = propose(g, (0.5,), 25.0, 0.9, 0.25, include_class_conf=False)
+        with_conf = propose(g, (0.5,), 25.0, 0.9, 0.25)
+        without = propose(g, (0.5,), 25.0, 0.0, 0.25)
         assert with_conf[0, 2] == pytest.approx(without[0, 2] + 0.9)
 
     def test_intervals_inside_video(self, rng):
@@ -163,11 +163,10 @@ class TestPropose:
     @pytest.mark.parametrize("ratio", [0.0, 0.25, 3.0])
     def test_matches_reference(self, rng, kind, ratio):
         g, thresholds = proposal_case(kind, rng)
-        for include in (True, False):
-            out = propose(g, thresholds, fps=25.0, class_conf=0.37, context_ratio=ratio,
-                          include_class_conf=include)
+        for class_conf in (0.37, 0.0):
+            out = propose(g, thresholds, fps=25.0, class_conf=class_conf, context_ratio=ratio)
             assert_matches_reference(out, propose_reference(
-                g, thresholds, 25.0, 0.37, ratio, include_class_conf=include))
+                g, thresholds, 25.0, class_conf, ratio))
 
 
 class TestOuterInnerScore:
@@ -185,11 +184,9 @@ class TestOuterInnerScore:
         ctx = math.ceil(ratio * (end - start))
         outer = np.concatenate([g[max(0, start - ctx):start], g[end:end + ctx]])
         expected = float(g[start:end].mean()) - (float(outer.mean()) if outer.size else 0.0)
-        out = propose(g, (0.5,), fps=1.0, class_conf=0.0, context_ratio=ratio,
-                      include_class_conf=False)
+        out = propose(g, (0.5,), fps=1.0, class_conf=0.0, context_ratio=ratio)
         assert out.tolist() == [[start, end, expected]]
-        assert out.tolist() == [list(t) for t in propose_reference(g, (0.5,), 1.0, 0.0, ratio,
-                                                                   include_class_conf=False)]
+        assert out.tolist() == [list(t) for t in propose_reference(g, (0.5,), 1.0, 0.0, ratio)]
 
 
 def make_candidates(triples):
@@ -281,7 +278,7 @@ class TestNms:
         assert scores == sorted(scores, reverse=True)
 
 
-def clean_stream(num_classes=3, t=40, span=(10, 25), cls=1):
+def clean_scores(num_classes=3, t=40, span=(10, 25), cls=1):
     """Scores with one crisp plateau for one class; stride 16 at 25 fps."""
     s_a = np.full((t, num_classes + 1), -5.0)
     s_a[span[0]:span[1], cls] = 5.0
@@ -292,25 +289,23 @@ def clean_stream(num_classes=3, t=40, span=(10, 25), cls=1):
     return ScoreSet(s_a=s_a, s_f=s_f, p_video_class=p)
 
 
-def localize_reference(streams, stride, fps, num_classes, config):
+def localize_reference(scores, stride, fps, num_classes, config):
     """localize_video from the oracles: (class_id, score, start, end) tuples."""
-    pooled = {c: [] for c in range(num_classes)}
-    for scores in streams:
-        fused = fuse_scores(scores.s_a, scores.s_f, num_classes, config.fusion_weight)
-        frames = upsample(fused, stride)
-        for c in range(num_classes):
-            conf = float(scores.p_video_class[c])
-            if conf >= config.class_reject_threshold:
-                pooled[c] += [(q, s, e) for s, e, q in propose_reference(
+    frames = upsample(fuse_scores(scores.s_a, scores.s_f, num_classes, config.fusion_weight),
+                      stride)
+    final = []
+    for c in range(num_classes):
+        conf = float(scores.p_video_class[c])
+        if conf >= config.class_reject_threshold:
+            final += [(c, q, s, e) for q, s, e in nms_reference(
+                [(q, s, e) for s, e, q in propose_reference(
                     frames[:, c], config.proposal_thresholds, fps, conf,
-                    config.context_ratio, config.include_class_conf)]
-    final = [(c, q, s, e) for c in range(num_classes)
-             for q, s, e in nms_reference(pooled[c], config.nms_tiou)]
+                    config.context_ratio)], config.nms_tiou)]
     return sorted(final, key=lambda d: (-d[1], d[2], d[3], d[0]))
 
 
-def random_stream(rng, num_classes, quantized):
-    """Scores of one stream. Quantized scores take five levels, so their
+def random_scores(rng, num_classes, quantized):
+    """Scores of one video. Quantized scores take five levels, so their
     normalized, fused and upsampled frames are multiples of a power of two:
     window sums are exact and equal intervals get exactly tied scores."""
     t = int(rng.integers(2, 60))
@@ -328,14 +323,13 @@ def random_stream(rng, num_classes, quantized):
 
 class TestLocalizeVideo:
     def test_all_classes_rejected(self):
-        stream = clean_stream()
         config = LocalizeConfig(class_reject_threshold=1.1)
-        out = localize_video([stream], 16, 25.0, 3, config, "v")
+        out = localize_video(clean_scores(), 16, 25.0, 3, config, "v")
         assert len(out) == 0 and out.video_ids == ("v",)
 
     def test_single_plateau_single_instance(self):
-        stream = clean_stream(span=(10, 25), cls=1)
-        out = localize_video([stream], 16, 25.0, 3, LocalizeConfig(), "v")
+        out = localize_video(clean_scores(span=(10, 25), cls=1), 16, 25.0, 3, LocalizeConfig(),
+                             "v")
         assert len(out) == 1
         assert out.video_ids == ("v",) and out.video.tolist() == [0]
         assert out.class_id.tolist() == [1]
@@ -345,41 +339,28 @@ class TestLocalizeVideo:
         assert out.start[0] == pytest.approx(10 * snippet_sec, abs=snippet_sec)
         assert out.end[0] == pytest.approx(25 * snippet_sec, abs=snippet_sec)
 
-    def test_duplicate_streams_suppressed_to_one(self):
-        stream = clean_stream()
-        out = localize_video([stream, stream], 16, 25.0, 3, LocalizeConfig(), "v")
-        assert len(out) == 1
-
-    @pytest.mark.parametrize("num_streams", [1, 2])
+    @pytest.mark.parametrize("stride", [1, 4])
     @pytest.mark.parametrize("quantized", [False, True])
-    def test_matches_reference_pipeline(self, rng, num_streams, quantized):
+    def test_matches_reference_pipeline(self, rng, stride, quantized):
         tied = 0
-        for trial in range(40):
+        for _ in range(40):
             num_classes = int(rng.integers(2, 5))
-            streams = [random_stream(rng, num_classes, quantized) for _ in range(num_streams)]
-            if num_streams == 2 and trial % 4 == 0:
-                streams[1] = streams[0]  # every candidate twice, with equal scores
+            scores = random_scores(rng, num_classes, quantized)
             config = LocalizeConfig(context_ratio=float(rng.choice([0.0, 0.25, 3.0])),
                                     nms_tiou=float(rng.choice([0.3, 0.5, 0.7])))
-            out = table_rows(localize_video(streams, 4, 25.0, num_classes, config, "v"))
-            ref = localize_reference(streams, 4, 25.0, num_classes, config)
+            out = table_rows(localize_video(scores, stride, 25.0, num_classes, config, "v"))
+            ref = localize_reference(scores, stride, 25.0, num_classes, config)
             assert [(c, s, e) for _, c, _, s, e in out] == [(c, s, e) for c, _, s, e in ref]
             assert all(abs(o[2] - q) <= 1e-12 for o, (_, q, _, _) in zip(out, ref))
             tied += len(ref) - len({q for _, q, _, _ in ref})
         assert tied > 0 or not quantized
-
-    def test_stream_count_contract(self):
-        with pytest.raises(ContractError):
-            localize_video([], 16, 25.0, 3, LocalizeConfig(), "v")
-        with pytest.raises(ContractError):
-            localize_video([clean_stream()] * 3, 16, 25.0, 3, LocalizeConfig(), "v")
 
     def test_interval_contract(self, monkeypatch):
         import wtal.localization as loc
 
         monkeypatch.setattr(loc, "propose", lambda *a, **k: np.array([[2.0, 1.0, 0.5]]))
         with pytest.raises(ContractError, match=r"invalid instance interval \[2.0, 1.0\)"):
-            localize_video([clean_stream()], 16, 25.0, 3, LocalizeConfig(), "v")
+            localize_video(clean_scores(), 16, 25.0, 3, LocalizeConfig(), "v")
 
 
 class TestLocalizeConfig:
@@ -529,7 +510,7 @@ class TestWritersMatchReferences:
         assert table_rows(read_detections(d / "w.csv", class_names)) == table_rows(table)
 
     def test_empty_table(self, tmp_path):
-        empty = localize_video([clean_stream()], 16, 25.0, 3,
+        empty = localize_video(clean_scores(), 16, 25.0, 3,
                                LocalizeConfig(class_reject_threshold=1.1), "v")
         write_detections_csv(tmp_path / "d.csv", empty, CLASSES)
         write_detections_json(tmp_path / "d.json", empty, CLASSES)

@@ -46,18 +46,15 @@ def test_localization_counters_count_candidates_and_kept_detections(tracing, rng
     # sums len(nms(...)): they must read the distinct candidate intervals
     # and the detections that survive suppression
     config = LocalizeConfig()
-    streams = [ScoreSet(s_a=rng.normal(size=(40, 4)), s_f=rng.normal(size=40),
-                        p_video_class=np.array([0.6, 0.05, 0.4, 0.2])) for _ in range(2)]
+    scores = ScoreSet(s_a=rng.normal(size=(40, 4)), s_f=rng.normal(size=40),
+                      p_video_class=np.array([0.6, 0.05, 0.4, 0.2]))
     tracer = tracing.Tracer()
     with tracing.installed(tracer):
-        detections = localize_video(streams, 4, 25.0, 3, config, "v")
-    distinct = 0
-    for scores in streams:
-        frames = upsample(fuse_scores(scores.s_a, scores.s_f, 3), 4)
-        distinct += sum(len(propose_reference(frames[:, c], config.proposal_thresholds,
-                                              25.0, float(scores.p_video_class[c]),
-                                              config.context_ratio))
-                        for c in (0, 2))
+        detections = localize_video(scores, 4, 25.0, 3, config, "v")
+    frames = upsample(fuse_scores(scores.s_a, scores.s_f, 3), 4)
+    distinct = sum(len(propose_reference(frames[:, c], config.proposal_thresholds, 25.0,
+                                         float(scores.p_video_class[c]), config.context_ratio))
+                   for c in (0, 2))
     assert detections and tracer.missing == []
     assert tracer.counts["localization.candidates"] == distinct > len(detections)
     assert tracer.counts["localization.nms_kept"] == len(detections)

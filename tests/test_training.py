@@ -1,5 +1,9 @@
+import pickle
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wtal import autodiff as ad
 from wtal import training as tr
@@ -214,11 +218,12 @@ class TestFit:
         params = init_params(config, seed=3, dtype=np.float64)
         full = fit(dataset, params, config, LossWeights(), tc, tmp_path)  # astype copies
 
-        first = fit(dataset, params, config, LossWeights(),
-                    TrainConfig(epochs=1, batch_size=2, precision=64, seed=6),
-                    out_dir=tmp_path, ckpt_prefix="part")
+        part = tmp_path / "part"
+        part.mkdir()
+        fit(dataset, params, config, LossWeights(),
+            TrainConfig(epochs=1, batch_size=2, precision=64, seed=6), out_dir=part)
         resumed_params, state, next_epoch = load_train_state(
-            tmp_path / "part_state.npz", config, tc)
+            part / "model_state.npz", config, tc)
         assert next_epoch == 1
         resumed = fit(dataset, resumed_params, config, LossWeights(), tc, tmp_path,
                       state=state, start_epoch=next_epoch)
@@ -240,7 +245,7 @@ class TestFit:
             snippet_range=(30, 60), instance_len_range=(6, 20),
             noise=0.05, seed=11), tmp_path)
         manifest = parse_manifest(manifest_path)
-        dataset = load_dataset(manifest, "train", "rgb")
+        dataset = load_dataset(manifest, "train")
         config = ModelConfig(num_classes=3, feature_dim=32, embed_dims=(48, 48),
                              use_background=False, dropout_rate=0.0)
         params = init_params(config, seed=0, dtype=np.float32)
@@ -313,3 +318,33 @@ class TestLoadTrainState:
         config, _ = tiny_model(embed_dims=(7, 4))
         with pytest.raises(FormatError):
             load_train_state(path, config, tc)
+
+    @pytest.mark.parametrize("content", [b"", b"not an archive", pickle.dumps([1, 2]),
+                                         b"\x93NUMPY\x01\x00"],
+                             ids=["empty", "text", "pickle", "npy-magic"])
+    def test_not_an_archive_rejected(self, tmp_path, content):
+        path, config, tc = self.saved(tmp_path)
+        path.write_bytes(content)
+        with pytest.raises(FormatError, match=f"{path}: not a training-state archive"):
+            load_train_state(path, config, tc)
+
+    def test_missing_file_stays_an_os_error(self, tmp_path):
+        _, config, tc = self.saved(tmp_path)
+        with pytest.raises(FileNotFoundError):
+            load_train_state(tmp_path / "absent.npz", config, tc)
+
+    @given(cut=st.integers(0, 12_000), edits=st.lists(
+        st.tuples(st.integers(0, 12_000), st.integers(0, 255)), max_size=6))
+    @settings(max_examples=300, deadline=None)
+    def test_fuzz_only_typed_errors_escape(self, tmp_path_factory, cut, edits):
+        directory = tmp_path_factory.getbasetemp() / "state_fuzz"
+        directory.mkdir(exist_ok=True)
+        path, config, tc = self.saved(directory)
+        raw = bytearray(path.read_bytes())
+        for index, byte in edits:
+            raw[index % len(raw)] = byte
+        path.write_bytes(bytes(raw[:cut]))
+        try:
+            load_train_state(path, config, tc)
+        except Exception as exc:
+            assert type(exc).__module__ == "wtal.errors", repr(exc)
