@@ -15,7 +15,6 @@ import sys
 import time
 from functools import partial
 from pathlib import Path
-from typing import get_type_hints
 
 CONFIG_VERSION = 1
 CONFIG_SECTIONS = ("model", "train", "loss", "localize", "synth")
@@ -57,34 +56,11 @@ def load_run_config(path: str | None, overrides: list[str]) -> dict:
     return cfg
 
 
-def _build(cls, mapping: dict, **fixed):
-    from .data import has_json_type
-    from .errors import ConfigError
-
-    hints = get_type_hints(cls)
-    unknown = set(mapping) - set(hints)
-    if unknown:
-        raise ConfigError(f"unknown {cls.__name__} keys: {sorted(unknown)}")
-    values = {}
-    for key, value in mapping.items():
-        if not has_json_type(value, hints[key]):
-            expected = hints[key].__name__ if isinstance(hints[key], type) else hints[key]
-            raise ConfigError(f"{cls.__name__}.{key} must be {expected}, got {value!r}")
-        # a check such as ``x <= 0`` lets NaN through: every comparison with it is
-        # False; an int beyond the float range overflows where it is converted
-        items = value if isinstance(value, list) else [value]
-        if any(isinstance(v, (int, float)) and not abs(v) <= sys.float_info.max
-               for v in items):
-            raise ConfigError(f"{cls.__name__}.{key} must be finite, got {value!r}")
-        values[key] = tuple(value) if isinstance(value, list) else value
-    return cls(**{**values, **fixed})
-
-
 def cmd_synth(args) -> int:
-    from .data import SynthConfig, generate_synthetic, parse_manifest
+    from .data import SynthConfig, build_config, generate_synthetic, parse_manifest
 
     cfg = load_run_config(args.config, args.set)
-    synth_cfg = _build(SynthConfig, cfg["synth"])
+    synth_cfg = build_config(SynthConfig, cfg["synth"])
     manifest_path = generate_synthetic(synth_cfg, args.out)
     manifest = parse_manifest(manifest_path)
     print(f"wrote {len(manifest.videos)} videos "
@@ -95,51 +71,50 @@ def cmd_synth(args) -> int:
 
 
 def cmd_train(args) -> int:
-    from .data import load_dataset, parse_manifest, read_feature_header
+    from .data import build_config, feature_dim, load_dataset, parse_manifest
     from .losses import LossWeights
     from .model import ModelConfig, init_params
     from .training import TrainConfig, fit, load_train_state
 
     cfg = load_run_config(args.config, args.set)
     manifest = parse_manifest(args.manifest)
-    train_cfg = _build(TrainConfig, cfg["train"])
-    weights = _build(LossWeights, cfg["loss"])
-    # one model over every stream, their features side by side
-    dim = sum(read_feature_header(manifest.videos[0].features[s])[1] for s in manifest.streams)
-    model_cfg = _build(ModelConfig, cfg["model"], num_classes=len(manifest.classes),
-                       feature_dim=dim)
+    train_cfg = build_config(TrainConfig, cfg["train"])
+    weights = build_config(LossWeights, cfg["loss"])
+    model_cfg = build_config(ModelConfig, cfg["model"], num_classes=len(manifest.classes),
+                             feature_dim=feature_dim(manifest))
     dataset = load_dataset(manifest, "train")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    state, start_epoch = None, 0
+    state, history = None, []
     params = init_params(model_cfg, seed=train_cfg.seed, dtype=train_cfg.dtype)
     if args.resume:
-        params, state, start_epoch = load_train_state(out_dir / "model_state.npz",
-                                                      model_cfg, train_cfg)
-        print(f"resuming at epoch {start_epoch}", file=sys.stderr)
+        params, state, history = load_train_state(out_dir / "model_state.npz",
+                                                  model_cfg, train_cfg)
+        print(f"resuming at epoch {len(history)}", file=sys.stderr)
     result = fit(dataset, params, model_cfg, weights, train_cfg, out_dir=out_dir,
-                 checkpoint_interval=args.checkpoint_interval,
-                 state=state, start_epoch=start_epoch,
+                 checkpoint_interval=args.checkpoint_interval, state=state, history=history,
                  log=(lambda s: print(s, file=sys.stderr)) if args.verbose else None)
-    if result.history:
-        print(f"{len(result.history)} epochs, final loss "
-              f"{result.history[-1].losses['total']:.4f} -> {out_dir / 'model.facn'}")
+    print(f"{len(result.history)} epochs, final loss "
+          f"{result.history[-1].losses['total']:.4f} -> {out_dir / 'model.npz'}")
     return 0
 
 
 def cmd_localize(args) -> int:
-    from .data import parse_manifest
+    from .data import build_config, feature_dim, parse_manifest
+    from .errors import ConfigError
     from .localization import (LocalizeConfig, localize_split, write_detections_csv,
                                write_detections_json)
     from .model import load_checkpoint
 
     cfg = load_run_config(args.config, args.set)
-    loc_cfg = _build(LocalizeConfig, cfg["localize"])
+    loc_cfg = build_config(LocalizeConfig, cfg["localize"])
     manifest = parse_manifest(args.manifest)
-    params, model_cfg = load_checkpoint(Path(args.model_dir) / "model.facn")
-    if model_cfg.num_classes != len(manifest.classes):
-        return _fail(f"checkpoint has {model_cfg.num_classes} classes, "
-                     f"manifest has {len(manifest.classes)}")
+    checkpoint = Path(args.model_dir) / "model.npz"
+    params, model_cfg = load_checkpoint(checkpoint)
+    wanted = (len(manifest.classes), feature_dim(manifest))
+    if (model_cfg.num_classes, model_cfg.feature_dim) != wanted:
+        raise ConfigError(f"{checkpoint} has {model_cfg.num_classes} classes, feature_dim "
+                          f"{model_cfg.feature_dim}; {args.manifest} has {wanted[0]}, {wanted[1]}")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     dump = None

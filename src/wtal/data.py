@@ -17,10 +17,11 @@ import json
 import os
 import struct
 import sys
+import zipfile
 from dataclasses import dataclass, field
 from pathlib import Path
 from types import UnionType
-from typing import Union, get_args, get_origin
+from typing import Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -154,6 +155,18 @@ def read_json(path, error: type[Exception]):
             raise error(f"{path}: not valid JSON ({exc})") from None
 
 
+def read_archive(path, what: str) -> dict[str, np.ndarray]:
+    """Every array of the ``.npz`` archive in ``path``; ``FormatError`` naming the
+    file if it is no archive of plain arrays, ``OSError`` if it is missing."""
+    with open(path, "rb") as fh:
+        try:
+            with np.load(fh) as data:
+                return {key: data[key] for key in data.files}
+        # what the zip and npy readers raise on other bytes (TypeError: a bare .npy)
+        except (zipfile.BadZipFile, EOFError, OSError, RuntimeError, TypeError, ValueError) as exc:
+            raise FormatError(f"{path}: not a {what} archive ({exc!r})") from None
+
+
 def has_json_type(value, hint) -> bool:
     """Whether a JSON value fits a type hint: an int is a float, a list is a
     tuple, and a bool is neither an int nor a float."""
@@ -165,6 +178,28 @@ def has_json_type(value, hint) -> bool:
             and (args[-1] is Ellipsis or len(value) == len(args))
     return isinstance(value, {float: (int, float)}.get(hint, hint)) \
         and (hint is bool or not isinstance(value, bool))
+
+
+def build_config(cls, mapping: dict, **fixed):
+    """``cls(**mapping, **fixed)``; ``ConfigError`` naming an unknown key, or a value
+    of the wrong JSON type or not finite."""
+    hints = get_type_hints(cls)
+    unknown = set(mapping) - set(hints)
+    if unknown:
+        raise ConfigError(f"unknown {cls.__name__} keys: {sorted(unknown)}")
+    values = {}
+    for key, value in mapping.items():
+        if not has_json_type(value, hints[key]):
+            expected = hints[key].__name__ if isinstance(hints[key], type) else hints[key]
+            raise ConfigError(f"{cls.__name__}.{key} must be {expected}, got {value!r}")
+        # a check such as ``x <= 0`` lets NaN through: every comparison with it is
+        # False; an int beyond the float range overflows where it is converted
+        items = value if isinstance(value, list) else [value]
+        if any(isinstance(v, (int, float)) and not abs(v) <= sys.float_info.max
+               for v in items):
+            raise ConfigError(f"{cls.__name__}.{key} must be finite, got {value!r}")
+        values[key] = tuple(value) if isinstance(value, list) else value
+    return cls(**{**values, **fixed})
 
 
 def _typed(vid: str, record: dict, key: str, kind: type, default):
@@ -289,6 +324,11 @@ def load_dataset(manifest: Manifest, split: str) -> list[VideoSample]:
                         labels=manifest.label_vector(entry), fps=entry.fps,
                         snippet_stride=entry.snippet_stride)
             for entry in manifest.split(split)]
+
+
+def feature_dim(manifest: Manifest) -> int:
+    """The width of a ``load_dataset`` sample: every stream's features side by side."""
+    return sum(read_feature_header(manifest.videos[0].features[s])[1] for s in manifest.streams)
 
 
 def ground_truth_instances(manifest: Manifest, split: str) -> list[GroundTruthInstance]:

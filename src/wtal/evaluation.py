@@ -167,22 +167,18 @@ def format_report(report: EvalReport, class_names: list[str] | None = None) -> s
     row last with the grid average in the final column."""
     names = class_names or [f"class_{c}" for c in range(report.num_classes)]
     width = max(12, max(len(n) for n in names) + 2)
-    header = "tIoU".ljust(width) + "".join(f"{t:>8.2f}" for t in report.thresholds)
-    header += f"{'AVG':>8}"
-    lines = [header]
+
+    def line(name: str, cells, last: str) -> str:
+        return name.ljust(width) + "".join(f"{v:>8.3f}" for v in cells) + f"{last:>8}"
+
+    lines = ["tIoU".ljust(width) + "".join(f"{t:>8.2f}" for t in report.thresholds)
+             + f"{'AVG':>8}"]
     for c in range(report.num_classes):
-        row = names[c].ljust(width)
         cells = [report.ap[t][c] for t in report.thresholds]
-        row += "".join(f"{v:>8.3f}" for v in cells)
-        if c in report.classes_with_gt:
-            row += f"{float(np.mean(cells)):>8.3f}"
-        else:
-            row += f"{'-':>8}"
-        lines.append(row)
-    map_row = "mAP".ljust(width)
-    map_row += "".join(f"{report.map_at[t]:>8.3f}" for t in report.thresholds)
-    map_row += f"{report.average_map:>8.3f}"
-    lines.append(map_row)
+        lines.append(line(names[c], cells, f"{float(np.mean(cells)):.3f}"
+                          if c in report.classes_with_gt else "-"))
+    lines.append(line("mAP", [report.map_at[t] for t in report.thresholds],
+                      f"{report.average_map:.3f}"))
     return "\n".join(lines)
 
 

@@ -46,11 +46,10 @@ class LocalizeConfig:
 
 
 def minmax(x: np.ndarray) -> np.ndarray:
-    """Map a sequence to [0, 1]; a constant sequence becomes all 0.5."""
-    lo, hi = float(x.min()), float(x.max())
-    if hi == lo:
-        return np.full_like(x, 0.5, dtype=np.float64)
-    return (x.astype(np.float64) - lo) / (hi - lo)
+    """Map a sequence, or each column of a table, to [0, 1]; a constant one reads 0.5."""
+    x = x.astype(np.float64)
+    lo, hi = x.min(axis=0), x.max(axis=0)
+    return np.divide(x - lo, hi - lo, out=np.full_like(x, 0.5), where=hi != lo)
 
 
 def fuse_scores(s_a: np.ndarray, s_f: np.ndarray, num_classes: int,
@@ -61,11 +60,8 @@ def fuse_scores(s_a: np.ndarray, s_f: np.ndarray, num_classes: int,
         raise ContractError(f"fuse_scores shapes {s_a.shape} vs {s_f.shape}")
     if s_a.shape[1] < num_classes:
         raise ContractError(f"{s_a.shape[1]} score columns < {num_classes} classes")
-    fore = minmax(s_f)
-    fused = np.empty((s_a.shape[0], num_classes), dtype=np.float64)
-    for c in range(num_classes):
-        fused[:, c] = fusion_weight * fore + (1 - fusion_weight) * minmax(s_a[:, c])
-    return fused
+    return fusion_weight * minmax(s_f)[:, None] \
+        + (1 - fusion_weight) * minmax(s_a[:, :num_classes])
 
 
 def upsample(g: np.ndarray, stride: int) -> np.ndarray:

@@ -9,19 +9,15 @@ softmax.
 """
 from __future__ import annotations
 
-import math
-import struct
-from dataclasses import dataclass, fields
+import json
+from dataclasses import asdict, dataclass, fields
 from typing import Generic, TypeVar
 
 import numpy as np
 
 from . import autodiff as ad
-from .data import atomic_write
+from .data import atomic_write, build_config, read_archive
 from .errors import ConfigError, ContractError, FormatError
-
-CHECKPOINT_MAGIC = b"FACN"
-CHECKPOINT_VERSION = 2  # version 1 stored conv weights as (d_out, d_in, k)
 
 P = TypeVar("P")  # a parameter: an array, or its reference on a tape
 
@@ -87,8 +83,8 @@ def init_params(config: ModelConfig, seed: int, dtype=np.float64) -> ModelParams
     """Uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)) init for every tensor.
 
     Conv weights are drawn as (d_out, d_in, k) and then relaid, which keeps
-    the random stream, and so every initial value, equal to what checkpoint
-    version 1 stored.
+    the random stream, and so every initial value, as it was when they were
+    stored in that shape.
     """
     rng = np.random.default_rng(seed)
     d1, d2 = config.embed_dims
@@ -234,90 +230,29 @@ def forward_scores(x_raw: np.ndarray, params: ModelParams, config: ModelConfig) 
 
 
 def save_checkpoint(path, params: ModelParams, config: ModelConfig) -> None:
-    """Binary checkpoint: magic, version, config block, float32 tensors.
+    """An ``.npz`` archive: the config as JSON in the 0-d string ``config``,
+    then each parameter in float32 under its ``ModelParams`` name.
 
     Written atomically: a failed write leaves any earlier file at ``path``.
     """
     check_params(params.as_dict(), config, ContractError)
     with atomic_write(path, binary=True) as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<I", CHECKPOINT_VERSION))
-        fh.write(struct.pack("<5I", config.num_classes, config.feature_dim,
-                             config.embed_dims[0], config.embed_dims[1],
-                             config.kernel_size))
-        fh.write(struct.pack("<d", config.delta))
-        fh.write(struct.pack("<I", len(config.temperatures)))
-        fh.write(struct.pack(f"<{len(config.temperatures)}d", *config.temperatures))
-        fh.write(struct.pack("<Bd", int(config.use_background), config.dropout_rate))
-        tensors = params.as_dict()
-        fh.write(struct.pack("<I", len(tensors)))
-        for name, tensor in tensors.items():
-            raw = name.encode()
-            fh.write(struct.pack("<H", len(raw)))
-            fh.write(raw)
-            fh.write(struct.pack("<B", tensor.ndim))
-            fh.write(struct.pack(f"<{tensor.ndim}I", *tensor.shape))
-            fh.write(np.ascontiguousarray(tensor, dtype="<f4").tobytes())
-
-
-class _Reader:
-    def __init__(self, path):
-        with open(path, "rb") as fh:
-            self.buf = fh.read()
-        self.off = 0
-
-    def take(self, n: int, what: str) -> bytes:
-        if self.off + n > len(self.buf):
-            raise FormatError(
-                f"truncated checkpoint: needed {n} bytes for {what} at offset {self.off}")
-        out = self.buf[self.off:self.off + n]
-        self.off += n
-        return out
-
-    def unpack(self, fmt: str, what: str, finite: bool = False):
-        at = self.off
-        values = struct.unpack(fmt, self.take(struct.calcsize(fmt), what))
-        if finite and not all(map(math.isfinite, values)):
-            raise FormatError(f"non-finite {what} {values} at offset {at}")
-        return values
+        np.savez(fh, config=json.dumps(asdict(config)), **params.astype(np.float32).as_dict())
 
 
 def load_checkpoint(path) -> tuple[ModelParams, ModelConfig]:
-    r = _Reader(path)
-    if r.take(4, "magic") != CHECKPOINT_MAGIC:
-        raise FormatError(f"bad checkpoint magic at offset 0 in {path}")
-    (version,) = r.unpack("<I", "version")
-    if version not in (1, CHECKPOINT_VERSION):
-        raise FormatError(f"unsupported checkpoint version {version} at offset 4")
-    num_classes, feature_dim, d1, d2, kernel = r.unpack("<5I", "config")
-    (delta,) = r.unpack("<d", "delta", finite=True)
-    (n_temps,) = r.unpack("<I", "temperature count")
-    temps = r.unpack(f"<{n_temps}d", "temperatures", finite=True)
-    use_bg, dropout = r.unpack("<Bd", "flags", finite=True)
-    config = ModelConfig(num_classes=num_classes, feature_dim=feature_dim,
-                         embed_dims=(d1, d2), kernel_size=kernel, delta=delta,
-                         temperatures=temps, use_background=bool(use_bg),
-                         dropout_rate=dropout)
-    (n_tensors,) = r.unpack("<I", "tensor count")
-    tensors: dict[str, np.ndarray] = {}
-    for _ in range(n_tensors):
-        (name_len,) = r.unpack("<H", "tensor name length")
-        at = r.off
-        try:
-            name = r.take(name_len, "tensor name").decode()
-        except UnicodeDecodeError:
-            raise FormatError(f"tensor name at offset {at} is not valid UTF-8") from None
-        (rank,) = r.unpack("<B", "tensor rank")
-        if rank > 3:  # numpy caps ndim; no tensor of any version has more than 3
-            raise FormatError(f"tensor {name} has rank {rank} at offset {r.off - 1}")
-        dims = r.unpack(f"<{rank}I", "tensor dims")
-        count = math.prod(dims)  # exact: the byte count checks the dims
-        data = np.frombuffer(r.take(4 * count, f"tensor {name}"), dtype="<f4")
-        tensors[name] = data.reshape(dims).copy()
-    for name in ("conv1_w", "conv2_w"):
-        if version == 1 and name in tensors:  # a missing one fails the check below
-            if tensors[name].ndim != 3:
-                raise FormatError(f"version 1 tensor {name} must have rank 3")
-            tensors[name] = tap_major(tensors[name])
-    check_params(tensors, config, lambda message: FormatError(f"{path}: checkpoint {message}"))
+    """Read a ``save_checkpoint`` archive; ``FormatError`` naming the file unless its
+    config passes a config file's checks and its tensors fit that config."""
+    tensors = read_archive(path, "checkpoint")
+    stored = tensors.pop("config", np.array(None))
+    try:
+        is_text = stored.shape == () and stored.dtype.kind == "U"
+        doc = json.loads(stored.item()) if is_text else None
+        if not isinstance(doc, dict):
+            raise ValueError("config must be a 0-d string member holding a JSON object")
+        config = build_config(ModelConfig, doc)
+    except (TypeError, ValueError) as exc:  # ConfigError and JSON errors; TypeError: a missing key
+        raise FormatError(f"{path}: checkpoint {exc}") from None
+    check_params(tensors, config, lambda message: FormatError(f"{path}: checkpoint {message}"),
+                 np.float32)
     return ModelParams(**tensors), config

@@ -2,19 +2,19 @@
 from __future__ import annotations
 
 import csv
-import zipfile
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import autodiff as ad
-from .data import atomic_write
+from .data import atomic_write, read_archive
 from .errors import ConfigError, ContractError, FormatError
 from .losses import LossWeights, total_loss
 from .model import ModelConfig, ModelParams, check_params, run_forward, save_checkpoint
 
 LOSS_KEYS = (*(f.name for f in fields(LossWeights)), "total")  # EpochReport.losses, in order
+HISTORY_COLUMNS = ("num_videos", "skipped", *LOSS_KEYS)  # the training state's history table
 
 
 class NonFiniteGradientError(RuntimeError):
@@ -181,64 +181,64 @@ def write_history(path, history: list[EpochReport]) -> None:
 
 
 def save_train_state(path, params: ModelParams, state: OptimizerState,
-                     next_epoch: int) -> None:
-    """Native-precision sidecar so a resumed run replays bit-identically,
-    written atomically."""
+                     history: list[EpochReport]) -> None:
+    """Native-precision sidecar, written atomically, so a resumed run replays
+    bit-identically; it goes on at epoch ``len(history)`` and keeps those records."""
     arrays = {f"param_{k}": v for k, v in params.as_dict().items()}
     arrays.update({f"m_{k}": v for k, v in state.m.items()})
     arrays.update({f"v_{k}": v for k, v in state.v.items()})
+    table = np.array([[rec.num_videos, rec.skipped, *rec.losses.values()] for rec in history],
+                     dtype=np.float64).reshape(-1, len(HISTORY_COLUMNS))
     with atomic_write(path, binary=True) as fh:
-        np.savez(fh, step=state.step, next_epoch=next_epoch, **arrays)
+        np.savez(fh, step=state.step, next_epoch=len(history), history=table, **arrays)
 
 
-def load_train_state(path, model_config: ModelConfig,
-                     train_config: TrainConfig) -> tuple[ModelParams, OptimizerState, int]:
+def load_train_state(path, model_config: ModelConfig, train_config: TrainConfig
+                     ) -> tuple[ModelParams, OptimizerState, list[EpochReport]]:
     """Read a ``save_train_state`` file, checked against the run's configs.
 
     Every tensor must be present under its expected name, with the shape the
-    model config implies and the training precision's dtype, and the two
-    counters must be integer scalars. A file that is not an ``.npz`` archive
-    of plain arrays raises ``FormatError``; a missing one, ``OSError``.
+    model config implies and the training precision's dtype, the two counters
+    must be integer scalars and the history a finite float64 table of
+    ``next_epoch`` rows; ``FormatError`` otherwise, ``OSError`` if it is missing.
     """
-    with open(path, "rb") as fh:
-        try:
-            with np.load(fh) as data:
-                arrays = {key: data[key] for key in data.files}
-        # what the zip and npy readers raise on other bytes (TypeError: a bare .npy)
-        except (zipfile.BadZipFile, EOFError, OSError, RuntimeError, TypeError,
-                ValueError) as exc:
-            raise FormatError(f"{path}: not a training-state archive "
-                              f"({type(exc).__name__}: {exc})") from None
+    arrays = read_archive(path, "training-state")
     counters = [arrays.pop(key, None) for key in ("step", "next_epoch")]
+    table = arrays.pop("history", None)
     check_params(arrays, model_config, lambda message: FormatError(f"{path}: {message}"),
                  train_config.dtype, prefixes=("param_", "m_", "v_"))
     if any(c is None or c.shape != () or c.dtype.kind not in "iu" for c in counters):
         raise FormatError(f"{path}: step and next_epoch must be integer scalars")
+    if table is None or table.dtype != np.float64 or not np.isfinite(table).all() \
+            or table.shape != (int(counters[1]), len(HISTORY_COLUMNS)):
+        raise FormatError(f"{path}: history must be a finite float64 table, one row per epoch")
 
     def part(prefix: str) -> dict[str, np.ndarray]:
         return {f.name: arrays[prefix + f.name] for f in fields(ModelParams)}
 
     state = OptimizerState(m=part("m_"), v=part("v_"), step=int(counters[0]))
-    return ModelParams(**part("param_")), state, int(counters[1])
+    history = [EpochReport(epoch, dict(zip(LOSS_KEYS, row[2:])), int(row[0]), int(row[1]))
+               for epoch, row in enumerate(table.tolist())]
+    return ModelParams(**part("param_")), state, history
 
 
 def fit(dataset, params: ModelParams, model_config: ModelConfig,
         loss_weights: LossWeights, train_config: TrainConfig,
         out_dir, checkpoint_interval: int = 0,
-        state: OptimizerState | None = None, start_epoch: int = 0,
+        state: OptimizerState | None = None, history: list[EpochReport] | None = None,
         log=None) -> FitResult:
-    """Run the full schedule; write the checkpoint ``model.facn``, the history
-    ``model_history.csv`` and the resumable training state ``model_state.npz``
-    into the existing directory out_dir, and ``model_epochNNNN.facn`` and the
-    state every ``checkpoint_interval`` epochs if set."""
+    """Run the schedule on from ``history``, the earlier epochs' records; write the
+    checkpoint ``model.npz``, the history ``model_history.csv`` of every epoch and
+    the training state ``model_state.npz`` into the existing directory out_dir,
+    and ``model_epochNNNN.npz`` and the state every ``checkpoint_interval`` epochs."""
     if not dataset:
         raise ConfigError("training dataset is empty")
     params = params.astype(train_config.dtype)
     if state is None:
         state = init_optimizer(params)
     out_dir = Path(out_dir)
-    history: list[EpochReport] = []
-    for epoch in range(start_epoch, train_config.epochs):
+    history = list(history or [])
+    for epoch in range(len(history), train_config.epochs):
         report = train_epoch(dataset, params, state, model_config, loss_weights,
                              train_config, epoch)
         history.append(report)
@@ -246,10 +246,10 @@ def fit(dataset, params: ModelParams, model_config: ModelConfig,
             log(f"epoch {epoch:3d}  " + "  ".join(f"{key} {value:.4f}"
                                                   for key, value in report.losses.items()))
         if checkpoint_interval and (epoch + 1) % checkpoint_interval == 0:
-            save_checkpoint(out_dir / f"model_epoch{epoch + 1:04d}.facn",
+            save_checkpoint(out_dir / f"model_epoch{epoch + 1:04d}.npz",
                             params, model_config)
-            save_train_state(out_dir / "model_state.npz", params, state, epoch + 1)
-    save_checkpoint(out_dir / "model.facn", params, model_config)
-    save_train_state(out_dir / "model_state.npz", params, state, train_config.epochs)
+            save_train_state(out_dir / "model_state.npz", params, state, history)
+    save_checkpoint(out_dir / "model.npz", params, model_config)
+    save_train_state(out_dir / "model_state.npz", params, state, history)
     write_history(out_dir / "model_history.csv", history)
     return FitResult(params=params, state=state, history=history)

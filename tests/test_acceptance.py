@@ -243,7 +243,7 @@ def test_training_determinism_bit_identical_checkpoints(tmp_path):
     out_a, out_b = tmp_path / "a", tmp_path / "b"
     assert cli_main(args + ["--out", str(out_a)]) == 0
     assert cli_main(args + ["--out", str(out_b)]) == 0
-    bytes_a = (out_a / "model.facn").read_bytes()
-    bytes_b = (out_b / "model.facn").read_bytes()
+    bytes_a = (out_a / "model.npz").read_bytes()
+    bytes_b = (out_b / "model.npz").read_bytes()
     assert bytes_a == bytes_b
     verdict("determinism", "identical config and seed give bit-identical checkpoints")

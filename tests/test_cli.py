@@ -11,8 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wtal.cli import _build, load_run_config, main
-from wtal.data import SynthConfig, load_dataset, load_features, parse_manifest
+from wtal.cli import load_run_config, main
+from wtal.data import SynthConfig, build_config, load_dataset, load_features, parse_manifest
 from wtal.localization import LocalizeConfig, localize_split, read_detections
 from wtal.losses import LossWeights
 from wtal.model import ModelConfig, forward_scores, load_checkpoint
@@ -201,7 +201,7 @@ class TestConfigFuzz:
                 cfg = load_run_config(None, [f"{section}.{key}={json.dumps(value)}"])
             else:
                 cfg = load_run_config(str(path), [])
-            _build(CONFIG_CLASSES[section], cfg[section], **fixed)
+            build_config(CONFIG_CLASSES[section], cfg[section], **fixed)
         except Exception as exc:
             assert type(exc).__module__ == "wtal.errors", repr(exc)
 
@@ -214,7 +214,7 @@ class TestTrain:
                               "--out", str(out), *FAST_TRAIN)
         assert code == 0
         assert sorted(p.name for p in out.iterdir()) == [
-            "model.facn", "model_history.csv", "model_state.npz"]
+            "model.npz", "model_history.csv", "model_state.npz"]
         assert "final loss" in stdout
 
     def test_checkpoint_interval_and_verbose(self, dataset_dir, tmp_path, capsys):
@@ -223,16 +223,32 @@ class TestTrain:
         code, _, err = run(capsys, "train", "--manifest", manifest, "--out", str(out),
                            *FAST_TRAIN, "--checkpoint-interval", "1", "--verbose")
         assert code == 0, err
-        assert sorted(p.name for p in out.glob("model_epoch*.facn")) == [
-            "model_epoch0001.facn", "model_epoch0002.facn", "model_epoch0003.facn"]
-        assert (out / "model_epoch0003.facn").read_bytes() == (out / "model.facn").read_bytes()
+        assert sorted(p.name for p in out.glob("model_epoch*.npz")) == [
+            "model_epoch0001.npz", "model_epoch0002.npz", "model_epoch0003.npz"]
+        assert (out / "model_epoch0003.npz").read_bytes() == (out / "model.npz").read_bytes()
         assert [line.split()[:2] for line in err.splitlines() if line.startswith("epoch")] == [
             ["epoch", "0"], ["epoch", "1"], ["epoch", "2"]]
         code, _, err = run(capsys, "train", "--manifest", manifest, "--out", str(one),
                            *FAST_TRAIN, "--set", "train.epochs=1")
         assert code == 0, err
-        assert (out / "model_epoch0001.facn").read_bytes() == (one / "model.facn").read_bytes()
+        assert (out / "model_epoch0001.npz").read_bytes() == (one / "model.npz").read_bytes()
         assert not any(line.startswith("epoch") for line in err.splitlines())
+
+    def test_resume_ends_with_the_files_of_an_uninterrupted_run(self, dataset_dir, tmp_path,
+                                                                capsys):
+        def train(out, *extra):
+            code, _, err = run(capsys, "train", "--manifest", str(dataset_dir / "manifest.json"),
+                               "--out", str(out), *FAST_TRAIN, *extra)
+            assert code == 0, err
+            return err
+
+        full, part = tmp_path / "full", tmp_path / "part"
+        train(full)
+        train(part, "--set", "train.epochs=1")
+        for done in (1, 3):  # 3: resuming a finished run
+            assert f"resuming at epoch {done}" in train(part, "--resume")
+            for name in ("model.npz", "model_history.csv", "model_state.npz"):
+                assert (part / name).read_bytes() == (full / name).read_bytes(), name
 
     def test_reference_hyperparameters_accepted(self, dataset_dir, tmp_path, capsys):
         code, _, err = run(capsys, "train", "--manifest",
@@ -325,7 +341,7 @@ class TestTrain:
                            "--out", str(tmp_path / "r"), "--set", override)
         assert code == 2
         assert f"{field} must be finite" in err and "Traceback" not in err
-        assert not (tmp_path / "r" / "model.facn").exists()
+        assert not (tmp_path / "r" / "model.npz").exists()
 
     def test_three_epoch_smoke_on_default_dataset_under_a_minute(self, tmp_path, capsys):
         import time
@@ -373,7 +389,7 @@ class TestLocalize:
                          "--score-dump", str(dump))
         assert code == 0
         manifest = parse_manifest(dataset_dir / "manifest.json")
-        params, config = load_checkpoint(trained / "model.facn")
+        params, config = load_checkpoint(trained / "model.npz")
         samples = load_dataset(manifest, "test")
         assert sorted(p.name for p in dump.iterdir()) == sorted(
             f"{sample.video_id}.tsv" for sample in samples)
@@ -394,7 +410,7 @@ class TestLocalize:
                            "--model-dir", str(trained), "--out", str(det))
         assert code == 0, err
         manifest = parse_manifest(dataset_dir / "manifest.json")
-        params, config = load_checkpoint(trained / "model.facn")
+        params, config = load_checkpoint(trained / "model.npz")
         dtypes = []
         table = localize_split(manifest, "test", params.astype(np.float64), config,
                                LocalizeConfig(),
@@ -417,6 +433,39 @@ class TestLocalize:
         assert f"for {len(train_ids)} videos" in stdout
         table = read_detections(det / "detections.csv", manifest.classes)
         assert len(table) and set(table.video_ids) <= train_ids
+
+    @pytest.mark.parametrize("corrupt", ["truncated", "garbage", "nan-delta"])
+    def test_bad_checkpoint_exits_cleanly(self, dataset_dir, trained, tmp_path, capsys,
+                                          corrupt):
+        path = trained / "model.npz"
+        raw = path.read_bytes()
+        if corrupt == "nan-delta":
+            with np.load(path) as data:
+                arrays = {k: data[k] for k in data.files}
+            doc = json.loads(arrays.pop("config").item())
+            np.savez(path, config=json.dumps({**doc, "delta": float("nan")}), **arrays)
+        else:
+            path.write_bytes(raw[:len(raw) // 2] if corrupt == "truncated" else b"garbage")
+        code, _, err = run(capsys, "localize", "--manifest", str(dataset_dir / "manifest.json"),
+                           "--model-dir", str(trained), "--out", str(tmp_path / "det"))
+        assert code == 1
+        assert str(path) in err and "Traceback" not in err
+        assert ("ModelConfig.delta must be finite" in err) == (corrupt == "nan-delta")
+
+    def test_feature_dim_mismatch_exits_before_features_load(self, trained, tmp_path, capsys):
+        data = tmp_path / "three"
+        code, _, err = run(capsys, "synth", "--out", str(data), *SMALL_SYNTH,
+                           "--set", 'synth.streams=["rgb","flow","audio"]')
+        assert code == 0, err
+        manifest = data / "manifest.json"
+        for entry in parse_manifest(manifest).split("test"):  # loading them would fail
+            path = entry.features["rgb"]
+            path.write_bytes(path.read_bytes()[:-4])
+        code, _, err = run(capsys, "localize", "--manifest", str(manifest),
+                           "--model-dir", str(trained), "--out", str(tmp_path / "det"))
+        assert code == 2
+        assert f"{trained / 'model.npz'} has 5 classes, feature_dim 64; " \
+            f"{manifest} has 5, 192" in err and "Traceback" not in err
 
     def test_rejection_threshold_above_one_empties_output(self, dataset_dir, trained,
                                                           tmp_path, capsys):
@@ -602,8 +651,9 @@ def test_three_stream_manifest_runs_end_to_end(tmp_path, capsys):
         code, _, err = run(capsys, *argv)
         assert code == 0, (argv[0], err)
     assert parse_manifest(manifest).streams == ("audio", "flow", "rgb")
-    assert sorted(p.name for p in out.glob("*.facn")) == ["model.facn"]
-    _, config = load_checkpoint(out / "model.facn")
+    assert sorted(p.name for p in out.iterdir()) == [
+        "model.npz", "model_history.csv", "model_state.npz"]
+    _, config = load_checkpoint(out / "model.npz")
     assert config.feature_dim == 3 * SynthConfig().feature_dim
 
 

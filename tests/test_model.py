@@ -1,8 +1,11 @@
-import struct
+import io
+import json
+import zipfile
 from dataclasses import fields
 
 import numpy as np
 import pytest
+from numpy.lib import format as npy_format
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -305,7 +308,7 @@ class TestPrecision:
 class TestCheckpoint:
     def test_round_trip(self, tmp_path, rng):
         config, params = tiny_model()
-        path = tmp_path / "model.facn"
+        path = tmp_path / "model.npz"
         save_checkpoint(path, params, config)
         loaded_params, loaded_config = load_checkpoint(path)
         assert loaded_config == config
@@ -315,7 +318,7 @@ class TestCheckpoint:
 
     def test_round_trip_preserves_scores(self, tmp_path, rng):
         config, params = tiny_model()
-        path = tmp_path / "model.facn"
+        path = tmp_path / "model.npz"
         save_checkpoint(path, params.astype(np.float32), config)
         loaded_params, _ = load_checkpoint(path)
         x = rng.normal(size=(5, 6)).astype(np.float32)
@@ -325,7 +328,7 @@ class TestCheckpoint:
 
     def test_failed_write_keeps_previous_file(self, tmp_path):
         config, params = tiny_model()
-        path = tmp_path / "model.facn"
+        path = tmp_path / "model.npz"
         save_checkpoint(path, params, config)
         before = path.read_bytes()
         broken = params.astype(np.float64)  # astype copies
@@ -333,127 +336,119 @@ class TestCheckpoint:
         with pytest.raises(ValueError):
             save_checkpoint(path, broken, config)
         assert path.read_bytes() == before
-        assert [p.name for p in tmp_path.iterdir()] == ["model.facn"]
+        assert [p.name for p in tmp_path.iterdir()] == ["model.npz"]
 
     def test_bad_magic(self, tmp_path):
-        path = tmp_path / "bad.facn"
+        path = tmp_path / "bad.npz"
         path.write_bytes(b"NOPE" + b"\x00" * 64)
-        with pytest.raises(FormatError, match="magic"):
+        with pytest.raises(FormatError, match=f"{path}: not a checkpoint archive"):
             load_checkpoint(path)
 
-    def test_truncated_reports_offset(self, tmp_path):
+    def test_truncated_archive_rejected(self, tmp_path):
         config, params = tiny_model()
-        path = tmp_path / "model.facn"
+        path = tmp_path / "model.npz"
         save_checkpoint(path, params, config)
-        clipped = tmp_path / "clipped.facn"
+        clipped = tmp_path / "clipped.npz"
         clipped.write_bytes(path.read_bytes()[:40])
-        with pytest.raises(FormatError, match="offset"):
+        with pytest.raises(FormatError, match=f"{clipped}: not a checkpoint archive"):
             load_checkpoint(clipped)
 
     def test_shape_validation_against_config(self, tmp_path):
         config, params = tiny_model()
         params.w_fore = np.zeros(9)
         with pytest.raises(ContractError):
-            save_checkpoint(tmp_path / "model.facn", params, config)
+            save_checkpoint(tmp_path / "model.npz", params, config)
 
     def test_load_rejects_config_tensor_disagreement(self, tmp_path):
         config, params = tiny_model()
-        path = tmp_path / "model.facn"
+        path = tmp_path / "model.npz"
         save_checkpoint(path, params, config)
-        raw = bytearray(path.read_bytes())
-        raw[8] = config.num_classes + 1  # config block starts after magic+version
-        path.write_bytes(bytes(raw))
-        with pytest.raises((ContractError, FormatError)):
+        rewrite(path, config=json.dumps({**stored_config(path),
+                                         "num_classes": config.num_classes + 1}))
+        with pytest.raises(FormatError, match=f"{path}: checkpoint .*w_action"):
             load_checkpoint(path)
 
-    def test_unknown_version_rejected(self, tmp_path):
+    def test_archive_members(self, tmp_path):
         config, params = tiny_model()
-        path = tmp_path / "model.facn"
+        path = tmp_path / "model.npz"
         save_checkpoint(path, params, config)
-        raw = bytearray(path.read_bytes())
-        raw[4:8] = struct.pack("<I", 3)
-        path.write_bytes(bytes(raw))
-        with pytest.raises(FormatError, match="version 3"):
-            load_checkpoint(path)
-
-    def test_version_one_file_loads_with_relaid_conv_weights(self, tmp_path, rng):
-        config, params = tiny_model()
-        params = params.astype(np.float32)
-        v2 = tmp_path / "v2.facn"
-        save_checkpoint(v2, params, config)
-        v1 = tmp_path / "v1.facn"
-        write_v1_checkpoint(v1, params, config)
-        from_v1, config_v1 = load_checkpoint(v1)
-        from_v2, _ = load_checkpoint(v2)
-        assert config_v1 == config
-        for name, tensor in from_v2.as_dict().items():
-            assert np.array_equal(getattr(from_v1, name), tensor)
-            assert getattr(from_v1, name).flags.c_contiguous
-        x = rng.normal(size=(7, 6)).astype(np.float32)
-        (tape_a, a), (tape_b, b) = run_forward(x, from_v1, config), run_forward(x, from_v2, config)
-        for field in ("s_a", "s_f", "p_video_class", "p_class_fore", "p_mil"):
-            assert np.array_equal(tape_a.val(getattr(a, field)), tape_b.val(getattr(b, field)))
-
-    def test_version_one_conv_tensor_of_wrong_rank_rejected(self, tmp_path):
-        config, params = tiny_model()
-        path = tmp_path / "v1.facn"
-        write_v1_checkpoint(path, params, config, relay=False)
-        with pytest.raises(FormatError, match="rank 3"):
-            load_checkpoint(path)
+        with np.load(path) as data:
+            assert data.files == ["config", *params.as_dict()]
+            assert all(data[name].dtype == np.float32 for name in params.as_dict())
+        assert stored_config(path)["temperatures"] == list(config.temperatures)
 
 
-def tensor_offset(raw: bytes, name: str) -> int:
-    """Offset of a tensor's name length field in a checkpoint."""
-    return raw.index(name.encode()) - 2
+def stored_config(path) -> dict:
+    with np.load(path) as data:
+        return json.loads(data["config"].item())
+
+
+def rewrite(path, drop=(), **changes):
+    """Save the archive at ``path`` again, without ``drop`` and with ``changes``."""
+    with np.load(path) as data:
+        arrays = {k: data[k] for k in data.files if k not in drop}
+    np.savez(path, **{**arrays, **changes})
 
 
 class TestCheckpointErrors:
-    """Malformed checkpoints end in FormatError with the offset, never in an
+    """Malformed checkpoints end in FormatError naming the file, never in an
     untyped error."""
 
     @pytest.fixture
     def saved(self, tmp_path):
         config, params = tiny_model()
-        path = tmp_path / "model.facn"
+        path = tmp_path / "model.npz"
         save_checkpoint(path, params, config)
-        return path, path.read_bytes()
-
-    def test_name_not_utf8(self, saved):
-        path, raw = saved
-        at = tensor_offset(raw, "conv1_b") + 2
-        path.write_bytes(raw[:at] + b"\xff" + raw[at + 1:])
-        with pytest.raises(FormatError, match=f"tensor name at offset {at} is not valid UTF-8"):
-            load_checkpoint(path)
+        return path
 
     def test_dims_beyond_the_stored_bytes(self, saved):
-        path, raw = saved
-        dims_at = tensor_offset(raw, "w_fore") + 2 + len("w_fore") + 1
-        path.write_bytes(raw[:dims_at - 1] + struct.pack("<B2I", 2, 2**32 - 1, 2**32 - 1)
-                         + raw[dims_at + 4:])
-        with pytest.raises(FormatError, match="truncated checkpoint: needed .* offset"):
-            load_checkpoint(path)
+        with np.load(saved) as data:
+            members = {k: data[k] for k in data.files}
+        header = io.BytesIO()
+        npy_format.write_array_header_1_0(
+            header, {**npy_format.header_data_from_array_1_0(members["w_fore"]),
+                     "shape": (2 ** 20,)})
+        with zipfile.ZipFile(saved, "w") as archive:
+            for name, array in members.items():
+                raw = io.BytesIO()
+                np.save(raw, array)
+                if name == "w_fore":  # a header that claims more than the 4 floats stored
+                    raw = io.BytesIO(header.getvalue() + array.tobytes())
+                archive.writestr(f"{name}.npy", raw.getvalue())
+        with pytest.raises(FormatError, match=f"{saved}: not a checkpoint archive .*EOF"):
+            load_checkpoint(saved)
 
     def test_rank_above_three(self, saved):
-        path, raw = saved
-        rank_at = tensor_offset(raw, "w_fore") + 2 + len("w_fore")
-        path.write_bytes(raw[:rank_at] + bytes([70]) + raw[rank_at + 1:])
-        with pytest.raises(FormatError, match=f"rank 70 at offset {rank_at}"):
-            load_checkpoint(path)
+        rewrite(saved, w_fore=np.zeros((1, 1, 1, 4), dtype=np.float32))
+        with pytest.raises(FormatError, match=r"w_fore is float32\[1, 1, 1, 4\]"):
+            load_checkpoint(saved)
+
+    @pytest.mark.parametrize("changes", [
+        {"drop": ("config",)}, {"config": np.array(3.0)}, {"config": np.array(["{}"])},
+        {"config": "{not json"}, {"config": "[1, 2]"},
+        {"config": json.dumps({"num_classes": 3})}, {"config": '{"num_classes": 3, "x": 1}'}],
+        ids=["missing", "number", "vector", "not-json", "list", "missing-key", "unknown-key"])
+    def test_invalid_config_member(self, saved, changes):
+        rewrite(saved, **changes)
+        with pytest.raises(FormatError, match=f"{saved}: checkpoint "):
+            load_checkpoint(saved)
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
-    @pytest.mark.parametrize("field,offset", [("delta", 28), ("temperatures", 40)])
-    def test_non_finite_config_float(self, saved, value, field, offset):
-        path, raw = saved
-        path.write_bytes(raw[:offset] + struct.pack("<d", value) + raw[offset + 8:])
-        with pytest.raises(FormatError, match=f"non-finite {field} .* at offset {offset}"):
-            load_checkpoint(path)
+    @pytest.mark.parametrize("field", ["delta", "temperatures", "dropout_rate"])
+    def test_non_finite_config_float(self, saved, value, field):
+        doc = stored_config(saved)
+        doc[field] = [1.0, value] if field == "temperatures" else value
+        rewrite(saved, config=json.dumps(doc))
+        with pytest.raises(FormatError, match=f"{saved}: checkpoint ModelConfig.{field} "
+                                              "must be finite"):
+            load_checkpoint(saved)
 
     @given(cut=st.integers(0, 10_000), edits=st.lists(
         st.tuples(st.integers(0, 10_000), st.integers(0, 255)), max_size=6))
     @settings(max_examples=300, deadline=None)
     def test_fuzz_only_typed_errors_escape(self, tmp_path_factory, cut, edits):
         config, params = tiny_model()
-        path = tmp_path_factory.getbasetemp() / "fuzz.facn"
+        path = tmp_path_factory.getbasetemp() / "fuzz.npz"
         save_checkpoint(path, params, config)
         raw = bytearray(path.read_bytes())
         for index, byte in edits:
@@ -463,25 +458,3 @@ class TestCheckpointErrors:
             load_checkpoint(path)
         except (ConfigError, ContractError, FormatError, InputError, ManifestError):
             pass
-
-
-def write_v1_checkpoint(path, params, config, relay=True):
-    """The version 1 format, written out by hand: conv weights (d_out, d_in, k)."""
-    k = config.kernel_size
-    with open(path, "wb") as fh:
-        fh.write(b"FACN" + struct.pack("<I", 1))
-        fh.write(struct.pack("<5I", config.num_classes, config.feature_dim,
-                             *config.embed_dims, k))
-        fh.write(struct.pack("<dI", config.delta, len(config.temperatures)))
-        fh.write(struct.pack(f"<{len(config.temperatures)}d", *config.temperatures))
-        fh.write(struct.pack("<Bd", int(config.use_background), config.dropout_rate))
-        tensors = params.as_dict()
-        fh.write(struct.pack("<I", len(tensors)))
-        for name, tensor in tensors.items():
-            if relay and name.startswith("conv") and name.endswith("_w"):
-                rows, d_out = tensor.shape
-                tensor = tensor.reshape(k, rows // k, d_out).transpose(2, 1, 0)
-            fh.write(struct.pack("<H", len(name)) + name.encode())
-            fh.write(struct.pack("<B", tensor.ndim))
-            fh.write(struct.pack(f"<{tensor.ndim}I", *tensor.shape))
-            fh.write(np.ascontiguousarray(tensor, dtype="<f4").tobytes())

@@ -26,7 +26,7 @@ def run_script(name, workdir, *args):
 def test_pipeline_passes_set_to_the_run(tmp_path):
     stdout = run_script("synthetic_pipeline.py", tmp_path, "--set", "model.use_background=true")
     assert "1 epochs" in stdout and "mAP" in stdout
-    _, config = load_checkpoint(tmp_path / "run" / "model.facn")
+    _, config = load_checkpoint(tmp_path / "run" / "model.npz")
     assert config.use_background is True
     report = json.loads((tmp_path / "report.json").read_text())
     assert 0.0 <= report["average_map"] <= 1.0

@@ -222,12 +222,12 @@ class TestFit:
         part.mkdir()
         fit(dataset, params, config, LossWeights(),
             TrainConfig(epochs=1, batch_size=2, precision=64, seed=6), out_dir=part)
-        resumed_params, state, next_epoch = load_train_state(
+        resumed_params, state, history = load_train_state(
             part / "model_state.npz", config, tc)
-        assert next_epoch == 1
+        assert history == full.history[:1]
         resumed = fit(dataset, resumed_params, config, LossWeights(), tc, tmp_path,
-                      state=state, start_epoch=next_epoch)
-        assert resumed.history[0].losses == full.history[1].losses
+                      state=state, history=history)
+        assert resumed.history == full.history
         for name, tensor in full.params.as_dict().items():
             assert np.array_equal(tensor, getattr(resumed.params, name))
 
@@ -254,13 +254,17 @@ class TestFit:
         assert result.history[29].losses["total"] < 0.25 * result.history[0].losses["total"]
 
 
+HISTORY = [tr.EpochReport(epoch, dict(zip(tr.LOSS_KEYS, (1.0 / (epoch + 1), 0.5, 0.25, 0.1))),
+                          num_videos=6, skipped=epoch) for epoch in range(3)]
+
+
 class TestLoadTrainState:
     def saved(self, tmp_path, precision=64):
         config, params = tiny_model()
         tc = TrainConfig(precision=precision)
         params = params.astype(tc.dtype)
         path = tmp_path / "model_state.npz"
-        save_train_state(path, params, init_optimizer(params), next_epoch=3)
+        save_train_state(path, params, init_optimizer(params), HISTORY)
         return path, config, tc
 
     def rewrite(self, path, drop=(), **changes):
@@ -270,8 +274,8 @@ class TestLoadTrainState:
 
     def test_round_trip(self, tmp_path):
         path, config, tc = self.saved(tmp_path)
-        params, state, next_epoch = load_train_state(path, config, tc)
-        assert next_epoch == 3 and state.step == 0
+        params, state, history = load_train_state(path, config, tc)
+        assert history == HISTORY and state.step == 0
         assert params.conv1_w.shape == (3 * 6, 5)
 
     def test_failed_write_keeps_previous_file(self, tmp_path):
@@ -280,7 +284,7 @@ class TestLoadTrainState:
         params, state, _ = load_train_state(path, config, tc)
         state.v["w_fore"] = np.array([lambda: None], dtype=object)  # cannot be pickled
         with pytest.raises(Exception, match="pickle"):
-            save_train_state(path, params, state, next_epoch=4)
+            save_train_state(path, params, state, HISTORY)
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["model_state.npz"]
 
@@ -311,6 +315,17 @@ class TestLoadTrainState:
         path, config, tc = self.saved(tmp_path)
         self.rewrite(path, **changes)
         with pytest.raises(FormatError, match="step and next_epoch"):
+            load_train_state(path, config, tc)
+
+    @pytest.mark.parametrize("changes", [{"drop": ("history",)},
+                                         {"history": np.zeros((2, 6))},
+                                         {"history": np.zeros((3, 6), dtype=np.float32)},
+                                         {"history": np.full((3, 6), np.nan)}],
+                             ids=["missing", "rows", "float32", "nan"])
+    def test_bad_history_rejected(self, tmp_path, changes):
+        path, config, tc = self.saved(tmp_path)
+        self.rewrite(path, **changes)
+        with pytest.raises(FormatError, match="history must be"):
             load_train_state(path, config, tc)
 
     def test_other_model_shape_rejected(self, tmp_path):
