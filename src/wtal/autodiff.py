@@ -116,13 +116,8 @@ class Tape:
         k = rows // d_in
         if k % 2 == 0 or k < 1:
             raise ContractError(f"kernel size {k} must be odd")
-        pad = k // 2
-        xp = np.zeros((t + 2 * pad, d_in), dtype=xv.dtype)
-        xp[pad:pad + t] = xv
-        windows = np.concatenate([xp[i:i + t] for i in range(k)], axis=1)
-        out = windows @ wv + bv.astype(xv.dtype, copy=False)
-        return self._push("temporal_conv", (x, w, b), out, {},
-                          {"windows": windows, "k": k, "pad": pad})
+        out = _windows(xv, k) @ wv + bv.astype(xv.dtype, copy=False)
+        return self._push("temporal_conv", (x, w, b), out, {}, {"k": k})
 
     def cosine_rows(self, a: int, b: int, scale: float) -> int:
         """out[i, j] = scale * cos(a_i, b_j), norms clamped at NORM_EPS."""
@@ -180,13 +175,28 @@ class Tape:
         return self._push("sum", (a,), np.asarray(self.val(a).sum(axis=axis)), {"axis": axis})
 
 
+def _windows(x: np.ndarray, k: int) -> np.ndarray:
+    """(T, k*d_in): row t concatenates xp[t], ..., xp[t + k - 1], where xp is
+    ``x`` zero-padded by k // 2 rows at each end. Rebuilt for the adjoint
+    rather than kept on the tape."""
+    t, d_in = x.shape
+    pad = k // 2
+    windows = np.zeros((t, k * d_in), dtype=x.dtype)
+    for i in range(k):
+        shift = i - pad  # column block i holds x[t + shift]
+        lo, hi = max(0, -shift), min(t, t - shift)
+        if lo < hi:
+            windows[lo:hi, i * d_in:(i + 1) * d_in] = x[lo + shift:hi + shift]
+    return windows
+
+
 def _conv_backward(node: Node, g: np.ndarray, values, wanted):
     x, w, _ = values
     t, d_in = x.shape
-    k, pad = node.ctx["k"], node.ctx["pad"]
-    windows = node.ctx["windows"]
+    k = node.ctx["k"]
+    pad = k // 2
     db = g.sum(axis=0)
-    dw = windows.T @ g
+    dw = _windows(x, k).T @ g
     if not wanted[0]:  # e.g. the raw features: a T x k*d_in product nobody reads
         return [None, dw, db]
     dwin = (g @ w.T).reshape(t, k, d_in)
@@ -268,11 +278,11 @@ def backward(tape: Tape, loss_ref: int, corrupt_op: str | None = None) -> dict[s
     grads: dict[str, np.ndarray] = {}
     for idx in range(loss_ref, -1, -1):
         node = tape.nodes[idx]
-        g = adjoint[idx]
+        g, adjoint[idx] = adjoint[idx], None  # each adjoint is read once
         if node.op == "leaf":
             if node.name is not None:
-                acc = np.zeros_like(node.value) if g is None else g
-                grads[node.name] = grads.get(node.name, 0) + acc
+                g = np.zeros_like(node.value) if g is None else g
+                grads[node.name] = grads[node.name] + g if node.name in grads else g
             continue
         if g is None or not wants[idx]:
             continue

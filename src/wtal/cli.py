@@ -18,6 +18,7 @@ from pathlib import Path
 
 CONFIG_VERSION = 1
 CONFIG_SECTIONS = ("model", "train", "loss", "localize", "synth")
+M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3  # glibc's mallopt parameters
 
 
 def _fail(message: str, code: int = 2) -> int:
@@ -70,12 +71,34 @@ def cmd_synth(args) -> int:
     return 0
 
 
+def _keep_freed_heap() -> None:
+    """Let the C library keep freed memory on the heap for reuse.
+
+    Training frees each video's tape (tens of MB at paper shape) before it
+    records the next one. By default glibc trims that memory off the heap
+    and the next video faults every page back in, about 10k page faults per
+    paper-shape video. Peak RSS stays the same, since the kept memory is
+    what the next video uses. The fixed mmap threshold keeps arrays below
+    32 MiB on the heap. Without ``mallopt`` (not glibc) nothing changes.
+    """
+    import ctypes
+
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt(M_TRIM_THRESHOLD, 1 << 30)
+    mallopt(M_MMAP_THRESHOLD, 1 << 25)
+
+
 def cmd_train(args) -> int:
     from .data import build_config, feature_dim, load_dataset, parse_manifest
     from .losses import LossWeights
     from .model import ModelConfig, init_params
     from .training import TrainConfig, fit, load_train_state
 
+    _keep_freed_heap()
     cfg = load_run_config(args.config, args.set)
     manifest = parse_manifest(args.manifest)
     train_cfg = build_config(TrainConfig, cfg["train"])

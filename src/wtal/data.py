@@ -81,14 +81,21 @@ def read_feature_header(path) -> tuple[int, int]:
 
 
 def load_features(path) -> np.ndarray:
+    """The (T, D) float32 payload, read straight into its array once the file
+    size has been checked against the header."""
     t, d = read_feature_header(path)
-    with open(path, "rb") as fh:
-        payload = fh.read()[16:]
     expected = 4 * t * d
-    if len(payload) != expected:
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size - 16
+        if size != expected:
+            raise FormatError(
+                f"feature payload is {size} bytes at offset 16, expected {expected} in {path}")
+        data = np.empty((t, d), dtype="<f4")
+        fh.seek(16)
+        got = fh.readinto(data)
+    if got != expected:
         raise FormatError(
-            f"feature payload is {len(payload)} bytes at offset 16, expected {expected} in {path}")
-    data = np.frombuffer(payload, dtype="<f4").reshape(t, d).copy()
+            f"feature payload is {got} bytes at offset 16, expected {expected} in {path}")
     if not np.isfinite(data).all():
         raise InputError(f"feature payload contains non-finite values in {path}")
     return data
@@ -318,9 +325,11 @@ class VideoSample:
 def load_dataset(manifest: Manifest, split: str) -> list[VideoSample]:
     """The videos of one split, each with the features of every stream side
     by side, in ``manifest.streams`` order."""
-    return [VideoSample(video_id=entry.video_id,
-                        features=np.concatenate([load_features(entry.features[s])
-                                                 for s in manifest.streams], axis=1),
+    def features(entry: VideoEntry) -> np.ndarray:
+        streams = [load_features(entry.features[s]) for s in manifest.streams]
+        return streams[0] if len(streams) == 1 else np.concatenate(streams, axis=1)
+
+    return [VideoSample(video_id=entry.video_id, features=features(entry),
                         labels=manifest.label_vector(entry), fps=entry.fps,
                         snippet_stride=entry.snippet_stride)
             for entry in manifest.split(split)]

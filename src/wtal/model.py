@@ -69,8 +69,8 @@ class ModelParams(Generic[P]):
     def as_dict(self) -> dict[str, P]:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
-    def astype(self, dtype) -> "ModelParams":
-        return ModelParams(**{k: v.astype(dtype) for k, v in self.as_dict().items()})
+    def astype(self, dtype, copy: bool = True) -> "ModelParams":
+        return ModelParams(**{k: v.astype(dtype, copy=copy) for k, v in self.as_dict().items()})
 
 
 def tap_major(w: np.ndarray) -> np.ndarray:
@@ -237,7 +237,8 @@ def save_checkpoint(path, params: ModelParams, config: ModelConfig) -> None:
     """
     check_params(params.as_dict(), config, ContractError)
     with atomic_write(path, binary=True) as fh:
-        np.savez(fh, config=json.dumps(asdict(config)), **params.astype(np.float32).as_dict())
+        np.savez(fh, config=json.dumps(asdict(config)),
+                 **params.astype(np.float32, copy=False).as_dict())
 
 
 def load_checkpoint(path) -> tuple[ModelParams, ModelConfig]:

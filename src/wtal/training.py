@@ -14,6 +14,7 @@ from .losses import LossWeights, total_loss
 from .model import ModelConfig, ModelParams, check_params, run_forward, save_checkpoint
 
 LOSS_KEYS = (*(f.name for f in fields(LossWeights)), "total")  # EpochReport.losses, in order
+ADAM_BLOCK = 1 << 16  # elements per adam_step block: its scratch stays small and cache-resident
 HISTORY_COLUMNS = ("num_videos", "skipped", *LOSS_KEYS)  # the training state's history table
 
 
@@ -74,7 +75,10 @@ def adam_step(params: ModelParams, grads: dict[str, np.ndarray],
     """Bias-corrected Adam update, in place, in a fixed parameter order.
 
     Parameters and both moments are updated in their own buffers; ``grads``
-    is only read.
+    is only read. Each tensor is updated in blocks of whole rows, about
+    ``ADAM_BLOCK`` elements each, whose update and denominator go to one pair
+    of scratch rows reused for every block: elementwise, so the bits do not
+    depend on the block size.
     """
     tensors = params.as_dict()
     if set(grads) != set(tensors):
@@ -83,19 +87,27 @@ def adam_step(params: ModelParams, grads: dict[str, np.ndarray],
     b1, b2 = config.beta1, config.beta2
     bias1 = 1.0 - b1 ** state.step
     bias2 = 1.0 - b2 ** state.step
-    for name in tensors:
-        g, m, v = grads[name], state.m[name], state.v[name]
-        m *= b1
-        m += (1 - b1) * g
-        v *= b2
-        v += (1 - b2) * g * g
-        update = m / bias1
-        update *= config.learning_rate
-        denom = v / bias2
-        np.sqrt(denom, out=denom)
-        denom += config.adam_eps
-        update /= denom
-        tensors[name] -= update
+    width = max(ADAM_BLOCK, *(t.size // len(t) for t in tensors.values()))
+    scratch = np.empty((2, width), dtype=np.result_type(*tensors.values()))
+    for name, tensor in tensors.items():
+        rows = width // (tensor.size // len(tensor))
+        for lo in range(0, len(tensor), rows):
+            block = slice(lo, lo + rows)
+            p, g = tensor[block], grads[name][block]
+            m, v = state.m[name][block], state.v[name][block]
+            update, denom = (row[:p.size].reshape(p.shape) for row in scratch)
+            m *= b1
+            m += np.multiply(g, 1 - b1, out=update)
+            v *= b2
+            np.multiply(g, 1 - b2, out=update)
+            v += np.multiply(update, g, out=update)
+            np.divide(m, bias1, out=update)
+            update *= config.learning_rate
+            np.divide(v, bias2, out=denom)
+            np.sqrt(denom, out=denom)
+            denom += config.adam_eps
+            update /= denom
+            p -= update
     return params, state
 
 
@@ -119,6 +131,23 @@ def _maybe_subsample(features: np.ndarray, limit: int | None, rng) -> np.ndarray
     return features[start:start + limit]
 
 
+def _add_video_gradients(acc: dict[str, np.ndarray], feats, labels, rng_seed,
+                         params: ModelParams, model_config: ModelConfig,
+                         loss_weights: LossWeights, epoch: int) -> dict[str, float]:
+    """Add one video's gradients into ``acc`` and return its losses, keyed by
+    ``LOSS_KEYS``. Its tape and gradients are freed on return."""
+    tape, out = run_forward(feats, params, model_config, train_mode=True, rng_seed=rng_seed)
+    loss_ref, parts = total_loss(tape, out, labels, loss_weights, model_config.use_background)
+    losses = {key: float(tape.val(ref)) for key, ref in {**parts, "total": loss_ref}.items()}
+    grads = ad.backward(tape, loss_ref)
+    del tape, out
+    for name, g in grads.items():
+        if not np.isfinite(g).all():
+            raise NonFiniteGradientError(name, epoch)
+        acc[name] += g
+    return losses
+
+
 def train_epoch(dataset, params: ModelParams, state: OptimizerState,
                 model_config: ModelConfig, loss_weights: LossWeights,
                 train_config: TrainConfig, epoch: int) -> EpochReport:
@@ -132,9 +161,9 @@ def train_epoch(dataset, params: ModelParams, state: OptimizerState,
     processed = 0
     skipped = 0
     bs = train_config.batch_size
+    acc = {k: np.zeros_like(v) for k, v in params.as_dict().items()}
     for start in range(0, len(order), bs):
         batch = order[start:start + bs]
-        acc: dict[str, np.ndarray] = {}
         in_batch = 0
         for idx in batch:
             sample = dataset[idx]
@@ -144,22 +173,18 @@ def train_epoch(dataset, params: ModelParams, state: OptimizerState,
             seed = _video_seed(train_config.seed, epoch, int(idx))
             rng = np.random.default_rng(seed)
             feats = _maybe_subsample(sample.features, train_config.max_snippets, rng)
-            tape, out = run_forward(feats, params, model_config,
-                                    train_mode=True, rng_seed=seed.spawn(1)[0])
-            loss_ref, parts = total_loss(tape, out, sample.labels, loss_weights,
-                                         model_config.use_background)
-            grads = ad.backward(tape, loss_ref)
-            for name, g in grads.items():
-                if not np.isfinite(g).all():
-                    raise NonFiniteGradientError(name, epoch)
-                acc[name] = acc.get(name, 0) + g
-            for key, ref in {**parts, "total": loss_ref}.items():
-                sums[key] += float(tape.val(ref))
+            losses = _add_video_gradients(acc, feats, sample.labels, seed.spawn(1)[0], params,
+                                          model_config, loss_weights, epoch)
+            for key, value in losses.items():
+                sums[key] += value
             in_batch += 1
             processed += 1
         if in_batch:
-            mean_grads = {k: v / in_batch for k, v in acc.items()}
-            adam_step(params, mean_grads, state, train_config)
+            for g in acc.values():
+                g /= in_batch
+            adam_step(params, acc, state, train_config)
+            for g in acc.values():
+                g.fill(0)
     n = max(processed, 1)
     return EpochReport(epoch, {key: total / n for key, total in sums.items()},
                        num_videos=processed, skipped=skipped)
@@ -230,10 +255,11 @@ def fit(dataset, params: ModelParams, model_config: ModelConfig,
     """Run the schedule on from ``history``, the earlier epochs' records; write the
     checkpoint ``model.npz``, the history ``model_history.csv`` of every epoch and
     the training state ``model_state.npz`` into the existing directory out_dir,
-    and ``model_epochNNNN.npz`` and the state every ``checkpoint_interval`` epochs."""
+    and ``model_epochNNNN.npz`` and the state every ``checkpoint_interval`` epochs.
+    Trains ``params`` in place when they already have the training dtype."""
     if not dataset:
         raise ConfigError("training dataset is empty")
-    params = params.astype(train_config.dtype)
+    params = params.astype(train_config.dtype, copy=False)
     if state is None:
         state = init_optimizer(params)
     out_dir = Path(out_dir)

@@ -3,7 +3,8 @@
 These deliberately re-derive results with different code paths than the
 package: quadratic loops instead of vectorized passes, per-tap loops
 instead of one im2col matmul, one temperature head at a time instead of
-stacked attention, and rectangle integration of the
+stacked attention, a fresh array per Adam intermediate instead of reused
+scratch buffers, and rectangle integration of the
 precision-recall curve instead of the running-precision sum, and one
 record at a time instead of one column at a time for the detections files.
 """
@@ -139,6 +140,30 @@ def conv_reference(x, w, b):
             if 0 <= src < t:
                 out[row] += x[src] @ w[tap * d_in:(tap + 1) * d_in]
     return out
+
+
+def adam_reference(params, grads, m, v, step, config):
+    """Adam as one allocating update per tensor: every intermediate a fresh array.
+
+    Updates the dicts ``params``, ``m`` and ``v`` in place at the 1-based
+    ``step``; ``training.adam_step`` must give these bits.
+    """
+    b1, b2 = config.beta1, config.beta2
+    bias1 = 1.0 - b1 ** step
+    bias2 = 1.0 - b2 ** step
+    for name in params:
+        g = grads[name]
+        m[name] *= b1
+        m[name] += (1 - b1) * g
+        v[name] *= b2
+        v[name] += (1 - b2) * g * g
+        update = m[name] / bias1
+        update *= config.learning_rate
+        denom = v[name] / bias2
+        np.sqrt(denom, out=denom)
+        denom += config.adam_eps
+        update /= denom
+        params[name] -= update
 
 
 def hybrid_reference(x_e, w_action, w_fore, delta, temperatures):

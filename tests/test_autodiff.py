@@ -196,6 +196,15 @@ class TestTemporalConv:
             expected = conv_reference(x.astype(dtype), w.astype(dtype), b.astype(dtype))
             assert np.allclose(out, expected, rtol=tol, atol=tol)
 
+    def test_tape_holds_no_windows(self, rng):
+        # the adjoint rebuilds the (T, k*d_in) windows from the input's value
+        config, params = tiny_model()
+        tape, _ = run_forward(rng.normal(size=(9, 6)), params, config, train_mode=True)
+        convs = [node for node in tape.nodes if node.op == "temporal_conv"]
+        assert len(convs) == 2
+        for node in convs:
+            assert not [v for v in node.ctx.values() if isinstance(v, np.ndarray)]
+
     @pytest.mark.parametrize("k", [1, 3, 5])
     def test_adjoint_matches_finite_differences(self, rng, k):
         tensors = {"x": rng.normal(size=(4, 3)), "w": rng.normal(size=(k * 3, 2)),

@@ -1,5 +1,6 @@
 import json
 import os
+import platform
 import subprocess
 import sys
 import textwrap
@@ -635,6 +636,41 @@ def test_threads_set_before_numpy_loads(tmp_path):
     assert result.returncode == 0, result.stderr
     lines = result.stdout.splitlines()
     assert lines[:2] == ["imported False", "numpy 1 1 1"]
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="tunes the glibc allocator")
+def test_training_reuses_freed_heap_without_page_faults(tmp_path):
+    # each video's tape is freed before the next is recorded; once `wtal train`
+    # keeps freed memory on the heap, later epochs fault no pages in (about
+    # 2,200 a epoch at this shape with glibc's default trimming)
+    probe = textwrap.dedent("""\
+        import resource
+        import numpy as np
+        from wtal.cli import _keep_freed_heap
+        from wtal.data import VideoSample
+        from wtal.losses import LossWeights
+        from wtal.model import ModelConfig, init_params
+        from wtal.training import TrainConfig, init_optimizer, train_epoch
+
+        _keep_freed_heap()
+        config = ModelConfig(num_classes=3, feature_dim=64, embed_dims=(128, 128))
+        rng = np.random.default_rng(0)
+        dataset = [VideoSample(f"v{i}", rng.normal(size=(150, 64)).astype(np.float32),
+                               np.array([1.0, 0.0, 1.0]), 25.0, 16) for i in range(8)]
+        params = init_params(config, seed=0, dtype=np.float32)
+        state = init_optimizer(params)
+        for epoch in range(3):
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            train_epoch(dataset, params, state, config, LossWeights(),
+                        TrainConfig(batch_size=4), epoch)
+            print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+        """)
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                            env=env, cwd=tmp_path, timeout=120)
+    assert result.returncode == 0, result.stderr
+    faults = [int(line) for line in result.stdout.split()]
+    assert max(faults[1:]) < 100, faults
 
 
 def test_three_stream_manifest_runs_end_to_end(tmp_path, capsys):

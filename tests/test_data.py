@@ -37,6 +37,23 @@ class TestFeatureFiles:
         with pytest.raises(FormatError, match="72.*80|expected 80"):
             load_features(clipped)
 
+    def test_trailing_bytes_rejected(self, tmp_path, rng):
+        path = tmp_path / "v.facf"
+        save_features(path, rng.normal(size=(5, 4)).astype(np.float32))
+        path.write_bytes(path.read_bytes() + b"\x00" * 8)
+        with pytest.raises(FormatError, match="88.*80|expected 80"):
+            load_features(path)
+
+    def test_oversized_header_rejected_before_allocating(self, tmp_path):
+        # T = D = 2**31 - 1 would need 16 EiB; the file size is checked first
+        path = tmp_path / "v.facf"
+        save_features(path, np.zeros((1, 1), dtype=np.float32))
+        raw = bytearray(path.read_bytes())
+        raw[8:16] = b"\xff\xff\xff\x7f" * 2
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match="payload is 4 bytes"):
+            load_features(path)
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.facf"
         path.write_bytes(b"XXXX" + b"\x00" * 20)

@@ -1,4 +1,5 @@
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +16,8 @@ from wtal.training import (NonFiniteGradientError, TrainConfig,
                            adam_step, fit, init_optimizer, load_train_state,
                            save_train_state, train_epoch, write_history)
 
-from conftest import tiny_model
+from conftest import tiny_config, tiny_model
+from oracles import adam_reference
 
 
 def toy_dataset(rng, n=6, num_classes=3, dim=6, t_range=(3, 9)):
@@ -82,6 +84,39 @@ class TestAdamStep:
                 m_hat = ref_m[k] / (1.0 - tc.beta1 ** step)
                 v_hat = ref_v[k] / (1.0 - tc.beta2 ** step)
                 ref_params[k] -= tc.learning_rate * m_hat / (np.sqrt(v_hat) + tc.adam_eps)
+                assert np.array_equal(state.m[k], ref_m[k])
+                assert np.array_equal(state.v[k], ref_v[k])
+                assert np.array_equal(getattr(params, k), ref_params[k])
+                assert getattr(params, k).dtype == dtype
+
+    @pytest.mark.parametrize("block", [tr.ADAM_BLOCK, 11])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bit_equal_to_allocating_reference(self, rng, dtype, block, monkeypatch):
+        # gradients mix normal values with exact zeros and subnormals; a block
+        # of 11 elements splits the 2-d tensors into blocks of 1 or 2 rows
+        monkeypatch.setattr(tr, "ADAM_BLOCK", block)
+        config, params = tiny_model()
+        params = params.astype(dtype)
+        tc = TrainConfig(learning_rate=0.01)
+        state = init_optimizer(params)
+        ref_params = {k: v.copy() for k, v in params.as_dict().items()}
+        ref_m = {k: np.zeros_like(v) for k, v in ref_params.items()}
+        ref_v = {k: np.zeros_like(v) for k, v in ref_params.items()}
+        tiny = np.finfo(dtype).smallest_subnormal
+        for step in range(1, 6):
+            grads = {}
+            for k, v in ref_params.items():
+                g = rng.normal(size=v.shape).astype(dtype)
+                kind = rng.integers(0, 3, size=v.shape)
+                g[kind == 1] = 0.0
+                g[kind == 2] = (tiny * rng.integers(-1000, 1000, size=v.shape)[kind == 2]
+                                ).astype(dtype)
+                grads[k] = g
+            frozen = {k: g.copy() for k, g in grads.items()}
+            adam_step(params, grads, state, tc)
+            adam_reference(ref_params, frozen, ref_m, ref_v, step, tc)
+            for k, g in frozen.items():
+                assert np.array_equal(grads[k], g)
                 assert np.array_equal(state.m[k], ref_m[k])
                 assert np.array_equal(state.v[k], ref_v[k])
                 assert np.array_equal(getattr(params, k), ref_params[k])
@@ -168,6 +203,28 @@ class TestTrainEpoch:
             train_epoch(dataset, params, init_optimizer(params), config,
                         LossWeights(), TrainConfig(precision=64, seed=0), epoch=0)
 
+    def test_peak_traced_memory_within_budget(self):
+        # Parameters dominate at this shape (1.58 MB in float32). Peak traced
+        # allocation over one epoch: 7.16 MB when the conv windows stayed on the
+        # tape, every adjoint lived until backward returned and each batch and
+        # Adam step allocated fresh arrays; 3.71 MB without those copies.
+        config = tiny_config(feature_dim=256, embed_dims=(256, 256))
+        rng = np.random.default_rng(0)
+        dataset = [VideoSample(f"v{i}", rng.normal(size=(32, 256)).astype(np.float32),
+                               np.array([1.0, 0.0, 1.0]), 25.0, 16) for i in range(4)]
+        params = init_params(config, seed=0, dtype=np.float32)
+        state = init_optimizer(params)
+        tc = TrainConfig(batch_size=4, seed=0)
+        train_epoch(dataset, params, state, config, LossWeights(), tc, epoch=0)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            train_epoch(dataset, params, state, config, LossWeights(), tc, epoch=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (peak - base) / 1e6 < 5.4
+
     def test_empty_dataset_rejected(self, rng):
         config, params = tiny_model()
         with pytest.raises(ConfigError):
@@ -215,12 +272,12 @@ class TestFit:
         dataset = toy_dataset(rng)
         tc = TrainConfig(epochs=2, batch_size=2, precision=64, seed=6)
 
-        params = init_params(config, seed=3, dtype=np.float64)
-        full = fit(dataset, params, config, LossWeights(), tc, tmp_path)  # astype copies
+        full = fit(dataset, init_params(config, seed=3, dtype=np.float64), config,
+                   LossWeights(), tc, tmp_path)  # trains its params in place
 
         part = tmp_path / "part"
         part.mkdir()
-        fit(dataset, params, config, LossWeights(),
+        fit(dataset, init_params(config, seed=3, dtype=np.float64), config, LossWeights(),
             TrainConfig(epochs=1, batch_size=2, precision=64, seed=6), out_dir=part)
         resumed_params, state, history = load_train_state(
             part / "model_state.npz", config, tc)
