@@ -93,7 +93,7 @@ def _keep_freed_heap() -> None:
 
 
 def cmd_train(args) -> int:
-    from .data import build_config, feature_dim, load_dataset, parse_manifest
+    from .data import build_config, load_dataset, parse_manifest
     from .losses import LossWeights
     from .model import ModelConfig, init_params
     from .training import TrainConfig, fit, load_train_state
@@ -104,16 +104,17 @@ def cmd_train(args) -> int:
     train_cfg = build_config(TrainConfig, cfg["train"])
     weights = build_config(LossWeights, cfg["loss"])
     model_cfg = build_config(ModelConfig, cfg["model"], num_classes=len(manifest.classes),
-                             feature_dim=feature_dim(manifest))
+                             feature_dim=manifest.feature_dim)
     dataset = load_dataset(manifest, "train")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    state, history = None, []
-    params = init_params(model_cfg, seed=train_cfg.seed, dtype=train_cfg.dtype)
     if args.resume:
         params, state, history = load_train_state(out_dir / "model_state.npz",
                                                   model_cfg, train_cfg)
         print(f"resuming at epoch {len(history)}", file=sys.stderr)
+    else:
+        params = init_params(model_cfg, seed=train_cfg.seed, dtype=train_cfg.dtype)
+        state, history = None, []
     result = fit(dataset, params, model_cfg, weights, train_cfg, out_dir=out_dir,
                  checkpoint_interval=args.checkpoint_interval, state=state, history=history,
                  log=(lambda s: print(s, file=sys.stderr)) if args.verbose else None)
@@ -123,7 +124,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_localize(args) -> int:
-    from .data import build_config, feature_dim, parse_manifest
+    from .data import build_config, parse_manifest
     from .errors import ConfigError
     from .localization import (LocalizeConfig, localize_split, write_detections_csv,
                                write_detections_json)
@@ -134,7 +135,7 @@ def cmd_localize(args) -> int:
     manifest = parse_manifest(args.manifest)
     checkpoint = Path(args.model_dir) / "model.npz"
     params, model_cfg = load_checkpoint(checkpoint)
-    wanted = (len(manifest.classes), feature_dim(manifest))
+    wanted = (len(manifest.classes), manifest.feature_dim)
     if (model_cfg.num_classes, model_cfg.feature_dim) != wanted:
         raise ConfigError(f"{checkpoint} has {model_cfg.num_classes} classes, feature_dim "
                           f"{model_cfg.feature_dim}; {args.manifest} has {wanted[0]}, {wanted[1]}")

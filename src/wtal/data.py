@@ -138,10 +138,8 @@ class VideoEntry:
 class Manifest:
     classes: list[str]
     videos: list[VideoEntry]
-
-    @property
-    def streams(self) -> tuple[str, ...]:
-        return tuple(sorted(self.videos[0].features)) if self.videos else ()
+    streams: tuple[str, ...]  # the stream names of every video, sorted
+    feature_dim: int  # width of a ``load_dataset`` sample: every stream's features side by side
 
     def label_vector(self, entry: VideoEntry) -> np.ndarray:
         y = np.zeros(len(self.classes), dtype=np.float64)
@@ -223,9 +221,10 @@ def parse_manifest(path) -> Manifest:
 
     Checks, in order: schema version; class list non-empty and unique; for
     each video a unique id, a known split, positive fps/stride, existing
-    feature files sharing one stream set, at most ``MAX_VIDEO_FRAMES``
-    frames (snippets times stride), labels drawn from the class list,
-    and ground-truth spans, each an object with a known label and numeric
+    feature files sharing one stream set, each stream as wide as in the
+    first video, at most ``MAX_VIDEO_FRAMES`` frames (snippets times
+    stride), labels drawn from the class list and at least one on a train
+    video, and ground-truth spans, each an object with a known label and numeric
     start and end lying inside the video duration (duration = T * stride /
     fps, T from the feature header). A field of the wrong JSON type raises
     ``ManifestError`` naming the video and the field.
@@ -244,7 +243,7 @@ def parse_manifest(path) -> Manifest:
     root = path.parent
     videos: list[VideoEntry] = []
     seen_ids: set[str] = set()
-    stream_set: tuple[str, ...] | None = None
+    widths: dict[str, tuple[str, int]] = {}  # stream -> (first video, its feature width)
     for index, record in enumerate(records):
         if not isinstance(record, dict):
             raise ManifestError(f"video #{index} must be an object, got {record!r}")
@@ -265,22 +264,23 @@ def parse_manifest(path) -> Manifest:
             raise ManifestError(f"video {vid}: features must map each stream to a file "
                                 f"path, got {features!r}")
         features = {name: root / rel for name, rel in features.items()}
-        streams = tuple(sorted(features))
-        if stream_set is None:
-            stream_set = streams
-        elif streams != stream_set:
-            raise ManifestError(
-                f"video {vid}: stream set {streams} differs from {stream_set}")
+        streams, stream_set = tuple(sorted(features)), tuple(sorted(widths))
+        if videos and streams != stream_set:
+            raise ManifestError(f"video {vid}: stream set {streams} differs from {stream_set}")
         num_snippets = None
         for stream, fpath in features.items():
             if not os.path.isfile(fpath):  # unlike Path.is_file, False for a too-long name
                 raise ManifestError(f"video {vid}: missing feature file {fpath}")
-            t, _ = read_feature_header(fpath)
+            t, d = read_feature_header(fpath)
             if num_snippets is None:
                 num_snippets = t
             elif t != num_snippets:
                 raise ManifestError(
                     f"video {vid}: stream {stream} has {t} snippets, expected {num_snippets}")
+            first, width = widths.setdefault(stream, (vid, d))
+            if d != width:
+                raise ManifestError(f"video {vid}: stream {stream} has feature width {d}, "
+                                    f"but {width} in video {first}")
         if num_snippets * stride > MAX_VIDEO_FRAMES:
             raise ManifestError(f"video {vid}: {num_snippets} snippets at snippet_stride "
                                 f"{stride} make {num_snippets * stride} frames, more than "
@@ -289,6 +289,8 @@ def parse_manifest(path) -> Manifest:
         for label in labels:
             if label not in classes:
                 raise ManifestError(f"video {vid}: unknown class {label!r}")
+        if split == "train" and not labels:
+            raise ManifestError(f"video {vid}: a train video needs at least one label")
         entry = VideoEntry(video_id=vid, split=split, fps=float(fps), snippet_stride=stride,
                            features=features, labels=list(labels),
                            num_snippets=int(num_snippets))
@@ -309,7 +311,8 @@ def parse_manifest(path) -> Manifest:
         videos.append(entry)
     if not videos:
         raise ManifestError("manifest lists no videos")
-    return Manifest(classes=list(classes), videos=videos)
+    return Manifest(classes=list(classes), videos=videos, streams=tuple(sorted(widths)),
+                    feature_dim=sum(width for _, width in widths.values()))
 
 
 @dataclass
@@ -333,11 +336,6 @@ def load_dataset(manifest: Manifest, split: str) -> list[VideoSample]:
                         labels=manifest.label_vector(entry), fps=entry.fps,
                         snippet_stride=entry.snippet_stride)
             for entry in manifest.split(split)]
-
-
-def feature_dim(manifest: Manifest) -> int:
-    """The width of a ``load_dataset`` sample: every stream's features side by side."""
-    return sum(read_feature_header(manifest.videos[0].features[s])[1] for s in manifest.streams)
 
 
 def ground_truth_instances(manifest: Manifest, split: str) -> list[GroundTruthInstance]:

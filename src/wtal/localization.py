@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass
 from operator import itemgetter
 
@@ -177,11 +178,13 @@ def localize_video(scores: ScoreSet, snippet_stride: int, fps: float,
 
 def localize_split(manifest, split: str, params, model_config, config: LocalizeConfig,
                    on_scores=None) -> Detections:
-    """Forward pass and ``localize_video`` for each video of a manifest split,
-    as one table in manifest order; ``on_scores(sample, scores)``, if given,
-    sees the scores of each forward pass."""
+    """Forward pass and ``localize_video`` for each video of a manifest split
+    that has snippets, as one table in manifest order; ``on_scores(sample,
+    scores)``, if given, sees the scores of each forward pass."""
     tables = []
     for video in load_dataset(manifest, split):
+        if not len(video.features):
+            continue
         scores = forward_scores(video.features, params, model_config)
         if on_scores is not None:
             on_scores(video, scores)
@@ -269,24 +272,6 @@ def _json_rows(path: str):
             yield video_id, label, score, start, end
 
 
-def _check_row(path: str, index: dict[str, int], video_id, label, score, start,
-               end) -> None:
-    """Raise the ``FormatError`` of one bad detection."""
-    if video_id is None:
-        raise FormatError(f"{path}: a detection has no video_id")
-    where = f"{path}: video {video_id}"
-    if not isinstance(label, str) or label not in index:
-        raise FormatError(f"{where}: unknown class label {label!r}")
-    try:
-        score, start, end = float(score), float(start), float(end)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise FormatError(f"{where}: score and segment bounds must be numbers ({exc})") \
-            from None
-    if not np.isfinite((score, start, end)).all():
-        raise FormatError(f"{where}: non-finite detection (score {score!r}, "
-                          f"segment [{start!r}, {end!r}])")
-
-
 def read_detections(path, class_names: list[str]) -> Detections:
     """Read either the CSV or the JSON detections format (by extension).
 
@@ -295,32 +280,31 @@ def read_detections(path, class_names: list[str]) -> Detections:
     without a video id, a ``segment`` that is not ``[start, end]``, an
     unknown label, or a score or bound that is not a number or is NaN or
     infinite (``nan``/``inf`` in CSV, the ``NaN``/``Infinity`` literals in
-    JSON). Columns are checked whole; the error names the first bad detection
-    in file order, ahead of any later fault in the file's structure.
+    JSON). Each detection is checked as it is read, so the error names the
+    first fault in file order.
     """
     path = str(path)
     index = {name: i for i, name in enumerate(class_names)}
-    rows: list[tuple] = []
-    try:
-        rows.extend(_json_rows(path) if path.endswith(".json") else _csv_rows(path))
-        fault = None
-    except FormatError as exc:  # rows holds every detection before it
-        fault = exc
-    videos, labels, *number_cells = zip(*rows) if rows else ((),) * 5
-    class_id = np.array([index.get(label, -1) if isinstance(label, str) else -1
-                         for label in labels], dtype=np.int64)
-    try:
-        numbers = np.array([list(map(float, cells)) for cells in number_cells],
-                           dtype=np.float64)
-    except (TypeError, ValueError, OverflowError):
-        numbers = None
-    if numbers is None or None in videos or (class_id < 0).any() \
-            or not np.isfinite(numbers).all():
-        for row in rows:
-            _check_row(path, index, *row)
-    if fault is not None:
-        raise fault
     ids: dict[str, int] = {}
-    video = np.array([ids.setdefault(v, len(ids)) for v in videos], dtype=np.int64)
-    score, start, end = numbers
-    return Detections(tuple(ids), video, class_id, start, end, score)
+    video, class_id, numbers = [], [], []
+    rows = _json_rows(path) if path.endswith(".json") else _csv_rows(path)
+    for video_id, label, score, start, end in rows:
+        if video_id is None:
+            raise FormatError(f"{path}: a detection has no video_id")
+        c = index.get(label, -1) if isinstance(label, str) else -1
+        if c < 0:
+            raise FormatError(f"{path}: video {video_id}: unknown class label {label!r}")
+        try:
+            score, start, end = float(score), float(start), float(end)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise FormatError(f"{path}: video {video_id}: score and segment bounds must be "
+                              f"numbers ({exc})") from None
+        if not (math.isfinite(score) and math.isfinite(start) and math.isfinite(end)):
+            raise FormatError(f"{path}: video {video_id}: non-finite detection (score "
+                              f"{score!r}, segment [{start!r}, {end!r}])")
+        video.append(ids.setdefault(video_id, len(ids)))
+        class_id.append(c)
+        numbers.append((score, start, end))
+    score, start, end = np.array(numbers, dtype=np.float64).reshape(-1, 3).T.copy()
+    return Detections(tuple(ids), np.array(video, dtype=np.int64),
+                      np.array(class_id, dtype=np.int64), start, end, score)

@@ -241,19 +241,26 @@ def save_checkpoint(path, params: ModelParams, config: ModelConfig) -> None:
                  **params.astype(np.float32, copy=False).as_dict())
 
 
-def load_checkpoint(path) -> tuple[ModelParams, ModelConfig]:
-    """Read a ``save_checkpoint`` archive; ``FormatError`` naming the file unless its
-    config passes a config file's checks and its tensors fit that config."""
-    tensors = read_archive(path, "checkpoint")
-    stored = tensors.pop("config", np.array(None))
+def pop_config(arrays: dict[str, np.ndarray], where: str) -> ModelConfig:
+    """Remove the ``config`` member that ``save_checkpoint`` writes from an archive's
+    arrays and return it; ``FormatError`` after ``where`` unless it passes a config
+    file's checks."""
+    stored = arrays.pop("config", np.array(None))
     try:
         is_text = stored.shape == () and stored.dtype.kind == "U"
         doc = json.loads(stored.item()) if is_text else None
         if not isinstance(doc, dict):
             raise ValueError("config must be a 0-d string member holding a JSON object")
-        config = build_config(ModelConfig, doc)
+        return build_config(ModelConfig, doc)
     except (TypeError, ValueError) as exc:  # ConfigError and JSON errors; TypeError: a missing key
-        raise FormatError(f"{path}: checkpoint {exc}") from None
+        raise FormatError(f"{where}{exc}") from None
+
+
+def load_checkpoint(path) -> tuple[ModelParams, ModelConfig]:
+    """Read a ``save_checkpoint`` archive; ``FormatError`` naming the file unless its
+    config passes a config file's checks and its tensors fit that config."""
+    tensors = read_archive(path, "checkpoint")
+    config = pop_config(tensors, f"{path}: checkpoint ")
     check_params(tensors, config, lambda message: FormatError(f"{path}: checkpoint {message}"),
                  np.float32)
     return ModelParams(**tensors), config

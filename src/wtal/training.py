@@ -2,7 +2,8 @@
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field, fields
+import json
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,8 @@ from . import autodiff as ad
 from .data import atomic_write, read_archive
 from .errors import ConfigError, ContractError, FormatError
 from .losses import LossWeights, total_loss
-from .model import ModelConfig, ModelParams, check_params, run_forward, save_checkpoint
+from .model import (ModelConfig, ModelParams, check_params, pop_config, run_forward,
+                    save_checkpoint)
 
 LOSS_KEYS = (*(f.name for f in fields(LossWeights)), "total")  # EpochReport.losses, in order
 ADAM_BLOCK = 1 << 16  # elements per adam_step block: its scratch stays small and cache-resident
@@ -206,28 +208,35 @@ def write_history(path, history: list[EpochReport]) -> None:
 
 
 def save_train_state(path, params: ModelParams, state: OptimizerState,
-                     history: list[EpochReport]) -> None:
+                     history: list[EpochReport], model_config: ModelConfig) -> None:
     """Native-precision sidecar, written atomically, so a resumed run replays
-    bit-identically; it goes on at epoch ``len(history)`` and keeps those records."""
+    bit-identically; it goes on at epoch ``len(history)`` and keeps those records, and
+    holds the model config as ``save_checkpoint`` does."""
     arrays = {f"param_{k}": v for k, v in params.as_dict().items()}
     arrays.update({f"m_{k}": v for k, v in state.m.items()})
     arrays.update({f"v_{k}": v for k, v in state.v.items()})
     table = np.array([[rec.num_videos, rec.skipped, *rec.losses.values()] for rec in history],
                      dtype=np.float64).reshape(-1, len(HISTORY_COLUMNS))
     with atomic_write(path, binary=True) as fh:
-        np.savez(fh, step=state.step, next_epoch=len(history), history=table, **arrays)
+        np.savez(fh, step=state.step, next_epoch=len(history), history=table, **arrays,
+                 config=json.dumps(asdict(model_config)))
 
 
 def load_train_state(path, model_config: ModelConfig, train_config: TrainConfig
                      ) -> tuple[ModelParams, OptimizerState, list[EpochReport]]:
     """Read a ``save_train_state`` file, checked against the run's configs.
 
-    Every tensor must be present under its expected name, with the shape the
-    model config implies and the training precision's dtype, the two counters
-    must be integer scalars and the history a finite float64 table of
-    ``next_epoch`` rows; ``FormatError`` otherwise, ``OSError`` if it is missing.
+    The stored model config must equal ``model_config``, every tensor must be
+    present under its expected name, with the shape the model config implies and
+    the training precision's dtype, the two counters must be integer scalars and
+    the history a finite float64 table of ``next_epoch`` rows; ``FormatError``
+    otherwise, ``OSError`` if it is missing.
     """
     arrays = read_archive(path, "training-state")
+    stored, wanted = asdict(pop_config(arrays, f"{path}: ")), asdict(model_config)
+    differ = [f"{k} {stored[k]!r} (this run: {v!r})" for k, v in wanted.items() if stored[k] != v]
+    if differ:
+        raise FormatError(f"{path}: trained with another model config: {', '.join(differ)}")
     counters = [arrays.pop(key, None) for key in ("step", "next_epoch")]
     table = arrays.pop("history", None)
     check_params(arrays, model_config, lambda message: FormatError(f"{path}: {message}"),
@@ -274,8 +283,9 @@ def fit(dataset, params: ModelParams, model_config: ModelConfig,
         if checkpoint_interval and (epoch + 1) % checkpoint_interval == 0:
             save_checkpoint(out_dir / f"model_epoch{epoch + 1:04d}.npz",
                             params, model_config)
-            save_train_state(out_dir / "model_state.npz", params, state, history)
+            save_train_state(out_dir / "model_state.npz", params, state, history,
+                             model_config)
     save_checkpoint(out_dir / "model.npz", params, model_config)
-    save_train_state(out_dir / "model_state.npz", params, state, history)
+    save_train_state(out_dir / "model_state.npz", params, state, history, model_config)
     write_history(out_dir / "model_history.csv", history)
     return FitResult(params=params, state=state, history=history)

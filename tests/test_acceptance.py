@@ -155,7 +155,9 @@ def train_and_localize(tmp_path_factory, class_wise, class_agnostic, mil, *overr
 @pytest.fixture(scope="module")
 def e2e_full_run(tmp_path_factory):
     started = time.perf_counter()
-    average_map = train_and_localize(tmp_path_factory, 1.0, 0.1, 0.1)
+    weights = json.loads(CONFIG.read_text())["loss"]
+    average_map = train_and_localize(tmp_path_factory, weights["class_wise"],
+                                     weights["class_agnostic"], weights["mil"])
     return average_map, time.perf_counter() - started
 
 

@@ -13,7 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wtal.cli import load_run_config, main
-from wtal.data import SynthConfig, build_config, load_dataset, load_features, parse_manifest
+from wtal.data import (SynthConfig, build_config, load_dataset, load_features, parse_manifest,
+                       save_features)
 from wtal.localization import LocalizeConfig, localize_split, read_detections
 from wtal.losses import LossWeights
 from wtal.model import ModelConfig, forward_scores, load_checkpoint
@@ -323,6 +324,46 @@ class TestTrain:
         assert code == 1
         assert f"{state}: not a training-state archive" in err and "Traceback" not in err
 
+    def test_resume_refuses_another_model_config(self, trained, dataset_dir, capsys):
+        before = (trained / "model.npz").read_bytes()
+        code, _, err = run(capsys, "train", "--manifest", str(dataset_dir / "manifest.json"),
+                           "--out", str(trained), "--resume", *FAST_TRAIN,
+                           "--set", "train.epochs=4", "--set", "model.delta=10.0",
+                           "--set", "model.temperatures=[1.0]",
+                           "--set", "model.dropout_rate=0.0")
+        assert code == 1
+        assert f"{trained / 'model_state.npz'}: trained with another model config: " \
+            "delta 5.0 (this run: 10.0), temperatures (1.0, 2.0, 5.0) (this run: (1.0,)), " \
+            "dropout_rate 0.5 (this run: 0.0)" in err and "Traceback" not in err
+        assert (trained / "model.npz").read_bytes() == before
+
+    def test_resume_draws_no_initial_parameters(self, trained, dataset_dir, capsys,
+                                                monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a resumed run drew initial parameters")
+
+        monkeypatch.setattr("wtal.model.init_params", refuse)
+        code, _, err = run(capsys, "train", "--manifest", str(dataset_dir / "manifest.json"),
+                           "--out", str(trained), "--resume", *FAST_TRAIN,
+                           "--set", "train.epochs=4")
+        assert code == 0, err
+        assert "resuming at epoch 3" in err
+
+    def test_unlabeled_train_video_exits_before_features_load(self, dataset_dir, tmp_path,
+                                                              capsys):
+        path = dataset_dir / "manifest.json"
+        doc = json.loads(path.read_text())
+        video = next(v for v in doc["videos"] if v["split"] == "train")
+        video["labels"] = []
+        path.write_text(json.dumps(doc))
+        feature = dataset_dir / video["features"]["rgb"]  # loading it would fail
+        feature.write_bytes(feature.read_bytes()[:-4])
+        code, _, err = run(capsys, "train", "--manifest", str(path),
+                           "--out", str(tmp_path / "r"))
+        assert code == 2
+        assert f"video {video['id']}: a train video needs at least one label" in err
+        assert "Traceback" not in err
+
     def test_wrongly_typed_train_value_exits_cleanly(self, dataset_dir, tmp_path, capsys):
         code, _, err = run(capsys, "train", "--manifest", str(dataset_dir / "manifest.json"),
                            "--out", str(tmp_path / "r"), "--set", 'train.epochs="abc"')
@@ -467,6 +508,25 @@ class TestLocalize:
         assert code == 2
         assert f"{trained / 'model.npz'} has 5 classes, feature_dim 64; " \
             f"{manifest} has 5, 192" in err and "Traceback" not in err
+
+    def test_video_without_snippets_skipped(self, dataset_dir, trained, tmp_path, capsys):
+        manifest = dataset_dir / "manifest.json"
+
+        def localize(out):
+            code, _, err = run(capsys, "localize", "--manifest", str(manifest),
+                               "--model-dir", str(trained), "--out", str(out))
+            assert code == 0, err
+            return table_rows(read_detections(out / "detections.csv",
+                                              parse_manifest(manifest).classes))
+
+        before = localize(tmp_path / "before")
+        doc = json.loads(manifest.read_text())
+        video = next(v for v in doc["videos"] if v["split"] == "test")
+        assert any(row[0] == video["id"] for row in before)
+        video["ground_truth"] = []  # none fits a video of 0 snippets
+        manifest.write_text(json.dumps(doc))
+        save_features(dataset_dir / video["features"]["rgb"], np.zeros((0, 64), np.float32))
+        assert localize(tmp_path / "after") == [row for row in before if row[0] != video["id"]]
 
     def test_rejection_threshold_above_one_empties_output(self, dataset_dir, trained,
                                                           tmp_path, capsys):
@@ -671,6 +731,24 @@ def test_training_reuses_freed_heap_without_page_faults(tmp_path):
     assert result.returncode == 0, result.stderr
     faults = [int(line) for line in result.stdout.split()]
     assert max(faults[1:]) < 100, faults
+
+
+@pytest.mark.parametrize("command", ["train", "localize"])
+def test_stream_width_mismatch_exits_before_features_load(dataset_dir, trained, tmp_path,
+                                                          capsys, command):
+    manifest = dataset_dir / "manifest.json"
+    videos = parse_manifest(manifest).videos
+    for entry in videos:  # loading any of them would fail
+        path = entry.features["rgb"]
+        path.write_bytes(path.read_bytes()[:-4])
+    narrow = videos[-1]
+    save_features(narrow.features["rgb"], np.zeros((narrow.num_snippets, 32), np.float32))
+    model = ["--model-dir", str(trained)] if command == "localize" else []
+    code, _, err = run(capsys, command, "--manifest", str(manifest), *model,
+                       "--out", str(tmp_path / "out"))
+    assert code == 2
+    assert f"video {narrow.video_id}: stream rgb has feature width 32, but 64 in video " \
+        f"{videos[0].video_id}" in err and "Traceback" not in err
 
 
 def test_three_stream_manifest_runs_end_to_end(tmp_path, capsys):

@@ -266,6 +266,28 @@ class TestManifest:
             assert not np.array_equal(flow, rgb)
             assert np.array_equal(sample.features, np.hstack([flow, rgb]))
 
+    def test_feature_dim_sums_the_stream_widths(self, tmp_path):
+        save_features(tmp_path / "v0_flow.facf", np.ones((10, 3), dtype=np.float32))
+        doc = self.minimal_doc(tmp_path, features={"rgb": "v0.facf", "flow": "v0_flow.facf"})
+        assert parse_manifest(self.write(tmp_path, doc)).feature_dim == 4 + 3
+
+    def test_stream_width_differing_from_the_first_video(self, tmp_path):
+        doc = self.minimal_doc(tmp_path)
+        save_features(tmp_path / "v1.facf", np.ones((10, 3), dtype=np.float32))
+        doc["videos"].append({**doc["videos"][0], "id": "v1", "features": {"rgb": "v1.facf"}})
+        with pytest.raises(ManifestError, match="video v1: stream rgb has feature width 3, "
+                                                "but 4 in video v0"):
+            parse_manifest(self.write(tmp_path, doc))
+
+    def test_unlabeled_train_video_rejected(self, tmp_path):
+        doc = self.minimal_doc(tmp_path, labels=[])
+        with pytest.raises(ManifestError, match="video v0: a train video needs at least one"):
+            parse_manifest(self.write(tmp_path, doc))
+
+    def test_unlabeled_test_video_accepted(self, tmp_path):
+        doc = self.minimal_doc(tmp_path, split="test", labels=[])
+        assert parse_manifest(self.write(tmp_path, doc)).videos[0].labels == []
+
     @pytest.mark.parametrize("stride", [2 ** 20 // 10 + 1, 2 ** 31])
     def test_frame_count_above_cap(self, tmp_path, stride):
         # 10 snippets: 2**20 // 10 + 1 is the smallest stride past the cap

@@ -463,6 +463,35 @@ class TestDetectionsIo:
         with pytest.raises(FormatError, match="det.csv: a detection has no video_id"):
             read_detections(path, CLASSES)
 
+    def first_fault(self, path, content):
+        path.write_text(content)
+        with pytest.raises(FormatError) as raised:
+            read_detections(path, CLASSES)
+        return str(raised.value)
+
+    @pytest.mark.parametrize("bad_row_first", [True, False], ids=["bad-row", "structure"])
+    def test_csv_fault_first_in_file_order_is_named(self, tmp_path, bad_row_first):
+        bad_row = "vid_b,walk,1.0,3.0,0.9\n"
+        too_long = f"vid_c,run,1.0,3.0,{'9' * 200_000}\n"  # past csv's field size limit
+        later = [bad_row, too_long] if bad_row_first else [too_long, bad_row]
+        message = self.first_fault(tmp_path / "det.csv", "video_id,label,t_start,t_end,score\n"
+                                   "vid_a,run,1.0,3.0,0.9\n" + "".join(later))
+        assert message.startswith(f"{tmp_path / 'det.csv'}: video vid_b: unknown class label "
+                                  if bad_row_first else
+                                  f"{tmp_path / 'det.csv'}: line 3: not valid CSV")
+
+    @pytest.mark.parametrize("bad_row_first", [True, False], ids=["bad-row", "structure"])
+    def test_json_fault_first_in_file_order_is_named(self, tmp_path, bad_row_first):
+        bad_row = '"vid_b": [{"label": "walk", "score": 0.9, "segment": [1.0, 3.0]}]'
+        no_segment = '"vid_c": [{"label": "run", "score": 0.9}]'
+        later = [bad_row, no_segment] if bad_row_first else [no_segment, bad_row]
+        message = self.first_fault(tmp_path / "det.json", '{"results": {"vid_a": [{"label": '
+                                   '"run", "score": 0.9, "segment": [1.0, 3.0]}], '
+                                   + ", ".join(later) + "}}")
+        assert message.startswith(f"{tmp_path / 'det.json'}: video vid_b: unknown class label "
+                                  if bad_row_first else
+                                  f"{tmp_path / 'det.json'}: video vid_c: a detection must be")
+
 
 # Labels and video ids for the writers: commas, quotes, newlines and
 # non-ASCII text next to arbitrary text without lone surrogates.

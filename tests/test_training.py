@@ -321,7 +321,7 @@ class TestLoadTrainState:
         tc = TrainConfig(precision=precision)
         params = params.astype(tc.dtype)
         path = tmp_path / "model_state.npz"
-        save_train_state(path, params, init_optimizer(params), HISTORY)
+        save_train_state(path, params, init_optimizer(params), HISTORY, config)
         return path, config, tc
 
     def rewrite(self, path, drop=(), **changes):
@@ -341,7 +341,7 @@ class TestLoadTrainState:
         params, state, _ = load_train_state(path, config, tc)
         state.v["w_fore"] = np.array([lambda: None], dtype=object)  # cannot be pickled
         with pytest.raises(Exception, match="pickle"):
-            save_train_state(path, params, state, HISTORY)
+            save_train_state(path, params, state, HISTORY, config)
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["model_state.npz"]
 
