@@ -9,12 +9,27 @@ only when the command's postconditions hold.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
-import os
 import sys
 import time
 from functools import partial
 from pathlib import Path
+
+import numpy as np
+
+from . import autodiff as ad
+from .data import (SynthConfig, atomic_write, build_config, convert_raw_features,
+                   generate_synthetic, ground_truth_instances, load_dataset, parse_manifest,
+                   read_json)
+from .errors import ConfigError, ContractError, FormatError, InputError, ManifestError
+from .evaluation import (ACTIVITYNET_GRID, THUMOS_GRID, format_report, map_report,
+                         write_report_json)
+from .localization import (LocalizeConfig, localize_split, read_detections,
+                           write_detections_csv, write_detections_json)
+from .losses import LossWeights, total_loss
+from .model import ModelConfig, ModelParams, init_params, load_checkpoint, run_forward
+from .training import NonFiniteGradientError, TrainConfig, fit, load_train_state
 
 CONFIG_VERSION = 1
 CONFIG_SECTIONS = ("model", "train", "loss", "localize", "synth")
@@ -27,9 +42,6 @@ def _fail(message: str, code: int = 2) -> int:
 
 
 def load_run_config(path: str | None, overrides: list[str]) -> dict:
-    from .data import read_json
-    from .errors import ConfigError
-
     cfg: dict[str, dict] = {section: {} for section in CONFIG_SECTIONS}
     if path is not None:
         doc = read_json(path, ConfigError)
@@ -58,8 +70,6 @@ def load_run_config(path: str | None, overrides: list[str]) -> dict:
 
 
 def cmd_synth(args) -> int:
-    from .data import SynthConfig, build_config, generate_synthetic, parse_manifest
-
     cfg = load_run_config(args.config, args.set)
     synth_cfg = build_config(SynthConfig, cfg["synth"])
     manifest_path = generate_synthetic(synth_cfg, args.out)
@@ -81,8 +91,6 @@ def _keep_freed_heap() -> None:
     what the next video uses. The fixed mmap threshold keeps arrays below
     32 MiB on the heap. Without ``mallopt`` (not glibc) nothing changes.
     """
-    import ctypes
-
     try:
         mallopt = ctypes.CDLL(None).mallopt
     except (OSError, AttributeError, TypeError):
@@ -93,11 +101,6 @@ def _keep_freed_heap() -> None:
 
 
 def cmd_train(args) -> int:
-    from .data import build_config, load_dataset, parse_manifest
-    from .losses import LossWeights
-    from .model import ModelConfig, init_params
-    from .training import TrainConfig, fit, load_train_state
-
     _keep_freed_heap()
     cfg = load_run_config(args.config, args.set)
     manifest = parse_manifest(args.manifest)
@@ -115,21 +118,14 @@ def cmd_train(args) -> int:
     else:
         params = init_params(model_cfg, seed=train_cfg.seed, dtype=train_cfg.dtype)
         state, history = None, []
-    result = fit(dataset, params, model_cfg, weights, train_cfg, out_dir=out_dir,
-                 checkpoint_interval=args.checkpoint_interval, state=state, history=history,
-                 log=(lambda s: print(s, file=sys.stderr)) if args.verbose else None)
-    print(f"{len(result.history)} epochs, final loss "
-          f"{result.history[-1].losses['total']:.4f} -> {out_dir / 'model.npz'}")
+    history = fit(dataset, params, model_cfg, weights, train_cfg, out_dir=out_dir,
+                  checkpoint_interval=args.checkpoint_interval, state=state, history=history)
+    print(f"{len(history)} epochs, final loss "
+          f"{history[-1].losses['total']:.4f} -> {out_dir / 'model.npz'}")
     return 0
 
 
 def cmd_localize(args) -> int:
-    from .data import build_config, parse_manifest
-    from .errors import ConfigError
-    from .localization import (LocalizeConfig, localize_split, write_detections_csv,
-                               write_detections_json)
-    from .model import load_checkpoint
-
     cfg = load_run_config(args.config, args.set)
     loc_cfg = build_config(LocalizeConfig, cfg["localize"])
     manifest = parse_manifest(args.manifest)
@@ -157,18 +153,13 @@ def _dump_scores(dump_dir, class_names, sample, scores) -> None:
     """``<video>.tsv`` in ``dump_dir``, one row per snippet: its index, S_f,
     then S_a per class, as plain floats."""
     rows = zip(scores.s_f.tolist(), scores.s_a[:, :len(class_names)].tolist())
-    with open(dump_dir / f"{sample.video_id}.tsv", "w") as fh:
+    with atomic_write(dump_dir / f"{sample.video_id}.tsv") as fh:
         fh.write("snippet\tfore_score\t" + "\t".join(class_names) + "\n")
         for t, (fore, row) in enumerate(rows):
             fh.write("\t".join(map(repr, [t, fore, *row])) + "\n")
 
 
 def cmd_eval(args) -> int:
-    from .data import ground_truth_instances, parse_manifest
-    from .evaluation import (ACTIVITYNET_GRID, THUMOS_GRID, format_report, map_report,
-                             write_report_json)
-    from .localization import read_detections
-
     manifest = parse_manifest(args.manifest)
     grid = THUMOS_GRID if args.grid == "thumos" else ACTIVITYNET_GRID
     detections = read_detections(args.detections, manifest.classes)
@@ -189,10 +180,6 @@ def gradcheck_cases(seed: int, instances: int, corrupt_op: str | None = None):
     ``f(tensors)`` returns the total loss and its gradients from ``backward``
     run with ``corrupt_op``.
     """
-    import numpy as np
-
-    from .model import ModelConfig, init_params
-
     rng = np.random.default_rng(seed)
     for i in range(instances):
         t = int(rng.integers(1, 9))
@@ -213,10 +200,6 @@ def gradcheck_cases(seed: int, instances: int, corrupt_op: str | None = None):
 
 
 def _loss_and_grads(x, y, config, train_mode, drop_seed, corrupt_op, tensors):
-    from . import autodiff as ad
-    from .losses import LossWeights, total_loss
-    from .model import ModelParams, run_forward
-
     tape, out = run_forward(x, ModelParams(**tensors), config, train_mode=train_mode,
                             rng_seed=drop_seed)
     loss_ref, _ = total_loss(tape, out, y, LossWeights(), config.use_background)
@@ -224,8 +207,6 @@ def _loss_and_grads(x, y, config, train_mode, drop_seed, corrupt_op, tensors):
 
 
 def cmd_gradcheck(args) -> int:
-    from . import autodiff as ad
-
     worst_overall = 0.0
     worst_where = "-"
     started = time.perf_counter()
@@ -254,8 +235,6 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_convert(args) -> int:
-    from .data import convert_raw_features
-
     convert_raw_features(args.input, args.t, args.d, args.output)
     print(f"wrote {args.output} ({args.t}x{args.d})")
     return 0
@@ -265,8 +244,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wtal",
         description="Weakly supervised temporal action localization pipeline")
-    parser.add_argument("--threads", type=int, default=None,
-                        help="cap BLAS worker threads (set before numpy loads)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
@@ -286,7 +263,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint-interval", type=int, default=0)
     p.add_argument("--resume", action="store_true",
                    help="resume from the training-state file in --out")
-    p.add_argument("--verbose", action="store_true", help="log per-epoch losses")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("localize", help="produce detections from a trained model")
@@ -326,13 +302,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.threads is not None:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ[var] = str(args.threads)
-    from .errors import (ConfigError, ContractError, FormatError, InputError,
-                         ManifestError)
-    from .training import NonFiniteGradientError
-
     try:
         return args.func(args)
     except (ConfigError, ManifestError) as exc:

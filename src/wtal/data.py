@@ -60,7 +60,7 @@ def save_features(path, array: np.ndarray) -> None:
         raise InputError(f"feature array must be 2-d, got shape {array.shape}")
     if not np.isfinite(array).all():
         raise InputError("feature array contains non-finite values")
-    with open(path, "wb") as fh:
+    with atomic_write(path, binary=True) as fh:
         fh.write(FEATURE_MAGIC)
         fh.write(struct.pack("<III", FEATURE_VERSION, array.shape[0], array.shape[1]))
         fh.write(np.ascontiguousarray(array, dtype="<f4").tobytes())
@@ -221,8 +221,8 @@ def parse_manifest(path) -> Manifest:
 
     Checks, in order: schema version; class list non-empty and unique; for
     each video a unique id, a known split, positive fps/stride, existing
-    feature files sharing one stream set, each stream as wide as in the
-    first video, at most ``MAX_VIDEO_FRAMES`` frames (snippets times
+    feature files sharing one stream set, each stream at least 1 wide and as
+    wide as in the first video, at most ``MAX_VIDEO_FRAMES`` frames (snippets times
     stride), labels drawn from the class list and at least one on a train
     video, and ground-truth spans, each an object with a known label and numeric
     start and end lying inside the video duration (duration = T * stride /
@@ -277,6 +277,8 @@ def parse_manifest(path) -> Manifest:
             elif t != num_snippets:
                 raise ManifestError(
                     f"video {vid}: stream {stream} has {t} snippets, expected {num_snippets}")
+            if d == 0:
+                raise ManifestError(f"video {vid}: stream {stream} has feature width 0")
             first, width = widths.setdefault(stream, (vid, d))
             if d != width:
                 raise ManifestError(f"video {vid}: stream {stream} has feature width {d}, "
@@ -476,7 +478,7 @@ def generate_synthetic(config: SynthConfig, out_dir) -> Path:
                 ],
             })
     manifest_path = out_dir / "manifest.json"
-    with open(manifest_path, "w") as fh:
+    with atomic_write(manifest_path) as fh:
         json.dump({"schema_version": MANIFEST_VERSION, "classes": class_names,
                    "videos": videos}, fh, indent=2)
     return manifest_path

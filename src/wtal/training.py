@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -192,13 +192,6 @@ def train_epoch(dataset, params: ModelParams, state: OptimizerState,
                        num_videos=processed, skipped=skipped)
 
 
-@dataclass
-class FitResult:
-    params: ModelParams
-    state: OptimizerState
-    history: list[EpochReport] = field(default_factory=list)
-
-
 def write_history(path, history: list[EpochReport]) -> None:
     with atomic_write(path, newline="") as fh:
         writer = csv.writer(fh)
@@ -259,16 +252,17 @@ def load_train_state(path, model_config: ModelConfig, train_config: TrainConfig
 def fit(dataset, params: ModelParams, model_config: ModelConfig,
         loss_weights: LossWeights, train_config: TrainConfig,
         out_dir, checkpoint_interval: int = 0,
-        state: OptimizerState | None = None, history: list[EpochReport] | None = None,
-        log=None) -> FitResult:
-    """Run the schedule on from ``history``, the earlier epochs' records; write the
-    checkpoint ``model.npz``, the history ``model_history.csv`` of every epoch and
-    the training state ``model_state.npz`` into the existing directory out_dir,
-    and ``model_epochNNNN.npz`` and the state every ``checkpoint_interval`` epochs.
-    Trains ``params`` in place when they already have the training dtype."""
+        state: OptimizerState | None = None, history: list[EpochReport] | None = None
+        ) -> list[EpochReport]:
+    """Train ``params`` in place on from ``history``, the earlier epochs' records, and
+    return the records of every epoch. Into the existing directory out_dir it rewrites
+    the history ``model_history.csv`` after each epoch, writes ``model_epochNNNN.npz``
+    and the training state every ``checkpoint_interval`` epochs, and at the end the
+    checkpoint ``model.npz`` and the state ``model_state.npz``. ``params`` must have
+    the training dtype (``ContractError`` otherwise)."""
     if not dataset:
         raise ConfigError("training dataset is empty")
-    params = params.astype(train_config.dtype, copy=False)
+    check_params(params.as_dict(), model_config, ContractError, train_config.dtype)
     if state is None:
         state = init_optimizer(params)
     out_dir = Path(out_dir)
@@ -277,9 +271,7 @@ def fit(dataset, params: ModelParams, model_config: ModelConfig,
         report = train_epoch(dataset, params, state, model_config, loss_weights,
                              train_config, epoch)
         history.append(report)
-        if log is not None:
-            log(f"epoch {epoch:3d}  " + "  ".join(f"{key} {value:.4f}"
-                                                  for key, value in report.losses.items()))
+        write_history(out_dir / "model_history.csv", history)
         if checkpoint_interval and (epoch + 1) % checkpoint_interval == 0:
             save_checkpoint(out_dir / f"model_epoch{epoch + 1:04d}.npz",
                             params, model_config)
@@ -287,5 +279,4 @@ def fit(dataset, params: ModelParams, model_config: ModelConfig,
                              model_config)
     save_checkpoint(out_dir / "model.npz", params, model_config)
     save_train_state(out_dir / "model_state.npz", params, state, history, model_config)
-    write_history(out_dir / "model_history.csv", history)
-    return FitResult(params=params, state=state, history=history)
+    return history

@@ -316,6 +316,7 @@ def read_detections_reference(path, class_names):
                                        row["video_id"], row["label"], row["score"],
                                        row["t_start"], row["t_end"]))
         except (csv.Error, UnicodeDecodeError) as exc:
-            raise FormatError(f"{path}: line {reader.line_num}: not valid CSV ({exc})") \
-                from None
+            # DictReader.line_num moves only after a good row; its reader's, on every line
+            raise FormatError(f"{path}: line {reader.reader.line_num}: not valid CSV "
+                              f"({exc})") from None
     return records

@@ -464,9 +464,13 @@ class TestDetectionsIo:
             read_detections(path, CLASSES)
 
     def first_fault(self, path, content):
+        """The reader's message, checked to be the reference reader's too."""
         path.write_text(content)
         with pytest.raises(FormatError) as raised:
             read_detections(path, CLASSES)
+        with pytest.raises(FormatError) as reference:
+            read_detections_reference(path, CLASSES)
+        assert str(raised.value) == str(reference.value)
         return str(raised.value)
 
     @pytest.mark.parametrize("bad_row_first", [True, False], ids=["bad-row", "structure"])

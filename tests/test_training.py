@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from wtal import autodiff as ad
 from wtal import training as tr
 from wtal.data import SynthConfig, VideoSample, generate_synthetic, load_dataset, parse_manifest
-from wtal.errors import ConfigError, FormatError
+from wtal.errors import ConfigError, ContractError, FormatError
 from wtal.losses import LossWeights, total_loss
 from wtal.model import ModelConfig, init_params, run_forward
 from wtal.training import (NonFiniteGradientError, TrainConfig,
@@ -183,7 +183,7 @@ class TestTrainEpoch:
             params = init_params(config, seed=4, dtype=np.float64)
             tc = TrainConfig(epochs=3, batch_size=2, precision=64, seed=9)
             return [r.losses["total"] for r in
-                    fit(dataset, params, config, LossWeights(), tc, tmp_path).history]
+                    fit(dataset, params, config, LossWeights(), tc, tmp_path)]
 
         assert run() == run()
 
@@ -250,6 +250,13 @@ class TestFit:
         assert lines[0] == "epoch,loss_class_wise,loss_class_agnostic,loss_mil,loss_total"
         assert len(lines) == 3
 
+    def test_params_of_another_dtype_rejected(self, rng, tmp_path):
+        config, params = tiny_model()  # float64
+        with pytest.raises(ContractError, match="conv1_w is float64.*expected float32"):
+            fit(toy_dataset(rng, n=2), params, config, LossWeights(),
+                TrainConfig(epochs=1, precision=32), tmp_path)
+        assert list(tmp_path.iterdir()) == []
+
     def test_failed_history_write_keeps_previous_file(self, tmp_path):
         class Unprintable(float):
             def __repr__(self):
@@ -272,8 +279,8 @@ class TestFit:
         dataset = toy_dataset(rng)
         tc = TrainConfig(epochs=2, batch_size=2, precision=64, seed=6)
 
-        full = fit(dataset, init_params(config, seed=3, dtype=np.float64), config,
-                   LossWeights(), tc, tmp_path)  # trains its params in place
+        full_params = init_params(config, seed=3, dtype=np.float64)
+        full = fit(dataset, full_params, config, LossWeights(), tc, tmp_path)
 
         part = tmp_path / "part"
         part.mkdir()
@@ -281,19 +288,19 @@ class TestFit:
             TrainConfig(epochs=1, batch_size=2, precision=64, seed=6), out_dir=part)
         resumed_params, state, history = load_train_state(
             part / "model_state.npz", config, tc)
-        assert history == full.history[:1]
+        assert history == full[:1]
         resumed = fit(dataset, resumed_params, config, LossWeights(), tc, tmp_path,
                       state=state, history=history)
-        assert resumed.history == full.history
-        for name, tensor in full.params.as_dict().items():
-            assert np.array_equal(tensor, getattr(resumed.params, name))
+        assert resumed == full
+        for name, tensor in full_params.as_dict().items():  # both trained in place
+            assert np.array_equal(tensor, getattr(resumed_params, name))
 
     def test_max_snippet_subsampling(self, rng, tmp_path):
         config, params = tiny_model()
         dataset = toy_dataset(rng, n=2, t_range=(20, 30))
         tc = TrainConfig(epochs=1, batch_size=1, precision=64, seed=2, max_snippets=5)
-        result = fit(dataset, params, config, LossWeights(), tc, tmp_path)
-        assert result.history[0].num_videos == 2
+        history = fit(dataset, params, config, LossWeights(), tc, tmp_path)
+        assert history[0].num_videos == 2
 
     def test_separable_synthetic_loss_drops_below_quarter(self, tmp_path):
         # measured ratio 0.174 on this fixed seed
@@ -307,8 +314,8 @@ class TestFit:
                              use_background=False, dropout_rate=0.0)
         params = init_params(config, seed=0, dtype=np.float32)
         tc = TrainConfig(epochs=30, batch_size=1, seed=0)
-        result = fit(dataset, params, config, LossWeights(), tc, tmp_path)
-        assert result.history[29].losses["total"] < 0.25 * result.history[0].losses["total"]
+        history = fit(dataset, params, config, LossWeights(), tc, tmp_path)
+        assert history[29].losses["total"] < 0.25 * history[0].losses["total"]
 
 
 HISTORY = [tr.EpochReport(epoch, dict(zip(tr.LOSS_KEYS, (1.0 / (epoch + 1), 0.5, 0.25, 0.1))),
