@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import groupby
 from operator import itemgetter
 
@@ -29,7 +30,9 @@ class Detections:
 
     Row ``i`` claims class ``class_id[i]`` over ``[start[i], end[i])``
     seconds of video ``video_ids[video[i]]`` with ``score[i]``. Each video
-    id appears once in ``video_ids``; a video may have no rows.
+    id appears once in ``video_ids``; a video may have no rows. A table is
+    not mutated once built: its rank order and the text of its numbers are
+    derived once and cached.
     """
     video_ids: tuple[str, ...]
     video: np.ndarray     # int64 row -> index into video_ids
@@ -46,6 +49,24 @@ class Detections:
         return Detections(self.video_ids, self.video[rows], self.class_id[rows],
                           self.start[rows], self.end[rows], self.score[rows])
 
+    @cached_property
+    def rank_order(self) -> np.ndarray:
+        """Row indices (read-only) in the order of the key (-score, video id,
+        start, end, class id), equal keys in row order, as ``sorted`` with that
+        key gives. A NaN score ranks last."""
+        ids = self.video_ids
+        rank = np.argsort(sorted(range(len(ids)), key=ids.__getitem__))  # index -> id rank
+        order = np.lexsort((self.class_id, self.end, self.start, rank[self.video], -self.score))
+        order.flags.writeable = False
+        return order
+
+    @cached_property
+    def text(self) -> tuple[tuple[str, ...], tuple[str, ...], tuple[str, ...]]:
+        """The ``repr`` of each start, end and score, as both detection files
+        write them."""
+        return tuple(tuple(map(repr, column.tolist()))
+                     for column in (self.start, self.end, self.score))
+
     @staticmethod
     def concat(tables) -> Detections:
         """The rows of ``tables`` in order; a video id in several tables is one video."""
@@ -58,16 +79,6 @@ class Detections:
         return Detections(tuple(ids), *(np.concatenate(column) for column in zip(*parts)))
 
 
-def _rank_order(detections: Detections) -> np.ndarray:
-    """Row indices in the order of the key (-score, video id, start, end,
-    class id), equal keys in row order, as ``sorted`` with that key gives.
-    A NaN score ranks last."""
-    ids = detections.video_ids
-    rank = np.argsort(sorted(range(len(ids)), key=ids.__getitem__))  # index -> id rank
-    return np.lexsort((detections.class_id, detections.end, detections.start,
-                       rank[detections.video], -detections.score))
-
-
 def average_precision(detections: Detections,
                       ground_truths: list[GroundTruthInstance],
                       tiou_threshold: float) -> float:
@@ -75,7 +86,7 @@ def average_precision(detections: Detections,
     ground truth matched at most once.
 
     Equal bit for bit to the quadratic definition: walk the detections in
-    ``_rank_order``; match each to the unmatched ground truth of its video,
+    ``rank_order``; match each to the unmatched ground truth of its video,
     in (start, end) order, with the largest temporal IoU that is positive
     and at least the threshold, the first one on a tie; and add
     ``true_pos / rank`` at each match. The overlaps of all same-video pairs
@@ -90,7 +101,7 @@ def average_precision(detections: Detections,
         span.setdefault(g.video_id, [j, j])[1] = j + 1
     bounds = np.array([span.get(v, (0, 0)) for v in detections.video_ids],
                       dtype=np.int64).reshape(-1, 2)
-    order = _rank_order(detections)
+    order = detections.rank_order
     first, stop = bounds[detections.video[order]].T
     # only detections in a video with ground truth can match; keep their ranks
     positions = np.flatnonzero(stop > first)

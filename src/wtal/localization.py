@@ -12,6 +12,7 @@ import json
 import math
 from dataclasses import dataclass
 from operator import itemgetter
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -196,16 +197,22 @@ def localize_split(manifest, split: str, params, model_config, config: LocalizeC
 DETECTIONS_HEADER = ["video_id", "label", "t_start", "t_end", "score"]
 
 
+def _csv_cells(names) -> list[str]:
+    """Each name as ``csv.writer`` writes it as one cell of several; a row of
+    one empty cell would read ``""``."""
+    quote = csv.writer(SimpleNamespace(write=str)).writerow  # returns the line
+    return [quote([name, ""])[:-3] for name in names]
+
+
 def write_detections_csv(path, detections: Detections, class_names: list[str]) -> None:
     """One row per detection, in table order, floats as their ``repr``."""
+    videos, labels = _csv_cells(detections.video_ids), _csv_cells(class_names)
     with atomic_write(path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(DETECTIONS_HEADER)
-        writer.writerows(zip(map(detections.video_ids.__getitem__, detections.video.tolist()),
-                             map(class_names.__getitem__, detections.class_id.tolist()),
-                             map(repr, detections.start.tolist()),
-                             map(repr, detections.end.tolist()),
-                             map(repr, detections.score.tolist())))
+        fh.write(",".join(DETECTIONS_HEADER) + "\r\n")
+        fh.writelines(f"{videos[v]},{labels[c]},{start},{end},{score}\r\n"
+                      for v, c, start, end, score in zip(
+                          detections.video.tolist(), detections.class_id.tolist(),
+                          *detections.text))
 
 
 def write_detections_json(path, detections: Detections, class_names: list[str]) -> None:
@@ -213,20 +220,19 @@ def write_detections_json(path, detections: Detections, class_names: list[str]) 
     so that no string of the whole document is built. Videos with detections
     come in ``video_ids`` order, their detections in row order, and floats
     as their ``repr``, which is how ``json`` writes a finite float."""
-    rows = np.argsort(detections.video, kind="stable")
-    labels = [json.dumps(name) for name in class_names]
-    items = ['{"label": %s, "score": %r, "segment": [%r, %r]}' % row for row in zip(
-        map(labels.__getitem__, detections.class_id[rows].tolist()),
-        detections.score[rows].tolist(), detections.start[rows].tolist(),
-        detections.end[rows].tolist())]
+    rows = np.argsort(detections.video, kind="stable").tolist()
     counts = np.bincount(detections.video, minlength=len(detections.video_ids)).tolist()
+    labels = [json.dumps(name) for name in class_names]
+    class_id = detections.class_id.tolist()
+    start, end, score = detections.text
     with atomic_write(path) as fh:
         fh.write('{"results": {')
         lo = 0
         for video_id, count in zip(detections.video_ids, counts):
             if count:
-                fh.write(f"{', ' if lo else ''}{json.dumps(video_id)}: "
-                         f"[{', '.join(items[lo:lo + count])}]")
+                items = ", ".join('{"label": %s, "score": %s, "segment": [%s, %s]}' % (
+                    labels[class_id[i]], score[i], start[i], end[i]) for i in rows[lo:lo + count])
+                fh.write(f"{', ' if lo else ''}{json.dumps(video_id)}: [{items}]")
                 lo += count
         fh.write("}}")
 

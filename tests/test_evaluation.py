@@ -246,6 +246,19 @@ class TestMapReport:
         with pytest.raises(ContractError):
             map_report([], [], (), 1)
 
+    def test_each_class_ranked_once_for_all_thresholds(self, monkeypatch):
+        # the rank order does not depend on the threshold: one lexsort per
+        # class table, not one per class and threshold
+        gts = [gt("a", 0, 5, 0), gt("b", 2, 6, 1)]
+        dets = [det("a", 0.9, 0, 5, 0), det("b", 0.4, 1, 2, 0), det("b", 0.7, 2, 6, 1)]
+        table = detections_table(dets)
+        calls = []
+        lexsort = np.lexsort
+        monkeypatch.setattr(np, "lexsort", lambda keys: calls.append(1) or lexsort(keys))
+        report = table_map_report(table, gts, THUMOS_GRID, 2)
+        assert len(calls) == 2
+        assert report.map_at == {t: 1.0 for t in THUMOS_GRID}
+
 
 class TestReportFormat:
     def test_table_layout(self):
