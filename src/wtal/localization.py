@@ -21,9 +21,6 @@ from .data import atomic_write, load_dataset, read_json
 from .evaluation import Detections, tiou_array
 from .model import ScoreSet, forward_scores
 
-# Cap on the bytes of one pairwise-overlap block in ``nms``.
-NMS_BLOCK_BYTES = 2 << 20
-
 
 @dataclass
 class LocalizeConfig:
@@ -76,105 +73,108 @@ def upsample(g: np.ndarray, stride: int) -> np.ndarray:
     t = g.shape[0]
     frames = np.arange(t * stride, dtype=np.float64)
     centers = np.arange(t, dtype=np.float64) * stride + (stride - 1) / 2.0
-    return np.stack([np.interp(frames, centers, g[:, c].astype(np.float64))
-                     for c in range(g.shape[1])], axis=1)
+    out = np.empty((g.shape[1], t * stride))
+    for c in range(g.shape[1]):
+        out[c] = np.interp(frames, centers, g[:, c].astype(np.float64))
+    return out.T
 
 
-def propose(g_c: np.ndarray, thresholds, fps: float, class_conf: float,
+def propose(frames: np.ndarray, thresholds, fps: float, class_conf,
             context_ratio: float) -> np.ndarray:
-    """Multi-threshold candidate intervals for one class sequence.
+    """Multi-threshold candidate intervals of every column of a frame table.
 
-    Returns an ``(n, 3)`` float64 array of ``[start_s, end_s, score]`` rows,
-    one per distinct frame interval ``[start, end)`` that some threshold cuts,
-    ordered by (start, end). The score is the mean inside the interval minus
-    the mean over the two flanking context windows of ``ceil(context_ratio *
-    length)`` frames each, clipped at the video bounds (an empty context
-    counts 0), plus ``class_conf``. Every window sum is a difference of one
-    float64 prefix sum, so a score may differ from the directly summed window
-    means in the last bits.
+    Returns an ``(n, 4)`` float64 array of ``[column, start_s, end_s, score]``
+    rows, one per distinct frame interval ``[start, end)`` that some threshold
+    cuts from a column, ordered by (column, start, end). The score is the
+    mean inside the interval minus the mean over the two flanking context
+    windows of ``ceil(context_ratio * length)`` frames each, clipped at the
+    video bounds (an empty context counts 0), plus the column's
+    ``class_conf``. Every window sum is a difference of one float64 prefix
+    sum per column, added along the frames in order, so a score may differ
+    from the directly summed window means in the last bits. Thresholds are
+    compared one at a time: one more float64 table of the frames at most.
     """
-    g = np.asarray(g_c, dtype=np.float64)
-    n = g.shape[0]
-    ts = np.asarray(thresholds, dtype=np.float64)
-    above = np.zeros((ts.size, n + 2), dtype=np.int8)
-    above[:, 1:-1] = g > ts[:, None]
-    edges = np.diff(above, axis=1).ravel()
-    # row-major order pairs the k-th rising edge with the k-th falling one
-    key = np.sort(np.flatnonzero(edges == 1) % (n + 1) * (n + 1)
-                  + np.flatnonzero(edges == -1) % (n + 1))
+    g = np.asarray(frames, dtype=np.float64).T  # one row per column, along frames
+    n = g.shape[1]
+    above, keys = np.zeros((g.shape[0], n + 2), dtype=bool), []
+    for t in thresholds:
+        np.greater(g, t, out=above[:, 1:-1])
+        # every row starts and ends below t, so its flips alternate rise, fall
+        flips = np.flatnonzero(above[:, 1:] != above[:, :-1])
+        keys.append(flips[0::2] * (n + 1) + flips[1::2] % (n + 1))
+    del above  # before the prefix sums
+    key = np.sort(np.concatenate(keys))
     # one row per interval; np.unique would do, but its first call costs
     # ~1.2 MB of resident memory
-    key = key[np.diff(key, prepend=-1) > 0]
-    start, end = np.divmod(key, n + 1)
+    flat, end = np.divmod(key[np.diff(key, prepend=-1) > 0], n + 1)
+    row, start = np.divmod(flat, n + 1)
     length = end - start
     ctx = np.ceil(context_ratio * length).astype(np.int64)
-    lo = np.maximum(start - ctx, 0)
-    hi = np.minimum(end + ctx, n)
-    cum = np.concatenate([[0.0], np.cumsum(g)])
-    score = (cum[end] - cum[start]) / length
+    lo, hi = np.maximum(start - ctx, 0), np.minimum(end + ctx, n)
+    cum = np.zeros((g.shape[0], n + 1))
+    np.cumsum(g, axis=1, out=cum[:, 1:])
+    at_start, at_end, at_lo, at_hi = (cum.ravel()[row * (n + 1) + i]
+                                      for i in (start, end, lo, hi))
+    score = (at_end - at_start) / length
     outer_n = (start - lo) + (hi - end)
-    outer = (cum[start] - cum[lo]) + (cum[hi] - cum[end])
+    outer = (at_start - at_lo) + (at_hi - at_end)
     score -= np.divide(outer, outer_n, out=np.zeros_like(outer), where=outer_n > 0)
-    score += class_conf
-    return np.stack([start / fps, end / fps, score], axis=1)
+    score += np.asarray(class_conf, dtype=np.float64)[row]
+    return np.stack([row, start / fps, end / fps, score], axis=1)
 
 
 def nms(candidates: np.ndarray, tiou_threshold: float) -> np.ndarray:
-    """Greedy suppression over one class's ``[start, end, score]`` rows;
-    returns the kept rows, highest-ranked first.
+    """Class-wise greedy suppression over ``[class, start, end, score]``
+    rows; returns the kept rows ranked by (-score, start, end, class).
 
-    The result equals the quadratic definition exactly: rank the rows by
-    (-score, start, end), keeping the input order of equal keys, repeatedly
-    keep the first survivor and drop every later one whose ``tiou`` with it
-    is not below the threshold. ``tiou_array`` gives the same IEEE overlaps,
-    computed in row blocks of at most ``NMS_BLOCK_BYTES`` each. The sweep
-    visits only rows that suppress something, and each of those acts only if
-    it is still alive when reached.
+    Within each class the result equals the quadratic definition exactly:
+    rank the rows by (-score, start, end), keeping the input order of equal
+    keys, repeatedly keep the first survivor and drop every later one whose
+    ``tiou`` with it is not below the (positive) threshold. Only overlapping
+    pairs are visited: by (class, start), the later rows of a row's class
+    that start before it ends (at most ``m`` per row when ``m`` thresholds
+    cut them, being nested or disjoint), swept in rank order.
     """
-    pool = candidates[np.lexsort((candidates[:, 1], candidates[:, 0], -candidates[:, 2]))]
+    pool = candidates[np.lexsort((*candidates[:, [0, 2, 1]].T, -candidates[:, 3]))]
     n = len(pool)
-    starts, ends = pool[:, 0], pool[:, 1]
-    alive = np.ones(n, dtype=bool)
-    rows = max(1, NMS_BLOCK_BYTES // (8 * max(n, 1)))
-    for first in range(0, n, rows):
-        block = first + np.flatnonzero(alive[first:first + rows])
-        if not block.size:
-            continue
-        overlap = tiou_array(starts[block, None], ends[block, None],
-                             starts[first:], ends[first:])
-        suppress = ~(overlap < tiou_threshold)
-        suppress &= np.arange(first, n) > block[:, None]
-        for r in np.flatnonzero(suppress.any(axis=1)).tolist():
-            if alive[block[r]]:
-                alive[first:] &= ~suppress[r]
-    return pool[alive]
+    start, end = pool[:, 1], pool[:, 2]
+    # (class, start) and (class, end) as integers that compare the same: the
+    # rank of a bound among all bounds, offset per class. The sorts are stable
+    # to reuse lexsort's kernels; a first quicksort maps ~0.2 MB more memory.
+    bounds = np.sort(pool[:, 1:3].ravel(), kind="stable")
+    offset = pool[:, 0].astype(np.int64) * (2 * n + 1)
+    first, last = offset + np.searchsorted(bounds, pool[:, 1:3].T)
+    order = np.argsort(first, kind="stable")
+    count = np.maximum(np.searchsorted(first[order], last[order]) - np.arange(1, n + 1), 0)
+    i = np.repeat(np.arange(n), count)
+    j = i + 1 + np.arange(len(i)) - np.repeat(np.cumsum(count) - count, count)
+    a, b = order[i], order[j]
+    hit = ~(tiou_array(start[a], end[a], start[b], end[b]) < tiou_threshold)
+    pairs = np.sort([a[hit], b[hit]], axis=0)  # (higher rank, lower rank)
+    alive = [True] * n
+    for r, q in pairs[:, np.argsort(pairs[0], kind="stable")].T.tolist():
+        if alive[r]:
+            alive[q] = False
+    return pool[np.array(alive, dtype=bool)]
 
 
 def localize_video(scores: ScoreSet, snippet_stride: int, fps: float,
                    num_classes: int, config: LocalizeConfig, video_id: str) -> Detections:
-    """Class-wise NMS over the ``propose`` candidates of each class that the
-    video's scores do not reject.
-
-    The detections of video ``video_id``, by (-score, start, end, class_id).
-    """
+    """Class-wise NMS over the ``propose`` candidates of the classes that the
+    video's scores do not reject, in one ``propose`` and one ``nms`` call for
+    all of them: the detections of video ``video_id``, by (-score, start,
+    end, class_id)."""
+    conf = np.asarray(scores.p_video_class[:num_classes], dtype=np.float64)
+    kept = np.flatnonzero(conf >= config.class_reject_threshold)
     fused = fuse_scores(scores.s_a, scores.s_f, num_classes, config.fusion_weight)
-    frames = upsample(fused, snippet_stride)
-    kept, class_ids = [np.empty((0, 3))], [np.empty(0, dtype=np.int64)]
-    for c in range(num_classes):
-        conf = float(scores.p_video_class[c])
-        if conf >= config.class_reject_threshold:
-            kept.append(nms(propose(frames[:, c], config.proposal_thresholds, fps, conf,
-                                    config.context_ratio), config.nms_tiou))
-            class_ids.append(np.full(len(kept[-1]), c, dtype=np.int64))
-    rows = np.concatenate(kept)
-    class_id = np.concatenate(class_ids)
-    order = np.lexsort((class_id, rows[:, 1], rows[:, 0], -rows[:, 2]))
-    start, end, score = rows[order].T
+    candidates = propose(upsample(fused[:, kept], snippet_stride), config.proposal_thresholds,
+                         fps, conf[kept], config.context_ratio)
+    column, start, end, score = nms(candidates, config.nms_tiou).T
     bad = np.flatnonzero(~((0 <= start) & (start < end)))
     if bad.size:
         raise ContractError(f"invalid instance interval [{start[bad[0]]}, {end[bad[0]]})")
-    return Detections((video_id,), np.zeros(len(order), dtype=np.int64), class_id[order],
-                      start, end, score)
+    return Detections((video_id,), np.zeros(len(column), dtype=np.int64),
+                      kept[column.astype(np.int64)], start, end, score)
 
 
 def localize_split(manifest, split: str, params, model_config, config: LocalizeConfig,

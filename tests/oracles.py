@@ -5,7 +5,8 @@ package: quadratic loops instead of vectorized passes, per-tap loops
 instead of one im2col matmul, one temperature head at a time instead of
 stacked attention, a fresh array per Adam intermediate instead of reused
 scratch buffers, and rectangle integration of the
-precision-recall curve instead of the running-precision sum, and one
+precision-recall curve instead of the running-precision sum, one class
+at a time instead of one array pass per video for localization, and one
 record at a time instead of one column at a time for the detections files.
 """
 import csv
@@ -15,6 +16,7 @@ import math
 import numpy as np
 
 from wtal.errors import FormatError
+from wtal.localization import fuse_scores, upsample
 
 
 def tiou(a, b):
@@ -68,6 +70,23 @@ def nms_reference(items, threshold):
                 survivors.append(cand)
         remaining = survivors
     return kept
+
+
+def localize_reference(scores, stride, fps, num_classes, config):
+    """localize_video one class at a time: (class_id, score, start, end)
+    tuples. Fusion and upsampling are the package's; every class column is
+    cut by ``propose_reference`` and reduced by ``nms_reference`` alone."""
+    frames = upsample(fuse_scores(scores.s_a, scores.s_f, num_classes, config.fusion_weight),
+                      stride)
+    final = []
+    for c in range(num_classes):
+        conf = float(scores.p_video_class[c])
+        if conf >= config.class_reject_threshold:
+            final += [(c, q, s, e) for q, s, e in nms_reference(
+                [(q, s, e) for s, e, q in propose_reference(
+                    frames[:, c], config.proposal_thresholds, fps, conf,
+                    config.context_ratio)], config.nms_tiou)]
+    return sorted(final, key=lambda d: (-d[1], d[2], d[3], d[0]))
 
 
 def ap_reference(dets, gts, threshold):

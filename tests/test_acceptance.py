@@ -114,8 +114,8 @@ def test_scoring_oracles():
             triples.append((float(np.round(rng.random(), 3)), start,
                             start + float(rng.uniform(0.1, 12))))
         threshold = float(rng.uniform(0.1, 1.0))
-        kept = nms(np.array([(s, e, q) for q, s, e in triples]), threshold)
-        assert [(q, s, e) for s, e, q in kept.tolist()] == nms_reference(triples, threshold)
+        kept = nms(np.array([(0, s, e, q) for q, s, e in triples]), threshold)
+        assert [(q, s, e) for _, s, e, q in kept.tolist()] == nms_reference(triples, threshold)
 
     from test_evaluation import random_micro_dataset
     for _ in range(200):

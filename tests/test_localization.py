@@ -12,14 +12,15 @@ import wtal.localization as loc
 from wtal.data import atomic_write
 from wtal.errors import ConfigError, ContractError, FormatError, InputError
 from wtal.evaluation import Detections
-from wtal.localization import (NMS_BLOCK_BYTES, LocalizeConfig, fuse_scores, localize_video,
-                               minmax, nms, propose, read_detections, upsample,
-                               write_detections_csv, write_detections_json)
+from wtal.localization import (LocalizeConfig, fuse_scores, localize_video, minmax, nms,
+                               propose, read_detections, upsample, write_detections_csv,
+                               write_detections_json)
 from wtal.model import ScoreSet
 
 from conftest import detections_table, table_rows
-from oracles import (nms_reference, propose_reference, read_detections_reference, tiou,
-                     write_detections_csv_reference, write_detections_json_reference)
+from oracles import (localize_reference, nms_reference, propose_reference,
+                     read_detections_reference, tiou, write_detections_csv_reference,
+                     write_detections_json_reference)
 
 
 class TestFuseScores:
@@ -82,6 +83,13 @@ class TestUpsample:
         assert up.shape == (144, 3)
 
 
+def propose_one(g, thresholds, fps, class_conf, context_ratio):
+    """propose on one sequence: the [start_s, end_s, score] rows of its only column."""
+    out = propose(np.asarray(g)[:, None], thresholds, fps, [class_conf], context_ratio)
+    assert out.shape[1] == 4 and not out[:, 0].any()
+    return out[:, 1:]
+
+
 def assert_matches_reference(out, ref):
     """Same intervals in the same order, scores within 1e-12 of the oracle's."""
     assert out.shape == (len(ref), 3) and out.dtype == np.float64
@@ -127,8 +135,8 @@ class TestPropose:
     def test_step_function_single_instance(self):
         g = np.zeros(100)
         g[20:50] = 1.0
-        out = propose(g, thresholds=(0.2, 0.5, 0.8), fps=25.0, class_conf=0.6,
-                      context_ratio=0.25)
+        out = propose_one(g, thresholds=(0.2, 0.5, 0.8), fps=25.0, class_conf=0.6,
+                          context_ratio=0.25)
         assert out.shape == (1, 3)
         start, end, score = out[0]
         assert start == pytest.approx(20 / 25.0)
@@ -137,29 +145,29 @@ class TestPropose:
 
     def test_threshold_above_max_gives_nothing(self):
         g = np.full(50, 0.4)
-        out = propose(g, thresholds=(0.9,), fps=25.0, class_conf=0.0, context_ratio=0.25)
+        out = propose_one(g, thresholds=(0.9,), fps=25.0, class_conf=0.0, context_ratio=0.25)
         assert len(out) == 0 and out.shape == (0, 3)
 
     def test_two_plateaus_enumeration(self):
         g = np.zeros(120)
         g[10:30] = 0.8
         g[70:90] = 0.4
-        out = propose(g, thresholds=(0.3, 0.5, 0.7), fps=1.0, class_conf=0.0,
-                      context_ratio=0.25)
+        out = propose_one(g, thresholds=(0.3, 0.5, 0.7), fps=1.0, class_conf=0.0,
+                          context_ratio=0.25)
         assert [(s, e) for s, e, _ in out.tolist()] == [(10.0, 30.0), (70.0, 90.0)]
         assert out[0, 2] > out[1, 2]
 
     def test_class_conf_switch(self):
         g = np.zeros(40)
         g[10:20] = 1.0
-        with_conf = propose(g, (0.5,), 25.0, 0.9, 0.25)
-        without = propose(g, (0.5,), 25.0, 0.0, 0.25)
+        with_conf = propose_one(g, (0.5,), 25.0, 0.9, 0.25)
+        without = propose_one(g, (0.5,), 25.0, 0.0, 0.25)
         assert with_conf[0, 2] == pytest.approx(without[0, 2] + 0.9)
 
     def test_intervals_inside_video(self, rng):
         g = rng.random(size=200)
-        out = propose(g, tuple(np.linspace(0.1, 0.9, 9)), fps=25.0, class_conf=0.5,
-                      context_ratio=0.25)
+        out = propose_one(g, tuple(np.linspace(0.1, 0.9, 9)), fps=25.0, class_conf=0.5,
+                          context_ratio=0.25)
         assert ((0.0 <= out[:, 0]) & (out[:, 0] < out[:, 1]) & (out[:, 1] <= 200 / 25.0)).all()
 
     @pytest.mark.parametrize("kind", ["step", "two_plateaus", "constant", "random",
@@ -168,9 +176,27 @@ class TestPropose:
     def test_matches_reference(self, rng, kind, ratio):
         g, thresholds = proposal_case(kind, rng)
         for class_conf in (0.37, 0.0):
-            out = propose(g, thresholds, fps=25.0, class_conf=class_conf, context_ratio=ratio)
+            out = propose_one(g, thresholds, fps=25.0, class_conf=class_conf,
+                              context_ratio=ratio)
             assert_matches_reference(out, propose_reference(
                 g, thresholds, 25.0, class_conf, ratio))
+
+    def test_columns_match_reference_one_at_a_time(self, rng):
+        # each column of one table is cut and scored as if alone, with its
+        # own class_conf; the all-zero column has no candidates
+        n = 800
+        step = np.zeros(n)
+        step[100:300] = 1.0
+        table = np.stack([np.interp(np.arange(n), np.arange(0, n, 16), rng.random(size=50)),
+                          step, np.full(n, 0.3), np.zeros(n), rng.random(size=n)], axis=1)
+        conf = [0.37, 0.0, 0.5, 0.9, 0.2]
+        grid = tuple(round(0.1 * i, 1) for i in range(1, 10))
+        out = propose(table, grid, 25.0, conf, 0.25)
+        assert out.dtype == np.float64 and out.shape[1] == 4
+        assert (np.diff(out[:, 0]) >= 0).all()
+        for c in range(table.shape[1]):
+            assert_matches_reference(out[out[:, 0] == c, 1:], propose_reference(
+                table[:, c], grid, 25.0, conf[c], 0.25))
 
 
 class TestOuterInnerScore:
@@ -188,18 +214,18 @@ class TestOuterInnerScore:
         ctx = math.ceil(ratio * (end - start))
         outer = np.concatenate([g[max(0, start - ctx):start], g[end:end + ctx]])
         expected = float(g[start:end].mean()) - (float(outer.mean()) if outer.size else 0.0)
-        out = propose(g, (0.5,), fps=1.0, class_conf=0.0, context_ratio=ratio)
+        out = propose_one(g, (0.5,), fps=1.0, class_conf=0.0, context_ratio=ratio)
         assert out.tolist() == [[start, end, expected]]
         assert out.tolist() == [list(t) for t in propose_reference(g, (0.5,), 1.0, 0.0, ratio)]
 
 
 def make_candidates(triples):
-    """(score, start, end) triples, the oracle's form, as propose's rows."""
-    return np.array([(s, e, q) for q, s, e in triples], dtype=np.float64).reshape(-1, 3)
+    """(score, start, end) triples, the oracle's form, as propose's rows of class 0."""
+    return np.array([(0, s, e, q) for q, s, e in triples], dtype=np.float64).reshape(-1, 4)
 
 
 def as_triples(rows):
-    return [(q, s, e) for s, e, q in rows.tolist()]
+    return [(q, s, e) for _, s, e, q in rows.tolist()]
 
 
 class TestNms:
@@ -208,7 +234,7 @@ class TestNms:
         assert np.array_equal(nms(rows, 0.5), rows)
 
     def test_no_candidates(self):
-        assert nms(make_candidates([]), 0.5).shape == (0, 3)
+        assert nms(make_candidates([]), 0.5).shape == (0, 4)
 
     def test_identical_intervals_keep_best(self):
         kept = nms(make_candidates([(0.5, 1.0, 2.0), (0.9, 1.0, 2.0)]), 0.5)
@@ -240,7 +266,6 @@ class TestNms:
 
     def test_matches_reference_across_block_boundaries(self, rng):
         n = 2500
-        assert NMS_BLOCK_BYTES // (8 * n) < n  # the sweep spans several row blocks
         starts = rng.uniform(0, 400, size=n)
         triples = [(float(q), float(s), float(s + d)) for q, s, d in
                    zip(rng.random(size=n), starts, rng.uniform(0.5, 40, size=n))]
@@ -248,11 +273,50 @@ class TestNms:
             kept = nms(make_candidates(triples), threshold)
             assert as_triples(kept) == nms_reference(triples, threshold)
 
+    def test_touching_intervals_do_not_overlap(self):
+        # end == next start has tIoU 0, so even a tiny threshold keeps both
+        triples = [(0.9, 1.0, 2.0), (0.8, 2.0, 3.0), (0.7, 0.0, 1.0), (0.6, 3.0, 3.5)]
+        for threshold in (1e-12, 0.5, 1.0):
+            kept = nms(make_candidates(triples), threshold)
+            assert as_triples(kept) == nms_reference(triples, threshold) == triples
+
+    @given(
+        seed=st.integers(0, 10_000),
+        n=st.integers(0, 40),
+        classes=st.integers(1, 4),
+        threshold=st.floats(min_value=0.05, max_value=1.0),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_classes_suppress_only_within_themselves(self, seed, n, classes, threshold):
+        # coarse starts, lengths and scores give duplicates and ties within
+        # and across classes; each class must be reduced as if alone
+        rng = np.random.default_rng(seed)
+        start = rng.integers(0, 20, size=n) / 2
+        rows = np.stack([rng.integers(0, classes, size=n), start,
+                         start + rng.integers(1, 12, size=n) / 2,
+                         rng.integers(0, 4, size=n) / 4], axis=1)
+        expected = sorted(((c, q, s, e) for c in range(classes) for q, s, e in nms_reference(
+            [(q, s, e) for k, s, e, q in rows.tolist() if k == c], threshold)),
+            key=lambda d: (-d[1], d[2], d[3], d[0]))
+        assert [(c, q, s, e) for c, s, e, q in nms(rows, threshold).tolist()] == expected
+
+    def test_nested_candidates_of_several_classes_at_tiou_one(self):
+        # distinct nested intervals overlap below 1, so at 1.0 every candidate
+        # survives, also where two classes cut the same intervals
+        thresholds = tuple(round(0.01 * i, 2) for i in range(1, 100))
+        g = np.stack([sawtooth(), sawtooth(), sawtooth()[::-1]], axis=1)
+        candidates = propose(g, thresholds, 25.0, [0.3, 0.3, 0.1], 0.25)
+        kept = nms(candidates, 1.0)
+        assert len(kept) == len(candidates) == 3 * len(thresholds)
+        for c in range(3):
+            assert as_triples(kept[kept[:, 0] == c]) == nms_reference(
+                as_triples(candidates[candidates[:, 0] == c]), 1.0)
+
     def test_all_nested_sawtooth_through_propose(self):
-        candidates = propose(sawtooth(), SAWTOOTH_THRESHOLDS, fps=25.0, class_conf=0.3,
-                             context_ratio=0.25)
+        candidates = propose(sawtooth()[:, None], SAWTOOTH_THRESHOLDS, fps=25.0,
+                             class_conf=[0.3], context_ratio=0.25)
         assert len(candidates) == len(SAWTOOTH_THRESHOLDS)
-        spans = [(s, e) for s, e, _ in candidates.tolist()]
+        spans = [(s, e) for _, s, e, _ in candidates.tolist()]
         assert all(a[0] <= b[0] and b[1] <= a[1] for a, b in zip(spans, spans[1:]))
         triples = as_triples(candidates)
         for threshold in (0.1, 0.5, 0.9, 1.0):
@@ -278,7 +342,7 @@ class TestNms:
 
     def test_sorted_by_score_descending(self, rng):
         triples = [(float(rng.random()), s, s + 3.0) for s in rng.uniform(0, 100, size=15)]
-        scores = nms(make_candidates(triples), 0.5)[:, 2].tolist()
+        scores = nms(make_candidates(triples), 0.5)[:, 3].tolist()
         assert scores == sorted(scores, reverse=True)
 
 
@@ -293,26 +357,12 @@ def clean_scores(num_classes=3, t=40, span=(10, 25), cls=1):
     return ScoreSet(s_a=s_a, s_f=s_f, p_video_class=p)
 
 
-def localize_reference(scores, stride, fps, num_classes, config):
-    """localize_video from the oracles: (class_id, score, start, end) tuples."""
-    frames = upsample(fuse_scores(scores.s_a, scores.s_f, num_classes, config.fusion_weight),
-                      stride)
-    final = []
-    for c in range(num_classes):
-        conf = float(scores.p_video_class[c])
-        if conf >= config.class_reject_threshold:
-            final += [(c, q, s, e) for q, s, e in nms_reference(
-                [(q, s, e) for s, e, q in propose_reference(
-                    frames[:, c], config.proposal_thresholds, fps, conf,
-                    config.context_ratio)], config.nms_tiou)]
-    return sorted(final, key=lambda d: (-d[1], d[2], d[3], d[0]))
-
-
-def random_scores(rng, num_classes, quantized):
-    """Scores of one video. Quantized scores take five levels, so their
-    normalized, fused and upsampled frames are multiples of a power of two:
-    window sums are exact and equal intervals get exactly tied scores."""
-    t = int(rng.integers(2, 60))
+def random_scores(rng, num_classes, quantized, t=None):
+    """Scores of one video of ``t`` snippets (2 to 59 if not given).
+    Quantized scores take five levels, so their normalized, fused and
+    upsampled frames are multiples of a power of two: window sums are exact
+    and equal intervals get exactly tied scores."""
+    t = int(rng.integers(2, 60)) if t is None else t
     if quantized:
         s_a = rng.integers(0, 5, size=(t, num_classes + 1)).astype(np.float64)
         s_f = rng.integers(0, 5, size=t).astype(np.float64)
@@ -325,11 +375,26 @@ def random_scores(rng, num_classes, quantized):
     return ScoreSet(s_a=s_a, s_f=s_f, p_video_class=p)
 
 
+def assert_matches_localize_reference(scores, stride, num_classes, config):
+    """localize_video against localize_reference: the same classes and
+    intervals in the same order, scores within 1e-12. Returns both."""
+    out = table_rows(localize_video(scores, stride, 25.0, num_classes, config, "v"))
+    ref = localize_reference(scores, stride, 25.0, num_classes, config)
+    assert [(c, s, e) for _, c, _, s, e in out] == [(c, s, e) for c, _, s, e in ref]
+    assert all(abs(o[2] - q) <= 1e-12 for o, (_, q, _, _) in zip(out, ref))
+    return out, ref
+
+
 class TestLocalizeVideo:
     def test_all_classes_rejected(self):
         config = LocalizeConfig(class_reject_threshold=1.1)
         out = localize_video(clean_scores(), 16, 25.0, 3, config, "v")
         assert len(out) == 0 and out.video_ids == ("v",)
+        # the empty table has the columns of a full one
+        full = localize_video(clean_scores(), 16, 25.0, 3, LocalizeConfig(), "v")
+        for column in ("video", "class_id", "start", "end", "score"):
+            assert getattr(out, column).dtype == getattr(full, column).dtype
+        assert out.class_id.dtype == np.int64 and out.score.dtype == np.float64
 
     def test_single_plateau_single_instance(self):
         out = localize_video(clean_scores(span=(10, 25), cls=1), 16, 25.0, 3, LocalizeConfig(),
@@ -352,15 +417,69 @@ class TestLocalizeVideo:
             scores = random_scores(rng, num_classes, quantized)
             config = LocalizeConfig(context_ratio=float(rng.choice([0.0, 0.25, 3.0])),
                                     nms_tiou=float(rng.choice([0.3, 0.5, 0.7])))
-            out = table_rows(localize_video(scores, stride, 25.0, num_classes, config, "v"))
-            ref = localize_reference(scores, stride, 25.0, num_classes, config)
-            assert [(c, s, e) for _, c, _, s, e in out] == [(c, s, e) for c, _, s, e in ref]
-            assert all(abs(o[2] - q) <= 1e-12 for o, (_, q, _, _) in zip(out, ref))
+            _, ref = assert_matches_localize_reference(scores, stride, num_classes, config)
             tied += len(ref) - len({q for _, q, _, _ in ref})
         assert tied > 0 or not quantized
 
+    def test_identical_class_columns_keep_the_same_intervals(self, rng):
+        # classes 0 and 2 share their score column and probability; NMS is
+        # class-wise, so both keep the same detections
+        s_a = rng.normal(size=(50, 4))
+        s_a[:, 2] = s_a[:, 0]
+        scores = ScoreSet(s_a=s_a, s_f=rng.normal(size=50),
+                          p_video_class=np.array([0.4, 0.3, 0.4, 0.1]))
+        out, _ = assert_matches_localize_reference(scores, 4, 3, LocalizeConfig())
+        same = [[(q, s, e) for _, c, q, s, e in out if c == k] for k in (0, 2)]
+        assert same[0] and same[0] == same[1]
+
+    @pytest.mark.parametrize("t,stride", [(1, 1), (1, 16), (2, 1), (9, 1)])
+    def test_short_videos_and_stride_one(self, rng, t, stride):
+        for _ in range(10):
+            scores = random_scores(rng, 3, quantized=False, t=t)
+            config = LocalizeConfig(context_ratio=float(rng.choice([0.0, 0.25, 3.0])))
+            out, _ = assert_matches_localize_reference(scores, stride, 3, config)
+            if t == 1:  # a constant sequence: one whole-video interval per kept class
+                kept = int((scores.p_video_class[:3] >= config.class_reject_threshold).sum())
+                assert [(s, e) for *_, s, e in out] == [(0.0, stride / 25.0)] * kept
+
+    @pytest.mark.parametrize("t,stride", [(150, 16), (1000, 2)])
+    def test_long_sequences_match_reference(self, rng, t, stride):
+        # 2,400 and 2,000 frames per class; random walks cross each
+        # threshold a few dozen times
+        for _ in range(2):
+            scores = ScoreSet(s_a=np.cumsum(rng.normal(size=(t, 5)), axis=0),
+                              s_f=np.cumsum(rng.normal(size=t)),
+                              p_video_class=rng.random(size=5))
+            config = LocalizeConfig(context_ratio=float(rng.choice([0.0, 0.25, 3.0])),
+                                    nms_tiou=float(rng.choice([0.3, 0.5, 0.7])))
+            out, _ = assert_matches_localize_reference(scores, stride, 4, config)
+            assert out
+
+    def test_peak_memory_within_two_frame_tables(self):
+        # Besides a few snippet-level arrays, localizing one video holds at
+        # most two float64 tables of its frames by kept classes: the
+        # upsampled frames and their prefix sums. At 4,096 snippets, stride
+        # 16 and 5 classes a table is 2.62 MB and the traced peak 5.48 MB.
+        t, stride, num_classes = 4096, 16, 5
+        s_a = np.full((t, num_classes + 1), -5.0)
+        for c in range(num_classes):
+            for first in range(20 * c, t - 100, 500):
+                s_a[first:first + 60, c] = 5.0 + np.arange(60) / 60
+        scores = ScoreSet(s_a=s_a, s_f=s_a[:, :num_classes].max(axis=1),
+                          p_video_class=np.full(num_classes + 1, 0.5))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out = localize_video(scores, stride, 25.0, num_classes, LocalizeConfig(), "v")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(out) >= num_classes
+        table, snippets = t * stride * num_classes * 8, s_a.nbytes
+        assert peak - base <= 2 * table + 2 * snippets
+
     def test_interval_contract(self, monkeypatch):
-        monkeypatch.setattr(loc, "propose", lambda *a, **k: np.array([[2.0, 1.0, 0.5]]))
+        monkeypatch.setattr(loc, "propose", lambda *a, **k: np.array([[0.0, 2.0, 1.0, 0.5]]))
         with pytest.raises(ContractError, match=r"invalid instance interval \[2.0, 1.0\)"):
             localize_video(clean_scores(), 16, 25.0, 3, LocalizeConfig(), "v")
 
