@@ -2,17 +2,20 @@
 
 All commands read an optional JSON config file (sections: model, train,
 loss, localize, synth; versioned via config_version) and accept repeated
-``--set section.key=value`` overrides. Unknown sections or keys are
-rejected before any work starts. Diagnostics go to stderr; exit status is 0
-only when the command's postconditions hold.
+``--set section.key=value`` overrides. Unknown sections or keys, in any
+section, and the model keys that the manifest sets are rejected before any
+work starts. Diagnostics go to stderr; exit status is 0 only when the
+command's postconditions hold.
 """
 from __future__ import annotations
 
 import argparse
 import ctypes
 import json
+import os
 import sys
 import time
+from dataclasses import fields
 from functools import partial
 from pathlib import Path
 
@@ -32,7 +35,9 @@ from .model import ModelConfig, ModelParams, init_params, load_checkpoint, run_f
 from .training import NonFiniteGradientError, TrainConfig, fit, load_train_state
 
 CONFIG_VERSION = 1
-CONFIG_SECTIONS = ("model", "train", "loss", "localize", "synth")
+CONFIG_SECTIONS = {"model": ModelConfig, "train": TrainConfig, "loss": LossWeights,
+                   "localize": LocalizeConfig, "synth": SynthConfig}
+MANIFEST_KEYS = ("model.num_classes", "model.feature_dim")  # what a run takes from the manifest
 M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3  # glibc's mallopt parameters
 
 
@@ -66,6 +71,13 @@ def load_run_config(path: str | None, overrides: list[str]) -> dict:
             cfg[section][name] = json.loads(value)
         except ValueError:  # not JSON, or an int beyond the digit limit: kept as text
             cfg[section][name] = value
+    for section, mapping in cfg.items():
+        known = {f.name for f in fields(CONFIG_SECTIONS[section])}
+        for key in mapping:
+            if f"{section}.{key}" in MANIFEST_KEYS:
+                raise ConfigError(f"{section}.{key} is set by the manifest, not by a config")
+            if key not in known:
+                raise ConfigError(f"unknown config key {section}.{key}")
     return cfg
 
 
@@ -85,11 +97,12 @@ def _keep_freed_heap() -> None:
     """Let the C library keep freed memory on the heap for reuse.
 
     Training frees each video's tape (tens of MB at paper shape) before it
-    records the next one. By default glibc trims that memory off the heap
-    and the next video faults every page back in, about 10k page faults per
-    paper-shape video. Peak RSS stays the same, since the kept memory is
-    what the next video uses. The fixed mmap threshold keeps arrays below
-    32 MiB on the heap. Without ``mallopt`` (not glibc) nothing changes.
+    records the next one, and localization each video's features and scores.
+    By default glibc trims that memory off the heap and the next video faults
+    every page back in, about 10k page faults per paper-shape video. Peak RSS
+    stays the same, since the kept memory is what the next video uses. The
+    fixed mmap threshold keeps arrays below 32 MiB on the heap. Without
+    ``mallopt`` (not glibc) nothing changes.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt
@@ -126,6 +139,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_localize(args) -> int:
+    _keep_freed_heap()
     cfg = load_run_config(args.config, args.set)
     loc_cfg = build_config(LocalizeConfig, cfg["localize"])
     manifest = parse_manifest(args.manifest)
@@ -135,12 +149,16 @@ def cmd_localize(args) -> int:
     if (model_cfg.num_classes, model_cfg.feature_dim) != wanted:
         raise ConfigError(f"{checkpoint} has {model_cfg.num_classes} classes, feature_dim "
                           f"{model_cfg.feature_dim}; {args.manifest} has {wanted[0]}, {wanted[1]}")
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     dump = None
     if args.score_dump:
+        for vid in (video.video_id for video in manifest.split(args.split)):
+            if os.path.basename(vid) != vid or "\0" in vid:  # <video>.tsv must stay in DIR
+                raise InputError(f"video {vid!r}: --score-dump needs each video id to be a "
+                                 f"plain file name")
         Path(args.score_dump).mkdir(parents=True, exist_ok=True)
         dump = partial(_dump_scores, Path(args.score_dump), manifest.classes)
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     detections = localize_split(manifest, args.split, params, model_cfg, loc_cfg, dump)
     write_detections_csv(out_dir / "detections.csv", detections, manifest.classes)
     write_detections_json(out_dir / "detections.json", detections, manifest.classes)
@@ -149,11 +167,11 @@ def cmd_localize(args) -> int:
     return 0
 
 
-def _dump_scores(dump_dir, class_names, sample, scores) -> None:
+def _dump_scores(dump_dir, class_names, video, scores) -> None:
     """``<video>.tsv`` in ``dump_dir``, one row per snippet: its index, S_f,
     then S_a per class, as plain floats."""
-    rows = zip(scores.s_f.tolist(), scores.s_a[:, :len(class_names)].tolist())
-    with atomic_write(dump_dir / f"{sample.video_id}.tsv") as fh:
+    rows = zip(scores.s_f.tolist(), scores.s_a.tolist())
+    with atomic_write(dump_dir / f"{video.video_id}.tsv") as fh:
         fh.write("snippet\tfore_score\t" + "\t".join(class_names) + "\n")
         for t, (fore, row) in enumerate(rows):
             fh.write("\t".join(map(repr, [t, fore, *row])) + "\n")

@@ -150,6 +150,11 @@ class Manifest:
     def split(self, tag: str) -> list[VideoEntry]:
         return [v for v in self.videos if v.split == tag]
 
+    def video_features(self, entry: VideoEntry) -> np.ndarray:
+        """The features of every stream of ``entry`` side by side, in ``streams`` order."""
+        streams = [load_features(entry.features[s]) for s in self.streams]
+        return streams[0] if len(streams) == 1 else np.concatenate(streams, axis=1)
+
 
 def read_json(path, error: type[Exception]):
     """The JSON document in ``path``; ``error`` naming the file if it is not JSON."""
@@ -224,8 +229,8 @@ def parse_manifest(path) -> Manifest:
     feature files sharing one stream set, each stream at least 1 wide and as
     wide as in the first video, at most ``MAX_VIDEO_FRAMES`` frames (snippets times
     stride), labels drawn from the class list and at least one on a train
-    video, and ground-truth spans, each an object with a known label and numeric
-    start and end lying inside the video duration (duration = T * stride /
+    video, and ground-truth spans, each an object with a known label and JSON
+    number start and end lying inside the video duration (duration = T * stride /
     fps, T from the feature header). A field of the wrong JSON type raises
     ``ManifestError`` naming the video and the field.
     """
@@ -297,19 +302,20 @@ def parse_manifest(path) -> Manifest:
                            features=features, labels=list(labels),
                            num_snippets=int(num_snippets))
         for gt in _typed(vid, record, "ground_truth", list, []):
-            try:
-                label, start, end = gt["label"], float(gt["start"]), float(gt["end"])
-            except (KeyError, TypeError, ValueError, OverflowError) as exc:
-                raise ManifestError(
-                    f"video {vid}: ground truth {gt!r} needs a label and numeric "
-                    f"start and end ({type(exc).__name__}: {exc})") from exc
+            # JSON numbers: int or float, and a bool is neither
+            if not (isinstance(gt, dict) and "label" in gt
+                    and {type(gt.get("start")), type(gt.get("end"))} <= {int, float}):
+                raise ManifestError(f"video {vid}: ground truth {gt!r} needs a label and "
+                                    f"start and end that are JSON numbers")
+            label, start, end = gt["label"], gt["start"], gt["end"]
             if label not in classes:
                 raise ManifestError(f"video {vid}: unknown ground-truth class {label!r}")
             if not 0 <= start < end or end > entry.duration + 1e-9:
                 raise ManifestError(
                     f"video {vid}: ground truth [{start}, {end}) outside duration "
                     f"{entry.duration:.3f}")
-            entry.ground_truth.append(GroundTruthInstance(vid, classes.index(label), start, end))
+            entry.ground_truth.append(
+                GroundTruthInstance(vid, classes.index(label), float(start), float(end)))
         videos.append(entry)
     if not videos:
         raise ManifestError("manifest lists no videos")
@@ -320,23 +326,13 @@ def parse_manifest(path) -> Manifest:
 @dataclass
 class VideoSample:
     """One video ready for training: features in memory plus its label vector."""
-    video_id: str
     features: np.ndarray
     labels: np.ndarray
-    fps: float
-    snippet_stride: int
 
 
 def load_dataset(manifest: Manifest, split: str) -> list[VideoSample]:
-    """The videos of one split, each with the features of every stream side
-    by side, in ``manifest.streams`` order."""
-    def features(entry: VideoEntry) -> np.ndarray:
-        streams = [load_features(entry.features[s]) for s in manifest.streams]
-        return streams[0] if len(streams) == 1 else np.concatenate(streams, axis=1)
-
-    return [VideoSample(video_id=entry.video_id, features=features(entry),
-                        labels=manifest.label_vector(entry), fps=entry.fps,
-                        snippet_stride=entry.snippet_stride)
+    """The videos of one split, in manifest order."""
+    return [VideoSample(manifest.video_features(entry), manifest.label_vector(entry))
             for entry in manifest.split(split)]
 
 

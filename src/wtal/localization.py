@@ -17,7 +17,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .errors import ConfigError, ContractError, FormatError, InputError
-from .data import atomic_write, load_dataset, read_json
+from .data import VideoEntry, atomic_write, read_json
 from .evaluation import Detections, tiou_array
 from .model import ScoreSet, forward_scores
 
@@ -51,16 +51,11 @@ def minmax(x: np.ndarray) -> np.ndarray:
     return np.divide(x - lo, hi - lo, out=np.full_like(x, 0.5), where=hi != lo)
 
 
-def fuse_scores(s_a: np.ndarray, s_f: np.ndarray, num_classes: int,
-                fusion_weight: float = 0.5) -> np.ndarray:
-    """Blend normalized foreground and per-class sequences; drops any
-    background column beyond num_classes."""
+def fuse_scores(s_a: np.ndarray, s_f: np.ndarray, fusion_weight: float) -> np.ndarray:
+    """Blend the normalized foreground sequence into each normalized class column."""
     if s_a.ndim != 2 or s_f.ndim != 1 or s_a.shape[0] != s_f.shape[0]:
         raise ContractError(f"fuse_scores shapes {s_a.shape} vs {s_f.shape}")
-    if s_a.shape[1] < num_classes:
-        raise ContractError(f"{s_a.shape[1]} score columns < {num_classes} classes")
-    return fusion_weight * minmax(s_f)[:, None] \
-        + (1 - fusion_weight) * minmax(s_a[:, :num_classes])
+    return fusion_weight * minmax(s_f)[:, None] + (1 - fusion_weight) * minmax(s_a)
 
 
 def upsample(g: np.ndarray, stride: int) -> np.ndarray:
@@ -158,39 +153,37 @@ def nms(candidates: np.ndarray, tiou_threshold: float) -> np.ndarray:
     return pool[np.array(alive, dtype=bool)]
 
 
-def localize_video(scores: ScoreSet, snippet_stride: int, fps: float,
-                   num_classes: int, config: LocalizeConfig, video_id: str) -> Detections:
+def localize_video(scores: ScoreSet, video: VideoEntry, config: LocalizeConfig) -> Detections:
     """Class-wise NMS over the ``propose`` candidates of the classes that the
     video's scores do not reject, in one ``propose`` and one ``nms`` call for
-    all of them: the detections of video ``video_id``, by (-score, start,
-    end, class_id)."""
-    conf = np.asarray(scores.p_video_class[:num_classes], dtype=np.float64)
+    all of them: the detections of ``video``, by (-score, start, end,
+    class_id)."""
+    conf = np.asarray(scores.class_conf, dtype=np.float64)
     kept = np.flatnonzero(conf >= config.class_reject_threshold)
-    fused = fuse_scores(scores.s_a, scores.s_f, num_classes, config.fusion_weight)
-    candidates = propose(upsample(fused[:, kept], snippet_stride), config.proposal_thresholds,
-                         fps, conf[kept], config.context_ratio)
+    fused = fuse_scores(scores.s_a, scores.s_f, config.fusion_weight)
+    candidates = propose(upsample(fused[:, kept], video.snippet_stride),
+                         config.proposal_thresholds, video.fps, conf[kept], config.context_ratio)
     column, start, end, score = nms(candidates, config.nms_tiou).T
     bad = np.flatnonzero(~((0 <= start) & (start < end)))
     if bad.size:
         raise ContractError(f"invalid instance interval [{start[bad[0]]}, {end[bad[0]]})")
-    return Detections((video_id,), np.zeros(len(column), dtype=np.int64),
+    return Detections((video.video_id,), np.zeros(len(column), dtype=np.int64),
                       kept[column.astype(np.int64)], start, end, score)
 
 
 def localize_split(manifest, split: str, params, model_config, config: LocalizeConfig,
                    on_scores=None) -> Detections:
     """Forward pass and ``localize_video`` for each video of a manifest split
-    that has snippets, as one table in manifest order; ``on_scores(sample,
-    scores)``, if given, sees the scores of each forward pass."""
+    that has snippets, as one table in manifest order, reading one video's
+    features at a time; ``on_scores(video, scores)``, if given, sees the
+    scores of each forward pass."""
     tables = []
-    for video in load_dataset(manifest, split):
-        if not len(video.features):
-            continue
-        scores = forward_scores(video.features, params, model_config)
-        if on_scores is not None:
-            on_scores(video, scores)
-        tables.append(localize_video(scores, video.snippet_stride, video.fps,
-                                     len(manifest.classes), config, video.video_id))
+    for video in manifest.split(split):
+        if video.num_snippets:
+            scores = forward_scores(manifest.video_features(video), params, model_config)
+            if on_scores is not None:
+                on_scores(video, scores)
+            tables.append(localize_video(scores, video, config))
     return Detections.concat(tables)
 
 

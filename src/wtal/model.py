@@ -218,15 +218,18 @@ def run_forward(x_raw: np.ndarray, params: ModelParams, config: ModelConfig,
 
 @dataclass
 class ScoreSet:
-    """The evaluation-mode scores of one video that localization reads."""
-    s_a: np.ndarray        # (T, K) snippet class scores, background column last if present
+    """The evaluation-mode scores of one video that localization reads, over
+    its C action classes only: no background slot."""
+    s_a: np.ndarray        # (T, C) snippet class scores
     s_f: np.ndarray        # (T,) snippet foreground scores
-    p_video_class: np.ndarray  # (K,) video-level class probabilities
+    class_conf: np.ndarray  # (C,) video-level class probabilities, class-agnostic branch
 
 
 def forward_scores(x_raw: np.ndarray, params: ModelParams, config: ModelConfig) -> ScoreSet:
+    """The ``ScoreSet`` of one video: the one place that drops the background slot."""
     tape, out = run_forward(x_raw, params, config, train_mode=False)
-    return ScoreSet(tape.val(out.s_a), tape.val(out.s_f), tape.val(out.p_video_class))
+    c = config.num_classes
+    return ScoreSet(tape.val(out.s_a)[:, :c], tape.val(out.s_f), tape.val(out.p_video_class)[:c])
 
 
 def save_checkpoint(path, params: ModelParams, config: ModelConfig) -> None:

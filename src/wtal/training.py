@@ -48,6 +48,8 @@ class TrainConfig:
             raise ConfigError("batch_size must be >= 1")
         if not 0 <= self.beta1 < 1 or not 0 <= self.beta2 < 1:
             raise ConfigError("adam betas must lie in [0, 1)")
+        if self.adam_eps <= 0:
+            raise ConfigError("adam_eps must be positive")
         if self.precision not in (32, 64):
             raise ConfigError("precision must be 32 or 64")
         if self.seed < 0:

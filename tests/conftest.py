@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+from wtal.data import VideoEntry
 from wtal.evaluation import Detections
 from wtal.model import ModelConfig, init_params
 
@@ -43,6 +44,12 @@ def passthrough_model(width=4, **overrides):
     params.conv1_b[:] = 0.0
     params.conv2_b[:] = 0.0
     return config, params
+
+
+def video_entry(snippet_stride=16, fps=25.0, video_id="v") -> VideoEntry:
+    """A test video as a manifest lists it, without feature files."""
+    return VideoEntry(video_id=video_id, split="test", fps=fps, snippet_stride=snippet_stride,
+                      features={}, labels=[])
 
 
 def detections_table(rows) -> Detections:

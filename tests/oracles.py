@@ -72,19 +72,18 @@ def nms_reference(items, threshold):
     return kept
 
 
-def localize_reference(scores, stride, fps, num_classes, config):
+def localize_reference(scores, video, config):
     """localize_video one class at a time: (class_id, score, start, end)
     tuples. Fusion and upsampling are the package's; every class column is
     cut by ``propose_reference`` and reduced by ``nms_reference`` alone."""
-    frames = upsample(fuse_scores(scores.s_a, scores.s_f, num_classes, config.fusion_weight),
-                      stride)
+    frames = upsample(fuse_scores(scores.s_a, scores.s_f, config.fusion_weight),
+                      video.snippet_stride)
     final = []
-    for c in range(num_classes):
-        conf = float(scores.p_video_class[c])
+    for c, conf in enumerate(scores.class_conf.tolist()):
         if conf >= config.class_reject_threshold:
             final += [(c, q, s, e) for q, s, e in nms_reference(
                 [(q, s, e) for s, e, q in propose_reference(
-                    frames[:, c], config.proposal_thresholds, fps, conf,
+                    frames[:, c], config.proposal_thresholds, video.fps, conf,
                     config.context_ratio)], config.nms_tiou)]
     return sorted(final, key=lambda d: (-d[1], d[2], d[3], d[0]))
 

@@ -14,11 +14,11 @@ from hypothesis import strategies as st
 
 from wtal import training
 from wtal.cli import load_run_config, main
-from wtal.data import (SynthConfig, build_config, load_dataset, load_features, parse_manifest,
-                       save_features)
+from wtal.data import (SynthConfig, build_config, generate_synthetic, load_features,
+                       parse_manifest, save_features)
 from wtal.localization import LocalizeConfig, localize_split, read_detections
 from wtal.losses import LossWeights
-from wtal.model import ModelConfig, forward_scores, load_checkpoint
+from wtal.model import ModelConfig, forward_scores, init_params, load_checkpoint
 from wtal.training import TrainConfig
 
 from conftest import JSON_VALUES, table_rows
@@ -71,6 +71,35 @@ class TestSynth:
                            "--set", "synth.bogus=1")
         assert code != 0
         assert "bogus" in err
+
+    @pytest.mark.parametrize("command, setting, message", [
+        ("synth", "train.bogus=1", "unknown config key train.bogus"),
+        ("synth", "model.bogus=1", "unknown config key model.bogus"),
+        ("train", "localize.bogus=1", "unknown config key localize.bogus"),
+        ("train", "loss.bogus=1", "unknown config key loss.bogus"),
+        ("localize", "model.bogus=1", "unknown config key model.bogus"),
+        ("localize", "synth.bogus=1", "unknown config key synth.bogus"),
+        ("train", "model.feature_dim=999", "model.feature_dim is set by the manifest"),
+        ("train", "model.num_classes=5", "model.num_classes is set by the manifest"),
+        ("localize", "model.num_classes=5", "model.num_classes is set by the manifest"),
+        ("synth", "model.feature_dim=64", "model.feature_dim is set by the manifest"),
+    ])
+    @pytest.mark.parametrize("from_file", [False, True], ids=["override", "file"])
+    def test_every_command_rejects_keys_it_cannot_use(self, tmp_path, capsys, command,
+                                                      setting, message, from_file):
+        # checked before any input is read: the manifest and model paths do not exist
+        key, value = setting.split("=")
+        section, name = key.split(".")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"config_version": 1, section: {name: int(value)}}))
+        config = ["--config", str(cfg)] if from_file else ["--set", setting]
+        inputs = {"synth": [], "train": ["--manifest", str(tmp_path / "m.json")],
+                  "localize": ["--manifest", str(tmp_path / "m.json"),
+                               "--model-dir", str(tmp_path / "model")]}[command]
+        code, _, err = run(capsys, command, *config, *inputs, "--out", str(tmp_path / "out"))
+        assert code == 2
+        assert message in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
     def test_unknown_section_rejected(self, tmp_path, capsys):
         code, _, err = run(capsys, "synth", "--out", str(tmp_path / "d"),
@@ -440,14 +469,14 @@ class TestLocalize:
         assert code == 0
         manifest = parse_manifest(dataset_dir / "manifest.json")
         params, config = load_checkpoint(trained / "model.npz")
-        samples = load_dataset(manifest, "test")
+        videos = manifest.split("test")
         assert sorted(p.name for p in dump.iterdir()) == sorted(
-            f"{sample.video_id}.tsv" for sample in samples)
-        for sample in samples:
-            table = (dump / f"{sample.video_id}.tsv").read_text().splitlines()
-            assert len(table) - 1 == sample.features.shape[0]
-            scores = forward_scores(sample.features, params, config)
-            expected = np.column_stack([scores.s_f, scores.s_a[:, :len(manifest.classes)]])
+            f"{video.video_id}.tsv" for video in videos)
+        for video in videos:
+            table = (dump / f"{video.video_id}.tsv").read_text().splitlines()
+            assert len(table) - 1 == video.num_snippets
+            scores = forward_scores(manifest.video_features(video), params, config)
+            expected = np.column_stack([scores.s_f, scores.s_a])
             cells = np.array([[float(c) for c in line.split("\t")] for line in table[1:]])
             assert np.array_equal(cells[:, 0], np.arange(len(cells)))
             assert np.array_equal(cells[:, 1:], expected)
@@ -535,6 +564,50 @@ class TestLocalize:
         manifest.write_text(json.dumps(doc))
         save_features(dataset_dir / video["features"]["rgb"], np.zeros((0, 64), np.float32))
         assert localize(tmp_path / "after") == [row for row in before if row[0] != video["id"]]
+
+    @pytest.mark.parametrize("video_id", ["../escaped_video_0004", "sub/video_0004",
+                                          "video\0_0004"])
+    def test_score_dump_rejects_a_video_id_that_is_no_file_name(self, dataset_dir, trained,
+                                                                tmp_path, capsys, video_id):
+        manifest = dataset_dir / "manifest.json"
+        doc = json.loads(manifest.read_text())
+        [v for v in doc["videos"] if v["split"] == "test"][-1]["id"] = video_id
+        manifest.write_text(json.dumps(doc))
+        before = sorted(tmp_path.rglob("*"))
+        code, _, err = run(capsys, "localize", "--manifest", str(manifest),
+                           "--model-dir", str(trained), "--out", str(tmp_path / "det"),
+                           "--score-dump", str(tmp_path / "dumps" / "dir"))
+        assert code == 1
+        assert f"video {video_id!r}" in err and "Traceback" not in err
+        # rejected before the first forward pass: no score dump, in DIR or outside it
+        assert sorted(tmp_path.rglob("*")) == before
+
+    def test_localize_split_reads_one_video_at_a_time(self, tmp_path, monkeypatch):
+        # each stream of each test video with snippets is read once, in manifest
+        # order; a video of 0 snippets is skipped before any of its files is read
+        config = SynthConfig(num_train=1, num_test=3, snippet_range=(20, 30), feature_dim=8,
+                             streams=("rgb", "flow"), seed=2)
+        path = generate_synthetic(config, tmp_path)
+        doc = json.loads(path.read_text())
+        empty = [v for v in doc["videos"] if v["split"] == "test"][1]
+        empty["ground_truth"] = []
+        for rel in empty["features"].values():
+            save_features(tmp_path / rel, np.zeros((0, 8), np.float32))
+        path.write_text(json.dumps(doc))
+        manifest = parse_manifest(path)
+        model = ModelConfig(num_classes=5, feature_dim=16, embed_dims=(8, 8))
+        read, scored = [], []
+
+        def counting(file):
+            read.append(file)
+            return load_features(file)
+
+        monkeypatch.setattr("wtal.data.load_features", counting)
+        localize_split(manifest, "test", init_params(model, seed=0), model, LocalizeConfig(),
+                       lambda video, scores: scored.append(video.video_id))
+        videos = [v for v in manifest.split("test") if v.video_id != empty["id"]]
+        assert read == [v.features[s] for v in videos for s in ("flow", "rgb")]
+        assert scored == [v.video_id for v in videos] and len(scored) == 2
 
     def test_rejection_threshold_above_one_empties_output(self, dataset_dir, trained,
                                                           tmp_path, capsys):
@@ -695,8 +768,8 @@ def test_training_reuses_freed_heap_without_page_faults(tmp_path):
         _keep_freed_heap()
         config = ModelConfig(num_classes=3, feature_dim=64, embed_dims=(128, 128))
         rng = np.random.default_rng(0)
-        dataset = [VideoSample(f"v{i}", rng.normal(size=(150, 64)).astype(np.float32),
-                               np.array([1.0, 0.0, 1.0]), 25.0, 16) for i in range(8)]
+        dataset = [VideoSample(rng.normal(size=(150, 64)).astype(np.float32),
+                               np.array([1.0, 0.0, 1.0])) for _ in range(8)]
         params = init_params(config, seed=0, dtype=np.float32)
         state = init_optimizer(params)
         for epoch in range(3):

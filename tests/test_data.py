@@ -134,7 +134,8 @@ class TestSyntheticGenerator:
                              instance_len_range=(4, 10))
         manifest = parse_manifest(generate_synthetic(config, tmp_path))
         # recover prototypes from labeled spans and check nearest-prototype
-        samples = {s.video_id: s for s in load_dataset(manifest, "train")}
+        samples = {entry.video_id: sample for entry, sample in
+                   zip(manifest.split("train"), load_dataset(manifest, "train"))}
         protos = {}
         for entry in manifest.split("train"):
             feats = samples[entry.video_id].features
@@ -237,6 +238,8 @@ class TestManifest:
         {"label": "jump", "start": None, "end": 3.2},
         ["jump", 0.0, 3.2],
         "jump",
+        {"label": "jump", "start": "0.5", "end": 3.2},  # a bound must be a JSON number
+        {"label": "jump", "start": 0.0, "end": True},
     ])
     def test_malformed_ground_truth_span(self, tmp_path, span):
         doc = self.minimal_doc(tmp_path, ground_truth=[span])
@@ -260,7 +263,7 @@ class TestManifest:
         manifest = parse_manifest(generate_synthetic(config, tmp_path))
         assert manifest.streams == ("flow", "rgb")
         samples = load_dataset(manifest, "train")
-        assert [s.video_id for s in samples] == [v.video_id for v in manifest.split("train")]
+        assert len(samples) == len(manifest.split("train"))
         for sample, entry in zip(samples, manifest.split("train")):
             flow, rgb = (load_features(entry.features[s]) for s in ("flow", "rgb"))
             assert not np.array_equal(flow, rgb)

@@ -17,7 +17,7 @@ from wtal.localization import (LocalizeConfig, fuse_scores, localize_video, minm
                                write_detections_json)
 from wtal.model import ScoreSet
 
-from conftest import detections_table, table_rows
+from conftest import detections_table, table_rows, video_entry
 from oracles import (localize_reference, nms_reference, propose_reference,
                      read_detections_reference, tiou, write_detections_csv_reference,
                      write_detections_json_reference)
@@ -27,36 +27,32 @@ class TestFuseScores:
     def test_weight_zero_uses_class_scores_alone(self, rng):
         s_a = rng.normal(size=(6, 3))
         s_f = np.full(6, 2.0)
-        fused = fuse_scores(s_a, s_f, num_classes=2, fusion_weight=0.0)
-        for c in range(2):
+        fused = fuse_scores(s_a, s_f, fusion_weight=0.0)
+        for c in range(3):
             assert np.allclose(fused[:, c], minmax(s_a[:, c]), atol=1e-15)
 
     def test_identical_sequences_are_a_fixed_point(self, rng):
         s_f = rng.normal(size=5)
         s_a = np.tile(s_f[:, None], (1, 2))
-        fused = fuse_scores(s_a, s_f, num_classes=2, fusion_weight=0.5)
+        fused = fuse_scores(s_a, s_f, fusion_weight=0.5)
         assert np.allclose(fused[:, 0], minmax(s_f), atol=1e-15)
 
     def test_hand_built_four_step_sequence(self):
         s_a = np.array([[2.0], [4.0], [8.0], [6.0]])
         s_f = np.array([1.0, 0.0, 3.0, 2.0])
-        fused = fuse_scores(s_a, s_f, num_classes=1, fusion_weight=0.5)
+        fused = fuse_scores(s_a, s_f, fusion_weight=0.5)
         expected = np.array([1 / 6, 1 / 6, 1.0, 2 / 3])
         assert np.allclose(fused[:, 0], expected, atol=1e-12)
 
     def test_constant_sequence_becomes_half(self):
-        fused = fuse_scores(np.full((4, 2), 3.3), np.full(4, -1.0), num_classes=2)
+        fused = fuse_scores(np.full((4, 2), 3.3), np.full(4, -1.0), 0.5)
         assert np.allclose(fused, 0.5, atol=1e-15)
-
-    def test_background_column_dropped(self, rng):
-        fused = fuse_scores(rng.normal(size=(5, 4)), rng.normal(size=5), num_classes=3)
-        assert fused.shape == (5, 3)
 
     def test_shift_invariance(self, rng):
         s_a = rng.normal(size=(7, 2))
         s_f = rng.normal(size=7)
-        shifted = fuse_scores(s_a + 11.5, s_f - 3.25, num_classes=2)
-        assert np.allclose(shifted, fuse_scores(s_a, s_f, num_classes=2), atol=1e-12)
+        shifted = fuse_scores(s_a + 11.5, s_f - 3.25, 0.5)
+        assert np.allclose(shifted, fuse_scores(s_a, s_f, 0.5), atol=1e-12)
 
 
 class TestUpsample:
@@ -348,13 +344,13 @@ class TestNms:
 
 def clean_scores(num_classes=3, t=40, span=(10, 25), cls=1):
     """Scores with one crisp plateau for one class; stride 16 at 25 fps."""
-    s_a = np.full((t, num_classes + 1), -5.0)
+    s_a = np.full((t, num_classes), -5.0)
     s_a[span[0]:span[1], cls] = 5.0
     s_f = np.full(t, -5.0)
     s_f[span[0]:span[1]] = 5.0
-    p = np.full(num_classes + 1, 0.01)
+    p = np.full(num_classes, 0.01)
     p[cls] = 0.9
-    return ScoreSet(s_a=s_a, s_f=s_f, p_video_class=p)
+    return ScoreSet(s_a=s_a, s_f=s_f, class_conf=p)
 
 
 def random_scores(rng, num_classes, quantized, t=None):
@@ -364,22 +360,22 @@ def random_scores(rng, num_classes, quantized, t=None):
     and equal intervals get exactly tied scores."""
     t = int(rng.integers(2, 60)) if t is None else t
     if quantized:
-        s_a = rng.integers(0, 5, size=(t, num_classes + 1)).astype(np.float64)
+        s_a = rng.integers(0, 5, size=(t, num_classes)).astype(np.float64)
         s_f = rng.integers(0, 5, size=t).astype(np.float64)
         s_a[0], s_a[-1], s_f[0], s_f[-1] = 0.0, 4.0, 0.0, 4.0
-        p = rng.choice([0.05, 0.25, 0.5], size=num_classes + 1)
+        p = rng.choice([0.05, 0.25, 0.5], size=num_classes)
     else:
-        s_a = rng.normal(size=(t, num_classes + 1))
+        s_a = rng.normal(size=(t, num_classes))
         s_f = rng.normal(size=t)
-        p = rng.random(size=num_classes + 1)
-    return ScoreSet(s_a=s_a, s_f=s_f, p_video_class=p)
+        p = rng.random(size=num_classes)
+    return ScoreSet(s_a=s_a, s_f=s_f, class_conf=p)
 
 
-def assert_matches_localize_reference(scores, stride, num_classes, config):
+def assert_matches_localize_reference(scores, stride, config):
     """localize_video against localize_reference: the same classes and
     intervals in the same order, scores within 1e-12. Returns both."""
-    out = table_rows(localize_video(scores, stride, 25.0, num_classes, config, "v"))
-    ref = localize_reference(scores, stride, 25.0, num_classes, config)
+    out = table_rows(localize_video(scores, video_entry(stride), config))
+    ref = localize_reference(scores, video_entry(stride), config)
     assert [(c, s, e) for _, c, _, s, e in out] == [(c, s, e) for c, _, s, e in ref]
     assert all(abs(o[2] - q) <= 1e-12 for o, (_, q, _, _) in zip(out, ref))
     return out, ref
@@ -388,17 +384,16 @@ def assert_matches_localize_reference(scores, stride, num_classes, config):
 class TestLocalizeVideo:
     def test_all_classes_rejected(self):
         config = LocalizeConfig(class_reject_threshold=1.1)
-        out = localize_video(clean_scores(), 16, 25.0, 3, config, "v")
+        out = localize_video(clean_scores(), video_entry(), config)
         assert len(out) == 0 and out.video_ids == ("v",)
         # the empty table has the columns of a full one
-        full = localize_video(clean_scores(), 16, 25.0, 3, LocalizeConfig(), "v")
+        full = localize_video(clean_scores(), video_entry(), LocalizeConfig())
         for column in ("video", "class_id", "start", "end", "score"):
             assert getattr(out, column).dtype == getattr(full, column).dtype
         assert out.class_id.dtype == np.int64 and out.score.dtype == np.float64
 
     def test_single_plateau_single_instance(self):
-        out = localize_video(clean_scores(span=(10, 25), cls=1), 16, 25.0, 3, LocalizeConfig(),
-                             "v")
+        out = localize_video(clean_scores(span=(10, 25), cls=1), video_entry(), LocalizeConfig())
         assert len(out) == 1
         assert out.video_ids == ("v",) and out.video.tolist() == [0]
         assert out.class_id.tolist() == [1]
@@ -417,18 +412,18 @@ class TestLocalizeVideo:
             scores = random_scores(rng, num_classes, quantized)
             config = LocalizeConfig(context_ratio=float(rng.choice([0.0, 0.25, 3.0])),
                                     nms_tiou=float(rng.choice([0.3, 0.5, 0.7])))
-            _, ref = assert_matches_localize_reference(scores, stride, num_classes, config)
+            _, ref = assert_matches_localize_reference(scores, stride, config)
             tied += len(ref) - len({q for _, q, _, _ in ref})
         assert tied > 0 or not quantized
 
     def test_identical_class_columns_keep_the_same_intervals(self, rng):
         # classes 0 and 2 share their score column and probability; NMS is
         # class-wise, so both keep the same detections
-        s_a = rng.normal(size=(50, 4))
+        s_a = rng.normal(size=(50, 3))
         s_a[:, 2] = s_a[:, 0]
         scores = ScoreSet(s_a=s_a, s_f=rng.normal(size=50),
-                          p_video_class=np.array([0.4, 0.3, 0.4, 0.1]))
-        out, _ = assert_matches_localize_reference(scores, 4, 3, LocalizeConfig())
+                          class_conf=np.array([0.4, 0.3, 0.4]))
+        out, _ = assert_matches_localize_reference(scores, 4, LocalizeConfig())
         same = [[(q, s, e) for _, c, q, s, e in out if c == k] for k in (0, 2)]
         assert same[0] and same[0] == same[1]
 
@@ -437,9 +432,9 @@ class TestLocalizeVideo:
         for _ in range(10):
             scores = random_scores(rng, 3, quantized=False, t=t)
             config = LocalizeConfig(context_ratio=float(rng.choice([0.0, 0.25, 3.0])))
-            out, _ = assert_matches_localize_reference(scores, stride, 3, config)
+            out, _ = assert_matches_localize_reference(scores, stride, config)
             if t == 1:  # a constant sequence: one whole-video interval per kept class
-                kept = int((scores.p_video_class[:3] >= config.class_reject_threshold).sum())
+                kept = int((scores.class_conf >= config.class_reject_threshold).sum())
                 assert [(s, e) for *_, s, e in out] == [(0.0, stride / 25.0)] * kept
 
     @pytest.mark.parametrize("t,stride", [(150, 16), (1000, 2)])
@@ -447,12 +442,12 @@ class TestLocalizeVideo:
         # 2,400 and 2,000 frames per class; random walks cross each
         # threshold a few dozen times
         for _ in range(2):
-            scores = ScoreSet(s_a=np.cumsum(rng.normal(size=(t, 5)), axis=0),
+            scores = ScoreSet(s_a=np.cumsum(rng.normal(size=(t, 4)), axis=0),
                               s_f=np.cumsum(rng.normal(size=t)),
-                              p_video_class=rng.random(size=5))
+                              class_conf=rng.random(size=4))
             config = LocalizeConfig(context_ratio=float(rng.choice([0.0, 0.25, 3.0])),
                                     nms_tiou=float(rng.choice([0.3, 0.5, 0.7])))
-            out, _ = assert_matches_localize_reference(scores, stride, 4, config)
+            out, _ = assert_matches_localize_reference(scores, stride, config)
             assert out
 
     def test_peak_memory_within_two_frame_tables(self):
@@ -461,16 +456,15 @@ class TestLocalizeVideo:
         # upsampled frames and their prefix sums. At 4,096 snippets, stride
         # 16 and 5 classes a table is 2.62 MB and the traced peak 5.48 MB.
         t, stride, num_classes = 4096, 16, 5
-        s_a = np.full((t, num_classes + 1), -5.0)
+        s_a = np.full((t, num_classes), -5.0)
         for c in range(num_classes):
             for first in range(20 * c, t - 100, 500):
                 s_a[first:first + 60, c] = 5.0 + np.arange(60) / 60
-        scores = ScoreSet(s_a=s_a, s_f=s_a[:, :num_classes].max(axis=1),
-                          p_video_class=np.full(num_classes + 1, 0.5))
+        scores = ScoreSet(s_a=s_a, s_f=s_a.max(axis=1), class_conf=np.full(num_classes, 0.5))
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            out = localize_video(scores, stride, 25.0, num_classes, LocalizeConfig(), "v")
+            out = localize_video(scores, video_entry(stride), LocalizeConfig())
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -481,7 +475,7 @@ class TestLocalizeVideo:
     def test_interval_contract(self, monkeypatch):
         monkeypatch.setattr(loc, "propose", lambda *a, **k: np.array([[0.0, 2.0, 1.0, 0.5]]))
         with pytest.raises(ContractError, match=r"invalid instance interval \[2.0, 1.0\)"):
-            localize_video(clean_scores(), 16, 25.0, 3, LocalizeConfig(), "v")
+            localize_video(clean_scores(), video_entry(), LocalizeConfig())
 
 
 class TestLocalizeConfig:
@@ -737,8 +731,8 @@ class TestWritersMatchReferences:
         assert (peak - base) / 1e6 < 5.5
 
     def test_empty_table(self, tmp_path):
-        empty = localize_video(clean_scores(), 16, 25.0, 3,
-                               LocalizeConfig(class_reject_threshold=1.1), "v")
+        empty = localize_video(clean_scores(), video_entry(),
+                               LocalizeConfig(class_reject_threshold=1.1))
         write_detections_csv(tmp_path / "d.csv", empty, CLASSES)
         write_detections_json(tmp_path / "d.json", empty, CLASSES)
         assert (tmp_path / "d.csv").read_text() == "video_id,label,t_start,t_end,score\n"

@@ -35,7 +35,7 @@ class TestEmbed:
         a = forward_scores(x, params, config)
         b = forward_scores(x, params, config)
         assert a.s_a.tobytes() == b.s_a.tobytes()
-        assert a.p_video_class.tobytes() == b.p_video_class.tobytes()
+        assert a.class_conf.tobytes() == b.class_conf.tobytes()
 
     def test_single_snippet_shape(self, rng):
         config, params = tiny_model()
@@ -256,6 +256,20 @@ class TestForwardHybrid:
         assert tape.val(out.s_a).shape == (5, 3)
         assert tape.val(out.p_video_class).shape == (3,)
         assert params.w_action.shape == (3, 4)
+
+    @pytest.mark.parametrize("use_background", [True, False])
+    def test_scores_cover_the_action_classes_only(self, rng, use_background):
+        # localization reads the C class columns; the background slot stays in the model
+        config, params = tiny_model(use_background=use_background)
+        x = rng.normal(size=(7, 6))
+        tape, out = run_forward(x, params, config)
+        scores = forward_scores(x, params, config)
+        s_a, p = tape.val(out.s_a), tape.val(out.p_video_class)
+        assert s_a.shape == (7, 3 + use_background)
+        assert scores.s_a.shape == (7, 3) and scores.class_conf.shape == (3,)
+        assert scores.s_a.tobytes() == np.ascontiguousarray(s_a[:, :3]).tobytes()
+        assert scores.class_conf.tobytes() == p[:3].tobytes()
+        assert scores.s_f.tobytes() == tape.val(out.s_f).tobytes()
 
     def test_temperature_required(self):
         with pytest.raises(ConfigError):

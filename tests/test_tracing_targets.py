@@ -18,7 +18,7 @@ from wtal.evaluation import THUMOS_GRID, GroundTruthInstance, map_report
 from wtal.localization import LocalizeConfig, fuse_scores, localize_video, upsample
 from wtal.model import ScoreSet
 
-from conftest import detections_table
+from conftest import detections_table, video_entry
 from oracles import propose_reference
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
@@ -46,14 +46,14 @@ def test_localization_counters_count_candidates_and_kept_detections(tracing, rng
     # sums len(nms(...)): they must read the distinct candidate intervals
     # and the detections that survive suppression
     config = LocalizeConfig()
-    scores = ScoreSet(s_a=rng.normal(size=(40, 4)), s_f=rng.normal(size=40),
-                      p_video_class=np.array([0.6, 0.05, 0.4, 0.2]))
+    scores = ScoreSet(s_a=rng.normal(size=(40, 3)), s_f=rng.normal(size=40),
+                      class_conf=np.array([0.6, 0.05, 0.4]))
     tracer = tracing.Tracer()
     with tracing.installed(tracer):
-        detections = localize_video(scores, 4, 25.0, 3, config, "v")
-    frames = upsample(fuse_scores(scores.s_a, scores.s_f, 3), 4)
+        detections = localize_video(scores, video_entry(snippet_stride=4), config)
+    frames = upsample(fuse_scores(scores.s_a, scores.s_f, config.fusion_weight), 4)
     distinct = sum(len(propose_reference(frames[:, c], config.proposal_thresholds, 25.0,
-                                         float(scores.p_video_class[c]), config.context_ratio))
+                                         float(scores.class_conf[c]), config.context_ratio))
                    for c in (0, 2))
     assert detections and tracer.missing == []
     assert tracer.counts["localization.candidates"] == distinct > len(detections)

@@ -26,8 +26,7 @@ def toy_dataset(rng, n=6, num_classes=3, dim=6, t_range=(3, 9)):
         t = int(rng.integers(*t_range))
         y = np.zeros(num_classes)
         y[rng.permutation(num_classes)[: int(rng.integers(1, num_classes))]] = 1.0
-        samples.append(VideoSample(video_id=f"v{i}", features=rng.normal(size=(t, dim)),
-                                   labels=y, fps=25.0, snippet_stride=16))
+        samples.append(VideoSample(features=rng.normal(size=(t, dim)), labels=y))
     return samples
 
 
@@ -142,8 +141,7 @@ class TestTrainEpoch:
     def test_zero_snippet_video_skipped_with_count(self, rng):
         config, params = tiny_model()
         dataset = toy_dataset(rng, n=4)
-        dataset[2] = VideoSample("empty", np.zeros((0, 6)), np.array([1.0, 0, 0]),
-                                 25.0, 16)
+        dataset[2] = VideoSample(np.zeros((0, 6)), np.array([1.0, 0, 0]))
         state = init_optimizer(params)
         report = train_epoch(dataset, params, state, config, LossWeights(),
                              TrainConfig(precision=64, seed=1), epoch=0)
@@ -210,8 +208,8 @@ class TestTrainEpoch:
         # Adam step allocated fresh arrays; 3.71 MB without those copies.
         config = tiny_config(feature_dim=256, embed_dims=(256, 256))
         rng = np.random.default_rng(0)
-        dataset = [VideoSample(f"v{i}", rng.normal(size=(32, 256)).astype(np.float32),
-                               np.array([1.0, 0.0, 1.0]), 25.0, 16) for i in range(4)]
+        dataset = [VideoSample(rng.normal(size=(32, 256)).astype(np.float32),
+                               np.array([1.0, 0.0, 1.0])) for _ in range(4)]
         params = init_params(config, seed=0, dtype=np.float32)
         state = init_optimizer(params)
         tc = TrainConfig(batch_size=4, seed=0)
@@ -236,6 +234,12 @@ class TestFit:
     def test_zero_epochs_forbidden(self):
         with pytest.raises(ConfigError):
             TrainConfig(epochs=0)
+
+    @pytest.mark.parametrize("eps", [0.0, -1.0])
+    def test_non_positive_adam_eps_forbidden(self, eps):
+        # eps 0 divides by zero at the first zero gradient and turns parameters NaN
+        with pytest.raises(ConfigError, match="adam_eps must be positive"):
+            TrainConfig(adam_eps=eps)
 
     def test_long_schedule_accepted(self):
         tc = TrainConfig(learning_rate=0.0001, epochs=100)
