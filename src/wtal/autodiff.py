@@ -65,18 +65,11 @@ class Tape:
         x, y = self._same_shape("mul", a, b)
         return self._push("mul", (a, b), x * y)
 
-    def scale(self, a: int, alpha: float) -> int:
-        alpha = float(alpha)
-        return self._push("scale", (a,), self.val(a) * alpha, {"alpha": alpha})
-
     def mul_const(self, a: int, const) -> int:
         x, c = self.val(a), np.asarray(const)
         if c.shape != x.shape and c.ndim != 0:
             raise ContractError(f"mul_const shape mismatch {x.shape} vs {c.shape}")
         return self._push("mul_const", (a,), x * c.astype(x.dtype, copy=False), {"const": c})
-
-    # one mul_const node by a mask of 0 and 1/keep_prob entries, drawn by the caller
-    dropout = mul_const
 
     def matmul(self, a: int, b: int) -> int:
         x, y = self.val(a), self.val(b)
@@ -241,7 +234,6 @@ def _sum_backward(node: Node, g: np.ndarray, values, wanted):
 _BACKWARD = {
     "add": lambda n, g, v, _: [g, g],
     "mul": lambda n, g, v, _: [g * v[1], g * v[0]],
-    "scale": lambda n, g, v, _: [g * n.meta["alpha"]],
     "mul_const": lambda n, g, v, _: [g * n.meta["const"].astype(g.dtype, copy=False)],
     "matmul": lambda n, g, v, _: [g @ v[1].T, v[0].T @ g],
     "transpose": lambda n, g, v, _: [g.T],

@@ -2,9 +2,10 @@
 
 All commands read an optional JSON config file (sections: model, train,
 loss, localize, synth; versioned via config_version) and accept repeated
-``--set section.key=value`` overrides. Unknown sections or keys, in any
-section, and the model keys that the manifest sets are rejected before any
-work starts. Diagnostics go to stderr; exit status is 0 only when the
+``--set section.key=value`` overrides. Every section is built and checked,
+whether or not the command uses it: unknown sections or keys, wrong values,
+and the model keys that the manifest sets are rejected before any work
+starts. Diagnostics go to stderr; exit status is 0 only when the
 command's postconditions hold.
 """
 from __future__ import annotations
@@ -15,7 +16,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import fields
+from dataclasses import fields, replace
 from functools import partial
 from pathlib import Path
 
@@ -47,6 +48,8 @@ def _fail(message: str, code: int = 2) -> int:
 
 
 def load_run_config(path: str | None, overrides: list[str]) -> dict:
+    """Section name -> its config, built from the file and the overrides; the model
+    config holds stand-ins for the two values that ``wtal train`` takes from the manifest."""
     cfg: dict[str, dict] = {section: {} for section in CONFIG_SECTIONS}
     if path is not None:
         doc = read_json(path, ConfigError)
@@ -78,13 +81,13 @@ def load_run_config(path: str | None, overrides: list[str]) -> dict:
                 raise ConfigError(f"{section}.{key} is set by the manifest, not by a config")
             if key not in known:
                 raise ConfigError(f"unknown config key {section}.{key}")
-    return cfg
+    stand_ins = {"num_classes": 1, "feature_dim": 1}
+    return {section: build_config(cls, cfg[section], **(stand_ins if cls is ModelConfig else {}))
+            for section, cls in CONFIG_SECTIONS.items()}
 
 
 def cmd_synth(args) -> int:
-    cfg = load_run_config(args.config, args.set)
-    synth_cfg = build_config(SynthConfig, cfg["synth"])
-    manifest_path = generate_synthetic(synth_cfg, args.out)
+    manifest_path = generate_synthetic(load_run_config(args.config, args.set)["synth"], args.out)
     manifest = parse_manifest(manifest_path)
     print(f"wrote {len(manifest.videos)} videos "
           f"({len(manifest.split('train'))} train / {len(manifest.split('test'))} test), "
@@ -117,10 +120,9 @@ def cmd_train(args) -> int:
     _keep_freed_heap()
     cfg = load_run_config(args.config, args.set)
     manifest = parse_manifest(args.manifest)
-    train_cfg = build_config(TrainConfig, cfg["train"])
-    weights = build_config(LossWeights, cfg["loss"])
-    model_cfg = build_config(ModelConfig, cfg["model"], num_classes=len(manifest.classes),
-                             feature_dim=manifest.feature_dim)
+    train_cfg = cfg["train"]
+    model_cfg = replace(cfg["model"], num_classes=len(manifest.classes),
+                        feature_dim=manifest.feature_dim)
     dataset = load_dataset(manifest, "train")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -131,7 +133,7 @@ def cmd_train(args) -> int:
     else:
         params = init_params(model_cfg, seed=train_cfg.seed, dtype=train_cfg.dtype)
         state, history = None, []
-    history = fit(dataset, params, model_cfg, weights, train_cfg, out_dir=out_dir,
+    history = fit(dataset, params, model_cfg, cfg["loss"], train_cfg, out_dir=out_dir,
                   checkpoint_interval=args.checkpoint_interval, state=state, history=history)
     print(f"{len(history)} epochs, final loss "
           f"{history[-1].losses['total']:.4f} -> {out_dir / 'model.npz'}")
@@ -140,8 +142,7 @@ def cmd_train(args) -> int:
 
 def cmd_localize(args) -> int:
     _keep_freed_heap()
-    cfg = load_run_config(args.config, args.set)
-    loc_cfg = build_config(LocalizeConfig, cfg["localize"])
+    loc_cfg = load_run_config(args.config, args.set)["localize"]
     manifest = parse_manifest(args.manifest)
     checkpoint = Path(args.model_dir) / "model.npz"
     params, model_cfg = load_checkpoint(checkpoint)

@@ -69,7 +69,11 @@ def save_features(path, array: np.ndarray) -> None:
 def read_feature_header(path) -> tuple[int, int]:
     """(T, D) from the 16-byte header, without touching the payload."""
     with open(path, "rb") as fh:
-        head = fh.read(16)
+        return _read_header(fh, path)
+
+
+def _read_header(fh, path) -> tuple[int, int]:
+    head = fh.read(16)
     if len(head) < 16:
         raise FormatError(f"truncated feature header ({len(head)} bytes) in {path}")
     if head[:4] != FEATURE_MAGIC:
@@ -82,16 +86,15 @@ def read_feature_header(path) -> tuple[int, int]:
 
 def load_features(path) -> np.ndarray:
     """The (T, D) float32 payload, read straight into its array once the file
-    size has been checked against the header."""
-    t, d = read_feature_header(path)
-    expected = 4 * t * d
+    size has been checked against the header; one open of the file."""
     with open(path, "rb") as fh:
+        t, d = _read_header(fh, path)
+        expected = 4 * t * d
         size = os.fstat(fh.fileno()).st_size - 16
         if size != expected:
             raise FormatError(
                 f"feature payload is {size} bytes at offset 16, expected {expected} in {path}")
         data = np.empty((t, d), dtype="<f4")
-        fh.seek(16)
         got = fh.readinto(data)
     if got != expected:
         raise FormatError(

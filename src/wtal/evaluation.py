@@ -134,79 +134,71 @@ def average_precision(detections: Detections,
     return ap / len(ground_truths)
 
 
-@dataclass
+@dataclass(frozen=True)
 class EvalReport:
+    """The AP of each class at each tIoU threshold; the mAPs derive from it."""
     thresholds: tuple[float, ...]
-    num_classes: int
-    ap: dict[float, dict[int, float]]        # threshold -> class -> AP
-    map_at: dict[float, float]               # threshold -> mAP
-    average_map: float
+    ap: np.ndarray                    # float64 (thresholds, classes)
     classes_with_gt: tuple[int, ...]
+
+    @cached_property
+    def map_at(self) -> dict[float, float]:
+        """Threshold -> mean AP over the classes with ground truth (0.0 if none)."""
+        with_gt = list(self.classes_with_gt)
+        return {t: float(np.mean(row[with_gt])) if with_gt else 0.0
+                for t, row in zip(self.thresholds, self.ap)}
+
+    @property
+    def average_map(self) -> float:
+        return float(np.mean([self.map_at[t] for t in self.thresholds]))
 
 
 def map_report(detections: Detections, ground_truths: list[GroundTruthInstance],
                thresholds, num_classes: int) -> EvalReport:
-    """mAP at each threshold, averaged over classes that have ground truth."""
+    """AP of each class at each threshold; mAP averages over the classes that
+    have ground truth."""
     thresholds = tuple(float(t) for t in thresholds)
     if not thresholds:
         raise ContractError("threshold grid must be non-empty")
-    det_by_class = {c: detections.take(detections.class_id == c) for c in range(num_classes)}
     gt_by_class = {c: [] for c in range(num_classes)}
     for g in ground_truths:
         gt_by_class[g.class_id].append(g)
-    with_gt = tuple(c for c in range(num_classes) if gt_by_class[c])
-    ap: dict[float, dict[int, float]] = {}
-    map_at: dict[float, float] = {}
-    for threshold in thresholds:
-        per_class = {c: average_precision(det_by_class[c], gt_by_class[c], threshold)
-                     for c in range(num_classes)}
-        ap[threshold] = per_class
-        map_at[threshold] = (float(np.mean([per_class[c] for c in with_gt]))
-                             if with_gt else 0.0)
-    return EvalReport(
-        thresholds=thresholds,
-        num_classes=num_classes,
-        ap=ap,
-        map_at=map_at,
-        average_map=float(np.mean([map_at[t] for t in thresholds])),
-        classes_with_gt=with_gt,
-    )
+    ap = np.zeros((len(thresholds), num_classes))
+    for c, gts in gt_by_class.items():
+        dets = detections.take(detections.class_id == c)
+        ap[:, c] = [average_precision(dets, gts, t) for t in thresholds]
+    return EvalReport(thresholds, ap, tuple(c for c, gts in gt_by_class.items() if gts))
 
 
-def format_report(report: EvalReport, class_names: list[str] | None = None) -> str:
+def format_report(report: EvalReport, class_names: list[str]) -> str:
     """Aligned text table: thresholds as columns, per-class AP rows, the mAP
     row last with the grid average in the final column."""
-    names = class_names or [f"class_{c}" for c in range(report.num_classes)]
-    width = max(12, max(len(n) for n in names) + 2)
+    width = max(12, max(len(n) for n in class_names) + 2)
 
     def line(name: str, cells, last: str) -> str:
         return name.ljust(width) + "".join(f"{v:>8.3f}" for v in cells) + f"{last:>8}"
 
     lines = ["tIoU".ljust(width) + "".join(f"{t:>8.2f}" for t in report.thresholds)
              + f"{'AVG':>8}"]
-    for c in range(report.num_classes):
-        cells = [report.ap[t][c] for t in report.thresholds]
-        lines.append(line(names[c], cells, f"{float(np.mean(cells)):.3f}"
+    for c, cells in enumerate(report.ap.T.tolist()):
+        lines.append(line(class_names[c], cells, f"{float(np.mean(cells)):.3f}"
                           if c in report.classes_with_gt else "-"))
     lines.append(line("mAP", [report.map_at[t] for t in report.thresholds],
                       f"{report.average_map:.3f}"))
     return "\n".join(lines)
 
 
-def report_to_dict(report: EvalReport, class_names: list[str] | None = None) -> dict:
-    names = class_names or [f"class_{c}" for c in range(report.num_classes)]
+def report_to_dict(report: EvalReport, class_names: list[str]) -> dict:
     return {
         "thresholds": list(report.thresholds),
-        "per_class_ap": {
-            names[c]: {str(t): report.ap[t][c] for t in report.thresholds}
-            for c in range(report.num_classes)
-        },
-        "map": {str(t): report.map_at[t] for t in report.thresholds},
+        "per_class_ap": {class_names[c]: dict(zip(map(str, report.thresholds), cells))
+                         for c, cells in enumerate(report.ap.T.tolist())},
+        "map": {str(t): v for t, v in report.map_at.items()},
         "average_map": report.average_map,
-        "classes_with_ground_truth": [names[c] for c in report.classes_with_gt],
+        "classes_with_ground_truth": [class_names[c] for c in report.classes_with_gt],
     }
 
 
-def write_report_json(path, report: EvalReport, class_names: list[str] | None = None) -> None:
+def write_report_json(path, report: EvalReport, class_names: list[str]) -> None:
     with atomic_write(path) as fh:
         json.dump(report_to_dict(report, class_names), fh, indent=2)

@@ -65,6 +65,6 @@ def total_loss(tape: ad.Tape, outputs: BranchOutputs, y: np.ndarray,
         "mil": nce_loss(tape, outputs.p_mil, target_mil),
     }
     # (class_wise + class_agnostic) + mil, each term recorded just before its add
-    total = reduce(tape.add, (tape.scale(ref, getattr(weights, name))
+    total = reduce(tape.add, (tape.mul_const(ref, getattr(weights, name))
                               for name, ref in parts.items()))
     return total, parts

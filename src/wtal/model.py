@@ -164,7 +164,7 @@ def _dropout(tape: ad.Tape, ref: int, config: ModelConfig, train_mode: bool, rng
     keep = 1.0 - config.dropout_rate
     shape = tape.val(ref).shape
     mask = (rng.random(shape) < keep).astype(tape.val(ref).dtype) / keep
-    return tape.dropout(ref, mask)
+    return tape.mul_const(ref, mask)
 
 
 def forward_hybrid(tape: ad.Tape, x_raw: int, refs: ModelParams[int], config: ModelConfig,
@@ -184,7 +184,7 @@ def forward_hybrid(tape: ad.Tape, x_raw: int, refs: ModelParams[int], config: Mo
     s_a_t = tape.transpose(s_a)
 
     def mean_over_heads(ref: int) -> int:
-        return tape.scale(tape.sum(ref, axis=0), 1.0 / h)
+        return tape.mul_const(tape.sum(ref, axis=0), 1.0 / h)
 
     out = BranchOutputs(x_e=x_e, s_a=s_a, s_f=s_f)
     out.attn_class = tape.softmax(s_a_t, config.temperatures, axis=1)

@@ -6,8 +6,11 @@ scripts/synthetic_pipeline.py on configs/synthetic.json; the whole module
 takes a couple of minutes on a laptop-class CPU.
 """
 import json
+import os
+import subprocess
 import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +26,9 @@ from wtal.model import ModelConfig, init_params, run_forward
 from conftest import detections_table
 from oracles import hybrid_reference, map_reference, nms_reference, tiou
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "scripts"))
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "scripts"))
+from branch_ablation import VARIANTS as ABLATION  # noqa: E402
 from synthetic_pipeline import CONFIG, run as run_pipeline  # noqa: E402
 
 
@@ -143,22 +148,44 @@ def synthetic_dataset(tmp_path_factory):
     return parse_manifest(root / "manifest.json")
 
 
-def train_and_localize(tmp_path_factory, class_wise, class_agnostic, mil, *overrides):
+@pytest.fixture(scope="module")
+def e2e_full_run(tmp_path_factory):
     """Average mAP of the desk run (configs/synthetic.json through the CLI
-    stages) trained with these loss weights and further ``--set`` overrides."""
-    weights = [f"loss.class_wise={class_wise}", f"loss.class_agnostic={class_agnostic}",
-               f"loss.mil={mil}"]
-    report = run_pipeline(tmp_path_factory.mktemp("run"), None, weights + list(overrides))
-    return json.loads(report.read_text())["average_map"]
+    stages) and its wall time."""
+    started = time.perf_counter()
+    report = run_pipeline(tmp_path_factory.mktemp("run"), None, [])
+    return json.loads(report.read_text())["average_map"], time.perf_counter() - started
+
+
+SINGLES = ("class-wise only", "class-agnostic only", "mil only")
+VARIANTS = {  # the --set overrides of each variant of the desk run
+    **{name: ABLATION[name] for name in SINGLES},
+    "class-wise with background": [*ABLATION["class-wise only"], "model.use_background=true"],
+}
 
 
 @pytest.fixture(scope="module")
-def e2e_full_run(tmp_path_factory):
-    started = time.perf_counter()
-    weights = json.loads(CONFIG.read_text())["loss"]
-    average_map = train_and_localize(tmp_path_factory, weights["class_wise"],
-                                     weights["class_agnostic"], weights["mil"])
-    return average_map, time.perf_counter() - started
+def variant_maps(tmp_path_factory):
+    """Average mAP of each variant, each run as its own
+    scripts/synthetic_pipeline.py process with one BLAS thread, min(4, CPUs)
+    at a time. Training is deterministic, so the runs are independent."""
+    root = tmp_path_factory.mktemp("variants")
+    env = {**os.environ, "OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1",
+           "MKL_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                       os.environ.get("PYTHONPATH")]))}
+
+    def average_map(workdir: Path, overrides) -> float:
+        sets = [arg for item in overrides for arg in ("--set", item)]
+        result = subprocess.run([sys.executable, str(ROOT / "scripts" / "synthetic_pipeline.py"),
+                                 "--workdir", str(workdir), *sets],
+                                capture_output=True, text=True, env=env)
+        assert result.returncode == 0, result.stderr
+        return json.loads((workdir / "report.json").read_text())["average_map"]
+
+    workdirs = [root / f"variant{i}" for i in range(len(VARIANTS))]
+    with ThreadPoolExecutor(min(4, os.cpu_count() or 1)) as pool:
+        return dict(zip(VARIANTS, pool.map(average_map, workdirs, VARIANTS.values())))
 
 
 # --- criterion 5: pipeline sanity --------------------------------------------
@@ -186,29 +213,22 @@ def test_end_to_end_learning_clears_map_floor(e2e_full_run):
 
 # --- criterion 7: branch ablation direction -----------------------------------
 
-def test_three_branch_model_dominates_single_branches(tmp_path_factory, e2e_full_run):
+def test_three_branch_model_dominates_single_branches(e2e_full_run, variant_maps):
     full_map, _ = e2e_full_run
-    singles = {
-        "class-wise": (1.0, 0.0, 0.0),
-        "class-agnostic": (0.0, 1.0, 0.0),
-        "mil": (0.0, 0.0, 1.0),
-    }
-    results = {}
-    for name, weights in singles.items():
-        results[name] = train_and_localize(tmp_path_factory, *weights)
+    results = {name: variant_maps[name] for name in SINGLES}
+    for name in results:
         assert full_map >= results[name], (
             f"{name} branch ({results[name]:.3f}) beat the full model ({full_map:.3f})")
     detail = ", ".join(f"{k} {v:.3f}" for k, v in results.items())
     verdict("branch-ablation-direction", f"full {full_map:.3f} >= {detail}")
 
 
-def test_class_wise_alone_with_background_degrades(tmp_path_factory, e2e_full_run):
+def test_class_wise_alone_with_background_degrades(e2e_full_run, variant_maps):
     # with the auxiliary branch weights at zero and the background slot
     # enabled, the foreground scores lose their meaning; the run must still
     # complete and is only asserted to localize worse than the full model
     full_map, _ = e2e_full_run
-    average_map = train_and_localize(tmp_path_factory, 1.0, 0.0, 0.0,
-                                     "model.use_background=true")
+    average_map = variant_maps["class-wise with background"]
     assert np.isfinite(average_map)
     assert average_map <= full_map
     verdict("background-ambiguity-degradation",

@@ -29,6 +29,15 @@ class TestFeatureFiles:
         assert load_features(path).shape == (1, 4)
         assert read_feature_header(path) == (1, 4)
 
+    def test_one_open_per_load(self, tmp_path, rng, monkeypatch):
+        path = tmp_path / "v.facf"
+        save_features(path, rng.normal(size=(5, 4)).astype(np.float32))
+        opened = []
+        monkeypatch.setattr("wtal.data.open", lambda file, *args: opened.append(file)
+                            or open(file, *args), raising=False)
+        assert load_features(path).shape == (5, 4)
+        assert opened == [path]
+
     def test_truncated_payload_names_sizes(self, tmp_path, rng):
         path = tmp_path / "v.facf"
         save_features(path, rng.normal(size=(5, 4)).astype(np.float32))

@@ -233,6 +233,18 @@ class TestMapReport:
             assert np.allclose(got, ref_per_t, atol=1e-10)
             assert report.average_map == pytest.approx(ref_avg, abs=1e-10)
 
+    @pytest.mark.parametrize("grid", [THUMOS_GRID, ACTIVITYNET_GRID])
+    def test_map_is_the_mean_of_the_ap_list_bit_for_bit(self, rng, grid):
+        # twelve classes with ground truth: a mean over an axis of the AP table
+        # sums in another order from eight values up, np.mean over a list does not
+        gts, dets = random_micro_dataset(rng, videos=40, classes=12)
+        report = map_report(dets, gts, grid, 13)
+        assert len(report.classes_with_gt) >= 8 and 12 not in report.classes_with_gt
+        for i, t in enumerate(grid):
+            aps = [report.ap[i, c] for c in report.classes_with_gt]
+            assert report.map_at[t] == float(np.mean(aps))
+        assert report.average_map == float(np.mean([report.map_at[t] for t in grid]))
+
     def test_both_grids_supported(self):
         gts = [gt("a", 0, 5, 0)]
         dets = [det("a", 1.0, 0, 5, 0)]
