@@ -13,11 +13,13 @@ field-by-field validation rules.
 from __future__ import annotations
 
 import contextlib
+import functools
 import json
 import os
 import struct
 import sys
 import zipfile
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 from types import UnionType
@@ -193,10 +195,16 @@ def has_json_type(value, hint) -> bool:
         and (hint is bool or not isinstance(value, bool))
 
 
+@functools.cache
+def _field_types(cls) -> dict:
+    """The type hints of config class ``cls``, evaluated once per class."""
+    return get_type_hints(cls)
+
+
 def build_config(cls, mapping: dict, **fixed):
     """``cls(**mapping, **fixed)``; ``ConfigError`` naming an unknown key, or a value
     of the wrong JSON type or not finite."""
-    hints = get_type_hints(cls)
+    hints = _field_types(cls)
     unknown = set(mapping) - set(hints)
     if unknown:
         raise ConfigError(f"unknown {cls.__name__} keys: {sorted(unknown)}")
@@ -333,10 +341,25 @@ class VideoSample:
     labels: np.ndarray
 
 
-def load_dataset(manifest: Manifest, split: str) -> list[VideoSample]:
-    """The videos of one split, in manifest order."""
-    return [VideoSample(manifest.video_features(entry), manifest.label_vector(entry))
-            for entry in manifest.split(split)]
+@dataclass(frozen=True)
+class VideoSplit(Sequence):
+    """The videos of one split as ``VideoSample``s. Indexing a video reads its
+    features from its files through ``Manifest.video_features``, with every check
+    of ``load_features``; the split itself holds no features."""
+    manifest: Manifest
+    entries: list[VideoEntry]
+
+    def __len__(self) -> int:
+        return len(self.entries)
+
+    def __getitem__(self, index) -> VideoSample:
+        entry = self.entries[index]
+        return VideoSample(self.manifest.video_features(entry), self.manifest.label_vector(entry))
+
+
+def load_dataset(manifest: Manifest, split: str) -> VideoSplit:
+    """The videos of one split, in manifest order, each read when it is indexed."""
+    return VideoSplit(manifest, manifest.split(split))
 
 
 def ground_truth_instances(manifest: Manifest, split: str) -> list[GroundTruthInstance]:

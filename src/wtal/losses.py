@@ -32,7 +32,7 @@ def normalized_target(y: np.ndarray, background_value: int, use_background: bool
     y = np.asarray(y, dtype=np.float64)
     if y.ndim != 1:
         raise ContractError(f"label vector must be 1-d, got shape {y.shape}")
-    if not np.isin(y, (0, 1)).all():
+    if not ((y == 0) | (y == 1)).all():
         raise InputError("label vector entries must be 0 or 1")
     if y.sum() < 1:
         raise InputError("label vector must have at least one positive class")

@@ -128,10 +128,11 @@ def _video_seed(base_seed: int, epoch: int, index: int) -> np.random.SeedSequenc
     return np.random.SeedSequence((base_seed, epoch, index + 1))
 
 
-def _maybe_subsample(features: np.ndarray, limit: int | None, rng) -> np.ndarray:
+def _maybe_subsample(features: np.ndarray, limit: int | None,
+                     seed: np.random.SeedSequence) -> np.ndarray:
     if limit is None or features.shape[0] <= limit:
         return features
-    start = int(rng.integers(0, features.shape[0] - limit + 1))
+    start = int(np.random.default_rng(seed).integers(0, features.shape[0] - limit + 1))
     return features[start:start + limit]
 
 
@@ -156,7 +157,9 @@ def train_epoch(dataset, params: ModelParams, state: OptimizerState,
                 model_config: ModelConfig, loss_weights: LossWeights,
                 train_config: TrainConfig, epoch: int) -> EpochReport:
     """One pass over the dataset: accumulate per-video gradients within each
-    batch, average, and apply a single optimizer step per batch."""
+    batch, average, and apply a single optimizer step per batch. ``dataset`` is a
+    sequence of ``VideoSample``s, such as a ``load_dataset`` split; each video is
+    indexed once, in the epoch's shuffled order."""
     if not dataset:
         raise ConfigError("training dataset is empty")
     order_rng = np.random.default_rng(_video_seed(train_config.seed, epoch, -1))
@@ -175,10 +178,10 @@ def train_epoch(dataset, params: ModelParams, state: OptimizerState,
                 skipped += 1
                 continue
             seed = _video_seed(train_config.seed, epoch, int(idx))
-            rng = np.random.default_rng(seed)
-            feats = _maybe_subsample(sample.features, train_config.max_snippets, rng)
+            feats = _maybe_subsample(sample.features, train_config.max_snippets, seed)
             losses = _add_video_gradients(acc, feats, sample.labels, seed.spawn(1)[0], params,
                                           model_config, loss_weights, epoch)
+            del sample, feats  # the next video is read with none of this one's features held
             for key, value in losses.items():
                 sums[key] += value
             in_batch += 1

@@ -1,9 +1,11 @@
 import json
 import os
 import platform
+import re
 import subprocess
 import sys
 import textwrap
+import typing
 from dataclasses import fields
 from pathlib import Path
 
@@ -13,9 +15,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wtal import training
-from wtal.cli import load_run_config, main
-from wtal.data import (SynthConfig, generate_synthetic, load_features,
+from wtal.cli import CONFIG_SECTIONS, build_parser, load_run_config, main
+from wtal.data import (SynthConfig, _field_types, generate_synthetic, load_features,
                        parse_manifest, save_features)
+from wtal.errors import FormatError
 from wtal.localization import LocalizeConfig, localize_split, read_detections
 from wtal.losses import LossWeights
 from wtal.model import ModelConfig, forward_scores, init_params, load_checkpoint
@@ -170,6 +173,20 @@ class TestSynth:
                            "--out", str(tmp_path / "d"), "--set", "synth.num_test=2")
         assert code == 0
         assert "4 videos" in out
+
+    def test_config_types_evaluated_once_per_class(self, monkeypatch):
+        # build_config reads each config class's field types once per process
+        calls = []
+
+        def counting(cls):
+            calls.append(cls.__name__)
+            return typing.get_type_hints(cls)
+
+        monkeypatch.setattr("wtal.data.get_type_hints", counting)
+        _field_types.cache_clear()
+        config = str(Path(__file__).resolve().parents[1] / "configs" / "synthetic.json")
+        assert load_run_config(config, []) == load_run_config(config, [])
+        assert sorted(calls) == sorted(cls.__name__ for cls in CONFIG_SECTIONS.values())
 
 
 class TestManifestFieldTypes:
@@ -418,6 +435,31 @@ class TestTrain:
         assert code == 2
         assert f"video {video['id']}: a train video needs at least one label" in err
         assert "Traceback" not in err
+
+    def test_truncated_payload_ends_epoch_zero_without_artefacts(self, dataset_dir, tmp_path,
+                                                                 capsys, monkeypatch):
+        # the manifest reads only the headers; the payload is checked when epoch 0
+        # reads the video, and the run ends before it writes any file
+        path = dataset_dir / "manifest.json"
+        feature = parse_manifest(path).split("train")[-1].features["rgb"]
+        size = feature.stat().st_size
+
+        def parse_then_truncate(manifest_path):
+            manifest = parse_manifest(manifest_path)
+            os.truncate(feature, size - 4)
+            return manifest
+
+        monkeypatch.setattr("wtal.cli.parse_manifest", parse_then_truncate)
+        out = tmp_path / "r"
+        argv = ["train", "--manifest", str(path), "--out", str(out), *FAST_TRAIN]
+        args = build_parser().parse_args(argv)
+        message = f"expected {size - 16} in {feature}"
+        with pytest.raises(FormatError, match=re.escape(message) + "$"):
+            args.func(args)
+        code, _, err = run(capsys, *argv)
+        assert code == 1
+        assert message + "\n" in err and "Traceback" not in err
+        assert list(out.glob("*")) == []
 
     def test_wrongly_typed_train_value_exits_cleanly(self, dataset_dir, tmp_path, capsys):
         code, _, err = run(capsys, "train", "--manifest", str(dataset_dir / "manifest.json"),

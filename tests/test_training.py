@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from wtal import autodiff as ad
 from wtal import training as tr
-from wtal.data import SynthConfig, VideoSample, generate_synthetic, load_dataset, parse_manifest
+from wtal.data import (SynthConfig, VideoSample, generate_synthetic, load_dataset, load_features,
+                       parse_manifest)
 from wtal.errors import ConfigError, ContractError, FormatError
 from wtal.losses import LossWeights, total_loss
 from wtal.model import ModelConfig, init_params, run_forward
@@ -223,6 +224,29 @@ class TestTrainEpoch:
             tracemalloc.stop()
         assert (peak - base) / 1e6 < 5.4
 
+    def test_peak_traced_memory_does_not_grow_with_the_split(self, tmp_path):
+        # the features dominate at this shape (512 KB a video; kernel 1 and 4-wide
+        # embeddings keep the tape small): a split read into one list before the
+        # epoch would add the features of 12 more videos to the peak
+        def peak(num_train):
+            manifest = parse_manifest(generate_synthetic(SynthConfig(
+                num_train=num_train, num_test=0, feature_dim=256, snippet_range=(500, 500),
+                seed=1), tmp_path / str(num_train)))
+            config = ModelConfig(num_classes=5, feature_dim=256, embed_dims=(4, 4),
+                                 kernel_size=1)
+            params = init_params(config, seed=0, dtype=np.float32)
+            state = init_optimizer(params)
+            tracemalloc.start()
+            try:
+                dataset = load_dataset(manifest, "train")
+                train_epoch(dataset, params, state, config, LossWeights(),
+                            TrainConfig(batch_size=4, seed=0), epoch=0)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(16) - peak(4) < 500 * 256 * 4
+
     def test_empty_dataset_rejected(self, rng):
         config, params = tiny_model()
         with pytest.raises(ConfigError):
@@ -305,6 +329,34 @@ class TestFit:
         tc = TrainConfig(epochs=1, batch_size=1, precision=64, seed=2, max_snippets=5)
         history = fit(dataset, params, config, LossWeights(), tc, tmp_path)
         assert history[0].num_videos == 2
+
+    def test_split_read_once_per_epoch_in_shuffled_order(self, tmp_path, monkeypatch):
+        # fit over load_dataset reads each stream of each video once an epoch, as the
+        # epoch's shuffled order reaches it, and trains the bits it trains over a list
+        manifest = parse_manifest(generate_synthetic(SynthConfig(
+            num_classes=3, num_train=5, num_test=1, feature_dim=8, snippet_range=(20, 30),
+            streams=("rgb", "flow"), seed=4), tmp_path / "data"))
+        config = ModelConfig(num_classes=3, feature_dim=16, embed_dims=(8, 8))
+        tc = TrainConfig(epochs=3, batch_size=2, seed=6, max_snippets=25)
+        in_memory = init_params(config, seed=0, dtype=np.float32)
+        fit(list(load_dataset(manifest, "train")), in_memory, config, LossWeights(), tc,
+            tmp_path)
+        read = []
+
+        def counting(path):
+            read.append(path)
+            return load_features(path)
+
+        monkeypatch.setattr("wtal.data.load_features", counting)
+        streamed = init_params(config, seed=0, dtype=np.float32)
+        fit(load_dataset(manifest, "train"), streamed, config, LossWeights(), tc, tmp_path)
+        videos = manifest.split("train")
+        orders = [np.random.default_rng(tr._video_seed(tc.seed, epoch, -1)).permutation(5)
+                  for epoch in range(tc.epochs)]
+        assert read == [videos[i].features[s] for order in orders for i in order
+                        for s in manifest.streams]
+        for name, tensor in in_memory.as_dict().items():
+            assert tensor.tobytes() == getattr(streamed, name).tobytes(), name
 
     def test_separable_synthetic_loss_drops_below_quarter(self, tmp_path):
         # measured ratio 0.174 on this fixed seed
