@@ -1,11 +1,11 @@
 """Reverse-mode gradient tape over a fixed set of dense operations.
 
-The op set is deliberately closed: matrix product, temporal convolution,
-row-wise cosine similarity, temperature softmax, elementwise maps and
-reductions. Each op records its forward value plus whatever the adjoint
-needs, and ``backward`` walks the tape once in reverse with hand-written
-adjoint rules. ``finite_diff_check`` is the verification harness for those
-rules.
+The op set is deliberately closed: matrix product, temporal convolution
+(with the embedding's dropout and ReLU), row-wise cosine similarity,
+temperature softmax, elementwise maps and reductions. Each op records its
+forward value plus whatever the adjoint needs, and ``backward`` walks the
+tape once in reverse with hand-written adjoint rules. ``finite_diff_check``
+is the verification harness for those rules.
 """
 from __future__ import annotations
 
@@ -38,6 +38,7 @@ class Tape:
 
     def __init__(self) -> None:
         self.nodes: list[Node] = []
+        self._unit: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}  # ref -> _unit_rows
 
     def val(self, ref: int) -> np.ndarray:
         return self.nodes[ref].value
@@ -84,17 +85,19 @@ class Tape:
         shape = tuple(shape)
         return self._push("reshape", (a,), self.val(a).reshape(shape).copy(), {"shape": shape})
 
-    def relu(self, a: int) -> int:
-        return self._push("relu", (a,), np.maximum(self.val(a), 0))
-
-    def temporal_conv(self, x: int, w: int, b: int) -> int:
-        """1-d convolution over time, stride 1, zero same-padding, as one matmul.
+    def temporal_conv(self, x: int, w: int, b: int, mask: np.ndarray | None = None,
+                      keep: float = 1.0) -> int:
+        """One embedding layer: 1-d convolution over time, then dropout, then ReLU.
 
         x: (T, d_in); w: (k*d_in, d_out) in tap-major layout, k odd; b: (d_out,)
         -> (T, d_out). Row block i of w, ``w[i*d_in:(i+1)*d_in]``, is the slice
-        for tap i, so out[t] = b + sum_i xp[t + i] @ w_i with xp the input
+        for tap i, so conv[t] = b + sum_i xp[t + i] @ w_i with xp the input
         zero-padded by k // 2 rows at each end. That is ``windows @ w + b``,
         where row t of ``windows`` concatenates xp[t], ..., xp[t + k - 1].
+        The value is ``relu(conv * mask)``; ``mask`` (T, d_out), when given,
+        holds 0 or 1/keep in each entry. The node keeps only its value: the
+        adjoint gates by value > 0, which is zero wherever the mask or the ReLU
+        zeroed an entry, and scales by 1/keep.
         """
         xv, wv, bv = self.val(x), self.val(w), self.val(b)
         if xv.ndim != 2 or wv.ndim != 2 or bv.ndim != 1:
@@ -110,7 +113,14 @@ class Tape:
         if k % 2 == 0 or k < 1:
             raise ContractError(f"kernel size {k} must be odd")
         out = _windows(xv, k) @ wv + bv.astype(xv.dtype, copy=False)
-        return self._push("temporal_conv", (x, w, b), out, {}, {"k": k})
+        inv_keep = None
+        if mask is not None:
+            if mask.shape != out.shape:
+                raise ContractError(f"temporal_conv mask shape {mask.shape} vs {out.shape}")
+            out *= mask
+            inv_keep = np.ones((), out.dtype) / keep  # a kept entry of the mask, bit for bit
+        np.maximum(out, 0, out=out)
+        return self._push("temporal_conv", (x, w, b), out, {}, {"k": k, "inv_keep": inv_keep})
 
     def cosine_rows(self, a: int, b: int, scale: float) -> int:
         """out[i, j] = scale * cos(a_i, b_j), norms clamped at NORM_EPS."""
@@ -122,18 +132,25 @@ class Tape:
             raise ContractError("cosine_rows needs at least one column")
         if scale <= 0:
             raise ContractError(f"cosine scale {scale} must be positive")
-        if not (np.isfinite(av).all() and np.isfinite(bv).all()):
-            raise InputError("cosine_rows received non-finite input")
-        na = np.linalg.norm(av, axis=1)
-        nb = np.linalg.norm(bv, axis=1)
-        u = np.maximum(na, NORM_EPS)
-        v = np.maximum(nb, NORM_EPS)
-        ahat = av / u[:, None]
-        bhat = bv / v[:, None]
+        ahat, u, a_clamped = self._unit_rows(a)
+        bhat, v, b_clamped = self._unit_rows(b)
         cos = np.clip(ahat @ bhat.T, -1.0, 1.0)
         ctx = {"ahat": ahat, "bhat": bhat, "cos": cos, "u": u, "v": v,
-               "a_clamped": na < NORM_EPS, "b_clamped": nb < NORM_EPS}
+               "a_clamped": a_clamped, "b_clamped": b_clamped}
         return self._push("cosine_rows", (a, b), scale * cos, {"scale": scale}, ctx)
+
+    def _unit_rows(self, ref: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The rows of node ``ref`` over their norms clamped at NORM_EPS, those
+        clamped norms, and which rows sat on the clamp. Computed once per node,
+        so every cosine_rows on one input shares the arrays."""
+        if ref not in self._unit:
+            rows = self.val(ref)
+            if not np.isfinite(rows).all():
+                raise InputError("cosine_rows received non-finite input")
+            norm = np.linalg.norm(rows, axis=1)
+            clamped = np.maximum(norm, NORM_EPS)
+            self._unit[ref] = (rows / clamped[:, None], clamped, norm < NORM_EPS)
+        return self._unit[ref]
 
     def softmax(self, a: int, tau, axis: int = 0) -> int:
         """Temperature softmax along ``axis``. A sequence of H temperatures
@@ -186,8 +203,11 @@ def _windows(x: np.ndarray, k: int) -> np.ndarray:
 def _conv_backward(node: Node, g: np.ndarray, values, wanted):
     x, w, _ = values
     t, d_in = x.shape
-    k = node.ctx["k"]
+    k, inv_keep = node.ctx["k"], node.ctx["inv_keep"]
     pad = k // 2
+    g = g * (node.value > 0)  # the ReLU gate, which is also the dropout gate
+    if inv_keep is not None:
+        g *= inv_keep
     db = g.sum(axis=0)
     dw = _windows(x, k).T @ g
     if not wanted[0]:  # e.g. the raw features: a T x k*d_in product nobody reads
@@ -238,7 +258,6 @@ _BACKWARD = {
     "matmul": lambda n, g, v, _: [g @ v[1].T, v[0].T @ g],
     "transpose": lambda n, g, v, _: [g.T],
     "reshape": lambda n, g, v, _: [g.reshape(v[0].shape)],
-    "relu": lambda n, g, v, _: [g * (v[0] > 0)],
     "temporal_conv": _conv_backward,
     "cosine_rows": _cosine_backward,
     "softmax": _softmax_backward,

@@ -345,7 +345,8 @@ class VideoSample:
 class VideoSplit(Sequence):
     """The videos of one split as ``VideoSample``s. Indexing a video reads its
     features from its files through ``Manifest.video_features``, with every check
-    of ``load_features``; the split itself holds no features."""
+    of ``load_features``; the split itself holds no features. A video of 0
+    snippets opens no file: its sample is (0, feature_dim)."""
     manifest: Manifest
     entries: list[VideoEntry]
 
@@ -354,7 +355,9 @@ class VideoSplit(Sequence):
 
     def __getitem__(self, index) -> VideoSample:
         entry = self.entries[index]
-        return VideoSample(self.manifest.video_features(entry), self.manifest.label_vector(entry))
+        features = (self.manifest.video_features(entry) if entry.num_snippets
+                    else np.zeros((0, self.manifest.feature_dim), dtype="<f4"))
+        return VideoSample(features, self.manifest.label_vector(entry))
 
 
 def load_dataset(manifest: Manifest, split: str) -> VideoSplit:

@@ -144,27 +144,29 @@ class BranchOutputs:
 
 def embed(tape: ad.Tape, x_raw: int, refs: ModelParams[int], config: ModelConfig,
           train_mode: bool = False, rng_seed=0) -> int:
-    """Two temporal conv layers; dropout sits before each ReLU in train mode."""
+    """Two temporal conv layers, each one tape node: conv, dropout in train mode, ReLU."""
     x = tape.val(x_raw)
     if x.ndim != 2 or x.shape[1] != config.feature_dim:
         raise ContractError(
             f"embed input shape {x.shape} does not match feature_dim {config.feature_dim}")
     rng = np.random.default_rng(rng_seed)
-    h = tape.temporal_conv(x_raw, refs.conv1_w, refs.conv1_b)
-    h = _dropout(tape, h, config, train_mode, rng)
-    h = tape.relu(h)
-    h = tape.temporal_conv(h, refs.conv2_w, refs.conv2_b)
-    h = _dropout(tape, h, config, train_mode, rng)
-    return tape.relu(h)
+    h = x_raw
+    for w, b in ((refs.conv1_w, refs.conv1_b), (refs.conv2_w, refs.conv2_b)):
+        mask, keep = _dropout(tape, h, w, config, train_mode, rng)
+        h = tape.temporal_conv(h, w, b, mask, keep)
+    return h
 
 
-def _dropout(tape: ad.Tape, ref: int, config: ModelConfig, train_mode: bool, rng) -> int:
+def _dropout(tape: ad.Tape, x: int, w: int, config: ModelConfig, train_mode: bool,
+             rng) -> tuple[np.ndarray | None, float]:
+    """The mask and keep probability of the conv layer ``x`` -> ``x @ w``: each
+    entry 0 or 1/keep in the layer's output dtype; no mask outside training."""
     if not train_mode or config.dropout_rate == 0.0:
-        return ref
+        return None, 1.0
     keep = 1.0 - config.dropout_rate
-    shape = tape.val(ref).shape
-    mask = (rng.random(shape) < keep).astype(tape.val(ref).dtype) / keep
-    return tape.mul_const(ref, mask)
+    xv, wv = tape.val(x), tape.val(w)
+    mask = (rng.random((xv.shape[0], wv.shape[1])) < keep).astype(np.result_type(xv, wv))
+    return mask / keep, keep
 
 
 def forward_hybrid(tape: ad.Tape, x_raw: int, refs: ModelParams[int], config: ModelConfig,

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -6,9 +8,9 @@ from hypothesis import strategies as st
 from wtal import autodiff as ad
 from wtal.errors import ContractError, InputError
 from wtal.losses import LossWeights, total_loss
-from wtal.model import ModelParams, forward_hybrid, run_forward
+from wtal.model import ModelParams, forward_hybrid, init_params, run_forward
 
-from conftest import tiny_model
+from conftest import tiny_config, tiny_model
 from oracles import conv_reference
 
 
@@ -138,11 +140,16 @@ class TestSoftmaxTemp:
 class TestTemporalConv:
     # weights are tap-major (k*d_in, d_out): row block i is the slice of tap i
     def run(self, x, w, b, dtype=float):
-        tape = ad.Tape()
-        out = tape.temporal_conv(tape.leaf(np.asarray(x, dtype)),
-                                 tape.leaf(np.asarray(w, dtype)),
-                                 tape.leaf(np.asarray(b, dtype)))
-        return tape.val(out)
+        """The conv before the op's ReLU: y = relu(y) - relu(-y), and negated
+        weights and bias give exactly -y."""
+        def layer(sign):
+            tape = ad.Tape()
+            out = tape.temporal_conv(tape.leaf(np.asarray(x, dtype)),
+                                     tape.leaf(sign * np.asarray(w, dtype)),
+                                     tape.leaf(sign * np.asarray(b, dtype)))
+            return tape.val(out)
+
+        return layer(1) - layer(-1)
 
     def test_identity_kernel(self, rng):
         x = rng.normal(size=(5, 3))
@@ -205,23 +212,66 @@ class TestTemporalConv:
         for node in convs:
             assert not [v for v in node.ctx.values() if isinstance(v, np.ndarray)]
 
+    @staticmethod
+    def dropout_mask(t, d_out, dtype, keep=0.5):
+        """Every other entry kept, at 1/keep, and row 1 dropped whole."""
+        mask = (np.arange(t * d_out).reshape(t, d_out) % 2 == 0).astype(dtype) / keep
+        mask[1] = 0
+        return mask
+
+    def conv_loss(self, probe, mask=None, keep=1.0):
+        def f(p):
+            tape = ad.Tape()
+            refs = [tape.leaf(p[name], name=name) for name in ("x", "w", "b")]
+            out = tape.temporal_conv(*refs, mask, keep)
+            loss = tape.sum(tape.mul_const(out, probe))
+            return float(tape.val(loss)), ad.backward(tape, loss)
+
+        return f
+
     @pytest.mark.parametrize("k", [1, 3, 5])
     def test_adjoint_matches_finite_differences(self, rng, k):
         tensors = {"x": rng.normal(size=(4, 3)), "w": rng.normal(size=(k * 3, 2)),
                    "b": rng.normal(size=2)}
-        probe = rng.normal(size=(4, 2))
-
-        def f(p):
-            tape = ad.Tape()
-            refs = [tape.leaf(p[name], name=name) for name in ("x", "w", "b")]
-            out = tape.temporal_conv(*refs)
-            loss = tape.sum(tape.mul_const(out, probe))
-            return float(tape.val(loss)), ad.backward(tape, loss)
-
+        f = self.conv_loss(rng.normal(size=(4, 2)))
         _, grads = f(tensors)
         assert grads["w"].flags.c_contiguous
         result = ad.finite_diff_check(f, tensors, step=1e-5)
         assert result.max_rel_error < 1e-6
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    def test_value_is_relu_of_masked_conv_bit_for_bit(self, rng, k, dtype):
+        # small integers keep every sum exact, so the tap order cannot move a bit
+        x = rng.integers(-4, 5, size=(6, 4)).astype(dtype)
+        w = rng.integers(-3, 4, size=(k * 4, 5)).astype(dtype)
+        b = rng.integers(-2, 3, size=5).astype(dtype)
+        for keep in (0.5, 0.8):
+            mask = self.dropout_mask(6, 5, dtype, keep)
+            tape = ad.Tape()
+            out = tape.val(tape.temporal_conv(tape.leaf(x), tape.leaf(w), tape.leaf(b),
+                                              mask, keep))
+            expected = np.maximum(conv_reference(x, w, b) * mask, 0)
+            assert out.dtype == expected.dtype == dtype
+            assert out.tobytes() == expected.tobytes()
+            assert not out[1].any() and (out > 0).any()
+
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    def test_adjoint_with_fixed_mask_matches_finite_differences(self, rng, k):
+        tensors = {"x": rng.normal(size=(4, 3)), "w": rng.normal(size=(k * 3, 2)),
+                   "b": rng.normal(size=2)}
+        f = self.conv_loss(rng.normal(size=(4, 2)), self.dropout_mask(4, 2, float, 0.8), 0.8)
+        _, grads = f(tensors)
+        if k == 1:  # row 1 is dropped whole, and at k=1 only that row reads x[1]
+            assert not grads["x"][1].any()
+        result = ad.finite_diff_check(f, tensors, step=1e-5)
+        assert result.max_rel_error < 1e-6
+
+    def test_mask_shape_checked(self, rng):
+        tape = ad.Tape()
+        refs = [tape.leaf(rng.normal(size=shape)) for shape in ((5, 3), (9, 2), (2,))]
+        with pytest.raises(ContractError, match="mask"):
+            tape.temporal_conv(*refs, np.ones((5, 3)), 1.0)
 
 
 class TestBackward:
@@ -259,7 +309,9 @@ class TestBackward:
         def once():
             tape = ad.Tape()
             a = tape.leaf(x, name="a")
-            loss = tape.sum(tape.softmax(tape.relu(a), 2.0, axis=0))
+            w = tape.leaf(np.eye(3))  # k=1 identity: the op is relu(a)
+            loss = tape.sum(tape.softmax(tape.temporal_conv(a, w, tape.leaf(np.zeros(3))),
+                                         2.0, axis=0))
             return ad.backward(tape, loss)["a"]
 
         assert np.array_equal(once(), once())
@@ -327,6 +379,25 @@ class TestFiniteDiffCheck:
         result = ad.finite_diff_check(f, params.as_dict(), step=1e-5)
         assert result.max_rel_error > 1e-2
 
+    def test_detects_corrupted_conv_rule_in_train_mode(self, rng):
+        # the fused conv, dropout and ReLU adjoint, with this seed's dropout masks
+        config, params = tiny_model()
+        x = rng.normal(size=(6, 6))
+        y = np.array([1.0, 0.0, 1.0])
+
+        def f(tensors):
+            p = ModelParams(**tensors)
+            tape, out = run_forward(x, p, config, train_mode=True, rng_seed=2)
+            loss_ref, _ = total_loss(tape, out, y, LossWeights(), config.use_background)
+            return (float(tape.val(loss_ref)),
+                    ad.backward(tape, loss_ref, corrupt_op="temporal_conv"))
+
+        clean = full_loss_fn(x, y, config, train_mode=True, seed=2)
+        assert np.abs(clean(params.as_dict())[1]["conv1_w"]).max() > 0
+        assert ad.finite_diff_check(clean, params.as_dict(), step=1e-5).max_rel_error < 1e-4
+        result = ad.finite_diff_check(f, params.as_dict(), step=1e-5)
+        assert result.max_rel_error > 1e-2
+
     def test_reports_worst_parameter(self, rng):
         config, params = tiny_model(num_classes=2, feature_dim=4, embed_dims=(3, 3))
         x = rng.normal(size=(2, 4))
@@ -370,3 +441,33 @@ class TestTapeReplay:
         x = rng.normal(size=(6, 6)).astype(np.float32)
         params = params.astype(np.float32)
         assert_same_tape(run_forward(x, params, config)[0], run_forward(x, params, config)[0])
+
+
+class TestTapeMemory:
+    def test_train_step_peak_traced_memory_within_budget(self):
+        # One train-mode forward and backward at T = D = embed = 256 in float32;
+        # each T x 256 array is 0.26 MB. Peak traced allocation above the start,
+        # returned gradients included: 5.74 MB when each conv layer left its
+        # pre-activation, dropout mask, masked copy and ReLU output on the tape and
+        # S_a and S_f each normalized x_e; 4.15 MB with one node per layer and one
+        # normalized x_e.
+        config = tiny_config(num_classes=20, feature_dim=256, embed_dims=(256, 256))
+        params = init_params(config, seed=0, dtype=np.float32)
+        x = np.random.default_rng(0).normal(size=(256, 256)).astype(np.float32)
+        y = np.zeros(20)
+        y[[3, 7]] = 1.0
+
+        def step():
+            tape, out = run_forward(x, params, config, train_mode=True, rng_seed=1)
+            loss_ref, _ = total_loss(tape, out, y, LossWeights(), config.use_background)
+            return ad.backward(tape, loss_ref)
+
+        step()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            step()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (peak - base) / 1e6 < 4.9

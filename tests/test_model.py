@@ -248,7 +248,24 @@ class TestForwardHybrid:
         tape, out = run_forward(rng.normal(size=(8, 6)), params, config,
                                 train_mode=True, rng_seed=3)
         total_loss(tape, out, np.array([1.0, 0.0, 1.0]), LossWeights(), True)
-        assert len(tape.nodes) == 51  # 7 leaves, 30 forward ops, 14 loss ops
+        assert len(tape.nodes) == 47  # 7 leaves, 26 forward ops, 14 loss ops
+
+    def test_train_tape_keeps_one_snippet_by_width_array_besides_values(self, rng):
+        # each conv layer keeps only its output, with no pre-activation and no
+        # dropout mask; x_e is normalized once, for S_a and S_f alike
+        config, params = tiny_model(embed_dims=(5, 7))
+        tape, out = run_forward(rng.normal(size=(9, 6)), params, config,
+                                train_mode=True, rng_seed=3)
+        total_loss(tape, out, np.array([1.0, 0.0, 1.0]), LossWeights(), True)
+        kept = {id(v): (i, node.op, key) for i, node in enumerate(tape.nodes)
+                for key, v in (*node.meta.items(), *node.ctx.items())
+                if isinstance(v, np.ndarray) and v.shape in {(9, 5), (9, 7)}}
+        on_x_e = [node for node in tape.nodes
+                  if node.op == "cosine_rows" and node.inputs[0] == out.x_e]
+        assert len(on_x_e) == 2  # S_a and S_f
+        ahat = on_x_e[0].ctx["ahat"]
+        assert on_x_e[1].ctx["ahat"] is ahat
+        assert list(kept) == [id(ahat)], kept
 
     def test_background_disabled_drops_shapes(self, rng):
         config, params = tiny_model(use_background=False)

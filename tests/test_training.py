@@ -1,3 +1,4 @@
+import json
 import pickle
 import tracemalloc
 
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from wtal import autodiff as ad
 from wtal import training as tr
 from wtal.data import (SynthConfig, VideoSample, generate_synthetic, load_dataset, load_features,
-                       parse_manifest)
+                       parse_manifest, save_features)
 from wtal.errors import ConfigError, ContractError, FormatError
 from wtal.losses import LossWeights, total_loss
 from wtal.model import ModelConfig, init_params, run_forward
@@ -357,6 +358,34 @@ class TestFit:
                         for s in manifest.streams]
         for name, tensor in in_memory.as_dict().items():
             assert tensor.tobytes() == getattr(streamed, name).tobytes(), name
+
+    def test_empty_video_skipped_without_reading_its_files(self, tmp_path, monkeypatch):
+        # a video of 0 snippets is skipped on its manifest entry in every epoch
+        path = generate_synthetic(SynthConfig(
+            num_classes=3, num_train=4, num_test=0, feature_dim=8, snippet_range=(20, 30),
+            streams=("rgb", "flow"), seed=4), tmp_path / "data")
+        doc = json.loads(path.read_text())
+        empty = doc["videos"][2]
+        empty["ground_truth"] = []
+        for rel in empty["features"].values():
+            save_features(tmp_path / "data" / rel, np.zeros((0, 8), np.float32))
+        path.write_text(json.dumps(doc))
+        manifest = parse_manifest(path)
+        read = []
+
+        def counting(file):
+            read.append(file)
+            return load_features(file)
+
+        monkeypatch.setattr("wtal.data.load_features", counting)
+        config = ModelConfig(num_classes=3, feature_dim=16, embed_dims=(8, 8))
+        history = fit(load_dataset(manifest, "train"), init_params(config, 0, np.float32), config,
+                      LossWeights(), TrainConfig(epochs=3, batch_size=2, seed=6), tmp_path)
+        assert [(r.num_videos, r.skipped) for r in history] == [(3, 1)] * 3
+        empty_files = set(manifest.split("train")[2].features.values())
+        assert len(read) == 3 * 3 * 2 and not empty_files & set(read)
+        sample = load_dataset(manifest, "train")[2]
+        assert sample.features.shape == (0, 16) and sample.features.dtype == np.float32
 
     def test_separable_synthetic_loss_drops_below_quarter(self, tmp_path):
         # measured ratio 0.174 on this fixed seed
