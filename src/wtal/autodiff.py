@@ -24,8 +24,7 @@ class Node:
     op: str
     inputs: tuple[int, ...]
     value: np.ndarray
-    meta: dict
-    ctx: dict
+    ctx: dict  # what the op's adjoint reads besides the input values
     name: str | None = None
 
 
@@ -43,9 +42,8 @@ class Tape:
     def val(self, ref: int) -> np.ndarray:
         return self.nodes[ref].value
 
-    def _push(self, op: str, inputs: tuple[int, ...], value: np.ndarray,
-              meta: dict | None = None, ctx: dict | None = None) -> int:
-        self.nodes.append(Node(op, inputs, value, meta or {}, ctx or {}))
+    def _push(self, op: str, inputs: tuple[int, ...], value: np.ndarray, **ctx) -> int:
+        self.nodes.append(Node(op, inputs, value, ctx))
         return len(self.nodes) - 1
 
     def _same_shape(self, op: str, a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
@@ -55,7 +53,7 @@ class Tape:
         return x, y
 
     def leaf(self, value, name: str | None = None) -> int:
-        self.nodes.append(Node("leaf", (), np.asarray(value), {}, {}, name))
+        self.nodes.append(Node("leaf", (), np.asarray(value), {}, name))
         return len(self.nodes) - 1
 
     def add(self, a: int, b: int) -> int:
@@ -70,7 +68,7 @@ class Tape:
         x, c = self.val(a), np.asarray(const)
         if c.shape != x.shape and c.ndim != 0:
             raise ContractError(f"mul_const shape mismatch {x.shape} vs {c.shape}")
-        return self._push("mul_const", (a,), x * c.astype(x.dtype, copy=False), {"const": c})
+        return self._push("mul_const", (a,), x * c.astype(x.dtype, copy=False), const=c)
 
     def matmul(self, a: int, b: int) -> int:
         x, y = self.val(a), self.val(b)
@@ -82,8 +80,7 @@ class Tape:
         return self._push("transpose", (a,), self.val(a).T.copy())
 
     def reshape(self, a: int, shape: tuple[int, ...]) -> int:
-        shape = tuple(shape)
-        return self._push("reshape", (a,), self.val(a).reshape(shape).copy(), {"shape": shape})
+        return self._push("reshape", (a,), self.val(a).reshape(tuple(shape)).copy())
 
     def temporal_conv(self, x: int, w: int, b: int, mask: np.ndarray | None = None,
                       keep: float = 1.0) -> int:
@@ -120,7 +117,7 @@ class Tape:
             out *= mask
             inv_keep = np.ones((), out.dtype) / keep  # a kept entry of the mask, bit for bit
         np.maximum(out, 0, out=out)
-        return self._push("temporal_conv", (x, w, b), out, {}, {"k": k, "inv_keep": inv_keep})
+        return self._push("temporal_conv", (x, w, b), out, k=k, inv_keep=inv_keep)
 
     def cosine_rows(self, a: int, b: int, scale: float) -> int:
         """out[i, j] = scale * cos(a_i, b_j), norms clamped at NORM_EPS."""
@@ -135,9 +132,9 @@ class Tape:
         ahat, u, a_clamped = self._unit_rows(a)
         bhat, v, b_clamped = self._unit_rows(b)
         cos = np.clip(ahat @ bhat.T, -1.0, 1.0)
-        ctx = {"ahat": ahat, "bhat": bhat, "cos": cos, "u": u, "v": v,
-               "a_clamped": a_clamped, "b_clamped": b_clamped}
-        return self._push("cosine_rows", (a, b), scale * cos, {"scale": scale}, ctx)
+        return self._push("cosine_rows", (a, b), scale * cos, scale=scale, ahat=ahat,
+                          bhat=bhat, cos=cos, u=u, v=v, a_clamped=a_clamped,
+                          b_clamped=b_clamped)
 
     def _unit_rows(self, ref: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The rows of node ``ref`` over their norms clamped at NORM_EPS, those
@@ -172,17 +169,17 @@ class Tape:
         # keep entries strictly positive even when exp underflows
         e = np.maximum(e, np.finfo(e.dtype).tiny)
         s = e / e.sum(axis=out_axis, keepdims=True)
-        return self._push("softmax", (a,), s, {"tau": tau, "axis": axis},
-                          {"taus": taus, "axis": out_axis})
+        return self._push("softmax", (a,), s, taus=taus, axis=out_axis)
 
-    def log_clamped(self, a: int, floor: float = LOG_FLOOR) -> int:
-        floor = float(floor)
-        clamped = np.maximum(self.val(a), floor)
-        return self._push("log_clamped", (a,), np.log(clamped), {"floor": floor},
-                          {"clamped": clamped})
+    def log_clamped(self, a: int) -> int:
+        clamped = np.maximum(self.val(a), LOG_FLOOR)
+        return self._push("log_clamped", (a,), np.log(clamped), clamped=clamped)
 
     def sum(self, a: int, axis: int | None = None) -> int:
-        return self._push("sum", (a,), np.asarray(self.val(a).sum(axis=axis)), {"axis": axis})
+        x = self.val(a)
+        # the adjoint expands the summed axes back: all of them for axis None
+        axes = tuple(range(x.ndim)) if axis is None else axis
+        return self._push("sum", (a,), np.asarray(x.sum(axis=axis)), axis=axes)
 
 
 def _windows(x: np.ndarray, k: int) -> np.ndarray:
@@ -220,8 +217,8 @@ def _conv_backward(node: Node, g: np.ndarray, values, wanted):
 
 
 def _cosine_backward(node: Node, g: np.ndarray, values, wanted):
-    scale = node.meta["scale"]
     c = node.ctx
+    scale = c["scale"]
     ahat, bhat, cos, u, v = c["ahat"], c["bhat"], c["cos"], c["u"], c["v"]
     s = g * cos
     # d cos_ij / d a_i = bhat_j / u_i - cos_ij * ahat_i / u_i
@@ -243,27 +240,19 @@ def _softmax_backward(node: Node, g: np.ndarray, values, wanted):
     return [dz.sum(axis=0) if dz.ndim > values[0].ndim else dz]
 
 
-def _sum_backward(node: Node, g: np.ndarray, values, wanted):
-    (a,) = values
-    axis = node.meta["axis"]
-    if axis is None:
-        return [np.broadcast_to(g, a.shape).astype(a.dtype, copy=True)]
-    return [np.broadcast_to(np.expand_dims(g, axis), a.shape).copy()]
-
-
 _BACKWARD = {
     "add": lambda n, g, v, _: [g, g],
     "mul": lambda n, g, v, _: [g * v[1], g * v[0]],
-    "mul_const": lambda n, g, v, _: [g * n.meta["const"].astype(g.dtype, copy=False)],
+    "mul_const": lambda n, g, v, _: [g * n.ctx["const"].astype(g.dtype, copy=False)],
     "matmul": lambda n, g, v, _: [g @ v[1].T, v[0].T @ g],
     "transpose": lambda n, g, v, _: [g.T],
     "reshape": lambda n, g, v, _: [g.reshape(v[0].shape)],
     "temporal_conv": _conv_backward,
     "cosine_rows": _cosine_backward,
     "softmax": _softmax_backward,
-    "log_clamped": lambda n, g, v, _: [
-        g / n.ctx["clamped"] * (v[0] > n.meta["floor"])],
-    "sum": _sum_backward,
+    "log_clamped": lambda n, g, v, _: [g / n.ctx["clamped"] * (v[0] > LOG_FLOOR)],
+    "sum": lambda n, g, v, _: [
+        np.broadcast_to(np.expand_dims(g, n.ctx["axis"]), v[0].shape).astype(v[0].dtype)],
 }
 
 

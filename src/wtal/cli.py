@@ -23,9 +23,8 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
-from .data import (SynthConfig, atomic_write, build_config, convert_raw_features,
-                   generate_synthetic, ground_truth_instances, load_dataset, parse_manifest,
-                   read_json)
+from .data import (SynthConfig, VideoSplit, atomic_write, build_config, convert_raw_features,
+                   generate_synthetic, ground_truth_instances, parse_manifest, read_json)
 from .errors import ConfigError, ContractError, FormatError, InputError, ManifestError
 from .evaluation import (ACTIVITYNET_GRID, THUMOS_GRID, format_report, map_report,
                          write_report_json)
@@ -123,7 +122,7 @@ def cmd_train(args) -> int:
     train_cfg = cfg["train"]
     model_cfg = replace(cfg["model"], num_classes=len(manifest.classes),
                         feature_dim=manifest.feature_dim)
-    dataset = load_dataset(manifest, "train")
+    dataset = VideoSplit(manifest, manifest.split("train"))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     if args.resume:

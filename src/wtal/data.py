@@ -68,13 +68,8 @@ def save_features(path, array: np.ndarray) -> None:
         fh.write(np.ascontiguousarray(array, dtype="<f4").tobytes())
 
 
-def read_feature_header(path) -> tuple[int, int]:
-    """(T, D) from the 16-byte header, without touching the payload."""
-    with open(path, "rb") as fh:
-        return _read_header(fh, path)
-
-
-def _read_header(fh, path) -> tuple[int, int]:
+def read_feature_header(fh, path) -> tuple[int, int]:
+    """(T, D) from the 16-byte header of the open file ``fh``, read from ``path``."""
     head = fh.read(16)
     if len(head) < 16:
         raise FormatError(f"truncated feature header ({len(head)} bytes) in {path}")
@@ -90,7 +85,7 @@ def load_features(path) -> np.ndarray:
     """The (T, D) float32 payload, read straight into its array once the file
     size has been checked against the header; one open of the file."""
     with open(path, "rb") as fh:
-        t, d = _read_header(fh, path)
+        t, d = read_feature_header(fh, path)
         expected = 4 * t * d
         size = os.fstat(fh.fileno()).st_size - 16
         if size != expected:
@@ -144,7 +139,7 @@ class Manifest:
     classes: list[str]
     videos: list[VideoEntry]
     streams: tuple[str, ...]  # the stream names of every video, sorted
-    feature_dim: int  # width of a ``load_dataset`` sample: every stream's features side by side
+    feature_dim: int  # width of a ``VideoSplit`` sample: every stream's features side by side
 
     def label_vector(self, entry: VideoEntry) -> np.ndarray:
         y = np.zeros(len(self.classes), dtype=np.float64)
@@ -287,7 +282,8 @@ def parse_manifest(path) -> Manifest:
         for stream, fpath in features.items():
             if not os.path.isfile(fpath):  # unlike Path.is_file, False for a too-long name
                 raise ManifestError(f"video {vid}: missing feature file {fpath}")
-            t, d = read_feature_header(fpath)
+            with open(fpath, "rb") as fh:
+                t, d = read_feature_header(fh, fpath)
             if num_snippets is None:
                 num_snippets = t
             elif t != num_snippets:
@@ -358,11 +354,6 @@ class VideoSplit(Sequence):
         features = (self.manifest.video_features(entry) if entry.num_snippets
                     else np.zeros((0, self.manifest.feature_dim), dtype="<f4"))
         return VideoSample(features, self.manifest.label_vector(entry))
-
-
-def load_dataset(manifest: Manifest, split: str) -> VideoSplit:
-    """The videos of one split, in manifest order, each read when it is indexed."""
-    return VideoSplit(manifest, manifest.split(split))
 
 
 def ground_truth_instances(manifest: Manifest, split: str) -> list[GroundTruthInstance]:

@@ -188,8 +188,8 @@ def format_report(report: EvalReport, class_names: list[str]) -> str:
     return "\n".join(lines)
 
 
-def report_to_dict(report: EvalReport, class_names: list[str]) -> dict:
-    return {
+def write_report_json(path, report: EvalReport, class_names: list[str]) -> None:
+    payload = {
         "thresholds": list(report.thresholds),
         "per_class_ap": {class_names[c]: dict(zip(map(str, report.thresholds), cells))
                          for c, cells in enumerate(report.ap.T.tolist())},
@@ -197,8 +197,5 @@ def report_to_dict(report: EvalReport, class_names: list[str]) -> dict:
         "average_map": report.average_map,
         "classes_with_ground_truth": [class_names[c] for c in report.classes_with_gt],
     }
-
-
-def write_report_json(path, report: EvalReport, class_names: list[str]) -> None:
     with atomic_write(path) as fh:
-        json.dump(report_to_dict(report, class_names), fh, indent=2)
+        json.dump(payload, fh, indent=2)

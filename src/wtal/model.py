@@ -132,41 +132,37 @@ class BranchOutputs:
     x_e: int
     s_a: int           # (T, K) class activation scores
     s_f: int           # (T,) foreground activation scores
-    attn_class: int = -1      # (H, K, T) class-wise attention, one softmax per tau
-    attn_fore: int = -1       # (H, T) class-agnostic attention
-    fore_logits: int = -1     # (K,) mean over H
-    p_class_fore: int = -1    # softmax of the above
-    class_logits: int = -1
-    p_video_class: int = -1
-    mil_logits: int = -1
-    p_mil: int = -1
+    attn_class: int    # (H, K, T) class-wise attention, one softmax per tau
+    attn_fore: int     # (H, T) class-agnostic attention
+    fore_logits: int   # (K,) mean over H
+    p_class_fore: int  # softmax of the above
+    class_logits: int
+    p_video_class: int
+    mil_logits: int
+    p_mil: int
 
 
 def embed(tape: ad.Tape, x_raw: int, refs: ModelParams[int], config: ModelConfig,
           train_mode: bool = False, rng_seed=0) -> int:
-    """Two temporal conv layers, each one tape node: conv, dropout in train mode, ReLU."""
+    """Two temporal conv layers, each one tape node: conv, dropout in train mode, ReLU.
+
+    In train mode each layer draws its dropout mask from one stream seeded by
+    ``rng_seed``: each entry 0 or 1/keep in the layer's output dtype."""
     x = tape.val(x_raw)
     if x.ndim != 2 or x.shape[1] != config.feature_dim:
         raise ContractError(
             f"embed input shape {x.shape} does not match feature_dim {config.feature_dim}")
     rng = np.random.default_rng(rng_seed)
+    keep = 1.0 - config.dropout_rate if train_mode else 1.0
     h = x_raw
     for w, b in ((refs.conv1_w, refs.conv1_b), (refs.conv2_w, refs.conv2_b)):
-        mask, keep = _dropout(tape, h, w, config, train_mode, rng)
+        mask = None
+        if keep < 1.0:
+            hv, wv = tape.val(h), tape.val(w)
+            mask = (rng.random((hv.shape[0], wv.shape[1])) < keep).astype(
+                np.result_type(hv, wv)) / keep
         h = tape.temporal_conv(h, w, b, mask, keep)
     return h
-
-
-def _dropout(tape: ad.Tape, x: int, w: int, config: ModelConfig, train_mode: bool,
-             rng) -> tuple[np.ndarray | None, float]:
-    """The mask and keep probability of the conv layer ``x`` -> ``x @ w``: each
-    entry 0 or 1/keep in the layer's output dtype; no mask outside training."""
-    if not train_mode or config.dropout_rate == 0.0:
-        return None, 1.0
-    keep = 1.0 - config.dropout_rate
-    xv, wv = tape.val(x), tape.val(w)
-    mask = (rng.random((xv.shape[0], wv.shape[1])) < keep).astype(np.result_type(xv, wv))
-    return mask / keep, keep
 
 
 def forward_hybrid(tape: ad.Tape, x_raw: int, refs: ModelParams[int], config: ModelConfig,
@@ -188,19 +184,19 @@ def forward_hybrid(tape: ad.Tape, x_raw: int, refs: ModelParams[int], config: Mo
     def mean_over_heads(ref: int) -> int:
         return tape.mul_const(tape.sum(ref, axis=0), 1.0 / h)
 
-    out = BranchOutputs(x_e=x_e, s_a=s_a, s_f=s_f)
-    out.attn_class = tape.softmax(s_a_t, config.temperatures, axis=1)
-    feat_class = tape.matmul(tape.reshape(out.attn_class, (h * k, t)), x_e)
+    attn_class = tape.softmax(s_a_t, config.temperatures, axis=1)
+    feat_class = tape.matmul(tape.reshape(attn_class, (h * k, t)), x_e)
     fore_heads = tape.cosine_rows(feat_class, w_fore, config.delta)
-    out.fore_logits = mean_over_heads(tape.reshape(fore_heads, (h, k)))
-    out.p_class_fore = tape.softmax(out.fore_logits, 1.0, axis=0)
-    out.attn_fore = tape.softmax(s_f, config.temperatures, axis=0)
-    feat_fore = tape.matmul(out.attn_fore, x_e)
-    out.class_logits = mean_over_heads(tape.cosine_rows(feat_fore, refs.w_action, config.delta))
-    out.p_video_class = tape.softmax(out.class_logits, 1.0, axis=0)
-    out.mil_logits = tape.sum(tape.mul(mean_over_heads(out.attn_class), s_a_t), axis=1)
-    out.p_mil = tape.softmax(out.mil_logits, 1.0, axis=0)
-    return out
+    fore_logits = mean_over_heads(tape.reshape(fore_heads, (h, k)))
+    p_class_fore = tape.softmax(fore_logits, 1.0, axis=0)
+    attn_fore = tape.softmax(s_f, config.temperatures, axis=0)
+    feat_fore = tape.matmul(attn_fore, x_e)
+    class_logits = mean_over_heads(tape.cosine_rows(feat_fore, refs.w_action, config.delta))
+    p_video_class = tape.softmax(class_logits, 1.0, axis=0)
+    mil_logits = tape.sum(tape.mul(mean_over_heads(attn_class), s_a_t), axis=1)
+    p_mil = tape.softmax(mil_logits, 1.0, axis=0)
+    return BranchOutputs(x_e, s_a, s_f, attn_class, attn_fore, fore_logits, p_class_fore,
+                         class_logits, p_video_class, mil_logits, p_mil)
 
 
 def run_forward(x_raw: np.ndarray, params: ModelParams, config: ModelConfig,

@@ -24,7 +24,6 @@ class NonFiniteGradientError(RuntimeError):
     def __init__(self, param_name: str, epoch: int):
         super().__init__(f"non-finite gradient for parameter {param_name!r} "
                          f"in epoch {epoch}; training stopped")
-        self.param_name = param_name
 
 
 @dataclass
@@ -75,7 +74,7 @@ def init_optimizer(params: ModelParams) -> OptimizerState:
 
 
 def adam_step(params: ModelParams, grads: dict[str, np.ndarray],
-              state: OptimizerState, config: TrainConfig) -> tuple[ModelParams, OptimizerState]:
+              state: OptimizerState, config: TrainConfig) -> None:
     """Bias-corrected Adam update, in place, in a fixed parameter order.
 
     Parameters and both moments are updated in their own buffers; ``grads``
@@ -112,7 +111,6 @@ def adam_step(params: ModelParams, grads: dict[str, np.ndarray],
             denom += config.adam_eps
             update /= denom
             p -= update
-    return params, state
 
 
 @dataclass
@@ -158,7 +156,7 @@ def train_epoch(dataset, params: ModelParams, state: OptimizerState,
                 train_config: TrainConfig, epoch: int) -> EpochReport:
     """One pass over the dataset: accumulate per-video gradients within each
     batch, average, and apply a single optimizer step per batch. ``dataset`` is a
-    sequence of ``VideoSample``s, such as a ``load_dataset`` split; each video is
+    sequence of ``VideoSample``s, such as a ``VideoSplit``; each video is
     indexed once, in the epoch's shuffled order."""
     if not dataset:
         raise ConfigError("training dataset is empty")

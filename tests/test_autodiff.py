@@ -275,6 +275,13 @@ class TestTemporalConv:
 
 
 class TestBackward:
+    def test_every_op_has_one_adjoint(self):
+        # each tape op is one public Tape method plus one _BACKWARD entry
+        public = {name for name, fn in vars(ad.Tape).items()
+                  if callable(fn) and not name.startswith("_")}
+        assert set(ad._BACKWARD) <= public
+        assert public - set(ad._BACKWARD) == {"val", "leaf"}
+
     def test_sum_of_leaf_gives_ones(self, rng):
         tape = ad.Tape()
         w = tape.leaf(rng.normal(size=(3, 4)), name="w")

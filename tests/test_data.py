@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wtal.data import (SynthConfig, convert_raw_features, generate_synthetic,
-                       ground_truth_instances, load_dataset, load_features,
+from wtal.data import (SynthConfig, VideoSplit, convert_raw_features, generate_synthetic,
+                       ground_truth_instances, load_features,
                        parse_manifest, read_feature_header, save_features)
 from wtal.errors import ConfigError, FormatError, InputError, ManifestError
 from wtal.evaluation import ACTIVITYNET_GRID, THUMOS_GRID, map_report
@@ -27,7 +27,8 @@ class TestFeatureFiles:
         path = tmp_path / "tiny.facf"
         save_features(path, np.arange(4, dtype=np.float32).reshape(1, 4))
         assert load_features(path).shape == (1, 4)
-        assert read_feature_header(path) == (1, 4)
+        with open(path, "rb") as fh:
+            assert read_feature_header(fh, path) == (1, 4)
 
     def test_one_open_per_load(self, tmp_path, rng, monkeypatch):
         path = tmp_path / "v.facf"
@@ -144,7 +145,7 @@ class TestSyntheticGenerator:
         manifest = parse_manifest(generate_synthetic(config, tmp_path))
         # recover prototypes from labeled spans and check nearest-prototype
         samples = {entry.video_id: sample for entry, sample in
-                   zip(manifest.split("train"), load_dataset(manifest, "train"))}
+                   zip(manifest.split("train"), VideoSplit(manifest, manifest.split("train")))}
         protos = {}
         for entry in manifest.split("train"):
             feats = samples[entry.video_id].features
@@ -271,7 +272,7 @@ class TestManifest:
                              seed=2, streams=("rgb", "flow"))
         manifest = parse_manifest(generate_synthetic(config, tmp_path))
         assert manifest.streams == ("flow", "rgb")
-        samples = load_dataset(manifest, "train")
+        samples = VideoSplit(manifest, manifest.split("train"))
         assert len(samples) == len(manifest.split("train"))
         for sample, entry in zip(samples, manifest.split("train")):
             flow, rgb = (load_features(entry.features[s]) for s in ("flow", "rgb"))

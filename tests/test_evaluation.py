@@ -1,3 +1,4 @@
+import json
 from collections import namedtuple
 
 import numpy as np
@@ -9,7 +10,7 @@ from wtal.errors import ContractError
 from wtal.evaluation import (ACTIVITYNET_GRID, THUMOS_GRID, Detections,
                              GroundTruthInstance, average_precision as table_ap,
                              format_report, map_report as table_map_report,
-                             report_to_dict, tiou_array)
+                             tiou_array, write_report_json)
 
 from conftest import detections_table
 from oracles import ap_sequential, map_reference, tiou
@@ -285,10 +286,11 @@ class TestReportFormat:
         assert "jump" in lines[1] and "run" in lines[2]
         assert lines[2].rstrip().endswith("-")  # class without ground truth
 
-    def test_dict_round_trip(self):
+    def test_dict_round_trip(self, tmp_path):
         gts = [gt("a", 0, 5, 0)]
         dets = [det("a", 1.0, 0, 5, 0)]
         report = map_report(dets, gts, (0.5,), 1)
-        payload = report_to_dict(report, ["jump"])
+        write_report_json(tmp_path / "report.json", report, ["jump"])
+        payload = json.loads((tmp_path / "report.json").read_text())
         assert payload["average_map"] == 1.0
         assert payload["per_class_ap"]["jump"]["0.5"] == 1.0

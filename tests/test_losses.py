@@ -69,9 +69,11 @@ class TestNceLoss:
 
 
 def fake_outputs(tape, p_refs):
-    out = BranchOutputs(x_e=-1, s_a=-1, s_f=-1)
-    out.p_class_fore, out.p_video_class, out.p_mil = p_refs
-    return out
+    # the losses read only the three probabilities; -1 marks every other field
+    p_class_fore, p_video_class, p_mil = p_refs
+    return BranchOutputs(x_e=-1, s_a=-1, s_f=-1, attn_class=-1, attn_fore=-1, fore_logits=-1,
+                         p_class_fore=p_class_fore, class_logits=-1,
+                         p_video_class=p_video_class, mil_logits=-1, p_mil=p_mil)
 
 
 class TestTotalLoss:

@@ -242,6 +242,15 @@ class TestForwardHybrid:
             p = tape.val(ref)
             assert abs(p.sum() - 1.0) < 1e-6 and (p > 0).all()
 
+    def test_branch_outputs_are_distinct_recorded_nodes(self, rng):
+        config, params = tiny_model()
+        tape, out = run_forward(rng.normal(size=(8, 6)), params, config,
+                                train_mode=True, rng_seed=3)
+        refs = [getattr(out, f.name) for f in fields(BranchOutputs)]
+        assert len(refs) == len(set(refs)) == 11
+        assert all(0 <= ref < len(tape.nodes) and tape.nodes[ref].op != "leaf"
+                   for ref in refs), refs
+
     @pytest.mark.parametrize("temperatures", [(1.0,), (1.0, 2.0, 5.0)])
     def test_train_mode_tape_size_independent_of_head_count(self, rng, temperatures):
         config, params = tiny_model(temperatures=temperatures)
@@ -258,7 +267,7 @@ class TestForwardHybrid:
                                 train_mode=True, rng_seed=3)
         total_loss(tape, out, np.array([1.0, 0.0, 1.0]), LossWeights(), True)
         kept = {id(v): (i, node.op, key) for i, node in enumerate(tape.nodes)
-                for key, v in (*node.meta.items(), *node.ctx.items())
+                for key, v in node.ctx.items()
                 if isinstance(v, np.ndarray) and v.shape in {(9, 5), (9, 7)}}
         on_x_e = [node for node in tape.nodes
                   if node.op == "cosine_rows" and node.inputs[0] == out.x_e]

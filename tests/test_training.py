@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from wtal import autodiff as ad
 from wtal import training as tr
-from wtal.data import (SynthConfig, VideoSample, generate_synthetic, load_dataset, load_features,
+from wtal.data import (SynthConfig, VideoSample, VideoSplit, generate_synthetic, load_features,
                        parse_manifest, save_features)
 from wtal.errors import ConfigError, ContractError, FormatError
 from wtal.losses import LossWeights, total_loss
@@ -239,7 +239,7 @@ class TestTrainEpoch:
             state = init_optimizer(params)
             tracemalloc.start()
             try:
-                dataset = load_dataset(manifest, "train")
+                dataset = VideoSplit(manifest, manifest.split("train"))
                 train_epoch(dataset, params, state, config, LossWeights(),
                             TrainConfig(batch_size=4, seed=0), epoch=0)
                 return tracemalloc.get_traced_memory()[1]
@@ -332,7 +332,7 @@ class TestFit:
         assert history[0].num_videos == 2
 
     def test_split_read_once_per_epoch_in_shuffled_order(self, tmp_path, monkeypatch):
-        # fit over load_dataset reads each stream of each video once an epoch, as the
+        # fit over a VideoSplit reads each stream of each video once an epoch, as the
         # epoch's shuffled order reaches it, and trains the bits it trains over a list
         manifest = parse_manifest(generate_synthetic(SynthConfig(
             num_classes=3, num_train=5, num_test=1, feature_dim=8, snippet_range=(20, 30),
@@ -340,8 +340,8 @@ class TestFit:
         config = ModelConfig(num_classes=3, feature_dim=16, embed_dims=(8, 8))
         tc = TrainConfig(epochs=3, batch_size=2, seed=6, max_snippets=25)
         in_memory = init_params(config, seed=0, dtype=np.float32)
-        fit(list(load_dataset(manifest, "train")), in_memory, config, LossWeights(), tc,
-            tmp_path)
+        split = VideoSplit(manifest, manifest.split("train"))
+        fit(list(split), in_memory, config, LossWeights(), tc, tmp_path)
         read = []
 
         def counting(path):
@@ -350,7 +350,7 @@ class TestFit:
 
         monkeypatch.setattr("wtal.data.load_features", counting)
         streamed = init_params(config, seed=0, dtype=np.float32)
-        fit(load_dataset(manifest, "train"), streamed, config, LossWeights(), tc, tmp_path)
+        fit(split, streamed, config, LossWeights(), tc, tmp_path)
         videos = manifest.split("train")
         orders = [np.random.default_rng(tr._video_seed(tc.seed, epoch, -1)).permutation(5)
                   for epoch in range(tc.epochs)]
@@ -379,12 +379,13 @@ class TestFit:
 
         monkeypatch.setattr("wtal.data.load_features", counting)
         config = ModelConfig(num_classes=3, feature_dim=16, embed_dims=(8, 8))
-        history = fit(load_dataset(manifest, "train"), init_params(config, 0, np.float32), config,
+        split = VideoSplit(manifest, manifest.split("train"))
+        history = fit(split, init_params(config, 0, np.float32), config,
                       LossWeights(), TrainConfig(epochs=3, batch_size=2, seed=6), tmp_path)
         assert [(r.num_videos, r.skipped) for r in history] == [(3, 1)] * 3
         empty_files = set(manifest.split("train")[2].features.values())
         assert len(read) == 3 * 3 * 2 and not empty_files & set(read)
-        sample = load_dataset(manifest, "train")[2]
+        sample = split[2]
         assert sample.features.shape == (0, 16) and sample.features.dtype == np.float32
 
     def test_separable_synthetic_loss_drops_below_quarter(self, tmp_path):
@@ -394,7 +395,7 @@ class TestFit:
             snippet_range=(30, 60), instance_len_range=(6, 20),
             noise=0.05, seed=11), tmp_path)
         manifest = parse_manifest(manifest_path)
-        dataset = load_dataset(manifest, "train")
+        dataset = VideoSplit(manifest, manifest.split("train"))
         config = ModelConfig(num_classes=3, feature_dim=32, embed_dims=(48, 48),
                              use_background=False, dropout_rate=0.0)
         params = init_params(config, seed=0, dtype=np.float32)
