@@ -116,6 +116,8 @@ def _keep_freed_heap() -> None:
 
 
 def cmd_train(args) -> int:
+    if args.checkpoint_interval < 0:
+        raise ConfigError("--checkpoint-interval must be >= 0 (0: no periodic checkpoints)")
     _keep_freed_heap()
     cfg = load_run_config(args.config, args.set)
     manifest = parse_manifest(args.manifest)
@@ -194,7 +196,7 @@ def gradcheck_cases(seed: int, instances: int, corrupt_op: str | None = None):
 
     Yields ``(label, params, f)`` per instance: 1-8 snippets, 2-4 classes,
     3-8 feature dims, embeddings 3-6 wide and three temperatures, with the
-    background slot on odd instances and train-mode dropout on every third.
+    background slot on odd instances and dropout (rate 0.5) on every third.
     ``f(tensors)`` returns the total loss and its gradients from ``backward``
     run with ``corrupt_op``.
     """
@@ -212,19 +214,21 @@ def gradcheck_cases(seed: int, instances: int, corrupt_op: str | None = None):
         x = rng.normal(size=(t, d_in))
         y = np.zeros(c)
         y[rng.permutation(c)[:int(rng.integers(1, c + 1))]] = 1.0
-        drop_seed = int(rng.integers(1 << 31))
-        yield f"T={t} C={c}", params, partial(_loss_and_grads, x, y, config, i % 3 == 0,
-                                              drop_seed, corrupt_op)
+        dropout_seed = int(rng.integers(1 << 31))
+        yield f"T={t} C={c}", params, partial(_loss_and_grads, x, y, config, dropout_seed,
+                                              corrupt_op)
 
 
-def _loss_and_grads(x, y, config, train_mode, drop_seed, corrupt_op, tensors):
-    tape, out = run_forward(x, ModelParams(**tensors), config, train_mode=train_mode,
-                            rng_seed=drop_seed)
+def _loss_and_grads(x, y, config, dropout_seed, corrupt_op, tensors):
+    tape, out = run_forward(x, ModelParams(**tensors), config, dropout_seed)
     loss_ref, _ = total_loss(tape, out, y, LossWeights(), config.use_background)
     return float(tape.val(loss_ref)), ad.backward(tape, loss_ref, corrupt_op=corrupt_op)
 
 
 def cmd_gradcheck(args) -> int:
+    if args.instances < 1 or args.seed < 0 or not 0 < args.tolerance < np.inf:
+        raise ConfigError("gradcheck needs --instances >= 1, --seed >= 0 and a positive, "
+                          "finite --tolerance")
     worst_overall = 0.0
     worst_where = "-"
     started = time.perf_counter()
@@ -232,10 +236,6 @@ def cmd_gradcheck(args) -> int:
                             corrupt_op="softmax" if args.inject_bug else None)
     for i, (label, params, f) in enumerate(cases):
         result = ad.finite_diff_check(f, params.as_dict(), step=1e-5)
-        if result.failures:
-            print(f"instance {i}: non-finite evaluations: {result.failures[:3]}",
-                  file=sys.stderr)
-            return 1
         where = (f"{result.worst_param}{list(result.worst_index)}"
                  if result.worst_param is not None else "-")
         print(f"instance {i:2d}: {label} max rel err {result.max_rel_error:.3e} "

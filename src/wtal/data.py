@@ -103,6 +103,8 @@ def load_features(path) -> np.ndarray:
 
 def convert_raw_features(in_path, t: int, d: int, out_path) -> None:
     """Wrap a headerless float32 T x D blob into the feature file format."""
+    if not (0 <= t < 2 ** 32 and 0 <= d < 2 ** 32):  # the feature header stores u32
+        raise ConfigError(f"T and D must lie in [0, 2**32), got {t}x{d}")
     raw = Path(in_path).read_bytes()
     expected = 4 * t * d
     if len(raw) != expected:

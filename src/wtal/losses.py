@@ -43,16 +43,6 @@ def normalized_target(y: np.ndarray, background_value: int, use_background: bool
     return y / y.sum()
 
 
-def nce_loss(tape: ad.Tape, p_ref: int, target: np.ndarray) -> int:
-    """-target . log(P), with P clamped at 1e-12 before the log."""
-    p = tape.val(p_ref)
-    target = np.asarray(target)
-    if p.shape != target.shape:
-        raise ContractError(f"probability/target length mismatch {p.shape} vs {target.shape}")
-    neg_t = (-target).astype(p.dtype)
-    return tape.sum(tape.mul_const(tape.log_clamped(p_ref), neg_t))
-
-
 def total_loss(tape: ad.Tape, outputs: BranchOutputs, y: np.ndarray,
                weights: LossWeights, use_background: bool) -> tuple[int, dict[str, int]]:
     """Weighted sum of the three branch losses; returns (total, per-branch refs),
@@ -60,9 +50,9 @@ def total_loss(tape: ad.Tape, outputs: BranchOutputs, y: np.ndarray,
     target_fg = normalized_target(y, 0, use_background)
     target_mil = normalized_target(y, 1, use_background)
     parts = {
-        "class_wise": nce_loss(tape, outputs.p_class_fore, target_fg),
-        "class_agnostic": nce_loss(tape, outputs.p_video_class, target_fg),
-        "mil": nce_loss(tape, outputs.p_mil, target_mil),
+        "class_wise": tape.nce(outputs.p_class_fore, target_fg),
+        "class_agnostic": tape.nce(outputs.p_video_class, target_fg),
+        "mil": tape.nce(outputs.p_mil, target_mil),
     }
     # (class_wise + class_agnostic) + mil, each term recorded just before its add
     total = reduce(tape.add, (tape.mul_const(ref, getattr(weights, name))

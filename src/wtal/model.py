@@ -143,21 +143,21 @@ class BranchOutputs:
 
 
 def embed(tape: ad.Tape, x_raw: int, refs: ModelParams[int], config: ModelConfig,
-          train_mode: bool = False, rng_seed=0) -> int:
+          dropout_seed=None) -> int:
     """Two temporal conv layers, each one tape node: conv, dropout in train mode, ReLU.
 
-    In train mode each layer draws its dropout mask from one stream seeded by
-    ``rng_seed``: each entry 0 or 1/keep in the layer's output dtype."""
+    Train mode is a ``dropout_seed``: each layer draws its dropout mask from one
+    stream seeded by it, each entry 0 or 1/keep in the layer's output dtype."""
     x = tape.val(x_raw)
     if x.ndim != 2 or x.shape[1] != config.feature_dim:
         raise ContractError(
             f"embed input shape {x.shape} does not match feature_dim {config.feature_dim}")
-    rng = np.random.default_rng(rng_seed)
-    keep = 1.0 - config.dropout_rate if train_mode else 1.0
+    keep = 1.0 - config.dropout_rate
+    rng = None if dropout_seed is None or keep == 1.0 else np.random.default_rng(dropout_seed)
     h = x_raw
     for w, b in ((refs.conv1_w, refs.conv1_b), (refs.conv2_w, refs.conv2_b)):
         mask = None
-        if keep < 1.0:
+        if rng is not None:
             hv, wv = tape.val(h), tape.val(w)
             mask = (rng.random((hv.shape[0], wv.shape[1])) < keep).astype(
                 np.result_type(hv, wv)) / keep
@@ -166,14 +166,14 @@ def embed(tape: ad.Tape, x_raw: int, refs: ModelParams[int], config: ModelConfig
 
 
 def forward_hybrid(tape: ad.Tape, x_raw: int, refs: ModelParams[int], config: ModelConfig,
-                   train_mode: bool = False, rng_seed=0) -> BranchOutputs:
+                   dropout_seed=None) -> BranchOutputs:
     """Full forward pass, all H temperatures at once.
 
     One stacked softmax over time turns S_a and S_f into attention that pools
     the embedding; video-level logits are the mean over H before each final
     softmax. MIL logits are linear in the attention, so they take its mean.
     """
-    x_e = embed(tape, x_raw, refs, config, train_mode, rng_seed)
+    x_e = embed(tape, x_raw, refs, config, dropout_seed)
     h = len(config.temperatures)
     w_fore = tape.reshape(refs.w_fore, (1, tape.val(refs.w_fore).shape[0]))
     s_a = tape.cosine_rows(x_e, refs.w_action, config.delta)
@@ -200,8 +200,8 @@ def forward_hybrid(tape: ad.Tape, x_raw: int, refs: ModelParams[int], config: Mo
 
 
 def run_forward(x_raw: np.ndarray, params: ModelParams, config: ModelConfig,
-                train_mode: bool = False, rng_seed=0) -> tuple[ad.Tape, BranchOutputs]:
-    """Record one forward pass at the precision of ``params``.
+                dropout_seed=None) -> tuple[ad.Tape, BranchOutputs]:
+    """Record one forward pass at the precision of ``params``, in train mode given a seed.
 
     The features are staged in the parameters' dtype (a copy only when the
     dtypes differ), so float32 weights, as a checkpoint stores them, run in
@@ -211,7 +211,7 @@ def run_forward(x_raw: np.ndarray, params: ModelParams, config: ModelConfig,
     tape = ad.Tape()
     x_ref = tape.leaf(np.asarray(x_raw, dtype=params.conv1_w.dtype))
     refs = ModelParams(**{k: tape.leaf(v, name=k) for k, v in params.as_dict().items()})
-    return tape, forward_hybrid(tape, x_ref, refs, config, train_mode, rng_seed)
+    return tape, forward_hybrid(tape, x_ref, refs, config, dropout_seed)
 
 
 @dataclass
@@ -225,7 +225,7 @@ class ScoreSet:
 
 def forward_scores(x_raw: np.ndarray, params: ModelParams, config: ModelConfig) -> ScoreSet:
     """The ``ScoreSet`` of one video: the one place that drops the background slot."""
-    tape, out = run_forward(x_raw, params, config, train_mode=False)
+    tape, out = run_forward(x_raw, params, config)
     c = config.num_classes
     return ScoreSet(tape.val(out.s_a)[:, :c], tape.val(out.s_f), tape.val(out.p_video_class)[:c])
 

@@ -115,7 +115,7 @@ def adam_step(params: ModelParams, grads: dict[str, np.ndarray],
 
 @dataclass
 class EpochReport:
-    epoch: int
+    """One epoch's record; its epoch is its index in the run's history."""
     losses: dict[str, float]  # LOSS_KEYS -> mean over the epoch's videos
     num_videos: int
     skipped: int
@@ -134,12 +134,12 @@ def _maybe_subsample(features: np.ndarray, limit: int | None,
     return features[start:start + limit]
 
 
-def _add_video_gradients(acc: dict[str, np.ndarray], feats, labels, rng_seed,
+def _add_video_gradients(acc: dict[str, np.ndarray], feats, labels, dropout_seed,
                          params: ModelParams, model_config: ModelConfig,
                          loss_weights: LossWeights, epoch: int) -> dict[str, float]:
     """Add one video's gradients into ``acc`` and return its losses, keyed by
     ``LOSS_KEYS``. Its tape and gradients are freed on return."""
-    tape, out = run_forward(feats, params, model_config, train_mode=True, rng_seed=rng_seed)
+    tape, out = run_forward(feats, params, model_config, dropout_seed)
     loss_ref, parts = total_loss(tape, out, labels, loss_weights, model_config.use_background)
     losses = {key: float(tape.val(ref)) for key, ref in {**parts, "total": loss_ref}.items()}
     grads = ad.backward(tape, loss_ref)
@@ -191,7 +191,7 @@ def train_epoch(dataset, params: ModelParams, state: OptimizerState,
             for g in acc.values():
                 g.fill(0)
     n = max(processed, 1)
-    return EpochReport(epoch, {key: total / n for key, total in sums.items()},
+    return EpochReport({key: total / n for key, total in sums.items()},
                        num_videos=processed, skipped=skipped)
 
 
@@ -199,8 +199,8 @@ def write_history(path, history: list[EpochReport]) -> None:
     with atomic_write(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["epoch", *(f"loss_{key}" for key in LOSS_KEYS)])
-        for rec in history:
-            writer.writerow([rec.epoch, *map(repr, rec.losses.values())])
+        for epoch, rec in enumerate(history):
+            writer.writerow([epoch, *map(repr, rec.losses.values())])
 
 
 def save_train_state(path, params: ModelParams, state: OptimizerState,
@@ -247,8 +247,8 @@ def load_train_state(path, model_config: ModelConfig, train_config: TrainConfig
         return {f.name: arrays[prefix + f.name] for f in fields(ModelParams)}
 
     state = OptimizerState(m=part("m_"), v=part("v_"), step=int(counters[0]))
-    history = [EpochReport(epoch, dict(zip(LOSS_KEYS, row[2:])), int(row[0]), int(row[1]))
-               for epoch, row in enumerate(table.tolist())]
+    history = [EpochReport(dict(zip(LOSS_KEYS, row[2:])), int(row[0]), int(row[1]))
+               for row in table.tolist()]
     return ModelParams(**part("param_")), state, history
 
 

@@ -130,11 +130,41 @@ class TestSoftmaxTemp:
         def f(p):
             tape = ad.Tape()
             out = tape.softmax(tape.leaf(p["s"], name="s"), taus, axis=axis)
-            loss = tape.sum(tape.mul_const(out, probe))
+            loss = tape.sum(tape.mul(out, tape.leaf(probe)))
             return float(tape.val(loss)), ad.backward(tape, loss)
 
         result = ad.finite_diff_check(f, tensors, step=1e-6)
         assert result.max_rel_error < 1e-6
+
+
+class TestNce:
+    """-t . log(max(p, 1e-12)) as one node, the loss of each branch; its closed
+    forms and shape check are in test_losses.py::TestNceLoss."""
+
+    def test_value_is_clamped_cross_entropy(self, rng):
+        p = rng.dirichlet(np.ones(5))
+        p[2] = 0.0  # below the floor
+        t = rng.dirichlet(np.ones(5))
+        tape = ad.Tape()
+        value = tape.val(tape.nce(tape.leaf(p), t))
+        assert value.shape == ()
+        assert float(value) == -(t * np.log(np.maximum(p, 1e-12))).sum()
+
+    def test_adjoint_matches_finite_differences_and_is_zero_below_the_floor(self, rng):
+        # p[1] lies far enough below the floor that the probes at +-step stay clamped
+        tensors = {"p": np.array([0.4, -0.25, 0.15, 0.45])}
+        t = rng.dirichlet(np.ones(4))
+
+        def f(params):
+            tape = ad.Tape()
+            loss = tape.nce(tape.leaf(params["p"], name="p"), t)
+            return float(tape.val(loss)), ad.backward(tape, loss)
+
+        grad = f(tensors)[1]["p"]
+        assert grad[1] == 0.0
+        assert np.allclose(grad[[0, 2, 3]], -t[[0, 2, 3]] / tensors["p"][[0, 2, 3]],
+                           rtol=1e-15, atol=0)
+        assert ad.finite_diff_check(f, tensors, step=1e-6).max_rel_error < 1e-6
 
 
 class TestTemporalConv:
@@ -206,7 +236,7 @@ class TestTemporalConv:
     def test_tape_holds_no_windows(self, rng):
         # the adjoint rebuilds the (T, k*d_in) windows from the input's value
         config, params = tiny_model()
-        tape, _ = run_forward(rng.normal(size=(9, 6)), params, config, train_mode=True)
+        tape, _ = run_forward(rng.normal(size=(9, 6)), params, config, dropout_seed=0)
         convs = [node for node in tape.nodes if node.op == "temporal_conv"]
         assert len(convs) == 2
         for node in convs:
@@ -224,7 +254,7 @@ class TestTemporalConv:
             tape = ad.Tape()
             refs = [tape.leaf(p[name], name=name) for name in ("x", "w", "b")]
             out = tape.temporal_conv(*refs, mask, keep)
-            loss = tape.sum(tape.mul_const(out, probe))
+            loss = tape.sum(tape.mul(out, tape.leaf(probe)))
             return float(tape.val(loss)), ad.backward(tape, loss)
 
         return f
@@ -336,7 +366,7 @@ class TestBackward:
             tape = ad.Tape()
             x_ref = tape.leaf(x, name=x_name)
             refs = ModelParams(**{k: tape.leaf(v, name=k) for k, v in params.as_dict().items()})
-            out = forward_hybrid(tape, x_ref, refs, config, train_mode=True, rng_seed=5)
+            out = forward_hybrid(tape, x_ref, refs, config, dropout_seed=5)
             loss_ref, _ = total_loss(tape, out, y, LossWeights(), config.use_background)
             return ad.backward(tape, loss_ref)
 
@@ -348,10 +378,10 @@ class TestBackward:
             assert g.tobytes() == named[name].tobytes(), name
 
 
-def full_loss_fn(x, y, config, train_mode=False, seed=0):
+def full_loss_fn(x, y, config, dropout_seed=None):
     def f(tensors):
         params = ModelParams(**tensors)
-        tape, out = run_forward(x, params, config, train_mode=train_mode, rng_seed=seed)
+        tape, out = run_forward(x, params, config, dropout_seed)
         loss_ref, _ = total_loss(tape, out, y, LossWeights(), config.use_background)
         return float(tape.val(loss_ref)), ad.backward(tape, loss_ref)
 
@@ -394,12 +424,12 @@ class TestFiniteDiffCheck:
 
         def f(tensors):
             p = ModelParams(**tensors)
-            tape, out = run_forward(x, p, config, train_mode=True, rng_seed=2)
+            tape, out = run_forward(x, p, config, dropout_seed=2)
             loss_ref, _ = total_loss(tape, out, y, LossWeights(), config.use_background)
             return (float(tape.val(loss_ref)),
                     ad.backward(tape, loss_ref, corrupt_op="temporal_conv"))
 
-        clean = full_loss_fn(x, y, config, train_mode=True, seed=2)
+        clean = full_loss_fn(x, y, config, dropout_seed=2)
         assert np.abs(clean(params.as_dict())[1]["conv1_w"]).max() > 0
         assert ad.finite_diff_check(clean, params.as_dict(), step=1e-5).max_rel_error < 1e-4
         result = ad.finite_diff_check(f, params.as_dict(), step=1e-5)
@@ -421,7 +451,22 @@ class TestFiniteDiffCheck:
             return np.inf if p["x"][0] > 0.5 else float(p["x"][0]), {"x": np.array([1.0])}
 
         result = ad.finite_diff_check(f, params, step=1e-5)
-        assert result.failures and "x[0]" in result.failures[0]
+        assert result.max_rel_error == np.inf
+        assert (result.worst_param, result.worst_index) == ("x", (0,))
+
+    def test_non_finite_evaluation_is_an_infinite_error_at_its_coordinate(self):
+        # b[1]'s positive probe gives a NaN loss; every other coordinate has a
+        # finite error, the largest at a[0]
+        params = {"a": np.array([1.0]), "b": np.array([0.0, 2.0, 3.0])}
+
+        def f(p):
+            loss = p["a"][0] ** 2 + p["b"].sum()
+            return (np.nan if p["b"][1] > 2.0 else loss,
+                    {"a": np.array([2.1]), "b": np.ones(3)})
+
+        result = ad.finite_diff_check(f, params, step=1e-5)
+        assert result.max_rel_error == np.inf
+        assert (result.worst_param, result.worst_index) == ("b", (1,))
 
 
 def assert_same_tape(a, b):
@@ -438,7 +483,7 @@ class TestTapeReplay:
         x = rng.normal(size=(6, 6))
         tapes = []
         for _ in range(2):
-            tape, out = run_forward(x, params, config, train_mode=True, rng_seed=11)
+            tape, out = run_forward(x, params, config, dropout_seed=11)
             total_loss(tape, out, np.array([1.0, 0, 1]), LossWeights(), True)
             tapes.append(tape)
         assert_same_tape(*tapes)
@@ -465,7 +510,7 @@ class TestTapeMemory:
         y[[3, 7]] = 1.0
 
         def step():
-            tape, out = run_forward(x, params, config, train_mode=True, rng_seed=1)
+            tape, out = run_forward(x, params, config, dropout_seed=1)
             loss_ref, _ = total_loss(tape, out, y, LossWeights(), config.use_background)
             return ad.backward(tape, loss_ref)
 

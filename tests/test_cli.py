@@ -811,6 +811,36 @@ class TestGradcheck:
         assert "failed tolerance 1e-300" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["gradcheck", "--instances", "0"], "--instances >= 1"),
+    (["gradcheck", "--seed", "-1"], "--seed >= 0"),
+    (["gradcheck", "--inject-bug", "--instances", "2", "--tolerance", "nan"],
+     "positive, finite --tolerance"),
+    (["gradcheck", "--tolerance", "inf"], "positive, finite --tolerance"),
+    (["gradcheck", "--tolerance", "0"], "positive, finite --tolerance"),
+    (["train", "--checkpoint-interval", "-1"], "--checkpoint-interval must be >= 0"),
+    (["convert", "--t", "-1", "--d", "0"], "T and D must lie in [0, 2**32), got -1x0"),
+    (["convert", "--t", "4294967296", "--d", "0"], "must lie in [0, 2**32)"),
+    (["convert", "--t", "0", "--d", "4294967296"], "must lie in [0, 2**32)"),
+], ids=["gradcheck-no-instances", "gradcheck-negative-seed", "gradcheck-nan-tolerance",
+        "gradcheck-infinite-tolerance", "gradcheck-zero-tolerance",
+        "train-negative-checkpoint-interval", "convert-negative-t", "convert-t-beyond-u32",
+        "convert-d-beyond-u32"])
+def test_out_of_range_argument_exits_2_before_any_work(request, tmp_path, capsys, argv,
+                                                       message):
+    out = tmp_path / "out"
+    if argv[0] == "train":  # a valid run in every other respect
+        manifest = request.getfixturevalue("dataset_dir") / "manifest.json"
+        argv = [*argv, "--manifest", str(manifest), "--out", str(out), *FAST_TRAIN]
+    elif argv[0] == "convert":  # the empty blob of a 0-snippet or 0-wide file
+        (tmp_path / "raw.bin").write_bytes(b"")
+        argv = [*argv, "--input", str(tmp_path / "raw.bin"), "--output", str(out)]
+    code, stdout, err = run(capsys, *argv)
+    assert code == 2
+    assert message in err and "Traceback" not in err
+    assert stdout == "" and not out.exists()
+
+
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="tunes the glibc allocator")
 def test_training_reuses_freed_heap_without_page_faults(tmp_path):
     # each video's tape is freed before the next is recorded; once `wtal train`

@@ -3,7 +3,7 @@ import pytest
 
 from wtal import autodiff as ad
 from wtal.errors import ConfigError, ContractError, InputError
-from wtal.losses import LossWeights, nce_loss, normalized_target, total_loss
+from wtal.losses import LossWeights, normalized_target, total_loss
 from wtal.model import BranchOutputs, run_forward
 
 from conftest import tiny_model
@@ -36,7 +36,7 @@ class TestNormalizedTarget:
 def nce_value(p, target):
     tape = ad.Tape()
     ref = tape.leaf(np.asarray(p, float))
-    return float(tape.val(nce_loss(tape, ref, np.asarray(target, float))))
+    return float(tape.val(tape.nce(ref, np.asarray(target, float))))
 
 
 class TestNceLoss:
@@ -110,7 +110,7 @@ class TestTotalLoss:
         config, params = tiny_model()
         for seed in range(5):
             x = rng.normal(size=(int(rng.integers(1, 9)), 6))
-            tape, out = run_forward(x, params, config, train_mode=True, rng_seed=seed)
+            tape, out = run_forward(x, params, config, dropout_seed=seed)
             total, _ = total_loss(tape, out, np.array([0.0, 1.0, 0.0]),
                                   LossWeights(), True)
             assert float(tape.val(total)) >= 0.0
@@ -124,7 +124,7 @@ class TestTotalLoss:
         tape = ad.Tape()
         logits = tape.leaf(np.array([40.0, -40.0, -40.0]), name="logits")
         p = tape.softmax(logits, 1.0)
-        loss = nce_loss(tape, p, np.array([1.0, 0.0, 0.0]))
+        loss = tape.nce(p, np.array([1.0, 0.0, 0.0]))
         grad = ad.backward(tape, loss)["logits"]
         assert np.linalg.norm(grad) < 1e-3
 
@@ -139,5 +139,5 @@ class TestTotalLoss:
             logits[0] += bump
             tape = ad.Tape()
             p = tape.softmax(tape.leaf(logits), 1.0)
-            losses.append(float(tape.val(nce_loss(tape, p, target))))
+            losses.append(float(tape.val(tape.nce(p, target))))
         assert all(a > b for a, b in zip(losses, losses[1:]))

@@ -1,7 +1,7 @@
 import io
 import json
 import zipfile
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -56,12 +56,27 @@ class TestEmbed:
         config, params = tiny_model(dropout_rate=0.5)
         x = rng.normal(size=(5, 6))
         eval_a = forward_scores(x, params, config)
-        tape1, out1 = run_forward(x, params, config, train_mode=True, rng_seed=1)
-        tape2, out2 = run_forward(x, params, config, train_mode=True, rng_seed=2)
+        tape1, out1 = run_forward(x, params, config, dropout_seed=1)
+        tape2, out2 = run_forward(x, params, config, dropout_seed=2)
         assert not np.array_equal(tape1.val(out1.x_e), tape2.val(out2.x_e))
-        tape3, out3 = run_forward(x, params, config, train_mode=True, rng_seed=1)
+        tape3, out3 = run_forward(x, params, config, dropout_seed=1)
         assert np.array_equal(tape1.val(out1.x_e), tape3.val(out3.x_e))
         assert np.isfinite(eval_a.s_f).all()
+
+    def test_no_seed_records_the_tape_of_a_model_without_dropout(self, rng):
+        # eval mode is the absence of a dropout seed: with a rate of 0.5 it records,
+        # byte for byte, what a seeded pass records at a rate of 0
+        x = rng.normal(size=(5, 6))
+        config, params = tiny_model(dropout_rate=0.5)
+        seedless, _ = run_forward(x, params, config)
+        seeded, _ = run_forward(x, params, replace(config, dropout_rate=0.0), dropout_seed=1)
+
+        def recorded(tape):
+            return [(n.op, n.inputs, n.name, n.value.dtype.str, n.value.tobytes(),
+                     {k: v.tobytes() if isinstance(v, np.ndarray) else v
+                      for k, v in n.ctx.items()}) for n in tape.nodes]
+
+        assert recorded(seedless) == recorded(seeded)
 
 
 def branch_outputs(x_e, params, config):
@@ -233,7 +248,7 @@ class TestForwardHybrid:
     def test_attention_and_probability_normalization(self, rng):
         config, params = tiny_model()
         tape, out = run_forward(rng.normal(size=(8, 6)), params, config,
-                                train_mode=True, rng_seed=3)
+                                dropout_seed=3)
         assert tape.val(out.attn_class).shape == (3, 4, 8)
         assert np.allclose(tape.val(out.attn_class).sum(axis=-1), 1.0, atol=1e-6)
         assert tape.val(out.attn_fore).shape == (3, 8)
@@ -245,7 +260,7 @@ class TestForwardHybrid:
     def test_branch_outputs_are_distinct_recorded_nodes(self, rng):
         config, params = tiny_model()
         tape, out = run_forward(rng.normal(size=(8, 6)), params, config,
-                                train_mode=True, rng_seed=3)
+                                dropout_seed=3)
         refs = [getattr(out, f.name) for f in fields(BranchOutputs)]
         assert len(refs) == len(set(refs)) == 11
         assert all(0 <= ref < len(tape.nodes) and tape.nodes[ref].op != "leaf"
@@ -255,16 +270,16 @@ class TestForwardHybrid:
     def test_train_mode_tape_size_independent_of_head_count(self, rng, temperatures):
         config, params = tiny_model(temperatures=temperatures)
         tape, out = run_forward(rng.normal(size=(8, 6)), params, config,
-                                train_mode=True, rng_seed=3)
+                                dropout_seed=3)
         total_loss(tape, out, np.array([1.0, 0.0, 1.0]), LossWeights(), True)
-        assert len(tape.nodes) == 47  # 7 leaves, 26 forward ops, 14 loss ops
+        assert len(tape.nodes) == 41  # 7 leaves, 26 forward ops, 8 loss ops
 
     def test_train_tape_keeps_one_snippet_by_width_array_besides_values(self, rng):
         # each conv layer keeps only its output, with no pre-activation and no
         # dropout mask; x_e is normalized once, for S_a and S_f alike
         config, params = tiny_model(embed_dims=(5, 7))
         tape, out = run_forward(rng.normal(size=(9, 6)), params, config,
-                                train_mode=True, rng_seed=3)
+                                dropout_seed=3)
         total_loss(tape, out, np.array([1.0, 0.0, 1.0]), LossWeights(), True)
         kept = {id(v): (i, node.op, key) for i, node in enumerate(tape.nodes)
                 for key, v in node.ctx.items()
@@ -326,7 +341,7 @@ class TestPrecision:
     def test_float32_train_tape_and_gradients_stay_float32(self, rng):
         config, params = tiny_model()
         tape, out = run_forward(rng.normal(size=(7, 6)), params.astype(np.float32), config,
-                                train_mode=True, rng_seed=4)
+                                dropout_seed=4)
         loss_ref, _ = total_loss(tape, out, np.array([1.0, 0.0, 1.0]), LossWeights(), True)
         grads = ad.backward(tape, loss_ref)
         promoted = [(i, n.op, n.value.dtype) for i, n in enumerate(tape.nodes)

@@ -165,7 +165,7 @@ class TestTrainEpoch:
             sample = dataset[idx]
             seed = tr._video_seed(tc.seed, 0, int(idx))
             tape, out = run_forward(sample.features.astype(np.float64), params_b,
-                                    config, train_mode=True, rng_seed=seed.spawn(1)[0])
+                                    config, dropout_seed=seed.spawn(1)[0])
             loss_ref, _ = total_loss(tape, out, sample.labels, LossWeights(), True)
             for name, g in ad.backward(tape, loss_ref).items():
                 acc[name] = acc.get(name, 0) + g
@@ -293,11 +293,10 @@ class TestFit:
 
         path = tmp_path / "model_history.csv"
         losses = dict(zip(tr.LOSS_KEYS, (1.0, 0.5, 0.25, 1.75)))
-        report = tr.EpochReport(0, losses, num_videos=3, skipped=0)
+        report = tr.EpochReport(losses, num_videos=3, skipped=0)
         write_history(path, [report])
         before = path.read_bytes()
-        broken = tr.EpochReport(1, {**losses, "total": Unprintable(1.5)}, num_videos=3,
-                                skipped=0)
+        broken = tr.EpochReport({**losses, "total": Unprintable(1.5)}, num_videos=3, skipped=0)
         with pytest.raises(RuntimeError):
             write_history(path, [broken, report])
         assert path.read_bytes() == before
@@ -404,7 +403,7 @@ class TestFit:
         assert history[29].losses["total"] < 0.25 * history[0].losses["total"]
 
 
-HISTORY = [tr.EpochReport(epoch, dict(zip(tr.LOSS_KEYS, (1.0 / (epoch + 1), 0.5, 0.25, 0.1))),
+HISTORY = [tr.EpochReport(dict(zip(tr.LOSS_KEYS, (1.0 / (epoch + 1), 0.5, 0.25, 0.1))),
                           num_videos=6, skipped=epoch) for epoch in range(3)]
 
 
