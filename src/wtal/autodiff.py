@@ -42,8 +42,9 @@ class Tape:
     def val(self, ref: int) -> np.ndarray:
         return self.nodes[ref].value
 
-    def _push(self, op: str, inputs: tuple[int, ...], value: np.ndarray, **ctx) -> int:
-        self.nodes.append(Node(op, inputs, value, ctx))
+    def _push(self, op: str, inputs: tuple[int, ...], value: np.ndarray,
+              name: str | None = None, **ctx) -> int:
+        self.nodes.append(Node(op, inputs, value, ctx, name))
         return len(self.nodes) - 1
 
     def _same_shape(self, op: str, a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
@@ -53,8 +54,7 @@ class Tape:
         return x, y
 
     def leaf(self, value, name: str | None = None) -> int:
-        self.nodes.append(Node("leaf", (), np.asarray(value), {}, name))
-        return len(self.nodes) - 1
+        return self._push("leaf", (), np.asarray(value), name)
 
     def add(self, a: int, b: int) -> int:
         x, y = self._same_shape("add", a, b)
@@ -179,11 +179,8 @@ class Tape:
         return self._push("nce", (p,), np.asarray((np.log(clamped) * neg_t).sum()),
                           clamped=clamped, neg_t=neg_t)
 
-    def sum(self, a: int, axis: int | None = None) -> int:
-        x = self.val(a)
-        # the adjoint expands the summed axes back: all of them for axis None
-        axes = tuple(range(x.ndim)) if axis is None else axis
-        return self._push("sum", (a,), np.asarray(x.sum(axis=axis)), axis=axes)
+    def sum(self, a: int, axis: int | tuple[int, ...]) -> int:
+        return self._push("sum", (a,), np.asarray(self.val(a).sum(axis=axis)), axis=axis)
 
 
 def _windows(x: np.ndarray, k: int) -> np.ndarray:
@@ -263,9 +260,9 @@ _BACKWARD = {
 def backward(tape: Tape, loss_ref: int, corrupt_op: str | None = None) -> dict[str, np.ndarray]:
     """Gradients of a scalar node w.r.t. every named leaf.
 
-    Only nodes that depend on a named leaf get an adjoint. Each rule is told
-    which of its inputs want one and may return None for the others, so the
-    adjoint of an unnamed leaf (the raw features) is never computed.
+    Each rule is told which of its inputs want an adjoint: all but the unnamed
+    leaves. It may return None for those, so the adjoint of the raw features
+    is never computed.
 
     ``corrupt_op`` deliberately mis-scales the adjoint of one op kind; it
     exists so the finite-difference harness can prove its own sensitivity.
@@ -273,10 +270,6 @@ def backward(tape: Tape, loss_ref: int, corrupt_op: str | None = None) -> dict[s
     loss = tape.nodes[loss_ref]
     if loss.value.size != 1:
         raise ContractError(f"backward needs a scalar loss, got shape {loss.value.shape}")
-    wants: list[bool] = []
-    for node in tape.nodes[:loss_ref + 1]:
-        wants.append(node.name is not None if node.op == "leaf"
-                     else any(wants[i] for i in node.inputs))
     adjoint: list[np.ndarray | None] = [None] * len(tape.nodes)
     adjoint[loss_ref] = np.ones_like(loss.value)
     grads: dict[str, np.ndarray] = {}
@@ -288,9 +281,10 @@ def backward(tape: Tape, loss_ref: int, corrupt_op: str | None = None) -> dict[s
                 g = np.zeros_like(node.value) if g is None else g
                 grads[node.name] = grads[node.name] + g if node.name in grads else g
             continue
-        if g is None or not wants[idx]:
+        if g is None:
             continue
-        wanted = [wants[i] for i in node.inputs]
+        wanted = [tape.nodes[i].op != "leaf" or tape.nodes[i].name is not None
+                  for i in node.inputs]
         in_grads = _BACKWARD[node.op](node, g, [tape.nodes[i].value for i in node.inputs],
                                       wanted)
         for ref, ig, want in zip(node.inputs, in_grads, wanted):
@@ -305,8 +299,7 @@ def backward(tape: Tape, loss_ref: int, corrupt_op: str | None = None) -> dict[s
 @dataclass
 class GradCheckResult:
     max_rel_error: float
-    worst_param: str | None
-    worst_index: tuple | None
+    where: str  # the worst coordinate as ``name[index]``; "-" while every error is 0
 
 
 def finite_diff_check(f, params: dict[str, np.ndarray], step: float) -> GradCheckResult:
@@ -319,7 +312,7 @@ def finite_diff_check(f, params: dict[str, np.ndarray], step: float) -> GradChec
     if step <= 0:
         raise ContractError(f"finite difference step {step} must be positive")
     grads = f(params)[1]
-    worst = GradCheckResult(0.0, None, None)
+    worst = GradCheckResult(0.0, "-")
     for name in sorted(params):
         p = params[name]
         g = np.asarray(grads[name])
@@ -334,7 +327,5 @@ def finite_diff_check(f, params: dict[str, np.ndarray], step: float) -> GradChec
             rel = (abs(g[idx] - cd) / max(abs(g[idx]), abs(cd), 1e-8)
                    if np.isfinite([lp, lm, g[idx]]).all() else np.inf)
             if rel > worst.max_rel_error:
-                worst.max_rel_error = rel
-                worst.worst_param = name
-                worst.worst_index = idx
+                worst = GradCheckResult(rel, f"{name}{list(idx)}")
     return worst

@@ -229,24 +229,19 @@ def cmd_gradcheck(args) -> int:
     if args.instances < 1 or args.seed < 0 or not 0 < args.tolerance < np.inf:
         raise ConfigError("gradcheck needs --instances >= 1, --seed >= 0 and a positive, "
                           "finite --tolerance")
-    worst_overall = 0.0
-    worst_where = "-"
     started = time.perf_counter()
     cases = gradcheck_cases(args.seed, args.instances,
                             corrupt_op="softmax" if args.inject_bug else None)
+    results = []
     for i, (label, params, f) in enumerate(cases):
-        result = ad.finite_diff_check(f, params.as_dict(), step=1e-5)
-        where = (f"{result.worst_param}{list(result.worst_index)}"
-                 if result.worst_param is not None else "-")
-        print(f"instance {i:2d}: {label} max rel err {result.max_rel_error:.3e} "
-              f"(worst: {where})")
-        if result.max_rel_error > worst_overall:
-            worst_overall = result.max_rel_error
-            worst_where = where
+        results.append(ad.finite_diff_check(f, params.as_dict(), step=1e-5))
+        print(f"instance {i:2d}: {label} max rel err {results[-1].max_rel_error:.3e} "
+              f"(worst: {results[-1].where})")
+    worst = max(results, key=lambda r: r.max_rel_error)
     elapsed = time.perf_counter() - started
-    print(f"worst over {args.instances} instances: {worst_overall:.3e} at {worst_where} "
+    print(f"worst over {args.instances} instances: {worst.max_rel_error:.3e} at {worst.where} "
           f"({elapsed:.1f}s)")
-    if worst_overall >= args.tolerance:
+    if worst.max_rel_error >= args.tolerance:
         print(f"error: gradient check failed tolerance {args.tolerance}", file=sys.stderr)
         return 1
     return 0

@@ -16,7 +16,6 @@ from .model import (ModelConfig, ModelParams, check_params, pop_config, run_forw
                     save_checkpoint)
 
 LOSS_KEYS = (*(f.name for f in fields(LossWeights)), "total")  # EpochReport.losses, in order
-ADAM_BLOCK = 1 << 16  # elements per adam_step block: its scratch stays small and cache-resident
 HISTORY_COLUMNS = ("num_videos", "skipped", *LOSS_KEYS)  # the training state's history table
 
 
@@ -78,10 +77,8 @@ def adam_step(params: ModelParams, grads: dict[str, np.ndarray],
     """Bias-corrected Adam update, in place, in a fixed parameter order.
 
     Parameters and both moments are updated in their own buffers; ``grads``
-    is only read. Each tensor is updated in blocks of whole rows, about
-    ``ADAM_BLOCK`` elements each, whose update and denominator go to one pair
-    of scratch rows reused for every block: elementwise, so the bits do not
-    depend on the block size.
+    is only read. Each tensor is updated whole, its update and denominator in
+    two temporaries of its size.
     """
     tensors = params.as_dict()
     if set(grads) != set(tensors):
@@ -90,27 +87,21 @@ def adam_step(params: ModelParams, grads: dict[str, np.ndarray],
     b1, b2 = config.beta1, config.beta2
     bias1 = 1.0 - b1 ** state.step
     bias2 = 1.0 - b2 ** state.step
-    width = max(ADAM_BLOCK, *(t.size // len(t) for t in tensors.values()))
-    scratch = np.empty((2, width), dtype=np.result_type(*tensors.values()))
-    for name, tensor in tensors.items():
-        rows = width // (tensor.size // len(tensor))
-        for lo in range(0, len(tensor), rows):
-            block = slice(lo, lo + rows)
-            p, g = tensor[block], grads[name][block]
-            m, v = state.m[name][block], state.v[name][block]
-            update, denom = (row[:p.size].reshape(p.shape) for row in scratch)
-            m *= b1
-            m += np.multiply(g, 1 - b1, out=update)
-            v *= b2
-            np.multiply(g, 1 - b2, out=update)
-            v += np.multiply(update, g, out=update)
-            np.divide(m, bias1, out=update)
-            update *= config.learning_rate
-            np.divide(v, bias2, out=denom)
-            np.sqrt(denom, out=denom)
-            denom += config.adam_eps
-            update /= denom
-            p -= update
+    for name, p in tensors.items():
+        g, m, v = grads[name], state.m[name], state.v[name]
+        update, denom = np.empty_like(p), np.empty_like(p)
+        m *= b1
+        m += np.multiply(g, 1 - b1, out=update)
+        v *= b2
+        np.multiply(g, 1 - b2, out=update)
+        v += np.multiply(update, g, out=update)
+        np.divide(m, bias1, out=update)
+        update *= config.learning_rate
+        np.divide(v, bias2, out=denom)
+        np.sqrt(denom, out=denom)
+        denom += config.adam_eps
+        update /= denom
+        p -= update
 
 
 @dataclass
@@ -224,9 +215,9 @@ def load_train_state(path, model_config: ModelConfig, train_config: TrainConfig
 
     The stored model config must equal ``model_config``, every tensor must be
     present under its expected name, with the shape the model config implies and
-    the training precision's dtype, the two counters must be integer scalars and
-    the history a finite float64 table of ``next_epoch`` rows; ``FormatError``
-    otherwise, ``OSError`` if it is missing.
+    the training precision's dtype, the two counters must be non-negative integer
+    scalars and the history a finite float64 table of ``next_epoch`` rows;
+    ``FormatError`` otherwise, ``OSError`` if it is missing.
     """
     arrays = read_archive(path, "training-state")
     stored, wanted = asdict(pop_config(arrays, f"{path}: ")), asdict(model_config)
@@ -237,8 +228,8 @@ def load_train_state(path, model_config: ModelConfig, train_config: TrainConfig
     table = arrays.pop("history", None)
     check_params(arrays, model_config, lambda message: FormatError(f"{path}: {message}"),
                  train_config.dtype, prefixes=("param_", "m_", "v_"))
-    if any(c is None or c.shape != () or c.dtype.kind not in "iu" for c in counters):
-        raise FormatError(f"{path}: step and next_epoch must be integer scalars")
+    if any(c is None or c.shape != () or c.dtype.kind not in "iu" or c < 0 for c in counters):
+        raise FormatError(f"{path}: step and next_epoch must be non-negative integer scalars")
     if table is None or table.dtype != np.float64 or not np.isfinite(table).all() \
             or table.shape != (int(counters[1]), len(HISTORY_COLUMNS)):
         raise FormatError(f"{path}: history must be a finite float64 table, one row per epoch")

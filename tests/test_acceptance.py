@@ -45,7 +45,7 @@ def test_gradient_correctness_20_random_instances():
         result = ad.finite_diff_check(f, params.as_dict(), step=1e-5)
         assert result.max_rel_error != np.inf
         assert result.max_rel_error < 1e-4, (
-            f"instance {i} ({label}): {result.max_rel_error} at {result.worst_param}")
+            f"instance {i} ({label}): {result.max_rel_error} at {result.where}")
         worst = max(worst, result.max_rel_error)
     elapsed = time.perf_counter() - started
     assert elapsed < 30.0

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -130,7 +131,7 @@ class TestSoftmaxTemp:
         def f(p):
             tape = ad.Tape()
             out = tape.softmax(tape.leaf(p["s"], name="s"), taus, axis=axis)
-            loss = tape.sum(tape.mul(out, tape.leaf(probe)))
+            loss = tape.sum(tape.mul(out, tape.leaf(probe)), axis=tuple(range(probe.ndim)))
             return float(tape.val(loss)), ad.backward(tape, loss)
 
         result = ad.finite_diff_check(f, tensors, step=1e-6)
@@ -254,7 +255,7 @@ class TestTemporalConv:
             tape = ad.Tape()
             refs = [tape.leaf(p[name], name=name) for name in ("x", "w", "b")]
             out = tape.temporal_conv(*refs, mask, keep)
-            loss = tape.sum(tape.mul(out, tape.leaf(probe)))
+            loss = tape.sum(tape.mul(out, tape.leaf(probe)), axis=(0, 1))
             return float(tape.val(loss)), ad.backward(tape, loss)
 
         return f
@@ -315,7 +316,7 @@ class TestBackward:
     def test_sum_of_leaf_gives_ones(self, rng):
         tape = ad.Tape()
         w = tape.leaf(rng.normal(size=(3, 4)), name="w")
-        loss = tape.sum(w)
+        loss = tape.sum(w, axis=(0, 1))
         grads = ad.backward(tape, loss)
         assert np.array_equal(grads["w"], np.ones((3, 4)))
 
@@ -323,7 +324,7 @@ class TestBackward:
         row = rng.normal(size=(1, 5))
         tape = ad.Tape()
         a = tape.leaf(row, name="a")
-        loss = tape.sum(tape.cosine_rows(a, tape.leaf(row.copy()), 5.0))
+        loss = tape.sum(tape.cosine_rows(a, tape.leaf(row.copy()), 5.0), axis=(0, 1))
         grads = ad.backward(tape, loss)
         assert np.allclose(grads["a"], 0.0, atol=1e-9)
 
@@ -337,7 +338,7 @@ class TestBackward:
         tape = ad.Tape()
         used = tape.leaf(rng.normal(size=3), name="used")
         tape.leaf(rng.normal(size=4), name="unused")
-        grads = ad.backward(tape, tape.sum(used))
+        grads = ad.backward(tape, tape.sum(used, axis=0))
         assert np.array_equal(grads["unused"], np.zeros(4))
 
     def test_deterministic(self, rng):
@@ -348,29 +349,48 @@ class TestBackward:
             a = tape.leaf(x, name="a")
             w = tape.leaf(np.eye(3))  # k=1 identity: the op is relu(a)
             loss = tape.sum(tape.softmax(tape.temporal_conv(a, w, tape.leaf(np.zeros(3))),
-                                         2.0, axis=0))
+                                         2.0, axis=0), axis=(0, 1))
             return ad.backward(tape, loss)["a"]
 
         assert np.array_equal(once(), once())
+
+    @staticmethod
+    def model_grads(x, params, x_name):
+        """backward over the tiny model's training loss, the features a leaf named x_name."""
+        config = tiny_config()
+        tape = ad.Tape()
+        x_ref = tape.leaf(x, name=x_name)
+        refs = ModelParams(**{k: tape.leaf(v, name=k) for k, v in params.as_dict().items()})
+        out = forward_hybrid(tape, x_ref, refs, config, dropout_seed=5)
+        loss_ref, _ = total_loss(tape, out, np.array([1.0, 0.0, 1.0]), LossWeights(),
+                                 config.use_background)
+        return ad.backward(tape, loss_ref)
+
+    def test_conv_rule_is_told_the_unnamed_features_want_no_adjoint(self, rng, monkeypatch):
+        _, params = tiny_model()
+        x = rng.normal(size=(7, 6))
+        conv_rule = ad._BACKWARD["temporal_conv"]
+        seen = []  # wanted[0] per conv rule call: conv2 first, then conv1 on the features
+
+        def spy(node, g, values, wanted):
+            seen.append(wanted[0])
+            return conv_rule(node, g, values, wanted)
+
+        monkeypatch.setitem(ad._BACKWARD, "temporal_conv", spy)
+        self.model_grads(x, params, None)
+        assert seen == [True, False]
+        seen.clear()
+        self.model_grads(x, params, "x")
+        assert seen == [True, True]
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_named_input_leaves_parameter_gradients_byte_equal(self, rng, dtype):
         # backward skips the adjoint of the unnamed raw-feature leaf; naming it
         # computes that adjoint but must not move a single parameter gradient bit
-        config, params = tiny_model()
+        _, params = tiny_model()
         params = params.astype(dtype)
         x = rng.normal(size=(7, 6)).astype(dtype)
-        y = np.array([1.0, 0.0, 1.0])
-
-        def grads(x_name):
-            tape = ad.Tape()
-            x_ref = tape.leaf(x, name=x_name)
-            refs = ModelParams(**{k: tape.leaf(v, name=k) for k, v in params.as_dict().items()})
-            out = forward_hybrid(tape, x_ref, refs, config, dropout_seed=5)
-            loss_ref, _ = total_loss(tape, out, y, LossWeights(), config.use_background)
-            return ad.backward(tape, loss_ref)
-
-        named, unnamed = grads("x"), grads(None)
+        named, unnamed = (self.model_grads(x, params, name) for name in ("x", None))
         assert set(named) == set(unnamed) | {"x"}
         assert named["x"].shape == x.shape and np.abs(named["x"]).max() > 0
         for name, g in unnamed.items():
@@ -440,8 +460,9 @@ class TestFiniteDiffCheck:
         x = rng.normal(size=(2, 4))
         y = np.array([0.0, 1.0])
         result = ad.finite_diff_check(full_loss_fn(x, y, config), params.as_dict(), step=1e-5)
-        assert result.worst_param in params.as_dict()
-        assert result.worst_index is not None
+        name, index = re.fullmatch(r"(\w+)\[(\d+(?:, \d+)*)\]", result.where).groups()
+        assert name in params.as_dict()
+        assert len(index.split(", ")) == params.as_dict()[name].ndim
 
     def test_non_finite_reported_with_coordinate(self):
         params = {"x": np.array([0.5])}
@@ -452,7 +473,7 @@ class TestFiniteDiffCheck:
 
         result = ad.finite_diff_check(f, params, step=1e-5)
         assert result.max_rel_error == np.inf
-        assert (result.worst_param, result.worst_index) == ("x", (0,))
+        assert result.where == "x[0]"
 
     def test_non_finite_evaluation_is_an_infinite_error_at_its_coordinate(self):
         # b[1]'s positive probe gives a NaN loss; every other coordinate has a
@@ -466,7 +487,7 @@ class TestFiniteDiffCheck:
 
         result = ad.finite_diff_check(f, params, step=1e-5)
         assert result.max_rel_error == np.inf
-        assert (result.worst_param, result.worst_index) == ("b", (1,))
+        assert result.where == "b[1]"
 
 
 def assert_same_tape(a, b):

@@ -1,5 +1,6 @@
 import json
 import pickle
+import re
 import tracemalloc
 
 import numpy as np
@@ -90,12 +91,9 @@ class TestAdamStep:
                 assert np.array_equal(getattr(params, k), ref_params[k])
                 assert getattr(params, k).dtype == dtype
 
-    @pytest.mark.parametrize("block", [tr.ADAM_BLOCK, 11])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_bit_equal_to_allocating_reference(self, rng, dtype, block, monkeypatch):
-        # gradients mix normal values with exact zeros and subnormals; a block
-        # of 11 elements splits the 2-d tensors into blocks of 1 or 2 rows
-        monkeypatch.setattr(tr, "ADAM_BLOCK", block)
+    def test_bit_equal_to_allocating_reference(self, rng, dtype):
+        # gradients mix normal values with exact zeros and subnormals
         config, params = tiny_model()
         params = params.astype(dtype)
         tc = TrainConfig(learning_rate=0.01)
@@ -129,6 +127,24 @@ class TestAdamStep:
         adam_step(params, grads, state, TrainConfig(learning_rate=0.01))
         flat = np.concatenate([v.ravel() for v in params.as_dict().values()])
         assert np.allclose(flat, flat[0], atol=1e-15)
+
+    def test_peak_traced_memory_within_two_of_the_largest_tensor(self, rng):
+        # each tensor's update and denominator are one temporary of its size each
+        config = tiny_config(feature_dim=256, embed_dims=(256, 256))
+        params = init_params(config, seed=0, dtype=np.float32)
+        grads = {k: rng.normal(size=v.shape).astype(np.float32)
+                 for k, v in params.as_dict().items()}
+        state = init_optimizer(params)
+        adam_step(params, grads, state, TrainConfig())
+        largest = max(v.nbytes for v in params.as_dict().values())
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            adam_step(params, grads, state, TrainConfig())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - base <= 2 * largest + 64 * 1024
 
 
 class TestTrainEpoch:
@@ -457,13 +473,16 @@ class TestLoadTrainState:
         with pytest.raises(FormatError, match="v_w_fore"):
             load_train_state(path, config, tc)
 
+    # a negative step would divide by zero (-1) or take the root of a negative
+    # number (-2) in the first Adam bias correction after the resume
     @pytest.mark.parametrize("changes", [{"step": np.array("x")},
-                                         {"next_epoch": np.array([1, 2])}],
-                             ids=["text-step", "vector-next-epoch"])
+                                         {"next_epoch": np.array([1, 2])},
+                                         {"step": np.array(-1)}, {"step": np.array(-2)}],
+                             ids=["text-step", "vector-next-epoch", "step-1", "step-2"])
     def test_counter_not_an_integer_scalar_rejected(self, tmp_path, changes):
         path, config, tc = self.saved(tmp_path)
         self.rewrite(path, **changes)
-        with pytest.raises(FormatError, match="step and next_epoch"):
+        with pytest.raises(FormatError, match=f"{re.escape(str(path))}: step and next_epoch"):
             load_train_state(path, config, tc)
 
     @pytest.mark.parametrize("changes", [{"drop": ("history",)},
