@@ -9,6 +9,7 @@ Each op records its forward value plus whatever the adjoint needs, and
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -208,12 +209,11 @@ def _conv_backward(node: Node, g: np.ndarray, values, wanted):
         g *= inv_keep
     db = g.sum(axis=0)
     dw = _windows(x, k).T @ g
-    if not wanted[0]:  # e.g. the raw features: a T x k*d_in product nobody reads
+    if not wanted[0]:  # e.g. the raw features: k products nobody reads
         return [None, dw, db]
-    dwin = (g @ w.T).reshape(t, k, d_in)
     dxp = np.zeros((t + 2 * pad, d_in), dtype=g.dtype)
-    for i in range(k):
-        dxp[i:i + t] += dwin[:, i, :]
+    for i in range(k):  # tap by tap: no T x k*d_in product is held
+        dxp[i:i + t] += g @ w[i * d_in:(i + 1) * d_in].T
     return [dxp[pad:pad + t], dw, db]
 
 
@@ -257,8 +257,13 @@ _BACKWARD = {
 }
 
 
-def backward(tape: Tape, loss_ref: int, corrupt_op: str | None = None) -> dict[str, np.ndarray]:
-    """Gradients of a scalar node w.r.t. every named leaf.
+def backward(tape: Tape, loss_ref: int, corrupt_op: str | None = None,
+             into: dict[str, np.ndarray] | None = None) -> dict[str, np.ndarray]:
+    """Gradients of a scalar node w.r.t. every named leaf, in a fresh dict (zeros
+    for a leaf the loss does not reach) or added in place into the buffers of
+    ``into``, which is returned. There a leaf's sum is added once complete, when
+    its last consumer up to the loss has run (else at its own visit), and then
+    dropped: the bits of ``into[name] + backward(tape, loss_ref)[name]``.
 
     Each rule is told which of its inputs want an adjoint: all but the unnamed
     leaves. It may return None for those, so the adjoint of the raw features
@@ -272,16 +277,21 @@ def backward(tape: Tape, loss_ref: int, corrupt_op: str | None = None) -> dict[s
         raise ContractError(f"backward needs a scalar loss, got shape {loss.value.shape}")
     adjoint: list[np.ndarray | None] = [None] * len(tape.nodes)
     adjoint[loss_ref] = np.ones_like(loss.value)
-    grads: dict[str, np.ndarray] = {}
+    pending = Counter(i for node in tape.nodes[:loss_ref + 1] for i in node.inputs)
+    grads: dict[str, np.ndarray] = {} if into is None else into
+
+    def add(name: str, g: np.ndarray) -> None:
+        if into is not None:
+            into[name] += g
+        else:
+            grads[name] = grads[name] + g if name in grads else g
+
     for idx in range(loss_ref, -1, -1):
         node = tape.nodes[idx]
         g, adjoint[idx] = adjoint[idx], None  # each adjoint is read once
-        if node.op == "leaf":
-            if node.name is not None:
-                g = np.zeros_like(node.value) if g is None else g
-                grads[node.name] = grads[node.name] + g if node.name in grads else g
-            continue
-        if g is None:
+        if node.op == "leaf" and node.name is not None and (g is not None or into is None):
+            add(node.name, np.zeros_like(node.value) if g is None else g)
+        if node.op == "leaf" or g is None:
             continue
         wanted = [tape.nodes[i].op != "leaf" or tape.nodes[i].name is not None
                   for i in node.inputs]
@@ -293,6 +303,11 @@ def backward(tape: Tape, loss_ref: int, corrupt_op: str | None = None) -> dict[s
             if node.op == corrupt_op:
                 ig = ig * 1.05
             adjoint[ref] = ig if adjoint[ref] is None else adjoint[ref] + ig
+            pending[ref] -= 1
+            if into is not None and not pending[ref] and tape.nodes[ref].op == "leaf":
+                add(tape.nodes[ref].name, adjoint[ref])
+                adjoint[ref] = None
+        del in_grads, ig  # so a parameter gradient added above is freed now
     return grads
 
 

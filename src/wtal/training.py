@@ -127,18 +127,13 @@ def _maybe_subsample(features: np.ndarray, limit: int | None,
 
 def _add_video_gradients(acc: dict[str, np.ndarray], feats, labels, dropout_seed,
                          params: ModelParams, model_config: ModelConfig,
-                         loss_weights: LossWeights, epoch: int) -> dict[str, float]:
+                         loss_weights: LossWeights) -> dict[str, float]:
     """Add one video's gradients into ``acc`` and return its losses, keyed by
-    ``LOSS_KEYS``. Its tape and gradients are freed on return."""
+    ``LOSS_KEYS``. Its tape is freed on return."""
     tape, out = run_forward(feats, params, model_config, dropout_seed)
     loss_ref, parts = total_loss(tape, out, labels, loss_weights, model_config.use_background)
     losses = {key: float(tape.val(ref)) for key, ref in {**parts, "total": loss_ref}.items()}
-    grads = ad.backward(tape, loss_ref)
-    del tape, out
-    for name, g in grads.items():
-        if not np.isfinite(g).all():
-            raise NonFiniteGradientError(name, epoch)
-        acc[name] += g
+    ad.backward(tape, loss_ref, into=acc)
     return losses
 
 
@@ -169,15 +164,17 @@ def train_epoch(dataset, params: ModelParams, state: OptimizerState,
             seed = _video_seed(train_config.seed, epoch, int(idx))
             feats = _maybe_subsample(sample.features, train_config.max_snippets, seed)
             losses = _add_video_gradients(acc, feats, sample.labels, seed.spawn(1)[0], params,
-                                          model_config, loss_weights, epoch)
+                                          model_config, loss_weights)
             del sample, feats  # the next video is read with none of this one's features held
             for key, value in losses.items():
                 sums[key] += value
             in_batch += 1
             processed += 1
         if in_batch:
-            for g in acc.values():
+            for name, g in acc.items():  # in ModelParams order
                 g /= in_batch
+                if not np.isfinite(g).all():
+                    raise NonFiniteGradientError(name, epoch)
             adam_step(params, acc, state, train_config)
             for g in acc.values():
                 g.fill(0)

@@ -160,6 +160,24 @@ def conv_reference(x, w, b):
     return out
 
 
+def conv_dx_reference(g, w, d_in):
+    """The input adjoint of a same-padded temporal conv through one product.
+
+    g: (T, d_out), the adjoint of the conv output, already gated; w: (k*d_in,
+    d_out) tap-major. ``g @ w.T`` holds every tap's part side by side, and tap
+    i's block is added, taps in order, into rows i..i+T of the zero-padded
+    input's adjoint, which is then cropped.
+    """
+    t = g.shape[0]
+    k = w.shape[0] // d_in
+    pad = k // 2
+    dwin = (g @ w.T).reshape(t, k, d_in)
+    dxp = np.zeros((t + 2 * pad, d_in), dtype=g.dtype)
+    for i in range(k):
+        dxp[i:i + t] += dwin[:, i, :]
+    return dxp[pad:pad + t]
+
+
 def adam_reference(params, grads, m, v, step, config):
     """Adam as one allocating update per tensor: every intermediate a fresh array.
 

@@ -12,7 +12,7 @@ from wtal.losses import LossWeights, total_loss
 from wtal.model import ModelParams, forward_hybrid, init_params, run_forward
 
 from conftest import tiny_config, tiny_model
-from oracles import conv_reference
+from oracles import conv_dx_reference, conv_reference
 
 
 def cosine(a, b, scale=5.0):
@@ -287,6 +287,34 @@ class TestTemporalConv:
             assert out.tobytes() == expected.tobytes()
             assert not out[1].any() and (out > 0).any()
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("t", [1, 2, 7, 130])
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    @pytest.mark.parametrize("d_in,d_out", [(64, 16), (128, 128)])
+    def test_input_adjoint_equals_one_product_fold(self, rng, d_in, d_out, k, t, dtype):
+        """dx is folded tap by tap: each entry is the dot product that the (T, k*d_in)
+        product g @ w.T holds, added into the padded rows in the same order, so
+        it is byte-equal unless BLAS runs the two products through different
+        kernels. OpenBLAS's small-matrix kernels (AVX-512 builds) take a product
+        of at most 1200 entries that sums 32 or more terms, and sum in another
+        order; where T*d_in <= 1200 < T*k*d_in the last bits may differ."""
+        keep = 0.5
+        tape = ad.Tape()
+        refs = [tape.leaf(rng.normal(size=shape).astype(dtype), name=name)
+                for name, shape in (("x", (t, d_in)), ("w", (k * d_in, d_out)), ("b", d_out))]
+        mask = (rng.random((t, d_out)) < keep).astype(dtype) / keep
+        node = tape.nodes[tape.temporal_conv(*refs, mask, keep)]
+        g = rng.normal(size=(t, d_out)).astype(dtype)
+        dx = ad._conv_backward(node, g, [tape.val(r) for r in refs], [True] * 3)[0]
+        gated = g * (node.value > 0) * node.ctx["inv_keep"]
+        expected = conv_dx_reference(gated, tape.val(refs[1]), d_in)
+        assert dx.dtype == expected.dtype == dtype and gated.any()
+        if d_out >= 32 and t * d_in <= 1200 < t * k * d_in:
+            tol = 1e-5 if dtype == np.float32 else 1e-13
+            np.testing.assert_allclose(dx, expected, rtol=tol, atol=tol)
+        else:
+            assert dx.tobytes() == expected.tobytes()
+
     @pytest.mark.parametrize("k", [1, 3, 5])
     def test_adjoint_with_fixed_mask_matches_finite_differences(self, rng, k):
         tensors = {"x": rng.normal(size=(4, 3)), "w": rng.normal(size=(k * 3, 2)),
@@ -382,6 +410,55 @@ class TestBackward:
         seen.clear()
         self.model_grads(x, params, "x")
         assert seen == [True, True]
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("use_background", [True, False])
+    def test_into_adds_what_the_returned_gradients_add(self, rng, dtype, use_background):
+        # each parameter's complete gradient is added into the buffer once, so
+        # the bits are those of adding the returned gradient; w_action and
+        # w_fore are each read by two nodes
+        config = tiny_config(use_background=use_background)
+        params = init_params(config, seed=2, dtype=dtype)
+        tape, out = run_forward(rng.normal(size=(40, 6)), params, config, dropout_seed=3)
+        loss_ref, _ = total_loss(tape, out, np.array([1.0, 0.0, 1.0]), LossWeights(),
+                                 use_background)
+        acc0 = {k: rng.normal(size=v.shape).astype(dtype) for k, v in params.as_dict().items()}
+        into = {k: v.copy() for k, v in acc0.items()}
+        grads = ad.backward(tape, loss_ref)
+        assert ad.backward(tape, loss_ref, into=into) is into
+        for name, before in acc0.items():
+            assert into[name].dtype == dtype
+            assert into[name].tobytes() == (before + grads[name]).tobytes(), name
+
+    def test_into_adds_a_leaf_read_twice_once_its_sum_is_complete(self):
+        tape = ad.Tape()
+        w = tape.leaf(np.array([3.0]), name="w")
+        both = tape.add(tape.mul_const(w, 1e-16), tape.mul_const(w, 1e-16))
+        into = {"w": np.array([1.0])}
+        ad.backward(tape, tape.sum(both, axis=0), into=into)
+        # 1 + 2e-16 rounds up to the next double; adding 1e-16 twice stays at 1.0
+        assert into["w"][0] == 1.0000000000000002
+
+    def test_into_leaves_an_unreached_leaf_untouched(self, rng):
+        tape = ad.Tape()
+        used = tape.leaf(rng.normal(size=3), name="used")
+        tape.leaf(rng.normal(size=4), name="unused")
+        loss = tape.sum(used, axis=0)
+        unused = rng.normal(size=4)
+        into = {"used": np.zeros(3), "unused": unused.copy()}
+        ad.backward(tape, loss, into=into)
+        assert np.array_equal(into["used"], np.ones(3))
+        assert into["unused"].tobytes() == unused.tobytes()
+        assert np.array_equal(ad.backward(tape, loss)["unused"], np.zeros(4))
+
+    def test_into_adds_the_reached_part_of_a_leaf_with_an_unreached_consumer(self):
+        tape = ad.Tape()
+        w = tape.leaf(np.array([1.0, 2.0]), name="w")
+        tape.mul_const(w, 5.0)  # before the loss, but the loss does not read it
+        loss = tape.sum(tape.mul_const(w, 3.0), axis=0)
+        into = {"w": np.array([10.0, 20.0])}
+        ad.backward(tape, loss, into=into)
+        assert np.array_equal(into["w"], [13.0, 23.0])
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_named_input_leaves_parameter_gradients_byte_equal(self, rng, dtype):
@@ -517,30 +594,41 @@ class TestTapeReplay:
 
 
 class TestTapeMemory:
-    def test_train_step_peak_traced_memory_within_budget(self):
-        # One train-mode forward and backward at T = D = embed = 256 in float32;
-        # each T x 256 array is 0.26 MB. Peak traced allocation above the start,
-        # returned gradients included: 5.74 MB when each conv layer left its
-        # pre-activation, dropout mask, masked copy and ReLU output on the tape and
-        # S_a and S_f each normalized x_e; 4.15 MB with one node per layer and one
-        # normalized x_e.
-        config = tiny_config(num_classes=20, feature_dim=256, embed_dims=(256, 256))
-        params = init_params(config, seed=0, dtype=np.float32)
-        x = np.random.default_rng(0).normal(size=(256, 256)).astype(np.float32)
-        y = np.zeros(20)
-        y[[3, 7]] = 1.0
+    # One train-mode forward and backward at T = D = embed = 256 in float32;
+    # each T x 256 array is 0.26 MB. Peaks are traced allocation above the start.
+    config = tiny_config(num_classes=20, feature_dim=256, embed_dims=(256, 256))
+    params = init_params(config, seed=0, dtype=np.float32)
+    x = np.random.default_rng(0).normal(size=(256, 256)).astype(np.float32)
+    y = np.zeros(20)
+    y[[3, 7]] = 1.0
 
+    def step_peak_mb(self, into=None) -> float:
         def step():
-            tape, out = run_forward(x, params, config, dropout_seed=1)
-            loss_ref, _ = total_loss(tape, out, y, LossWeights(), config.use_background)
-            return ad.backward(tape, loss_ref)
+            tape, out = run_forward(self.x, self.params, self.config, dropout_seed=1)
+            loss_ref, _ = total_loss(tape, out, self.y, LossWeights(), self.config.use_background)
+            return ad.backward(tape, loss_ref, into=into)
 
         step()
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
             step()
-            peak = tracemalloc.get_traced_memory()[1]
+            return (tracemalloc.get_traced_memory()[1] - base) / 1e6
         finally:
             tracemalloc.stop()
-        assert (peak - base) / 1e6 < 4.9
+
+    def test_train_step_peak_traced_memory_within_budget(self):
+        # Returned gradients included: 5.74 MB when each conv layer left its
+        # pre-activation, dropout mask, masked copy and ReLU output on the tape and
+        # S_a and S_f each normalized x_e; 4.15 MB with one node per layer and one
+        # normalized x_e.
+        assert self.step_peak_mb() < 4.9
+
+    def test_train_step_into_the_batch_buffer_peaks_lower(self):
+        # The trainer's path, gradients added into a preallocated accumulator:
+        # 4.14 MB when backward returned every gradient for the caller to add and
+        # folded conv dx through a T x k*d_in product; 3.33 MB with each
+        # parameter's gradient added once its last consumer has run and dx
+        # folded tap by tap.
+        acc = {k: np.zeros_like(v) for k, v in self.params.as_dict().items()}
+        assert self.step_peak_mb(acc) < 3.6

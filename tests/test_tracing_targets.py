@@ -14,11 +14,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from wtal import autodiff as ad
 from wtal.evaluation import THUMOS_GRID, GroundTruthInstance, map_report
 from wtal.localization import LocalizeConfig, fuse_scores, localize_video, upsample
-from wtal.model import ScoreSet
+from wtal.losses import LossWeights, total_loss
+from wtal.model import ScoreSet, run_forward
 
-from conftest import detections_table, video_entry
+from conftest import detections_table, tiny_model, video_entry
 from oracles import propose_reference
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
@@ -71,3 +73,22 @@ def test_ap_counter_counts_scored_detections(tracing):
         map_report(table, gts, THUMOS_GRID, 2)
     assert tracer.counts["evaluation.average_precision_calls"] == 2 * len(THUMOS_GRID)
     assert tracer.counts["evaluation.detections_scored"] == 3 * len(THUMOS_GRID)
+
+
+def test_tape_counter_reads_the_whole_tape_after_backward_into_a_buffer(tracing, rng):
+    # autodiff.tape_nodes and tape_mb read every node's value and ctx arrays
+    # once backward has returned: a backward that freed them would break the
+    # benchmark's traced training, so it must fail here first
+    config, params = tiny_model()
+    acc = {k: np.zeros_like(v) for k, v in params.as_dict().items()}
+    tracer = tracing.Tracer()
+    with tracing.installed(tracer):
+        tape, out = run_forward(rng.normal(size=(9, 6)), params, config, dropout_seed=2)
+        loss_ref, _ = total_loss(tape, out, np.array([1.0, 0.0, 1.0]), LossWeights(),
+                                 config.use_background)
+        nbytes = sum(node.value.nbytes + sum(v.nbytes for v in node.ctx.values()
+                                             if isinstance(v, np.ndarray))
+                     for node in tape.nodes)
+        ad.backward(tape, loss_ref, into=acc)
+    assert tracer.missing == [] and np.abs(acc["conv1_w"]).max() > 0
+    assert tracer.tapes == [(9, 41, nbytes)]

@@ -203,21 +203,33 @@ class TestTrainEpoch:
 
         assert run() == run()
 
-    def test_non_finite_gradient_aborts_with_parameter_name(self, rng, monkeypatch):
+    @staticmethod
+    def epoch_with_nan_in(rng, monkeypatch, name, match):
+        """One epoch of two videos in one batch, its backward leaving NaN in the
+        accumulated gradient of ``name``: it must stop with an error matching
+        ``match`` before any Adam step."""
         config, params = tiny_model()
-        dataset = toy_dataset(rng, n=2)
+        before = {k: v.copy() for k, v in params.as_dict().items()}
+        original = ad.backward
 
-        def poisoned(tape, loss_ref, corrupt_op=None):
-            grads = ad.backward.__wrapped__(tape, loss_ref) if hasattr(ad.backward, "__wrapped__") \
-                else original(tape, loss_ref)
-            grads["conv2_w"] = grads["conv2_w"] * np.nan
+        def poisoned(tape, loss_ref, corrupt_op=None, into=None):
+            grads = original(tape, loss_ref, corrupt_op, into=into)
+            grads[name] *= np.nan
             return grads
 
-        original = ad.backward
         monkeypatch.setattr(tr.ad, "backward", poisoned)
-        with pytest.raises(NonFiniteGradientError, match="conv2_w.*training stopped"):
-            train_epoch(dataset, params, init_optimizer(params), config,
+        with pytest.raises(NonFiniteGradientError, match=match):
+            train_epoch(toy_dataset(rng, n=2), params, init_optimizer(params), config,
                         LossWeights(), TrainConfig(precision=64, seed=0), epoch=0)
+        for k, v in params.as_dict().items():
+            assert v.tobytes() == before[k].tobytes(), k
+
+    def test_non_finite_gradient_aborts_with_parameter_name(self, rng, monkeypatch):
+        self.epoch_with_nan_in(rng, monkeypatch, "conv2_w", "conv2_w.*training stopped")
+
+    def test_non_finite_gradient_of_the_last_parameter_is_named(self, rng, monkeypatch):
+        # the batch check walks ModelParams order; only w_fore, the last, is poisoned
+        self.epoch_with_nan_in(rng, monkeypatch, "w_fore", "'w_fore'.*training stopped")
 
     def test_peak_traced_memory_within_budget(self):
         # Parameters dominate at this shape (1.58 MB in float32). Peak traced
