@@ -257,13 +257,13 @@ _BACKWARD = {
 }
 
 
-def backward(tape: Tape, loss_ref: int, corrupt_op: str | None = None,
-             into: dict[str, np.ndarray] | None = None) -> dict[str, np.ndarray]:
-    """Gradients of a scalar node w.r.t. every named leaf, in a fresh dict (zeros
-    for a leaf the loss does not reach) or added in place into the buffers of
-    ``into``, which is returned. There a leaf's sum is added once complete, when
-    its last consumer up to the loss has run (else at its own visit), and then
-    dropped: the bits of ``into[name] + backward(tape, loss_ref)[name]``.
+def backward(tape: Tape, loss_ref: int, into: dict[str, np.ndarray],
+             corrupt_op: str | None = None) -> None:
+    """Add the gradient of a scalar node w.r.t. every named leaf, in place, into
+    that name's buffer in ``into``; a leaf the loss does not reach adds nothing.
+    A leaf's sum is added once complete, when its last consumer up to the loss
+    has run (else at its own visit), and then dropped, so each buffer gets one
+    addition per leaf.
 
     Each rule is told which of its inputs want an adjoint: all but the unnamed
     leaves. It may return None for those, so the adjoint of the raw features
@@ -278,19 +278,11 @@ def backward(tape: Tape, loss_ref: int, corrupt_op: str | None = None,
     adjoint: list[np.ndarray | None] = [None] * len(tape.nodes)
     adjoint[loss_ref] = np.ones_like(loss.value)
     pending = Counter(i for node in tape.nodes[:loss_ref + 1] for i in node.inputs)
-    grads: dict[str, np.ndarray] = {} if into is None else into
-
-    def add(name: str, g: np.ndarray) -> None:
-        if into is not None:
-            into[name] += g
-        else:
-            grads[name] = grads[name] + g if name in grads else g
-
     for idx in range(loss_ref, -1, -1):
         node = tape.nodes[idx]
         g, adjoint[idx] = adjoint[idx], None  # each adjoint is read once
-        if node.op == "leaf" and node.name is not None and (g is not None or into is None):
-            add(node.name, np.zeros_like(node.value) if g is None else g)
+        if node.op == "leaf" and node.name is not None and g is not None:
+            into[node.name] += g
         if node.op == "leaf" or g is None:
             continue
         wanted = [tape.nodes[i].op != "leaf" or tape.nodes[i].name is not None
@@ -304,11 +296,10 @@ def backward(tape: Tape, loss_ref: int, corrupt_op: str | None = None,
                 ig = ig * 1.05
             adjoint[ref] = ig if adjoint[ref] is None else adjoint[ref] + ig
             pending[ref] -= 1
-            if into is not None and not pending[ref] and tape.nodes[ref].op == "leaf":
-                add(tape.nodes[ref].name, adjoint[ref])
+            if not pending[ref] and tape.nodes[ref].op == "leaf":
+                into[tape.nodes[ref].name] += adjoint[ref]
                 adjoint[ref] = None
         del in_grads, ig  # so a parameter gradient added above is freed now
-    return grads
 
 
 @dataclass

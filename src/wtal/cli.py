@@ -30,9 +30,10 @@ from .evaluation import (ACTIVITYNET_GRID, THUMOS_GRID, format_report, map_repor
                          write_report_json)
 from .localization import (LocalizeConfig, localize_split, read_detections,
                            write_detections_csv, write_detections_json)
-from .losses import LossWeights, total_loss
-from .model import ModelConfig, ModelParams, init_params, load_checkpoint, run_forward
-from .training import NonFiniteGradientError, TrainConfig, fit, load_train_state
+from .losses import LossWeights
+from .model import ModelConfig, ModelParams, init_params, load_checkpoint
+from .training import (NonFiniteGradientError, TrainConfig, add_video_gradients, fit,
+                       load_train_state)
 
 CONFIG_VERSION = 1
 CONFIG_SECTIONS = {"model": ModelConfig, "train": TrainConfig, "loss": LossWeights,
@@ -197,8 +198,8 @@ def gradcheck_cases(seed: int, instances: int, corrupt_op: str | None = None):
     Yields ``(label, params, f)`` per instance: 1-8 snippets, 2-4 classes,
     3-8 feature dims, embeddings 3-6 wide and three temperatures, with the
     background slot on odd instances and dropout (rate 0.5) on every third.
-    ``f(tensors)`` returns the total loss and its gradients from ``backward``
-    run with ``corrupt_op``.
+    ``f(tensors)`` returns the total loss and its gradients from the training
+    step, ``training.add_video_gradients``, run with ``corrupt_op``.
     """
     rng = np.random.default_rng(seed)
     for i in range(instances):
@@ -220,9 +221,10 @@ def gradcheck_cases(seed: int, instances: int, corrupt_op: str | None = None):
 
 
 def _loss_and_grads(x, y, config, dropout_seed, corrupt_op, tensors):
-    tape, out = run_forward(x, ModelParams(**tensors), config, dropout_seed)
-    loss_ref, _ = total_loss(tape, out, y, LossWeights(), config.use_background)
-    return float(tape.val(loss_ref)), ad.backward(tape, loss_ref, corrupt_op=corrupt_op)
+    buffers = {name: np.zeros_like(t) for name, t in tensors.items()}
+    losses = add_video_gradients(buffers, x, y, dropout_seed, ModelParams(**tensors), config,
+                                 LossWeights(), corrupt_op)
+    return losses["total"], buffers
 
 
 def cmd_gradcheck(args) -> int:
@@ -319,7 +321,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ConfigError, ManifestError) as exc:
         return _fail(str(exc), code=2)
-    except (ContractError, InputError, FormatError, NonFiniteGradientError,
+    except (ContractError, InputError, FormatError, NonFiniteGradientError, MemoryError,
             OSError) as exc:  # an OSError names its path
         return _fail(str(exc), code=1)
 

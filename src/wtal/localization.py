@@ -104,7 +104,8 @@ def propose(frames: np.ndarray, thresholds, fps: float, class_conf,
     flat, end = np.divmod(key[np.diff(key, prepend=-1) > 0], n + 1)
     row, start = np.divmod(flat, n + 1)
     length = end - start
-    ctx = np.ceil(context_ratio * length).astype(np.int64)
+    # n frames already reach both bounds; a larger ratio may overflow int64
+    ctx = np.ceil(min(context_ratio, n) * length).astype(np.int64)
     lo, hi = np.maximum(start - ctx, 0), np.minimum(end + ctx, n)
     cum = np.zeros((g.shape[0], n + 1))
     np.cumsum(g, axis=1, out=cum[:, 1:])

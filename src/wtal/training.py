@@ -125,15 +125,16 @@ def _maybe_subsample(features: np.ndarray, limit: int | None,
     return features[start:start + limit]
 
 
-def _add_video_gradients(acc: dict[str, np.ndarray], feats, labels, dropout_seed,
-                         params: ModelParams, model_config: ModelConfig,
-                         loss_weights: LossWeights) -> dict[str, float]:
-    """Add one video's gradients into ``acc`` and return its losses, keyed by
-    ``LOSS_KEYS``. Its tape is freed on return."""
+def add_video_gradients(acc: dict[str, np.ndarray], feats, labels, dropout_seed,
+                        params: ModelParams, model_config: ModelConfig,
+                        loss_weights: LossWeights, corrupt_op: str | None = None
+                        ) -> dict[str, float]:
+    """One video's training step: add its gradients into ``acc`` (``corrupt_op`` as in
+    ``backward``) and return its losses, keyed by ``LOSS_KEYS``. Frees its tape."""
     tape, out = run_forward(feats, params, model_config, dropout_seed)
     loss_ref, parts = total_loss(tape, out, labels, loss_weights, model_config.use_background)
     losses = {key: float(tape.val(ref)) for key, ref in {**parts, "total": loss_ref}.items()}
-    ad.backward(tape, loss_ref, into=acc)
+    ad.backward(tape, loss_ref, acc, corrupt_op)
     return losses
 
 
@@ -163,8 +164,8 @@ def train_epoch(dataset, params: ModelParams, state: OptimizerState,
                 continue
             seed = _video_seed(train_config.seed, epoch, int(idx))
             feats = _maybe_subsample(sample.features, train_config.max_snippets, seed)
-            losses = _add_video_gradients(acc, feats, sample.labels, seed.spawn(1)[0], params,
-                                          model_config, loss_weights)
+            losses = add_video_gradients(acc, feats, sample.labels, seed.spawn(1)[0], params,
+                                         model_config, loss_weights)
             del sample, feats  # the next video is read with none of this one's features held
             for key, value in losses.items():
                 sums[key] += value

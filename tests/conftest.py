@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+from wtal import autodiff as ad
 from wtal.data import VideoEntry
 from wtal.evaluation import Detections
 from wtal.model import ModelConfig, init_params
@@ -31,6 +32,15 @@ def tiny_config(**overrides) -> ModelConfig:
 def tiny_model(seed=0, **overrides):
     config = tiny_config(**overrides)
     return config, init_params(config, seed=seed, dtype=np.float64)
+
+
+def gradients(tape, loss_ref, corrupt_op=None) -> dict[str, np.ndarray]:
+    """``backward`` added into a zero buffer for each named leaf of ``tape``: the
+    gradient of ``loss_ref`` w.r.t. each, zeros where the loss does not reach."""
+    grads = {node.name: np.zeros_like(node.value) for node in tape.nodes
+             if node.op == "leaf" and node.name is not None}
+    ad.backward(tape, loss_ref, grads, corrupt_op)
+    return grads
 
 
 def passthrough_model(width=4, **overrides):

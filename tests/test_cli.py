@@ -2,6 +2,7 @@ import json
 import os
 import platform
 import re
+import struct
 import subprocess
 import sys
 import textwrap
@@ -541,6 +542,20 @@ class TestLocalize:
             assert np.array_equal(cells[:, 0], np.arange(len(cells)))
             assert np.array_equal(cells[:, 1:], expected)
 
+    def test_context_ratio_past_int64_writes_the_bounded_detections(self, dataset_dir, trained,
+                                                                    tmp_path, capsys):
+        # a context longer than the video reaches both bounds: 1e308, whose
+        # ceil(ratio * length) is past int64 and past float64, cuts the windows of 1e6
+        written = []
+        for ratio in ("1e6", "1e308"):
+            det = tmp_path / f"det{ratio}"
+            code, _, err = run(capsys, "localize", "--manifest",
+                               str(dataset_dir / "manifest.json"), "--model-dir", str(trained),
+                               "--out", str(det), "--set", f"localize.context_ratio={ratio}")
+            assert code == 0, err
+            written.append((det / "detections.csv").read_bytes())
+        assert written[0] == written[1] and written[0].count(b"\n") > 1
+
     def test_float32_inference_matches_float64_reference(self, dataset_dir, trained,
                                                         tmp_path, capsys):
         det = tmp_path / "det"
@@ -874,6 +889,39 @@ def test_training_reuses_freed_heap_without_page_faults(tmp_path):
     assert result.returncode == 0, result.stderr
     faults = [int(line) for line in result.stdout.split()]
     assert max(faults[1:]) < 100, faults
+
+
+@pytest.mark.skipif(sys.platform == "win32", reason="caps the address space with setrlimit")
+@pytest.mark.parametrize("width, payload, embed", [(2 ** 32 - 1, b"", 4),
+                                                   (2, bytes(8), 2 ** 32 - 1)],
+                         ids=["feature-header", "embed-dims"])
+def test_allocation_that_cannot_be_made_exits_1_without_traceback(tmp_path, width, payload,
+                                                                   embed):
+    # the manifest reads only the feature headers, so a header that claims
+    # 2**32 - 1 columns over no payload reaches init_params, as does a 2**32 - 1
+    # wide embedding; their weights (TiB) cannot be allocated. The child's
+    # address space is capped, so the allocation fails whatever the kernel's
+    # overcommit policy.
+    (tmp_path / "v.facf").write_bytes(b"FACF" + struct.pack("<III", 1, 1, width) + payload)
+    (tmp_path / "manifest.json").write_text(json.dumps({
+        "schema_version": 1, "classes": ["a"],
+        "videos": [{"id": "v", "split": "train", "fps": 25.0, "snippet_stride": 16,
+                    "features": {"rgb": "v.facf"}, "labels": ["a"]}]}))
+    probe = textwrap.dedent("""\
+        import resource, sys
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 31, 1 << 31))
+        from wtal.cli import main
+        sys.exit(main(sys.argv[1:]))
+        """)
+    argv = ["train", "--manifest", str(tmp_path / "manifest.json"), "--out",
+            str(tmp_path / "run"), "--set", f"model.embed_dims=[{embed},{embed}]"]
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src"),
+           "OPENBLAS_NUM_THREADS": "1"}
+    result = subprocess.run([sys.executable, "-c", probe, *argv], capture_output=True,
+                            text=True, env=env, cwd=tmp_path, timeout=120)
+    assert result.returncode == 1, result.stderr
+    assert result.stderr.startswith("error: Unable to allocate")
+    assert "Traceback" not in result.stderr and result.stdout == ""
 
 
 @pytest.mark.parametrize("command, width", [("train", 32), ("localize", 32), ("train", 0),

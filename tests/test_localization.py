@@ -177,6 +177,15 @@ class TestPropose:
             assert_matches_reference(out, propose_reference(
                 g, thresholds, 25.0, class_conf, ratio))
 
+    @pytest.mark.parametrize("kind", ["smooth_random", "sawtooth"])
+    def test_context_ratio_past_int64_matches_reference(self, rng, kind):
+        # ceil(1e17 * length) does not fit in int64 once length > 92: every
+        # context then reaches both video bounds
+        g, thresholds = proposal_case(kind, rng)
+        out = propose_one(g, thresholds, fps=25.0, class_conf=0.37, context_ratio=1e17)
+        assert (out[:, 1] - out[:, 0] > 92 / 25.0).any()
+        assert_matches_reference(out, propose_reference(g, thresholds, 25.0, 0.37, 1e17))
+
     def test_columns_match_reference_one_at_a_time(self, rng):
         # each column of one table is cut and scored as if alone, with its
         # own class_conf; the all-zero column has no candidates

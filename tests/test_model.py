@@ -15,7 +15,7 @@ from wtal.losses import LossWeights, total_loss
 from wtal.model import (BranchOutputs, forward_scores, load_checkpoint, run_forward,
                         save_checkpoint)
 
-from conftest import passthrough_model, tiny_config, tiny_model
+from conftest import gradients, passthrough_model, tiny_config, tiny_model
 from oracles import hybrid_reference
 
 
@@ -343,7 +343,7 @@ class TestPrecision:
         tape, out = run_forward(rng.normal(size=(7, 6)), params.astype(np.float32), config,
                                 dropout_seed=4)
         loss_ref, _ = total_loss(tape, out, np.array([1.0, 0.0, 1.0]), LossWeights(), True)
-        grads = ad.backward(tape, loss_ref)
+        grads = gradients(tape, loss_ref)
         promoted = [(i, n.op, n.value.dtype) for i, n in enumerate(tape.nodes)
                     if n.value.dtype != np.float32]
         assert promoted == []

@@ -89,6 +89,6 @@ def test_tape_counter_reads_the_whole_tape_after_backward_into_a_buffer(tracing,
         nbytes = sum(node.value.nbytes + sum(v.nbytes for v in node.ctx.values()
                                              if isinstance(v, np.ndarray))
                      for node in tape.nodes)
-        ad.backward(tape, loss_ref, into=acc)
+        ad.backward(tape, loss_ref, acc)
     assert tracer.missing == [] and np.abs(acc["conv1_w"]).max() > 0
     assert tracer.tapes == [(9, 41, nbytes)]
