@@ -1,12 +1,12 @@
 """Command-line pipeline: synth | train | localize | eval | gradcheck | convert.
 
-All commands read an optional JSON config file (sections: model, train,
-loss, localize, synth; versioned via config_version) and accept repeated
-``--set section.key=value`` overrides. Every section is built and checked,
-whether or not the command uses it: unknown sections or keys, wrong values,
-and the model keys that the manifest sets are rejected before any work
-starts. Diagnostics go to stderr; exit status is 0 only when the
-command's postconditions hold.
+synth, train and localize read an optional JSON config file (sections: model,
+train, loss, localize, synth; versioned via config_version) and accept repeated
+``--set section.key=value`` overrides; eval, gradcheck and convert take
+neither. Every section is built and checked, whether or not the command uses
+it: unknown sections or keys, wrong values, and the model keys that the
+manifest sets are rejected before any work starts. Diagnostics go to stderr;
+exit status is 0 only when the command's postconditions hold.
 """
 from __future__ import annotations
 
@@ -38,7 +38,7 @@ from .training import (NonFiniteGradientError, TrainConfig, add_video_gradients,
 CONFIG_VERSION = 1
 CONFIG_SECTIONS = {"model": ModelConfig, "train": TrainConfig, "loss": LossWeights,
                    "localize": LocalizeConfig, "synth": SynthConfig}
-MANIFEST_KEYS = ("model.num_classes", "model.feature_dim")  # what a run takes from the manifest
+MANIFEST_STAND_INS = {"model": {"num_classes": 1, "feature_dim": 1}}  # keys the manifest sets
 M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3  # glibc's mallopt parameters
 
 
@@ -50,39 +50,37 @@ def _fail(message: str, code: int = 2) -> int:
 def load_run_config(path: str | None, overrides: list[str]) -> dict:
     """Section name -> its config, built from the file and the overrides; the model
     config holds stand-ins for the two values that ``wtal train`` takes from the manifest."""
-    cfg: dict[str, dict] = {section: {} for section in CONFIG_SECTIONS}
+    settings = []  # (section, mapping): the file's sections, then one per override
     if path is not None:
         doc = read_json(path, ConfigError)
         if not isinstance(doc, dict):
             raise ConfigError(f"{path}: expected a JSON object")
         if doc.pop("config_version", CONFIG_VERSION) != CONFIG_VERSION:
             raise ConfigError(f"config_version must be {CONFIG_VERSION}")
-        for section, mapping in doc.items():
-            if section not in CONFIG_SECTIONS:
-                raise ConfigError(f"unknown config section {section!r}")
-            if not isinstance(mapping, dict):
-                raise ConfigError(f"config section {section!r} must be an object")
-            cfg[section].update(mapping)
-    for item in overrides or []:
+        settings += doc.items()
+    for item in overrides:
         if "=" not in item or "." not in item.split("=", 1)[0]:
             raise ConfigError(f"override {item!r} must look like section.key=value")
         key, value = item.split("=", 1)
         section, name = key.split(".", 1)
+        try:
+            settings.append((section, {name: json.loads(value)}))
+        except ValueError:  # not JSON, or an int beyond the digit limit: kept as text
+            settings.append((section, {name: value}))
+    cfg: dict[str, dict] = {section: {} for section in CONFIG_SECTIONS}
+    for section, mapping in settings:
         if section not in CONFIG_SECTIONS:
             raise ConfigError(f"unknown config section {section!r}")
-        try:
-            cfg[section][name] = json.loads(value)
-        except ValueError:  # not JSON, or an int beyond the digit limit: kept as text
-            cfg[section][name] = value
-    for section, mapping in cfg.items():
+        if not isinstance(mapping, dict):
+            raise ConfigError(f"config section {section!r} must be an object")
         known = {f.name for f in fields(CONFIG_SECTIONS[section])}
         for key in mapping:
-            if f"{section}.{key}" in MANIFEST_KEYS:
+            if key in MANIFEST_STAND_INS.get(section, {}):
                 raise ConfigError(f"{section}.{key} is set by the manifest, not by a config")
             if key not in known:
                 raise ConfigError(f"unknown config key {section}.{key}")
-    stand_ins = {"num_classes": 1, "feature_dim": 1}
-    return {section: build_config(cls, cfg[section], **(stand_ins if cls is ModelConfig else {}))
+        cfg[section].update(mapping)
+    return {section: build_config(cls, cfg[section], **MANIFEST_STAND_INS.get(section, {}))
             for section, cls in CONFIG_SECTIONS.items()}
 
 

@@ -234,7 +234,8 @@ def parse_manifest(path) -> Manifest:
 
     Checks, in order: schema version; class list non-empty and unique; for
     each video a unique id, a known split, positive fps/stride, existing
-    feature files sharing one stream set, each stream at least 1 wide and as
+    feature files sharing one stream set, each file as large as its header
+    says (the payload itself is not read), each stream at least 1 wide and as
     wide as in the first video, at most ``MAX_VIDEO_FRAMES`` frames (snippets times
     stride), labels drawn from the class list and at least one on a train
     video, and ground-truth spans, each an object with a known label and JSON
@@ -286,6 +287,10 @@ def parse_manifest(path) -> Manifest:
                 raise ManifestError(f"video {vid}: missing feature file {fpath}")
             with open(fpath, "rb") as fh:
                 t, d = read_feature_header(fh, fpath)
+                payload = os.fstat(fh.fileno()).st_size - 16
+            if payload != 4 * t * d:  # else a header could claim more than the file holds
+                raise ManifestError(f"video {vid}: stream {stream} feature payload is {payload} "
+                                    f"bytes at offset 16, expected {4 * t * d} in {fpath}")
             if num_snippets is None:
                 num_snippets = t
             elif t != num_snippets:
@@ -406,6 +411,8 @@ class SynthConfig:
             raise ConfigError("instance_len_range must fit the shortest video")
         if not self.streams:
             raise ConfigError("at least one stream required")
+        if len(set(self.streams)) != len(self.streams):
+            raise ConfigError(f"streams must be distinct names, got {list(self.streams)}")
         if self.seed < 0:
             raise ConfigError("seed must be non-negative")
 

@@ -142,38 +142,31 @@ class BranchOutputs:
     p_mil: int
 
 
-def embed(tape: ad.Tape, x_raw: int, refs: ModelParams[int], config: ModelConfig,
-          dropout_seed=None) -> int:
-    """Two temporal conv layers, each one tape node: conv, dropout in train mode, ReLU.
+def forward_hybrid(tape: ad.Tape, x_raw: int, refs: ModelParams[int], config: ModelConfig,
+                   dropout_seed=None) -> BranchOutputs:
+    """Full forward pass, all H temperatures at once.
 
-    Train mode is a ``dropout_seed``: each layer draws its dropout mask from one
-    stream seeded by it, each entry 0 or 1/keep in the layer's output dtype."""
+    The embedding is two temporal conv layers, each one tape node: conv, dropout in
+    train mode, ReLU. Train mode is a ``dropout_seed``: each layer draws its dropout
+    mask from one stream seeded by it, each entry 0 or 1/keep in the layer's output
+    dtype. One stacked softmax over time turns S_a and S_f into attention that pools
+    the embedding; video-level logits are the mean over H before each final
+    softmax. MIL logits are linear in the attention, so they take its mean.
+    """
     x = tape.val(x_raw)
     if x.ndim != 2 or x.shape[1] != config.feature_dim:
         raise ContractError(
             f"embed input shape {x.shape} does not match feature_dim {config.feature_dim}")
     keep = 1.0 - config.dropout_rate
     rng = None if dropout_seed is None or keep == 1.0 else np.random.default_rng(dropout_seed)
-    h = x_raw
+    x_e = x_raw
     for w, b in ((refs.conv1_w, refs.conv1_b), (refs.conv2_w, refs.conv2_b)):
         mask = None
         if rng is not None:
-            hv, wv = tape.val(h), tape.val(w)
-            mask = (rng.random((hv.shape[0], wv.shape[1])) < keep).astype(
-                np.result_type(hv, wv)) / keep
-        h = tape.temporal_conv(h, w, b, mask, keep)
-    return h
-
-
-def forward_hybrid(tape: ad.Tape, x_raw: int, refs: ModelParams[int], config: ModelConfig,
-                   dropout_seed=None) -> BranchOutputs:
-    """Full forward pass, all H temperatures at once.
-
-    One stacked softmax over time turns S_a and S_f into attention that pools
-    the embedding; video-level logits are the mean over H before each final
-    softmax. MIL logits are linear in the attention, so they take its mean.
-    """
-    x_e = embed(tape, x_raw, refs, config, dropout_seed)
+            xv, wv = tape.val(x_e), tape.val(w)
+            mask = (rng.random((xv.shape[0], wv.shape[1])) < keep).astype(
+                np.result_type(xv, wv)) / keep
+        x_e = tape.temporal_conv(x_e, w, b, mask, keep)
     h = len(config.temperatures)
     w_fore = tape.reshape(refs.w_fore, (1, tape.val(refs.w_fore).shape[0]))
     s_a = tape.cosine_rows(x_e, refs.w_action, config.delta)

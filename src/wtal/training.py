@@ -214,7 +214,8 @@ def load_train_state(path, model_config: ModelConfig, train_config: TrainConfig
     The stored model config must equal ``model_config``, every tensor must be
     present under its expected name, with the shape the model config implies and
     the training precision's dtype, the two counters must be non-negative integer
-    scalars and the history a finite float64 table of ``next_epoch`` rows;
+    scalars and the history a finite float64 table of ``next_epoch`` rows whose
+    two video counts are whole numbers >= 0;
     ``FormatError`` otherwise, ``OSError`` if it is missing.
     """
     arrays = read_archive(path, "training-state")
@@ -229,8 +230,10 @@ def load_train_state(path, model_config: ModelConfig, train_config: TrainConfig
     if any(c is None or c.shape != () or c.dtype.kind not in "iu" or c < 0 for c in counters):
         raise FormatError(f"{path}: step and next_epoch must be non-negative integer scalars")
     if table is None or table.dtype != np.float64 or not np.isfinite(table).all() \
-            or table.shape != (int(counters[1]), len(HISTORY_COLUMNS)):
-        raise FormatError(f"{path}: history must be a finite float64 table, one row per epoch")
+            or table.shape != (int(counters[1]), len(HISTORY_COLUMNS)) \
+            or (table[:, :2] < 0).any() or (table[:, :2] % 1).any():
+        raise FormatError(f"{path}: history must be a finite float64 table, one row per epoch, "
+                          f"its video counts whole numbers >= 0")
 
     def part(prefix: str) -> dict[str, np.ndarray]:
         return {f.name: arrays[prefix + f.name] for f in fields(ModelParams)}
@@ -252,8 +255,6 @@ def fit(dataset, params: ModelParams, model_config: ModelConfig,
     and the training state every ``checkpoint_interval`` epochs, and at the end the
     checkpoint ``model.npz`` and the state ``model_state.npz``. ``params`` must have
     the training dtype (``ContractError`` otherwise)."""
-    if not dataset:
-        raise ConfigError("training dataset is empty")
     check_params(params.as_dict(), model_config, ContractError, train_config.dtype)
     if state is None:
         state = init_optimizer(params)

@@ -34,6 +34,12 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def poison_last_value(path):
+    """Write NaN over the last feature value: the file keeps the size its header
+    claims, so the manifest parses, but loading the features fails."""
+    path.write_bytes(path.read_bytes()[:-4] + struct.pack("<f", float("nan")))
+
+
 SMALL_SYNTH = [
     "--set", "synth.num_train=6", "--set", "synth.num_test=3",
     "--set", "synth.snippet_range=[30,60]", "--set", "synth.seed=4",
@@ -156,7 +162,8 @@ class TestSynth:
     @pytest.mark.parametrize("setting", [
         "synth.fps=0", "synth.fps=-25.0", "synth.snippet_stride=0",
         "synth.feature_dim=-1", "synth.feature_dim=0", "synth.instances_range=[0,0]",
-        "synth.snippet_range=[60,100000000000000000000]", "synth.snippet_stride=65536"])
+        "synth.snippet_range=[60,100000000000000000000]", "synth.snippet_stride=65536",
+        'synth.streams=["rgb","rgb"]'])
     def test_bad_timing_rejected_before_writing(self, tmp_path, capsys, setting):
         out = tmp_path / "d"
         code, _, err = run(capsys, "synth", "--out", str(out), "--set", setting)
@@ -429,8 +436,7 @@ class TestTrain:
         video = next(v for v in doc["videos"] if v["split"] == "train")
         video["labels"] = []
         path.write_text(json.dumps(doc))
-        feature = dataset_dir / video["features"]["rgb"]  # loading it would fail
-        feature.write_bytes(feature.read_bytes()[:-4])
+        poison_last_value(dataset_dir / video["features"]["rgb"])  # loading it would fail
         code, _, err = run(capsys, "train", "--manifest", str(path),
                            "--out", str(tmp_path / "r"))
         assert code == 2
@@ -439,11 +445,12 @@ class TestTrain:
 
     def test_truncated_payload_ends_epoch_zero_without_artefacts(self, dataset_dir, tmp_path,
                                                                  capsys, monkeypatch):
-        # the manifest reads only the headers; the payload is checked when epoch 0
-        # reads the video, and the run ends before it writes any file
+        # the manifest checks each file's size; a file cut after the parse is caught
+        # when epoch 0 reads the video, and the run ends before it writes any file
         path = dataset_dir / "manifest.json"
         feature = parse_manifest(path).split("train")[-1].features["rgb"]
-        size = feature.stat().st_size
+        original = feature.read_bytes()
+        size = len(original)
 
         def parse_then_truncate(manifest_path):
             manifest = parse_manifest(manifest_path)
@@ -457,6 +464,7 @@ class TestTrain:
         message = f"expected {size - 16} in {feature}"
         with pytest.raises(FormatError, match=re.escape(message) + "$"):
             args.func(args)
+        feature.write_bytes(original)
         code, _, err = run(capsys, *argv)
         assert code == 1
         assert message + "\n" in err and "Traceback" not in err
@@ -613,8 +621,7 @@ class TestLocalize:
         assert code == 0, err
         manifest = data / "manifest.json"
         for entry in parse_manifest(manifest).split("test"):  # loading them would fail
-            path = entry.features["rgb"]
-            path.write_bytes(path.read_bytes()[:-4])
+            poison_last_value(entry.features["rgb"])
         code, _, err = run(capsys, "localize", "--manifest", str(manifest),
                            "--model-dir", str(trained), "--out", str(tmp_path / "det"))
         assert code == 2
@@ -891,17 +898,10 @@ def test_training_reuses_freed_heap_without_page_faults(tmp_path):
     assert max(faults[1:]) < 100, faults
 
 
-@pytest.mark.skipif(sys.platform == "win32", reason="caps the address space with setrlimit")
-@pytest.mark.parametrize("width, payload, embed", [(2 ** 32 - 1, b"", 4),
-                                                   (2, bytes(8), 2 ** 32 - 1)],
-                         ids=["feature-header", "embed-dims"])
-def test_allocation_that_cannot_be_made_exits_1_without_traceback(tmp_path, width, payload,
-                                                                   embed):
-    # the manifest reads only the feature headers, so a header that claims
-    # 2**32 - 1 columns over no payload reaches init_params, as does a 2**32 - 1
-    # wide embedding; their weights (TiB) cannot be allocated. The child's
-    # address space is capped, so the allocation fails whatever the kernel's
-    # overcommit policy.
+def train_in_capped_child(tmp_path, width: int, payload: bytes, embed: int):
+    """``wtal train`` in a child process whose address space is capped, so an
+    allocation of TiB fails whatever the kernel's overcommit policy, on one video
+    of one snippet whose header claims ``width`` columns over ``payload``."""
     (tmp_path / "v.facf").write_bytes(b"FACF" + struct.pack("<III", 1, 1, width) + payload)
     (tmp_path / "manifest.json").write_text(json.dumps({
         "schema_version": 1, "classes": ["a"],
@@ -917,10 +917,28 @@ def test_allocation_that_cannot_be_made_exits_1_without_traceback(tmp_path, widt
             str(tmp_path / "run"), "--set", f"model.embed_dims=[{embed},{embed}]"]
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src"),
            "OPENBLAS_NUM_THREADS": "1"}
-    result = subprocess.run([sys.executable, "-c", probe, *argv], capture_output=True,
-                            text=True, env=env, cwd=tmp_path, timeout=120)
+    return subprocess.run([sys.executable, "-c", probe, *argv], capture_output=True,
+                          text=True, env=env, cwd=tmp_path, timeout=120)
+
+
+@pytest.mark.skipif(sys.platform == "win32", reason="caps the address space with setrlimit")
+def test_allocation_that_cannot_be_made_exits_1_without_traceback(tmp_path):
+    # a 2**32 - 1 wide embedding reaches init_params; its weights (TiB) cannot be
+    # allocated
+    result = train_in_capped_child(tmp_path, 2, bytes(8), 2 ** 32 - 1)
     assert result.returncode == 1, result.stderr
     assert result.stderr.startswith("error: Unable to allocate")
+    assert "Traceback" not in result.stderr and result.stdout == ""
+
+
+@pytest.mark.skipif(sys.platform == "win32", reason="caps the address space with setrlimit")
+def test_header_claiming_more_than_its_file_exits_2_before_any_allocation(tmp_path):
+    # 2**32 - 1 columns over no payload: the manifest parse compares the header with
+    # the file size, so the run ends before init_params sizes a model by it
+    result = train_in_capped_child(tmp_path, 2 ** 32 - 1, b"", 4)
+    assert result.returncode == 2, result.stderr
+    assert result.stderr.startswith("error: video v: stream rgb feature payload is 0 bytes")
+    assert f"expected {4 * (2 ** 32 - 1)} in {tmp_path / 'v.facf'}\n" in result.stderr
     assert "Traceback" not in result.stderr and result.stdout == ""
 
 
@@ -932,8 +950,7 @@ def test_stream_width_mismatch_exits_before_features_load(dataset_dir, trained, 
     manifest = dataset_dir / "manifest.json"
     videos = parse_manifest(manifest).videos
     for entry in videos:  # loading any of them would fail
-        path = entry.features["rgb"]
-        path.write_bytes(path.read_bytes()[:-4])
+        poison_last_value(entry.features["rgb"])
     narrow = videos[-1]
     save_features(narrow.features["rgb"], np.zeros((narrow.num_snippets, width), np.float32))
     model = ["--model-dir", str(trained)] if command == "localize" else []

@@ -1,6 +1,7 @@
 """No option of the ``wtal`` command line goes unexercised: each option
 string of each subcommand in ``cli.build_parser()`` appears, quoted, in a
-test or a script."""
+test or a script. A subcommand takes the config options exactly when its
+handler reads the run config."""
 import argparse
 from pathlib import Path
 
@@ -28,3 +29,13 @@ def test_every_option_appears_in_a_test_or_a_script():
     unused = sorted(o for o in option_strings(build_parser())
                     if f'"{o}"' not in text and f"'{o}'" not in text)
     assert unused == []
+
+
+def test_config_options_exactly_where_the_handler_loads_the_config():
+    config_options = {"--config", "--set"}
+    subcommands = next(action.choices for action in build_parser()._actions
+                       if isinstance(action, argparse._SubParsersAction))
+    wrong = sorted(name for name, sub in subcommands.items()
+                   if (option_strings(sub) & config_options == config_options)
+                   != ("load_run_config" in sub.get_default("func").__code__.co_names))
+    assert wrong == []

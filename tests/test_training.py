@@ -434,6 +434,13 @@ HISTORY = [tr.EpochReport(dict(zip(tr.LOSS_KEYS, (1.0 / (epoch + 1), 0.5, 0.25, 
                           num_videos=6, skipped=epoch) for epoch in range(3)]
 
 
+def history_table(cell, value) -> np.ndarray:
+    """The training state's history table of ``HISTORY``, with ``value`` at ``cell``."""
+    table = np.array([[rec.num_videos, rec.skipped, *rec.losses.values()] for rec in HISTORY])
+    table[cell] = value
+    return table
+
+
 class TestLoadTrainState:
     def saved(self, tmp_path, precision=64):
         config, params = tiny_model()
@@ -499,8 +506,12 @@ class TestLoadTrainState:
     @pytest.mark.parametrize("changes", [{"drop": ("history",)},
                                          {"history": np.zeros((2, 6))},
                                          {"history": np.zeros((3, 6), dtype=np.float32)},
-                                         {"history": np.full((3, 6), np.nan)}],
-                             ids=["missing", "rows", "float32", "nan"])
+                                         {"history": np.full((3, 6), np.nan)},
+                                         {"history": history_table((0, 0), -2.5)},
+                                         {"history": history_table((1, 1), 0.5)},
+                                         {"history": history_table((2, 0), -1.0)}],
+                             ids=["missing", "rows", "float32", "nan", "negative-fraction-videos",
+                                  "fraction-skipped", "negative-videos"])
     def test_bad_history_rejected(self, tmp_path, changes):
         path, config, tc = self.saved(tmp_path)
         self.rewrite(path, **changes)
