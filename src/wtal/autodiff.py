@@ -9,7 +9,6 @@ Each op records its forward value plus whatever the adjoint needs, and
 """
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -261,9 +260,10 @@ def backward(tape: Tape, loss_ref: int, into: dict[str, np.ndarray],
              corrupt_op: str | None = None) -> None:
     """Add the gradient of a scalar node w.r.t. every named leaf, in place, into
     that name's buffer in ``into``; a leaf the loss does not reach adds nothing.
-    A leaf's sum is added once complete, when its last consumer up to the loss
-    has run (else at its own visit), and then dropped, so each buffer gets one
-    addition per leaf.
+    The tape is walked in reverse, so a leaf's sum is complete at its own visit,
+    where it is added once. A leaf recorded just before its first consumer is
+    visited right after that consumer, so its gradient is added and freed as
+    soon as it is complete.
 
     Each rule is told which of its inputs want an adjoint: all but the unnamed
     leaves. It may return None for those, so the adjoint of the raw features
@@ -277,7 +277,6 @@ def backward(tape: Tape, loss_ref: int, into: dict[str, np.ndarray],
         raise ContractError(f"backward needs a scalar loss, got shape {loss.value.shape}")
     adjoint: list[np.ndarray | None] = [None] * len(tape.nodes)
     adjoint[loss_ref] = np.ones_like(loss.value)
-    pending = Counter(i for node in tape.nodes[:loss_ref + 1] for i in node.inputs)
     for idx in range(loss_ref, -1, -1):
         node = tape.nodes[idx]
         g, adjoint[idx] = adjoint[idx], None  # each adjoint is read once
@@ -295,11 +294,7 @@ def backward(tape: Tape, loss_ref: int, into: dict[str, np.ndarray],
             if node.op == corrupt_op:
                 ig = ig * 1.05
             adjoint[ref] = ig if adjoint[ref] is None else adjoint[ref] + ig
-            pending[ref] -= 1
-            if not pending[ref] and tape.nodes[ref].op == "leaf":
-                into[tape.nodes[ref].name] += adjoint[ref]
-                adjoint[ref] = None
-        del in_grads, ig  # so a parameter gradient added above is freed now
+        del in_grads, ig  # else a parameter gradient lives on through the next rule
 
 
 @dataclass

@@ -11,15 +11,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, fields
-from typing import Generic, TypeVar
 
 import numpy as np
 
 from . import autodiff as ad
 from .data import atomic_write, build_config, read_archive
 from .errors import ConfigError, ContractError, FormatError
-
-P = TypeVar("P")  # a parameter: an array, or its reference on a tape
 
 
 @dataclass
@@ -58,15 +55,15 @@ class ModelConfig:
 
 
 @dataclass
-class ModelParams(Generic[P]):
-    conv1_w: P  # (k*D_in, d1), tap-major: row block i is tap i
-    conv1_b: P  # (d1,)
-    conv2_w: P  # (k*d1, d2), tap-major
-    conv2_b: P  # (d2,)
-    w_action: P  # (score_classes, d2)
-    w_fore: P  # (d2,)
+class ModelParams:
+    conv1_w: np.ndarray  # (k*D_in, d1), tap-major: row block i is tap i
+    conv1_b: np.ndarray  # (d1,)
+    conv2_w: np.ndarray  # (k*d1, d2), tap-major
+    conv2_b: np.ndarray  # (d2,)
+    w_action: np.ndarray  # (score_classes, d2)
+    w_fore: np.ndarray  # (d2,)
 
-    def as_dict(self) -> dict[str, P]:
+    def as_dict(self) -> dict[str, np.ndarray]:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def astype(self, dtype, copy: bool = True) -> "ModelParams":
@@ -111,11 +108,11 @@ def check_params(tensors: dict, config: ModelConfig, error, dtype=None,
     ``dtype`` is given, that dtype."""
     d1, d2 = config.embed_dims
     k = config.kernel_size
-    shapes = ModelParams(conv1_w=(k * config.feature_dim, d1), conv1_b=(d1,),
-                         conv2_w=(k * d1, d2), conv2_b=(d2,),
-                         w_action=(config.score_classes, d2), w_fore=(d2,))
+    shapes = dict(conv1_w=(k * config.feature_dim, d1), conv1_b=(d1,),
+                  conv2_w=(k * d1, d2), conv2_b=(d2,),
+                  w_action=(config.score_classes, d2), w_fore=(d2,))
     expected = {prefix + name: shape for prefix in prefixes
-                for name, shape in shapes.as_dict().items()}
+                for name, shape in shapes.items()}
     if set(tensors) != set(expected):
         raise error(f"tensors {sorted(tensors)} != expected {sorted(expected)}")
     for key, shape in expected.items():
@@ -142,9 +139,16 @@ class BranchOutputs:
     p_mil: int
 
 
-def forward_hybrid(tape: ad.Tape, x_raw: int, refs: ModelParams[int], config: ModelConfig,
-                   dropout_seed=None) -> BranchOutputs:
-    """Full forward pass, all H temperatures at once.
+def run_forward(x_raw: np.ndarray, params: ModelParams, config: ModelConfig,
+                dropout_seed=None) -> tuple[ad.Tape, BranchOutputs]:
+    """Record one forward pass at the precision of ``params``, all H temperatures at once.
+
+    The features are staged in the parameters' dtype (a copy only when the
+    dtypes differ), so float32 weights, as a checkpoint stores them, run in
+    float32 and float64 weights run in float64. They are the tape's first
+    leaf, unnamed; each parameter is a leaf under its ``ModelParams`` name,
+    recorded just before the first node that reads it, so ``backward``
+    reaches it as soon as its gradient is complete.
 
     The embedding is two temporal conv layers, each one tape node: conv, dropout in
     train mode, ReLU. Train mode is a ``dropout_seed``: each layer draws its dropout
@@ -153,23 +157,25 @@ def forward_hybrid(tape: ad.Tape, x_raw: int, refs: ModelParams[int], config: Mo
     the embedding; video-level logits are the mean over H before each final
     softmax. MIL logits are linear in the attention, so they take its mean.
     """
-    x = tape.val(x_raw)
+    check_params(params.as_dict(), config, ContractError)
+    x = np.asarray(x_raw, dtype=params.conv1_w.dtype)
     if x.ndim != 2 or x.shape[1] != config.feature_dim:
         raise ContractError(
             f"embed input shape {x.shape} does not match feature_dim {config.feature_dim}")
+    tape = ad.Tape()
+    x_e = tape.leaf(x)
     keep = 1.0 - config.dropout_rate
     rng = None if dropout_seed is None or keep == 1.0 else np.random.default_rng(dropout_seed)
-    x_e = x_raw
-    for w, b in ((refs.conv1_w, refs.conv1_b), (refs.conv2_w, refs.conv2_b)):
-        mask = None
-        if rng is not None:
-            xv, wv = tape.val(x_e), tape.val(w)
-            mask = (rng.random((xv.shape[0], wv.shape[1])) < keep).astype(
-                np.result_type(xv, wv)) / keep
-        x_e = tape.temporal_conv(x_e, w, b, mask, keep)
+    for w, b in (("conv1_w", "conv1_b"), ("conv2_w", "conv2_b")):
+        wv = getattr(params, w)
+        mask = None if rng is None else (rng.random((x.shape[0], wv.shape[1])) < keep).astype(
+            np.result_type(tape.val(x_e), wv)) / keep
+        x_e = tape.temporal_conv(x_e, tape.leaf(wv, name=w),
+                                 tape.leaf(getattr(params, b), name=b), mask, keep)
     h = len(config.temperatures)
-    w_fore = tape.reshape(refs.w_fore, (1, tape.val(refs.w_fore).shape[0]))
-    s_a = tape.cosine_rows(x_e, refs.w_action, config.delta)
+    w_fore = tape.reshape(tape.leaf(params.w_fore, name="w_fore"), (1, params.w_fore.shape[0]))
+    w_action = tape.leaf(params.w_action, name="w_action")
+    s_a = tape.cosine_rows(x_e, w_action, config.delta)
     t, k = tape.val(s_a).shape
     s_f = tape.reshape(tape.cosine_rows(x_e, w_fore, config.delta), (t,))
     s_a_t = tape.transpose(s_a)
@@ -184,27 +190,12 @@ def forward_hybrid(tape: ad.Tape, x_raw: int, refs: ModelParams[int], config: Mo
     p_class_fore = tape.softmax(fore_logits, 1.0, axis=0)
     attn_fore = tape.softmax(s_f, config.temperatures, axis=0)
     feat_fore = tape.matmul(attn_fore, x_e)
-    class_logits = mean_over_heads(tape.cosine_rows(feat_fore, refs.w_action, config.delta))
+    class_logits = mean_over_heads(tape.cosine_rows(feat_fore, w_action, config.delta))
     p_video_class = tape.softmax(class_logits, 1.0, axis=0)
     mil_logits = tape.sum(tape.mul(mean_over_heads(attn_class), s_a_t), axis=1)
     p_mil = tape.softmax(mil_logits, 1.0, axis=0)
-    return BranchOutputs(x_e, s_a, s_f, attn_class, attn_fore, fore_logits, p_class_fore,
-                         class_logits, p_video_class, mil_logits, p_mil)
-
-
-def run_forward(x_raw: np.ndarray, params: ModelParams, config: ModelConfig,
-                dropout_seed=None) -> tuple[ad.Tape, BranchOutputs]:
-    """Record one forward pass at the precision of ``params``, in train mode given a seed.
-
-    The features are staged in the parameters' dtype (a copy only when the
-    dtypes differ), so float32 weights, as a checkpoint stores them, run in
-    float32 and float64 weights run in float64.
-    """
-    check_params(params.as_dict(), config, ContractError)
-    tape = ad.Tape()
-    x_ref = tape.leaf(np.asarray(x_raw, dtype=params.conv1_w.dtype))
-    refs = ModelParams(**{k: tape.leaf(v, name=k) for k, v in params.as_dict().items()})
-    return tape, forward_hybrid(tape, x_ref, refs, config, dropout_seed)
+    return tape, BranchOutputs(x_e, s_a, s_f, attn_class, attn_fore, fore_logits, p_class_fore,
+                               class_logits, p_video_class, mil_logits, p_mil)
 
 
 @dataclass

@@ -145,8 +145,6 @@ def train_epoch(dataset, params: ModelParams, state: OptimizerState,
     batch, average, and apply a single optimizer step per batch. ``dataset`` is a
     sequence of ``VideoSample``s, such as a ``VideoSplit``; each video is
     indexed once, in the epoch's shuffled order."""
-    if not dataset:
-        raise ConfigError("training dataset is empty")
     order_rng = np.random.default_rng(_video_seed(train_config.seed, epoch, -1))
     order = order_rng.permutation(len(dataset))
     sums = dict.fromkeys(LOSS_KEYS, 0.0)
@@ -179,8 +177,9 @@ def train_epoch(dataset, params: ModelParams, state: OptimizerState,
             adam_step(params, acc, state, train_config)
             for g in acc.values():
                 g.fill(0)
-    n = max(processed, 1)
-    return EpochReport({key: total / n for key, total in sums.items()},
+    if not processed:
+        raise ConfigError("training dataset has no video with snippets")
+    return EpochReport({key: total / processed for key, total in sums.items()},
                        num_videos=processed, skipped=skipped)
 
 

@@ -210,7 +210,7 @@ def hybrid_reference(x_e, w_action, w_fore, delta, temperatures):
     features, the class-wise logits (each class's pooled feature against
     w_fore), the class-agnostic logits (the foreground-pooled feature against
     every class) and the MIL logits (attention-weighted sums of S_a). Returns
-    S_a (T, K), S_f (T,), the attention as ``model.forward_hybrid`` lays it
+    S_a (T, K), S_f (T,), the attention as ``model.run_forward`` lays it
     out, (H, K, T) and (H, T), and the per-head logits stacked as (H, K).
     """
     def cosine(a, b):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from wtal import autodiff as ad
 from wtal.errors import ContractError, InputError
 from wtal.losses import LossWeights, total_loss
-from wtal.model import ModelParams, forward_hybrid, init_params, run_forward
+from wtal.model import ModelParams, init_params, run_forward
 
 from conftest import gradients, tiny_config, tiny_model
 from oracles import conv_dx_reference, conv_reference
@@ -386,10 +386,8 @@ class TestBackward:
     def model_grads(x, params, x_name):
         """backward over the tiny model's training loss, the features a leaf named x_name."""
         config = tiny_config()
-        tape = ad.Tape()
-        x_ref = tape.leaf(x, name=x_name)
-        refs = ModelParams(**{k: tape.leaf(v, name=k) for k, v in params.as_dict().items()})
-        out = forward_hybrid(tape, x_ref, refs, config, dropout_seed=5)
+        tape, out = run_forward(x, params, config, dropout_seed=5)
+        tape.nodes[0].name = x_name
         loss_ref, _ = total_loss(tape, out, np.array([1.0, 0.0, 1.0]), LossWeights(),
                                  config.use_background)
         return gradients(tape, loss_ref)
@@ -607,8 +605,8 @@ class TestTapeMemory:
         # The trainer's path, gradients added into a preallocated accumulator:
         # 4.14 MB when backward returned every gradient for the caller to add and
         # folded conv dx through a T x k*d_in product; 3.33 MB with each
-        # parameter's gradient added once its last consumer has run and dx
-        # folded tap by tap. Zero buffers allocated inside the step, as
+        # parameter's gradient added as soon as it is complete, at its leaf
+        # recorded just before its first reader, and dx folded tap by tap. Zero buffers allocated inside the step, as
         # gradcheck does, add their 1.6 MB: 4.93 MB. When backward could also
         # return the gradients as each completed, that mode read 5.74 MB with
         # four tape nodes per conv layer and two normalized copies of x_e, and

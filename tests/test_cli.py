@@ -470,6 +470,23 @@ class TestTrain:
         assert message + "\n" in err and "Traceback" not in err
         assert list(out.glob("*")) == []
 
+    def test_train_split_without_snippets_exits_2_without_artefacts(self, dataset_dir,
+                                                                    tmp_path, capsys):
+        path = dataset_dir / "manifest.json"
+        doc = json.loads(path.read_text())
+        for video in doc["videos"]:
+            if video["split"] == "train":
+                video["ground_truth"] = []  # none fits a video of 0 snippets
+                for feature in video["features"].values():
+                    save_features(dataset_dir / feature, np.zeros((0, 64), np.float32))
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "r"
+        code, stdout, err = run(capsys, "train", "--manifest", str(path), "--out", str(out),
+                                *FAST_TRAIN)
+        assert code == 2 and stdout == ""
+        assert "training dataset has no video with snippets" in err and "Traceback" not in err
+        assert list(out.glob("*")) == []
+
     def test_wrongly_typed_train_value_exits_cleanly(self, dataset_dir, tmp_path, capsys):
         code, _, err = run(capsys, "train", "--manifest", str(dataset_dir / "manifest.json"),
                            "--out", str(tmp_path / "r"), "--set", 'train.epochs="abc"')

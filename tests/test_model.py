@@ -266,6 +266,18 @@ class TestForwardHybrid:
         assert all(0 <= ref < len(tape.nodes) and tape.nodes[ref].op != "leaf"
                    for ref in refs), refs
 
+    @pytest.mark.parametrize("use_background", [True, False])
+    def test_each_parameter_recorded_just_before_its_first_reader(self, rng, use_background):
+        # backward then visits each parameter's leaf right after the gradient completes
+        config, params = tiny_model(use_background=use_background)
+        tape, _ = run_forward(rng.normal(size=(8, 6)), params, config, dropout_seed=3)
+        named = {i: node.name for i, node in enumerate(tape.nodes)
+                 if node.op == "leaf" and node.name is not None}
+        assert sorted(named.values()) == sorted(params.as_dict())
+        for i, name in named.items():
+            first = next(j for j, node in enumerate(tape.nodes) if i in node.inputs)
+            assert {node.op for node in tape.nodes[i + 1:first]} <= {"leaf"}, name
+
     @pytest.mark.parametrize("temperatures", [(1.0,), (1.0, 2.0, 5.0)])
     def test_train_mode_tape_size_independent_of_head_count(self, rng, temperatures):
         config, params = tiny_model(temperatures=temperatures)

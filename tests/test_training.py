@@ -281,6 +281,19 @@ class TestTrainEpoch:
             train_epoch([], params, init_optimizer(params), config, LossWeights(),
                         TrainConfig(), epoch=0)
 
+    def test_dataset_of_videos_without_snippets_rejected(self):
+        # every video is skipped, so nothing was trained: the same error as no video
+        config, params = tiny_model()
+        before = params.astype(np.float64)
+        state = init_optimizer(params)
+        dataset = [VideoSample(np.zeros((0, 6)), np.array([1.0, 0, 0]))] * 3
+        with pytest.raises(ConfigError, match="training dataset has no video with snippets"):
+            train_epoch(dataset, params, state, config, LossWeights(),
+                        TrainConfig(precision=64, seed=1), epoch=0)
+        assert state.step == 0
+        for name, value in params.as_dict().items():
+            assert np.array_equal(value, getattr(before, name)), name
+
 
 class TestFit:
     def test_zero_epochs_forbidden(self):
